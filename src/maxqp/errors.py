@@ -25,7 +25,9 @@ class ValidationError(MaxQPError):
 class CapacityError(MaxQPError):
     """Instance exceeds a configured resource cap (width cap, brute-force cap).
 
-    `achieved` carries the offending quantity (e.g. the decomposition width).
+    `achieved` carries the offending quantity.  For the width cap it is the
+    width of the first bag found over the cap, which is a lower bound on the
+    heuristic's final width; for the brute-force cap it is the vertex count.
     """
 
     def __init__(self, message, achieved=None):

@@ -135,6 +135,8 @@ def parse_decomposition(text: str) -> TreeDecomposition:
         try:
             if fields[0] == "b":
                 bid = int(fields[1])
+                if bid in bags:
+                    raise ParseError(f"duplicate bag id {bid}", line=lineno)
                 bags[bid] = tuple(sorted(int(t) - 1 for t in fields[2:]))
             elif fields[0] == "t":
                 links.append((int(fields[1]), int(fields[2])))
@@ -149,6 +151,8 @@ def parse_decomposition(text: str) -> TreeDecomposition:
     for p, c in links:
         if p not in index or c not in index:
             raise ParseError(f"tree link references unknown bag ({p}, {c})")
+        if parent[index[c]] is not None:
+            raise ParseError(f"bag {c} has more than one parent link")
         parent[index[c]] = index[p]
     roots = [i for i, p in enumerate(parent) if p is None]
     if len(roots) != 1:

@@ -5,6 +5,7 @@ All tie-breaks are lexicographic by vertex id so every run is reproducible.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,9 @@ def maximum_matching(G: WeightedGraph) -> Matching:
             parent[v] = -1
             base[v] = v
         used[root] = True
-        queue = [root]
+        queue = deque([root])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for to in adj[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue

@@ -91,7 +91,7 @@ def _solve_induced_exact(G, vertices, width_cap, label):
         sol, _ = solve_exact(sub, width_cap)
     except CapacityError as e:
         raise CapacityError(
-            f"width cap exceeded while solving {label} (width {e.achieved})",
+            f"width cap exceeded while solving {label} (bag of width {e.achieved})",
             achieved=e.achieved,
         ) from e
     return {old_of[i]: s for i, s in enumerate(sol.values)}, sol.value
@@ -199,7 +199,8 @@ def solve_partition_scheme(
     best_i = -1
     for i, part in enumerate(partition.parts):
         inside = list(part)
-        outside = [v for v in range(G.n) if v not in set(part)]
+        part_set = set(part)
+        outside = [v for v in range(G.n) if v not in part_set]
         if inside and outside:
             x1, z1 = _solve_induced_exact(G, inside, width_cap, f"G[V_{i}]")
             x2, z2 = _solve_induced_exact(G, outside, width_cap, f"G[V \\ V_{i}]")

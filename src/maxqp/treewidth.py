@@ -4,13 +4,22 @@ Pipeline: min-fill elimination ordering -> clique-tree decomposition ->
 nice-form conversion (leaf / introduce / forget / join nodes) -> dynamic
 program over bag sign masks with backtracking reconstruction.
 
+The elimination ordering is min-fill with ties broken by vertex id
+(Bodlaender & Koster, "Treewidth computations I. Upper bounds", Inf. Comput.
+2010).  The next vertex comes from a heap of (fill, id) entries with lazy
+invalidation, so one elimination costs the fill updates of its neighbourhood
+rather than a scan over every alive vertex.
+
 The DP is exact for *any* valid decomposition; the heuristic only affects
-runtime.  Instances whose achieved width exceeds the cap are rejected with a
-CapacityError instead of silently running an exponential table.
+runtime.  Elimination stops at the first bag wider than the cap and raises a
+CapacityError instead of silently running an exponential table.  The width
+it reports is that bag's width: a lower bound on the heuristic's final width,
+not the final width itself.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +49,13 @@ class TreeDecomposition:
 
 
 def validate_decomposition(G: WeightedGraph, td: TreeDecomposition) -> None:
-    """Check vertex coverage, edge coverage, and connected vertex traces."""
+    """Check the tree shape, vertex coverage, edge coverage, and connected
+    vertex traces."""
     if not td.bags:
         if G.n == 0:
             return
         raise ValidationError("decomposition has no bags")
+    _validate_tree(td)
     containing: dict[int, list[int]] = {v: [] for v in range(G.n)}
     for i, bag in enumerate(td.bags):
         for v in bag:
@@ -71,21 +82,41 @@ def validate_decomposition(G: WeightedGraph, td: TreeDecomposition) -> None:
             raise ValidationError(f"bags containing vertex {v} are not connected")
 
 
+def _validate_tree(td: TreeDecomposition) -> None:
+    """The parent links must form one tree, rooted at td.root, over all bags."""
+    k = len(td.bags)
+    if len(td.parent) != k or not 0 <= td.root < k or td.parent[td.root] is not None:
+        raise ValidationError("decomposition root must be a bag without a parent")
+    for i, p in enumerate(td.parent):
+        if p is None and i != td.root:
+            raise ValidationError("decomposition has more than one root")
+        if p is not None and not 0 <= p < k:
+            raise ValidationError(f"bag {i} has unknown parent {p}")
+    ch_of = td.children()
+    reached = 0
+    stack = [td.root]
+    while stack:
+        reached += 1
+        stack.extend(ch_of[stack.pop()])
+    if reached != k:
+        raise ValidationError("decomposition tree links contain a cycle")
+
+
 def build_decomposition(
     G: WeightedGraph, width_cap: int = DEFAULT_WIDTH_CAP
 ) -> TreeDecomposition:
     """Clique-tree decomposition from a min-fill elimination ordering.
 
-    Raises CapacityError (carrying the achieved width) when the heuristic
-    width exceeds `width_cap`.
+    The next vertex is the alive one with the smallest (fill, id), taken from
+    a heap with lazy invalidation.  Raises CapacityError as soon as one bag
+    has more than `width_cap + 1` vertices; `achieved` is that bag's width,
+    a lower bound on the width the full ordering would reach.
     """
     n = G.n
     if n == 0:
         return TreeDecomposition((), (), 0)
     adj: list[set[int]] = [set(u for u, _ in G.adjacency[v]) for v in range(n)]
     alive = set(range(n))
-
-    fill: dict[int, int] = {}
 
     def fill_count(v: int) -> int:
         nbrs = [u for u in adj[v] if u in alive]
@@ -96,15 +127,25 @@ def build_decomposition(
                     missing += 1
         return missing
 
-    for v in alive:
-        fill[v] = fill_count(v)
+    fill = [fill_count(v) for v in range(n)]
+    # (fill, v) is valid while v is alive and fill[v] is unchanged
+    heap = [(f, v) for v, f in enumerate(fill)]
+    heapq.heapify(heap)
 
     order: list[int] = []
     bags: list[tuple[int, ...]] = []
     elim_pos: dict[int, int] = {}
     for step in range(n):
-        v = min(alive, key=lambda u: (fill[u], u))
+        while True:
+            f, v = heapq.heappop(heap)
+            if v in alive and f == fill[v]:
+                break
         nbrs = sorted(u for u in adj[v] if u in alive)
+        if len(nbrs) > width_cap:
+            raise CapacityError(
+                f"elimination bag of width {len(nbrs)} exceeds cap {width_cap}",
+                achieved=len(nbrs),
+            )
         bags.append(tuple(sorted([v] + nbrs)))
         order.append(v)
         elim_pos[v] = step
@@ -119,13 +160,10 @@ def build_decomposition(
                     dirty |= adj[a] & adj[b] & alive
         for u in dirty:
             if u in alive:
-                fill[u] = fill_count(u)
-
-    width = max(len(b) for b in bags) - 1
-    if width > width_cap:
-        raise CapacityError(
-            f"decomposition width {width} exceeds cap {width_cap}", achieved=width
-        )
+                f = fill_count(u)
+                if f != fill[u]:
+                    fill[u] = f
+                    heapq.heappush(heap, (f, u))
 
     # parent of v's bag: the bag of the earliest-eliminated remaining member;
     # isolated tails chain onto the last bag so the result is a single tree

@@ -10,6 +10,8 @@ from maxqp import WeightedGraph
 from maxqp.cli import main
 from maxqp.io import format_instance, parse_instance, read_instance
 
+from util import random_graph
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -71,6 +73,15 @@ class TestSolve:
         assert main(["solve", inst, "--algo", "exact-tw", "--decomposition", dec]) == 0
         assert "value=2" in capsys.readouterr().out
 
+    def test_auto_falls_back_to_greedy_on_wide_sparse_graph(self, tmp_path, capsys):
+        inst = _write(tmp_path, "s350.mq", format_instance(random_graph(3, 350, 700, real=True)))
+        assert main(["solve", inst]) == 0
+        auto = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+        assert main(["solve", inst, "--algo", "greedy-matching"]) == 0
+        greedy = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+        assert auto["algo"] == "greedy-matching"
+        assert auto["value"] == greedy["value"]
+
     def test_baker_requires_epsilon(self, tmp_path, capsys):
         assert main(["solve", _path3(tmp_path), "--algo", "baker"]) == 2
 
@@ -82,6 +93,18 @@ class TestExitCodes:
     def test_malformed_instance_is_validation_error(self, tmp_path, capsys):
         bad = _write(tmp_path, "bad.mq", "p maxqp 2 1\ne 1 2 x\n")
         assert main(["solve", bad]) == 2
+
+    def test_cyclic_decomposition_is_validation_error(self, tmp_path, capsys):
+        inst = _write(tmp_path, "e.mq", "p maxqp 2 1\ne 1 2 -1\n")
+        dec = _write(tmp_path, "e.td", "b 1 1\nb 2 2\nb 3 1 2\nb 4 1 2\nt 1 2\nt 3 4\nt 4 3\n")
+        assert main(["solve", inst, "--decomposition", dec]) == 2
+        assert "cycle" in capsys.readouterr().err
+
+    def test_duplicate_bag_id_is_validation_error(self, tmp_path, capsys):
+        inst = _write(tmp_path, "e.mq", "p maxqp 2 1\ne 1 2 -1\n")
+        dec = _write(tmp_path, "e.td", "b 1 1 2\nb 1 1\nb 2 2\nt 1 2\n")
+        assert main(["solve", inst, "--decomposition", dec]) == 2
+        assert "duplicate bag id 1" in capsys.readouterr().err
 
     def test_width_cap_is_capacity_error(self, tmp_path, capsys):
         n = 26

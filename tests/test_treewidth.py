@@ -21,7 +21,7 @@ from maxqp import (
 )
 from maxqp.oracle import GeneratorSpec, SplitMix64, generate
 
-from util import sample_small
+from util import random_graph, reference_min_fill, sample_small
 
 
 def _grid(rows, cols, seed=1):
@@ -61,12 +61,67 @@ class TestBuildDecomposition:
             validate_decomposition(G, td)
 
 
+def _as_tuple(td):
+    return td.bags, td.parent, td.root
+
+
+class TestAgainstReferenceMinFill:
+    """The heap-driven elimination must reproduce the full-scan min-fill."""
+
+    GRIDS = [(1, 1), (1, 7), (2, 9), (4, 4), (5, 11), (8, 8), (10, 10), (12, 15), (15, 15)]
+
+    def test_small_random_graphs(self):
+        for seed in range(60):
+            G = sample_small(seed)
+            assert _as_tuple(build_decomposition(G, width_cap=G.n)) == _as_tuple(
+                reference_min_fill(G)
+            )
+
+    def test_grids(self):
+        for rows, cols in self.GRIDS:
+            G = _grid(rows, cols, seed=rows * 100 + cols)
+            ref = reference_min_fill(G)
+            assert _as_tuple(build_decomposition(G, width_cap=ref.width)) == _as_tuple(ref)
+
+    def test_sparse_random_graphs(self):
+        for seed, (n, m) in enumerate([(200, 200), (200, 260), (190, 300), (210, 420)]):
+            G = random_graph(500 + seed, n, m, real=seed % 2 == 1)
+            ref = reference_min_fill(G)
+            assert _as_tuple(build_decomposition(G, width_cap=ref.width)) == _as_tuple(ref)
+
+    def test_refuses_exactly_when_reference_width_exceeds_cap(self):
+        graphs = [_grid(r, c, seed=7) for r, c in [(6, 6), (10, 12), (15, 15)]]
+        graphs += [random_graph(900 + s, 200, m) for s, m in enumerate((220, 260, 400))]
+        for G in graphs:
+            ref = reference_min_fill(G)
+            for cap in range(2, 21):
+                if ref.width > cap:
+                    with pytest.raises(CapacityError) as exc:
+                        build_decomposition(G, width_cap=cap)
+                    assert cap < exc.value.achieved <= ref.width
+                else:
+                    assert _as_tuple(build_decomposition(G, width_cap=cap)) == _as_tuple(ref)
+
+
 class TestValidateDecomposition:
     def test_rejects_uncovered_edge(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         td = TreeDecomposition(((0, 1), (2,)), (None, 0), 0)
         with pytest.raises(ValidationError):
             validate_decomposition(G, td)
+
+    def test_rejects_cyclic_tree_links(self):
+        # bags 2 and 3 point at each other; bag 0 is the only root
+        G = WeightedGraph(2, [(0, 1, -1.0)])
+        td = TreeDecomposition(((0,), (1,), (0, 1), (0, 1)), (None, 0, 3, 2), 0)
+        with pytest.raises(ValidationError, match="cycle"):
+            validate_decomposition(G, td)
+
+    def test_rejects_second_root_and_unknown_parent(self):
+        G = WeightedGraph(2, [(0, 1, 1.0)])
+        for parent in [(None, None), (None, 5), (1, 0)]:
+            with pytest.raises(ValidationError):
+                validate_decomposition(G, TreeDecomposition(((0, 1), (1,)), parent, 0))
 
     def test_rejects_disconnected_vertex_trace(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from maxqp import GeneratorSpec, SplitMix64, WeightedGraph, generate
+from maxqp import GeneratorSpec, SplitMix64, TreeDecomposition, WeightedGraph, generate
 
 
 def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph:
@@ -67,3 +67,59 @@ def is_bipartite(G: WeightedGraph) -> bool:
                 elif color[u] == color[v]:
                     return False
     return True
+
+
+def reference_min_fill(G: WeightedGraph) -> TreeDecomposition:
+    """Min-fill clique tree by a full scan of the alive vertices per step.
+
+    Quadratic on purpose: it picks min (fill, id) with `min` over every alive
+    vertex and applies no width cap, so build_decomposition can be checked
+    against it bag for bag.
+    """
+    n = G.n
+    if n == 0:
+        return TreeDecomposition((), (), 0)
+    adj = [set(u for u, _ in G.adjacency[v]) for v in range(n)]
+    alive = set(range(n))
+
+    def fill_count(v):
+        nbrs = [u for u in adj[v] if u in alive]
+        return sum(
+            1
+            for i in range(len(nbrs))
+            for j in range(i + 1, len(nbrs))
+            if nbrs[j] not in adj[nbrs[i]]
+        )
+
+    fill = {v: fill_count(v) for v in alive}
+    order, bags, elim_pos = [], [], {}
+    for step in range(n):
+        v = min(alive, key=lambda u: (fill[u], u))
+        nbrs = sorted(u for u in adj[v] if u in alive)
+        bags.append(tuple(sorted([v] + nbrs)))
+        order.append(v)
+        elim_pos[v] = step
+        alive.discard(v)
+        dirty = set(nbrs)
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                a, b = nbrs[i], nbrs[j]
+                if b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    dirty |= adj[a] & adj[b] & alive
+        for u in dirty & alive:
+            fill[u] = fill_count(u)
+
+    parent = [None] * n
+    last_rootless = None
+    for i, v in enumerate(order):
+        rest = [u for u in bags[i] if u != v]
+        if rest:
+            parent[i] = elim_pos[min(rest, key=lambda u: elim_pos[u])]
+        elif last_rootless is not None:
+            parent[last_rootless] = i
+            last_rootless = i
+        else:
+            last_rootless = i
+    return TreeDecomposition(tuple(bags), tuple(parent), n - 1)
