@@ -9,6 +9,7 @@ from .graph import (
     evaluate,
     evaluate_partial,
     extend_from_induced,
+    glue_blocks,
     induced_subgraph,
     load_graph,
     normalize_nonneg,
@@ -52,7 +53,6 @@ from .treewidth import (
     TreeDecomposition,
     build_decomposition,
     solve_exact,
-    solve_exact_auto,
     solve_treewidth,
     to_nice,
     validate_decomposition,

@@ -209,10 +209,28 @@ def _bench_cell(cell: dict) -> list[dict]:
 COLUMNS = ["instance", "algo", "n", "m", "value", "oracle", "ratio", "guarantee", "millis"]
 
 
+def _read_suite(path: str) -> list[dict]:
+    """Cells of a bench suite file; a malformed suite is a ValidationError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            suite = json.load(fh)
+        except ValueError as e:
+            raise ValidationError(f"suite is not valid JSON: {e}") from e
+    cells = suite.get("cells") if isinstance(suite, dict) else None
+    if not isinstance(cells, list):
+        raise ValidationError("suite must be a JSON object with a list of cells")
+    for i, cell in enumerate(cells):
+        if not (isinstance(cell, dict) and isinstance(cell.get("gen"), dict)):
+            raise ValidationError(f"suite cell {i} has no gen object")
+        if "kind" not in cell["gen"]:
+            raise ValidationError(f"suite cell {i} has no gen kind")
+        if not isinstance(cell.get("algos"), list):
+            raise ValidationError(f"suite cell {i} has no list of algos")
+    return cells
+
+
 def cmd_bench(args) -> int:
-    with open(args.suite, encoding="utf-8") as fh:
-        suite = json.load(fh)
-    cells = suite["cells"]
+    cells = _read_suite(args.suite)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_bench_cell, cells))

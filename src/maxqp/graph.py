@@ -1,5 +1,12 @@
 """Core instance/solution types and the sign-flip composition primitives.
 
+Every way of putting local solutions together without losing value goes
+through `glue_blocks`: blocks of vertices with fixed inner signs are placed
+one after another, and a block is flipped when its edges to the blocks
+already placed sum below zero.  `normalize_nonneg`, `combine_disjoint` and
+`extend_from_induced` are choices of blocks, as are the matching and packing
+drivers in :mod:`maxqp.packing`.
+
 The objective used everywhere is the edge-based sum over stored undirected
 edges: val_x(G) = sum over {u,v} in E of a_uv * x_u * x_v.  This is half of
 the full symmetric double sum over the matrix A; one convention is used
@@ -16,10 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError
+import numpy as np
 
-#: absolute tolerance for float value comparisons (integer weights are exact)
-VALUE_TOL = 1e-9
+from .errors import ValidationError
 
 
 class WeightedGraph:
@@ -80,8 +86,6 @@ class WeightedGraph:
     def edge_arrays(self):
         """Cached (u, v, w) numpy columns of the edge list, for bulk passes."""
         if self._arrays is None:
-            import numpy as np
-
             cols = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
             eu = cols[:, 0].astype(np.int64)
             ev = cols[:, 1].astype(np.int64)
@@ -159,6 +163,15 @@ def evaluate(G: WeightedGraph, values: Sequence[int]) -> float:
     return total
 
 
+def value_tol(G: WeightedGraph) -> float:
+    """Slack for self-checks on float values: 1e-9 * max(1, sum |w|).
+
+    Summing the same terms in another order can move a value by a few ulps of
+    sum |w|, which an absolute tolerance does not cover on large instances.
+    """
+    return 1e-9 * max(1.0, float(np.abs(G.edge_arrays()[2]).sum()))
+
+
 def solution(G: WeightedGraph, values: Sequence[int]) -> Assignment:
     """Wrap a sign vector as an Assignment with its evaluated value."""
     return Assignment(tuple(values), evaluate(G, values))
@@ -174,111 +187,110 @@ def evaluate_partial(G: WeightedGraph, signs: Mapping[int, int]) -> float:
     return total
 
 
-def _normalize_subset(
-    G: WeightedGraph,
-    vertices: Sequence[int],
-    start: Mapping[int, int] | None = None,
-) -> tuple[dict[int, int], float]:
-    """Single vertex scan making every back-edge partial sum nonnegative.
+def glue_blocks(
+    G: WeightedGraph, block_of: Sequence[int], inner: Sequence[int]
+) -> tuple[list[int], float]:
+    """The lossless composition step: place blocks in order, flipping as needed.
 
-    Scans `vertices` in increasing id order; for each vertex the contribution
-    of its edges to already-scanned vertices is made >= 0 by flipping the
-    vertex if needed.  Returns the signs and the resulting value on the
-    induced subgraph, which is >= 0.
+    `block_of[v]` is v's block id (ids dense from 0), or -1 to leave v out;
+    `inner[v]` is v's sign inside its block.  Blocks are placed in increasing
+    id, and block b is flipped iff the sum of a_uv * x_u * x_v over its edges
+    to earlier blocks is negative (a tie keeps it).  Every block then adds a
+    nonnegative amount to the blocks before it, so the result is worth at
+    least the sum of the blocks' inner values.
+
+    Returns the signs (0 for left-out vertices) and their evaluated value on
+    the subgraph induced by the included vertices.  O(n + m): numpy buckets
+    the cross edges by their later block, with both inner signs folded into
+    each coefficient, and one loop over those edges fixes the flips.
     """
-    order = sorted(vertices)
-    inset = set(order)
-    signs: dict[int, int] = {}
-    total = 0.0
-    for i in order:
-        s = start[i] if start is not None else 1
-        z = 0.0
-        for j, w in G.adjacency[i]:
-            if j < i and j in inset:
-                z += w * s * signs[j]
-        if z < 0:
-            s = -s
-            z = -z
-        signs[i] = s
-        total += z
-    return signs, total
+    if len(block_of) != G.n or len(inner) != G.n:
+        raise ValidationError("block and sign vectors must have length n")
+    block = np.asarray(block_of, dtype=np.int64)
+    sign = np.asarray(inner, dtype=np.int64)
+    eu, ev, ew = G.edge_arrays()
+    bu, bv = block[eu], block[ev]
+    cross = np.flatnonzero((bu >= 0) & (bv >= 0) & (bu != bv))
+    later = np.maximum(bu[cross], bv[cross])
+    order = np.argsort(later, kind="stable")
+    cross, later = cross[order], later[order]
+    earlier = np.minimum(bu[cross], bv[cross])
+    coeff = ew[cross] * sign[eu[cross]] * sign[ev[cross]]
+    flip = [1] * (int(block.max(initial=0)) + 1)
+    cur, c = -1, 0.0
+    for b, e, w in zip(later.tolist(), earlier.tolist(), coeff.tolist()):
+        if b != cur:  # every edge of block cur is summed: fix its sign
+            if c < 0:
+                flip[cur] = -1
+            cur, c = b, 0.0
+        c += w * flip[e]
+    if c < 0:
+        flip[cur] = -1
+    signs = np.where(block >= 0, sign * np.asarray(flip, dtype=np.int64)[block], 0)
+    value = float(np.sum(ew * (signs[eu] * signs[ev])))
+    return signs.tolist(), value
 
 
 def normalize_nonneg(G: WeightedGraph, start: Assignment | None = None) -> Assignment:
     """Compute an assignment with value >= 0 in O(n + m).
 
-    Starts from `start` (all +1 when absent) and flips vertices left to right
-    whenever the partial contribution of back-edges is negative.
+    Starts from `start` (all +1 when absent) and glues the vertices on one at
+    a time in id order, so each one's edges to earlier vertices sum to >= 0.
     """
-    base = start.values if start is not None else None
-    if base is not None and len(base) != G.n:
+    if start is not None and len(start.values) != G.n:
         raise ValidationError("start assignment length mismatch")
-    signs, total = _normalize_subset(
-        G, range(G.n), dict(enumerate(base)) if base is not None else None
-    )
-    values = tuple(signs[i] for i in range(G.n))
-    return Assignment(values, total)
+    inner = start.values if start is not None else [1] * G.n
+    signs, value = glue_blocks(G, range(G.n), inner)
+    return Assignment(tuple(signs), value)
 
 
-def cross_contribution(
-    G: WeightedGraph, x1: Mapping[int, int], x2: Mapping[int, int]
-) -> float:
-    """Sum of a_uv * x_u * x_v over edges between the two vertex sets."""
-    small, big = (x1, x2) if len(x1) <= len(x2) else (x2, x1)
-    total = 0.0
-    for u, su in small.items():
-        for v, w in G.adjacency[u]:
-            if v in big:
-                total += w * su * big[v]
-    return total
+def _check_vertices(G: WeightedGraph, x: Mapping[int, int]) -> None:
+    for v in x:
+        if not 0 <= v < G.n:
+            raise ValidationError(f"vertex id out of range: {v}")
 
 
 def combine_disjoint(
-    G: WeightedGraph,
-    x1: Mapping[int, int],
-    x2: Mapping[int, int],
-    z1: float | None = None,
-    z2: float | None = None,
+    G: WeightedGraph, x1: Mapping[int, int], x2: Mapping[int, int]
 ) -> tuple[dict[int, int], float]:
     """Merge solutions of two disjoint induced subgraphs without losing value.
 
-    Returns whichever of x1 u x2 and (-x1) u x2 has value >= z1 + z2 on the
-    union (the unflipped one when both qualify), together with that value.
-    `z1`/`z2` may be passed to skip re-evaluation.
+    x2 is placed first and x1 second, so the result is whichever of x1 u x2
+    and (-x1) u x2 has value on the union >= the sum of the values of x1 and
+    x2 on their own subgraphs (the unflipped one when both qualify), together
+    with that value.
     """
     if any(v in x2 for v in x1):
         raise ValidationError("vertex sets of the two solutions overlap")
-    if z1 is None:
-        z1 = evaluate_partial(G, x1)
-    if z2 is None:
-        z2 = evaluate_partial(G, x2)
-    c = cross_contribution(G, x1, x2)
-    combined = dict(x2)
-    if c >= 0:
-        combined.update(x1)
-        return combined, z1 + z2 + c
-    combined.update((v, -s) for v, s in x1.items())
-    return combined, z1 + z2 - c
+    _check_vertices(G, x1)
+    _check_vertices(G, x2)
+    block_of = [-1] * G.n
+    inner = [1] * G.n
+    for b, x in enumerate((x2, x1)):
+        for v, s in x.items():
+            block_of[v] = b
+            inner[v] = s
+    signs, value = glue_blocks(G, block_of, inner)
+    return {v: signs[v] for part in (x2, x1) for v in part}, value
 
 
 def extend_from_induced(G: WeightedGraph, x: Mapping[int, int]) -> Assignment:
     """Complete a solution on an induced subgraph to all of G.
 
-    The remainder is solved to nonnegative value by the scan above and glued
-    on with the sign choice of `combine_disjoint`, so the result has value
-    >= the value of x on the induced subgraph.
+    The other vertices are glued on one at a time in id order, then x as one
+    last block, so the result has value >= the value of x on the induced
+    subgraph.
     """
-    for v in x:
-        if not 0 <= v < G.n:
-            raise ValidationError(f"vertex id out of range: {v}")
-    rest = [v for v in range(G.n) if v not in x]
-    if not rest:
-        values = tuple(x[i] for i in range(G.n))
-        return Assignment(values, evaluate(G, values))
-    signs0, z0 = _normalize_subset(G, rest)
-    combined, total = combine_disjoint(G, x, signs0, z2=z0)
-    values = tuple(combined[i] for i in range(G.n))
-    return Assignment(values, total)
+    _check_vertices(G, x)
+    keys = np.fromiter(x.keys(), dtype=np.int64, count=len(x))
+    inner = np.ones(G.n, dtype=np.int64)
+    inner[keys] = np.fromiter(x.values(), dtype=np.int64, count=len(x))
+    rest = np.ones(G.n, dtype=bool)
+    rest[keys] = False
+    block_of = np.cumsum(rest) - 1
+    block_of[keys] = G.n - len(x)
+    signs, value = glue_blocks(G, block_of, inner)
+    return Assignment(tuple(signs), value)
 
 
 @dataclass(frozen=True)

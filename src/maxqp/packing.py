@@ -19,10 +19,11 @@ from .errors import InternalError, ValidationError
 from .graph import (
     Assignment,
     WeightedGraph,
-    cross_contribution,
     extend_from_induced,
+    glue_blocks,
     induced_subgraph,
     stats,
+    value_tol,
 )
 from .matching import Matching, greedy_sorted_matching, maximal_matching, maximum_matching
 
@@ -107,80 +108,33 @@ def _packing_from_parts(G: WeightedGraph, parts, centers) -> EasyPacking:
     )
 
 
-def matching_to_solution(G: WeightedGraph, M: Matching) -> Assignment:
-    """Solution with value >= w(M), built edge by edge in O(m) total.
+def _glue_with_rest(G: WeightedGraph, block_of, inner, k: int) -> Assignment:
+    """Glue blocks 0..k-1, then each vertex still at block -1 alone, in id order."""
+    block_of = np.asarray(block_of, dtype=np.int64)
+    rest = np.flatnonzero(block_of < 0)
+    block_of[rest] = k + np.arange(len(rest))
+    signs, value = glue_blocks(G, block_of, inner)
+    return Assignment(tuple(signs), value)
 
-    Each matched pair is oriented so its own edge contributes |a_uv|, then
-    glued onto the accumulated solution with the sign choice that keeps the
-    cross contribution nonnegative.  Unmatched vertices are filled in by the
-    nonnegative scan and glued on the same way.
+
+def matching_to_solution(G: WeightedGraph, M: Matching) -> Assignment:
+    """Solution with value >= w(M) in O(n + m).
+
+    Each matched pair is a block oriented so its own edge contributes |a_uv|;
+    the pairs are glued on in `M.edges` order, then the unmatched vertices
+    one at a time in id order.
     """
-    n = G.n
-    adj = G.adjacency
-    signs = [0] * n
-    total = 0.0
     k = len(M.edges)
+    block_of = np.full(G.n, -1, dtype=np.int64)
     if k:
-        eu, ev, ew = G.edge_arrays()
         me = np.array(M.edges, dtype=np.int64)
-        pidx = np.full(n, -1, dtype=np.int64)
-        pidx[me[:, 0]] = np.arange(k)
-        pidx[me[:, 1]] = np.arange(k)
-        pu, pv = pidx[eu], pidx[ev]
-        # each pair's own edge weight (the matched edge is the only in-pair edge)
-        own = np.flatnonzero((pu == pv) & (pu >= 0))
-        pw = np.empty(k)
-        pw[pu[own]] = ew[own]
-        sv0 = np.where(pw > 0, 1.0, -1.0)
-        # cross edges between distinct pairs, bucketed by the later-placed pair
-        ci = np.flatnonzero((pu >= 0) & (pv >= 0) & (pu != pv))
-        order = ci[np.argsort(np.maximum(pu[ci], pv[ci]), kind="stable")]
-        bp = np.maximum(pu[order], pv[order])
-        u_in_later = pu[order] == bp
-        this_end = np.where(u_in_later, eu[order], ev[order])
-        known = np.where(u_in_later, ev[order], eu[order]).tolist()
-        # fold the tentative sign of the later endpoint into the coefficient
-        coeff = (ew[order] * np.where(this_end == me[bp, 0], 1.0, sv0[bp])).tolist()
-        starts = np.searchsorted(bp, np.arange(k + 1)).tolist()
-        pwl, svl = pw.tolist(), sv0.tolist()
-        mul, mvl = me[:, 0].tolist(), me[:, 1].tolist()
-        for i in range(k):
-            c = 0.0
-            for t in range(starts[i], starts[i + 1]):
-                c += coeff[t] * signs[known[t]]
-            su, sv = 1, int(svl[i])
-            if c < 0:
-                su, sv, c = -su, -sv, -c
-            signs[mul[i]] = su
-            signs[mvl[i]] = sv
-            total += abs(pwl[i]) + c
-    # remainder: nonnegative scan among unmatched vertices only
-    rest_val = 0.0
-    for i in range(n):
-        if M.matched[i] is not None:
-            continue
-        s = 1
-        z = 0.0
-        for j, wj in adj[i]:
-            if j < i and M.matched[j] is None:
-                z += wj * s * signs[j]
-        if z < 0:
-            s, z = -s, -z
-        signs[i] = s
-        rest_val += z
-    # glue the two halves; flip the matched side if the cut is negative
-    if k and 2 * k < n:
-        sarr = np.array(signs, dtype=np.float64)
-        inm = pidx >= 0
-        cross = np.flatnonzero(inm[eu] != inm[ev])
-        c = float(np.dot(ew[cross], sarr[eu[cross]] * sarr[ev[cross]]))
-        if c < 0:
-            for i in range(n):
-                if M.matched[i] is not None:
-                    signs[i] = -signs[i]
-            c = -c
-        total += c
-    return Assignment(tuple(signs), total + rest_val)
+        block_of[me[:, 0]] = block_of[me[:, 1]] = np.arange(k)
+    # a pair's own edge is its only inner edge; its later endpoint copies the sign
+    eu, ev, ew = G.edge_arrays()
+    own = np.flatnonzero((block_of[eu] >= 0) & (block_of[eu] == block_of[ev]))
+    inner = np.ones(G.n, dtype=np.int64)
+    inner[ev[own]] = np.sign(ew[own])
+    return _glue_with_rest(G, block_of, inner, k)
 
 
 def packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignment:
@@ -188,13 +142,14 @@ def packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignment:
 
     Within each part the center edge is oriented first; every outside vertex
     copies the sign forced by its center neighbor(s).  Good-triangle closure
-    makes each in-part edge contribute +1.
+    makes each in-part edge contribute +1.  The parts are glued on in packing
+    order, then the leftover vertices one at a time in id order.
     """
     if not G.unit:
         raise ValidationError("packing_to_solution requires unit weights")
-    signs: dict[int, int] = {}
-    total = 0.0
-    for part, (cu, cv) in zip(P.parts, P.centers):
+    block_of = [-1] * G.n
+    inner = [1] * G.n
+    for b, (part, (cu, cv)) in enumerate(zip(P.parts, P.centers)):
         pset = set(part)
         local = {cu: 1, cv: 1 if G.weight(cu, cv) > 0 else -1}
         for o in part:
@@ -214,15 +169,11 @@ def packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignment:
             if forced is None:
                 raise ValidationError(f"part is disconnected at vertex {o}")
             local[o] = forced
-        z = float(_part_edge_count(G, part))
-        c = cross_contribution(G, local, signs)
-        if c < 0:
-            local = {a: -s for a, s in local.items()}
-            c = -c
-        signs.update(local)
-        total += z + c
-    out = extend_from_induced(G, signs)
-    if out.value + 1e-9 < P.edge_count:
+        for v, s in local.items():
+            block_of[v] = b
+            inner[v] = s
+    out = _glue_with_rest(G, block_of, inner, len(P.parts))
+    if out.value + value_tol(G) < P.edge_count:
         raise InternalError("packing solution fell below its packed edge count")
     return out
 
@@ -331,9 +282,10 @@ def solve_bounded_degree(G: WeightedGraph) -> ApproxResult:
     M = greedy_sorted_matching(G)
     out = matching_to_solution(G, M)
     guarantee = Fraction(1, 2 * max_degree)
-    if out.value + 1e-9 < M.total_abs_weight:
+    tol = value_tol(G)
+    if out.value + tol < M.total_abs_weight:
         raise InternalError("matching solution fell below w(M*)")
-    if out.value + 1e-9 < float(guarantee) * abs_weight:
+    if out.value + tol < float(guarantee) * abs_weight:
         raise InternalError("bounded-degree certificate violated")
     cert = {
         "matching_weight": M.total_abs_weight,
@@ -383,7 +335,7 @@ def solve_dense(G: WeightedGraph) -> ApproxResult:
     guarantee = Fraction(1, 1) / (3 * density)
     if guarantee > 1:
         guarantee = Fraction(1)
-    if out.value + 1e-9 < float(Fraction(H.m, 1) / (3 * density)):
+    if out.value + value_tol(G) < float(Fraction(H.m, 1) / (3 * density)):
         raise InternalError("dense certificate violated")
     cert = {
         "packed_edges": P.edge_count,

@@ -94,7 +94,7 @@ def _solve_induced_exact(G, vertices, width_cap, label):
             f"width cap exceeded while solving {label} (bag of width {e.achieved})",
             achieved=e.achieved,
         ) from e
-    return {old_of[i]: s for i, s in enumerate(sol.values)}, sol.value
+    return {old_of[i]: s for i, s in enumerate(sol.values)}
 
 
 def solve_baker(
@@ -116,7 +116,7 @@ def solve_baker(
     for i in range(k):
         drop = set(classes[i])
         keep = [v for v in range(G.n) if v not in drop]
-        signs, _ = _solve_induced_exact(G, keep, width_cap, f"G_{i}")
+        signs = _solve_induced_exact(G, keep, width_cap, f"G_{i}")
         sol = extend_from_induced(G, signs)
         if best is None or sol.value > best.value:
             best, best_i = sol, i
@@ -202,11 +202,11 @@ def solve_partition_scheme(
         part_set = set(part)
         outside = [v for v in range(G.n) if v not in part_set]
         if inside and outside:
-            x1, z1 = _solve_induced_exact(G, inside, width_cap, f"G[V_{i}]")
-            x2, z2 = _solve_induced_exact(G, outside, width_cap, f"G[V \\ V_{i}]")
-            signs, _ = combine_disjoint(G, x1, x2, z1=z1, z2=z2)
+            x1 = _solve_induced_exact(G, inside, width_cap, f"G[V_{i}]")
+            x2 = _solve_induced_exact(G, outside, width_cap, f"G[V \\ V_{i}]")
+            signs, _ = combine_disjoint(G, x1, x2)
         else:
-            signs, _ = _solve_induced_exact(G, inside or outside, width_cap, f"G_{i}")
+            signs = _solve_induced_exact(G, inside or outside, width_cap, f"G_{i}")
         sol = extend_from_induced(G, signs)
         if best is None or sol.value > best.value:
             best, best_i = sol, i

@@ -416,17 +416,3 @@ def solve_exact(
     ntd = to_nice(td)
     return solve_treewidth(G, ntd), td.width if td.bags else 0
 
-
-def solve_exact_auto(
-    G: WeightedGraph, width_cap: int = DEFAULT_WIDTH_CAP, brute_cap: int = 24
-) -> Assignment:
-    """Treewidth DP when the heuristic width fits; brute force fallback."""
-    try:
-        out, _ = solve_exact(G, width_cap)
-        return out
-    except CapacityError:
-        if G.n <= brute_cap:
-            from .oracle import brute_force
-
-            return brute_force(G, cap=brute_cap)
-        raise

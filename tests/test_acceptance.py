@@ -116,7 +116,7 @@ def test_03_lossless_composition(capsys):
             right = {v: 1 for v in range(G.n) if v not in left}
             z1 = evaluate_partial(G, left)
             z2 = evaluate_partial(G, right)
-            _, val = combine_disjoint(G, left, right, z1=z1, z2=z2)
+            _, val = combine_disjoint(G, left, right)
             assert val >= z1 + z2 - TOL
             assert extend_from_induced(G, left).value >= z1 - TOL
 

@@ -172,3 +172,18 @@ class TestBench:
         assert main(["bench", suite, "--out", one, "--jobs", "1"]) == 0
         assert main(["bench", suite, "--out", two, "--jobs", "2"]) == 0
         assert open(one, "rb").read() == open(two, "rb").read()
+
+    def test_suite_that_is_not_json_exits_2(self, tmp_path, capsys):
+        suite = _write(tmp_path, "suite.json", '{"cells": [')
+        assert main(["bench", suite]) == 2
+        captured = capsys.readouterr()
+        assert "not valid JSON" in captured.err
+        assert captured.out == ""
+
+    def test_cell_without_gen_exits_2(self, tmp_path, capsys):
+        cell = {"algos": ["greedy-matching"], "oracle": "brute-force"}
+        suite = _write(tmp_path, "suite.json", json.dumps({"cells": [cell]}))
+        assert main(["bench", suite]) == 2
+        captured = capsys.readouterr()
+        assert "cell 0 has no gen" in captured.err
+        assert captured.out == ""

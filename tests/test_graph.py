@@ -18,6 +18,7 @@ from maxqp import (
     evaluate,
     evaluate_partial,
     extend_from_induced,
+    glue_blocks,
     induced_subgraph,
     load_graph,
     normalize_nonneg,
@@ -25,8 +26,15 @@ from maxqp import (
     stats,
 )
 from maxqp.graph import degeneracy_order
+from maxqp.oracle import SplitMix64
 
-from util import random_graph, sample_small
+from util import (
+    random_graph,
+    reference_combine,
+    reference_extend,
+    reference_scan,
+    sample_small,
+)
 
 
 class TestConstruction:
@@ -206,6 +214,97 @@ class TestExtendFromInduced:
         sub_val = evaluate_partial(G, sub)
         a = extend_from_induced(G, sub)
         assert a.value >= sub_val - 1e-9
+
+
+def _random_blocks(seed: int, n: int, k: int):
+    """Random block ids (dense, -1 for left out) and inner signs."""
+    rng = SplitMix64(seed)
+    raw = [rng.randrange(k + 1) - 1 for _ in range(n)]
+    dense = {b: i for i, b in enumerate(sorted(set(raw) - {-1}))}
+    block_of = [dense.get(b, -1) for b in raw]
+    inner = [rng.sign() for _ in range(n)]
+    return block_of, inner
+
+
+class TestGlueBlocks:
+    def test_two_singletons_negative_edge_flips_later(self):
+        G = WeightedGraph(2, [(0, 1, -2.0)])
+        assert glue_blocks(G, [1, 0], [1, 1]) == ([-1, 1], 2.0)
+
+    def test_tie_keeps_block_unflipped(self):
+        G = WeightedGraph(3, [(0, 2, 1.0), (1, 2, -1.0)])
+        assert glue_blocks(G, [0, 0, 1], [1, 1, 1]) == ([1, 1, 1], 0.0)
+
+    def test_left_out_vertices_get_zero_and_no_value(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 5.0)])
+        assert glue_blocks(G, [0, 1, -1], [1, 1, -1]) == ([1, 1, 0], 1.0)
+
+    def test_length_mismatch_rejected(self):
+        G = WeightedGraph(2, [(0, 1, 1.0)])
+        with pytest.raises(ValidationError):
+            glue_blocks(G, [0], [1, 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6), k=st.integers(1, 8))
+    def test_every_block_gains_against_earlier_blocks(self, seed, k):
+        G = sample_small(seed)
+        block_of, inner = _random_blocks(seed, G.n, k)
+        signs, value = glue_blocks(G, block_of, inner)
+        flip = {}
+        for v, b in enumerate(block_of):
+            if b < 0:
+                assert signs[v] == 0
+            else:
+                assert flip.setdefault(b, signs[v] * inner[v]) == signs[v] * inner[v]
+        inner_total = 0.0
+        back = dict.fromkeys(flip, 0.0)
+        for u, v, w in G.edges:
+            bu, bv = block_of[u], block_of[v]
+            if bu < 0 or bv < 0:
+                continue
+            if bu == bv:
+                inner_total += w * inner[u] * inner[v]
+            else:
+                back[max(bu, bv)] += w * signs[u] * signs[v]
+        for b, c in back.items():
+            assert c >= -1e-9
+            if flip[b] == -1:  # flipped only when unflipped would lose value
+                assert c > 0
+        included = {v: s for v, s in enumerate(signs) if s}
+        assert value == pytest.approx(evaluate_partial(G, included), abs=1e-9)
+        assert value >= inner_total - 1e-9
+
+
+class TestSameSignsAsReferenceScan:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_normalize_nonneg(self, seed):
+        G = sample_small(seed)
+        assert normalize_nonneg(G).values == tuple(
+            reference_scan(G, range(G.n))[v] for v in range(G.n)
+        )
+        start = solution(G, _random_blocks(seed, G.n, 1)[1])
+        ref = reference_scan(G, range(G.n), dict(enumerate(start.values)))
+        assert normalize_nonneg(G, start).values == tuple(ref[v] for v in range(G.n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_extend_from_induced(self, seed):
+        G = sample_small(seed)
+        block_of, inner = _random_blocks(seed, G.n, 1)
+        sub = {v: inner[v] for v in range(G.n) if block_of[v] == 0}
+        assert extend_from_induced(G, sub).values == reference_extend(G, sub)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_combine_disjoint(self, seed):
+        G = sample_small(seed)
+        block_of, inner = _random_blocks(seed, G.n, 2)
+        x1 = {v: inner[v] for v in range(G.n) if block_of[v] == 0}
+        x2 = {v: inner[v] for v in range(G.n) if block_of[v] == 1}
+        signs, val = combine_disjoint(G, x1, x2)
+        assert signs == reference_combine(G, x1, x2)
+        assert val == pytest.approx(evaluate_partial(G, signs), abs=1e-9)
 
 
 class TestStats:

@@ -27,6 +27,8 @@ from maxqp import (
     triangle_is_good,
 )
 
+from maxqp.oracle import SplitMix64
+
 from util import random_graph, sample_small
 
 
@@ -265,6 +267,20 @@ class TestDrivers:
             if all(G.degree(v) > 0 for v in range(G.n)):
                 r3 = solve_dense(G)
                 assert r3.value >= float(r3.guarantee) * opt - 1e-9
+
+    # k real weights near +-1e3 on a perfect matching.  The value and w(M) are
+    # sums of the same k terms in different orders; from 1632 pairs (summed in
+    # scan order) and 2382 pairs (summed pairwise by numpy) on, they differ by
+    # more than an absolute slack of 1e-9.
+    @pytest.mark.parametrize("k", [1632, 2382])
+    def test_self_check_tolerance_scales_with_total_weight(self, k):
+        rng = SplitMix64(4)
+        G = WeightedGraph(
+            2 * k, [(2 * i, 2 * i + 1, (2 * rng.random() - 1) * 1e3 + 1e-3) for i in range(k)]
+        )
+        r = solve_bounded_degree(G)
+        assert r.value == pytest.approx(sum(abs(w) for _, _, w in G.edges), rel=1e-12)
+        assert r.value == pytest.approx(evaluate(G, r.assignment.values), rel=1e-12)
 
     def test_easypack_upper_bound_on_optimum(self):
         # packed vertex count times degeneracy bounds the optimum from above

@@ -13,7 +13,6 @@ from maxqp import (
     build_decomposition,
     evaluate,
     solve_exact,
-    solve_exact_auto,
     solve_treewidth,
     to_nice,
     validate_decomposition,
@@ -198,27 +197,8 @@ class TestSolveTreewidth:
         assert a1.values == a2.values
         assert a1.value == a2.value
 
-
-class TestSolveExactAuto:
-    def test_empty_graph(self):
-        assert solve_exact_auto(WeightedGraph(0, [])).value == 0.0
-
     def test_grid_spin_glass_matches_brute_force(self):
-        G = _grid(5, 5, seed=9)
-        a = solve_exact_auto(G)
-        # 5x5 is past the enumeration cap, so cross-check on a 4x4 instead
-        H = _grid(4, 4, seed=9)
-        assert solve_exact_auto(H).value == brute_force(H).value
-        assert a.value == evaluate(G, a.values)
-
-    def test_falls_back_to_enumeration_on_dense_small_graphs(self):
-        n = 12
-        G = WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
-        a = solve_exact_auto(G, width_cap=3)
+        G = _grid(4, 4, seed=9)
+        a, _ = solve_exact(G)
         assert a.value == brute_force(G).value
-
-    def test_capacity_error_when_nothing_applies(self):
-        n = 30
-        G = WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
-        with pytest.raises(CapacityError):
-            solve_exact_auto(G, width_cap=5)
+        assert a.value == evaluate(G, a.values)

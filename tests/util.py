@@ -123,3 +123,43 @@ def reference_min_fill(G: WeightedGraph) -> TreeDecomposition:
         else:
             last_rootless = i
     return TreeDecomposition(tuple(bags), tuple(parent), n - 1)
+
+
+def reference_scan(G: WeightedGraph, vertices, start=None) -> dict[int, int]:
+    """Nonnegative scan over `vertices` in id order, one vertex at a time.
+
+    Each vertex starts at start[v] (+1 when absent) and is flipped iff its
+    edges to already-scanned vertices sum below zero, summed in adjacency
+    order.  normalize_nonneg and extend_from_induced must match it.
+    """
+    order = sorted(vertices)
+    inset = set(order)
+    signs: dict[int, int] = {}
+    for i in order:
+        s = start[i] if start is not None else 1
+        z = 0.0
+        for j, w in G.adjacency[i]:
+            if j < i and j in inset:
+                z += w * s * signs[j]
+        signs[i] = -s if z < 0 else s
+    return signs
+
+
+def reference_combine(G: WeightedGraph, x1, x2) -> dict[int, int]:
+    """x2 together with x1, x1 flipped iff its edges to x2 sum below zero."""
+    small, big = (x1, x2) if len(x1) <= len(x2) else (x2, x1)
+    c = 0.0
+    for u, su in small.items():
+        for v, w in G.adjacency[u]:
+            if v in big:
+                c += w * su * big[v]
+    out = dict(x2)
+    out.update((v, s if c >= 0 else -s) for v, s in x1.items())
+    return out
+
+
+def reference_extend(G: WeightedGraph, x) -> tuple[int, ...]:
+    """Scan the vertices outside x, then combine x onto them."""
+    rest = reference_scan(G, [v for v in range(G.n) if v not in x])
+    signs = reference_combine(G, x, rest)
+    return tuple(signs[v] for v in range(G.n))
