@@ -2,6 +2,7 @@
 
 from .errors import CapacityError, InternalError, MaxQPError, ParseError, ValidationError
 from .graph import (
+    ApproxResult,
     Assignment,
     InstanceStats,
     WeightedGraph,
@@ -26,7 +27,6 @@ from .oracle import (
     subdivide_for_maxcut,
 )
 from .packing import (
-    ApproxResult,
     EasyPacking,
     check_easy_packing,
     easypack,

@@ -13,91 +13,66 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import io as mio
-from .errors import CapacityError, MaxQPError, ParseError, ValidationError
-from .graph import Assignment, WeightedGraph, evaluate
+from .errors import CapacityError, MaxQPError, ValidationError
+from .graph import ApproxResult, WeightedGraph, evaluate
 from .oracle import GeneratorSpec, brute_force, generate
 from .packing import solve_bounded_degree, solve_degenerate, solve_dense
-from .schemes import solve_baker, solve_partition_scheme
+from .schemes import VertexPartition, read_partition, solve_baker, solve_partition_scheme
 from .treewidth import (
     DEFAULT_WIDTH_CAP,
+    read_decomposition,
     solve_exact,
     solve_treewidth,
     to_nice,
     validate_decomposition,
 )
 
-ALGOS = (
-    "auto",
-    "greedy-matching",
-    "easypack",
-    "star-pack",
-    "exact-tw",
-    "baker",
-    "partition",
-    "brute-force",
-)
+
+class Options(NamedTuple):
+    """What a solver may read besides the graph."""
+
+    epsilon: float | None
+    partition: VertexPartition | None
+    width_cap: int
+
+    def epsilon_for(self, algo: str) -> float:
+        if self.epsilon is None:
+            raise ValidationError(f"{algo} requires --epsilon")
+        return self.epsilon
 
 
-def _fmt_value(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
+# The one list of solvers.  Each entry looks its solver up by module-level
+# name when it is called, so a rebound name (as in a traced run) is the one
+# that runs.
+SOLVERS = {
+    "greedy-matching": lambda G, o: solve_bounded_degree(G),
+    "easypack": lambda G, o: solve_degenerate(G),
+    "star-pack": lambda G, o: solve_dense(G),
+    "exact-tw": lambda G, o: solve_exact(G, o.width_cap),
+    "baker": lambda G, o: solve_baker(G, o.epsilon_for("baker"), o.width_cap),
+    "partition": lambda G, o: solve_partition_scheme(
+        G, o.epsilon_for("partition"), o.partition, o.width_cap
+    ),
+    "brute-force": lambda G, o: ApproxResult(brute_force(G), Fraction(1)),
+}
+ALGOS = ("auto", *SOLVERS)
 
 
-def _run_algo(
-    G: WeightedGraph,
-    algo: str,
-    epsilon: float | None,
-    partition=None,
-    width_cap: int = DEFAULT_WIDTH_CAP,
-) -> tuple[Assignment, Fraction | None, dict]:
-    """Dispatch one solver; returns (assignment, guarantee, extras)."""
+def _solve(G: WeightedGraph, algo: str, opts: Options) -> tuple[str, ApproxResult]:
+    """Run `algo`; returns the name of the solver that answered and its result.
+
+    `auto` runs exact-tw and, when the width cap refuses, baker if an epsilon
+    is given, else greedy-matching.
+    """
     if algo == "auto":
         try:
-            sol, width = solve_exact(G, width_cap)
-            return sol, Fraction(1), {"algo": "exact-tw", "width": width}
+            return "exact-tw", SOLVERS["exact-tw"](G, opts)
         except CapacityError:
-            if epsilon is not None:
-                algo = "baker"
-            else:
-                algo = "greedy-matching"
-    if algo == "greedy-matching":
-        r = solve_bounded_degree(G)
-        return r.assignment, r.guarantee, {"algo": algo, **r.certificate}
-    if algo == "easypack":
-        r = solve_degenerate(G)
-        return r.assignment, r.guarantee, {"algo": algo, **r.certificate}
-    if algo == "star-pack":
-        r = solve_dense(G)
-        return r.assignment, r.guarantee, {"algo": algo, **r.certificate}
-    if algo == "exact-tw":
-        sol, width = solve_exact(G, width_cap)
-        return sol, Fraction(1), {"algo": algo, "width": width}
-    if algo == "baker":
-        if epsilon is None:
-            raise ValidationError("baker requires --epsilon")
-        r = solve_baker(G, epsilon, width_cap)
-        return r.assignment, r.guarantee, {"algo": algo, **r.certificate}
-    if algo == "partition":
-        if epsilon is None:
-            raise ValidationError("partition requires --epsilon")
-        r = solve_partition_scheme(G, epsilon, partition, width_cap)
-        return r.assignment, r.guarantee, {"algo": algo, **r.certificate}
-    if algo == "brute-force":
-        sol = brute_force(G)
-        return sol, Fraction(1), {"algo": algo}
-    raise ValidationError(f"unknown algorithm {algo!r}")
-
-
-def _oracle_value(G: WeightedGraph, name: str, width_cap: int) -> float:
-    if name == "brute-force":
-        return brute_force(G).value
-    if name == "exact-tw":
-        sol, _ = solve_exact(G, width_cap)
-        return sol.value
-    raise ValidationError(f"unknown oracle {name!r}")
+            algo = "baker" if opts.epsilon is not None else "greedy-matching"
+    return algo, SOLVERS[algo](G, opts)
 
 
 def cmd_solve(args) -> int:
@@ -105,39 +80,39 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     partition = None
     if args.partition:
-        partition = mio.read_partition(args.partition, G.n)
+        if args.algo != "partition":
+            raise ValidationError("--partition only applies to partition")
+        partition = read_partition(args.partition, G.n)
+    opts = Options(args.epsilon, partition, args.width_cap)
     if args.decomposition:
         if args.algo not in ("exact-tw", "auto"):
             raise ValidationError("--decomposition only applies to exact-tw")
-        td = mio.read_decomposition(args.decomposition)
+        td = read_decomposition(args.decomposition)
         validate_decomposition(G, td)
         sol = solve_treewidth(G, to_nice(td))
-        guarantee = Fraction(1)
-        extras = {"algo": "exact-tw", "width": td.width}
+        algo, r = "exact-tw", ApproxResult(sol, Fraction(1), {"width": td.width})
     else:
-        sol, guarantee, extras = _run_algo(
-            G, args.algo, args.epsilon, partition, args.width_cap
-        )
+        algo, r = _solve(G, args.algo, opts)
     millis = (time.perf_counter() - t0) * 1000.0
     record = {
         "instance": args.instance,
         "n": G.n,
         "m": G.m,
-        **extras,
-        "value": _fmt_value(sol.value),
+        "algo": algo,
+        **r.certificate,
+        "value": mio.format_number(r.value),
+        "guarantee": str(r.guarantee),
     }
-    if guarantee is not None:
-        record["guarantee"] = str(guarantee)
     if args.oracle:
-        ov = _oracle_value(G, args.oracle, args.width_cap)
-        record["oracle"] = _fmt_value(ov)
-        record["ratio"] = repr(sol.value / ov) if ov else "1.0"
+        ov = SOLVERS[args.oracle](G, opts).value
+        record["oracle"] = mio.format_number(ov)
+        record["ratio"] = repr(r.value / ov) if ov else "1.0"
     if args.seed is not None:
         record["seed"] = args.seed
     record["millis"] = f"{millis:.3f}" if args.timing else "0"
     print(" ".join(f"{k}={v}" for k, v in record.items()))
     if args.emit_assignment:
-        sys.stdout.write(mio.format_assignment(sol))
+        sys.stdout.write(mio.format_assignment(r.assignment))
     return 0
 
 
@@ -170,25 +145,25 @@ def cmd_gen(args) -> int:
 def cmd_eval(args) -> int:
     G = mio.read_instance(args.instance)
     values = mio.read_assignment(args.assignment, G.n)
-    print(_fmt_value(evaluate(G, values)))
+    print(mio.format_number(evaluate(G, values)))
     return 0
 
 
 def _bench_cell(cell: dict) -> list[dict]:
     spec = GeneratorSpec(
         kind=cell["gen"]["kind"],
-        seed=int(cell["gen"].get("seed", 0)),
+        seed=cell["gen"].get("seed", 0),
         params={k: v for k, v in cell["gen"].items() if k not in ("kind", "seed")},
     )
     G = generate(spec)
     instance = f"{spec.kind}-seed{spec.seed}"
+    opts = Options(cell.get("epsilon"), None, cell.get("width_cap", DEFAULT_WIDTH_CAP))
     oracle = cell.get("oracle")
-    width_cap = int(cell.get("width_cap", DEFAULT_WIDTH_CAP))
-    ov = _oracle_value(G, oracle, width_cap) if oracle else None
+    ov = SOLVERS[oracle](G, opts).value if oracle else None
     rows = []
     for algo in cell["algos"]:
         t0 = time.perf_counter()
-        sol, guarantee, _ = _run_algo(G, algo, cell.get("epsilon"), None, width_cap)
+        _, r = _solve(G, algo, opts)
         millis = (time.perf_counter() - t0) * 1000.0
         rows.append(
             {
@@ -196,10 +171,10 @@ def _bench_cell(cell: dict) -> list[dict]:
                 "algo": algo,
                 "n": G.n,
                 "m": G.m,
-                "value": _fmt_value(sol.value),
-                "oracle": _fmt_value(ov) if ov is not None else "",
-                "ratio": repr(sol.value / ov) if ov else "",
-                "guarantee": str(guarantee) if guarantee is not None else "",
+                "value": mio.format_number(r.value),
+                "oracle": mio.format_number(ov) if ov is not None else "",
+                "ratio": repr(r.value / ov) if ov else "",
+                "guarantee": str(r.guarantee),
                 "millis": f"{millis:.3f}" if cell.get("timing", False) else "0",
             }
         )
@@ -226,6 +201,15 @@ def _read_suite(path: str) -> list[dict]:
             raise ValidationError(f"suite cell {i} has no gen kind")
         if not isinstance(cell.get("algos"), list):
             raise ValidationError(f"suite cell {i} has no list of algos")
+        ints = (cell["gen"].get("seed", 0), cell.get("width_cap", 0))
+        if any(type(v) is not int for v in ints):
+            raise ValidationError(f"suite cell {i}: seed and width_cap must be integers")
+        if type(cell.get("epsilon")) not in (int, float, type(None)):
+            raise ValidationError(f"suite cell {i}: epsilon must be a number or null")
+        if any(a not in ALGOS for a in cell["algos"]):
+            raise ValidationError(f"suite cell {i}: algos must be among {', '.join(ALGOS)}")
+        if cell.get("oracle") and cell["oracle"] not in tuple(SOLVERS):
+            raise ValidationError(f"suite cell {i}: oracle must be one of {', '.join(SOLVERS)}")
     return cells
 
 
@@ -259,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--algo", choices=ALGOS, default="auto")
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--oracle", choices=("brute-force", "exact-tw"), default=None)
+    p.add_argument("--oracle", choices=tuple(SOLVERS), default=None)
     p.add_argument("--partition", default=None, help="partition file for --algo partition")
     p.add_argument(
         "--decomposition", default=None, help="externally computed tree decomposition file"
@@ -313,21 +297,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
+    except (MaxQPError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except CapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except MaxQPError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        if isinstance(e, CapacityError):
+            return 3
+        return 4 if isinstance(e, OSError) else 2
 
 
 if __name__ == "__main__":

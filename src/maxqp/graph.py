@@ -153,6 +153,20 @@ class Assignment:
             raise ValidationError("assignment entries must be -1 or +1")
 
 
+@dataclass(frozen=True)
+class ApproxResult:
+    """What every solver returns: a solution, its proved factor (1 when exact)
+    and the certificate quantities the factor was computed from."""
+
+    assignment: Assignment
+    guarantee: Fraction
+    certificate: dict = field(default_factory=dict)
+
+    @property
+    def value(self) -> float:
+        return self.assignment.value
+
+
 def evaluate(G: WeightedGraph, values: Sequence[int]) -> float:
     """Edge-based objective: sum of a_uv * x_u * x_v over stored edges."""
     if len(values) != G.n:

@@ -1,22 +1,23 @@
-"""Text file formats: instances, assignments, partitions, decompositions.
+"""Text file formats of instances and assignments.
 
 Instance format: UTF-8, '#' comment lines, a header "p maxqp <n> <m>", then
 m lines "e <u> <v> <w>" with 1-based vertex ids.  Unit weights are written
-exactly as "1" / "-1" so unit instances round-trip bit-exactly.
+exactly as "1" / "-1" so unit instances round-trip bit-exactly.  This module
+knows only the graph core; the partition and tree-decomposition formats are
+read by :mod:`maxqp.schemes` and :mod:`maxqp.treewidth`.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
 from .graph import Assignment, WeightedGraph, load_graph
-from .schemes import VertexPartition, load_partition
-from .treewidth import TreeDecomposition
 
 
-def _fmt_weight(w: float) -> str:
-    if w == int(w):
-        return str(int(w))
-    return repr(w)
+def format_number(x: float) -> str:
+    """An integral float as an integer ("1", "-1"), any other float by repr."""
+    if x == int(x):
+        return str(int(x))
+    return repr(x)
 
 
 def parse_instance(text: str) -> WeightedGraph:
@@ -70,7 +71,7 @@ def format_instance(G: WeightedGraph, comments: list[str] | None = None) -> str:
     lines = [f"# {c}" for c in comments or []]
     lines.append(f"p maxqp {G.n} {G.m}")
     for u, v, w in G.edges:
-        lines.append(f"e {u + 1} {v + 1} {_fmt_weight(w)}")
+        lines.append(f"e {u + 1} {v + 1} {format_number(w)}")
     return "\n".join(lines) + "\n"
 
 
@@ -101,66 +102,3 @@ def read_assignment(path: str, n: int) -> list[int]:
 
 def format_assignment(x: Assignment) -> str:
     return " ".join("+1" if s == 1 else "-1" for s in x.values) + "\n"
-
-
-def parse_partition(text: str, n: int) -> VertexPartition:
-    parts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            ids = [int(t) for t in line.split()]
-        except ValueError:
-            raise ParseError("partition line must be vertex ids", line=lineno) from None
-        if any(not 1 <= v <= n for v in ids):
-            raise ParseError(f"vertex id out of range 1..{n}", line=lineno)
-        parts.append([v - 1 for v in ids])
-    return load_partition(n, parts)
-
-
-def read_partition(path: str, n: int) -> VertexPartition:
-    with open(path, encoding="utf-8") as fh:
-        return parse_partition(fh.read(), n)
-
-
-def parse_decomposition(text: str) -> TreeDecomposition:
-    bags: dict[int, tuple[int, ...]] = {}
-    links: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        try:
-            if fields[0] == "b":
-                bid = int(fields[1])
-                if bid in bags:
-                    raise ParseError(f"duplicate bag id {bid}", line=lineno)
-                bags[bid] = tuple(sorted(int(t) - 1 for t in fields[2:]))
-            elif fields[0] == "t":
-                links.append((int(fields[1]), int(fields[2])))
-            else:
-                raise ParseError(f"unknown record type {fields[0]!r}", line=lineno)
-        except (ValueError, IndexError):
-            raise ParseError("malformed decomposition line", line=lineno) from None
-    if not bags:
-        raise ParseError("decomposition has no bags")
-    index = {bid: i for i, bid in enumerate(sorted(bags))}
-    parent: list[int | None] = [None] * len(bags)
-    for p, c in links:
-        if p not in index or c not in index:
-            raise ParseError(f"tree link references unknown bag ({p}, {c})")
-        if parent[index[c]] is not None:
-            raise ParseError(f"bag {c} has more than one parent link")
-        parent[index[c]] = index[p]
-    roots = [i for i, p in enumerate(parent) if p is None]
-    if len(roots) != 1:
-        raise ParseError(f"decomposition must have exactly one root, found {len(roots)}")
-    ordered = [bags[bid] for bid in sorted(bags)]
-    return TreeDecomposition(tuple(ordered), tuple(parent), roots[0])
-
-
-def read_decomposition(path: str) -> TreeDecomposition:
-    with open(path, encoding="utf-8") as fh:
-        return parse_decomposition(fh.read())

@@ -3,6 +3,7 @@ subdivision construction, and seeded instance generators."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, ValidationError
@@ -138,13 +139,23 @@ def _sample_pairs(rng: SplitMix64, n: int, m: int) -> list[tuple[int, int]]:
     return sorted(chosen)
 
 
+def _count(params: dict, key: str) -> int:
+    """Generator parameter `key`, which must be a nonnegative integer."""
+    v = params.get(key)
+    if v is None:
+        raise ValidationError(f"generator parameter {key!r} is missing")
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+        raise ValidationError(f"generator parameter {key!r} must be an integer >= 0, got {v!r}")
+    return int(v)
+
+
 def generate(spec: GeneratorSpec) -> WeightedGraph:
     """Build the instance described by `spec`, reproducibly from its seed."""
     rng = SplitMix64(spec.seed)
     p = spec.params
     kind = spec.kind
     if kind == "grid-spin-glass":
-        rows, cols = int(p["rows"]), int(p["cols"])
+        rows, cols = _count(p, "rows"), _count(p, "cols")
         if rows < 1 or cols < 1:
             raise ValidationError("grid dimensions must be positive")
         edges = []
@@ -157,7 +168,7 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
                     edges.append((v, v + cols, float(rng.sign())))
         return WeightedGraph._from_canonical(rows * cols, edges)
     if kind == "sparse-random":
-        n, m = int(p["n"]), int(p["m"])
+        n, m = _count(p, "n"), _count(p, "m")
         real = bool(p.get("real", False))
         pairs = _sample_pairs(rng, n, m)
         edges = []
@@ -171,7 +182,7 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
             edges.append((u, v, w))
         return WeightedGraph._from_canonical(n, edges)
     if kind == "d-regular":
-        n, d = int(p["n"]), int(p["degree"])
+        n, d = _count(p, "n"), _count(p, "degree")
         if n * d % 2 or d >= n:
             raise ValidationError(f"no simple {d}-regular graph on {n} vertices")
         for _ in range(1000):
@@ -196,13 +207,13 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
                 )
         raise ValidationError("configuration model failed to produce a simple graph")
     if kind == "perfect-matching":
-        n = int(p["n"])
+        n = _count(p, "n")
         if n % 2:
             raise ValidationError("perfect-matching instance needs even n")
         edges = [(2 * i, 2 * i + 1, float(rng.sign())) for i in range(n // 2)]
         return WeightedGraph(n, edges)
     if kind == "clique-plus-matching":
-        n = int(p["n"])
+        n = _count(p, "n")
         c = int(n**0.5)
         if (n - c) % 2:
             raise ValidationError(
@@ -216,7 +227,7 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
             edges.append((i, i + 1, float(rng.sign())))
         return WeightedGraph(n, edges)
     if kind == "maxcut-subdivision":
-        n, m = int(p["n"]), int(p["m"])
+        n, m = _count(p, "n"), _count(p, "m")
         pairs = _sample_pairs(rng, n, m)
         base = WeightedGraph(n, [(u, v, 1.0) for u, v in pairs])
         return subdivide_for_maxcut(base)

@@ -10,13 +10,14 @@ edge on unit-weight instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InternalError, ValidationError
 from .graph import (
+    ApproxResult,
     Assignment,
     WeightedGraph,
     extend_from_induced,
@@ -253,19 +254,6 @@ def star_packing(G: WeightedGraph) -> EasyPacking:
             parts[idx].append(v)
             break
     return _packing_from_parts(G, parts, centers)
-
-
-@dataclass(frozen=True)
-class ApproxResult:
-    """A solution together with its claimed factor and certificate quantities."""
-
-    assignment: Assignment
-    guarantee: Fraction
-    certificate: dict = field(default_factory=dict)
-
-    @property
-    def value(self) -> float:
-        return self.assignment.value
 
 
 def _trivial_result(G: WeightedGraph, extra: dict) -> ApproxResult:

@@ -1,4 +1,5 @@
-"""Layering- and partition-based (1 - eps)-approximation schemes.
+"""Layering- and partition-based (1 - eps)-approximation schemes, and the
+text format of externally supplied partitions.
 
 Both schemes delete a small residue class of the instance, solve the
 remainder exactly with the treewidth engine, and lift the solution back.
@@ -13,14 +14,15 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ParseError, ValidationError
 from .graph import (
+    ApproxResult,
+    Assignment,
     WeightedGraph,
     combine_disjoint,
     extend_from_induced,
     induced_subgraph,
 )
-from .packing import ApproxResult
 from .treewidth import DEFAULT_WIDTH_CAP, solve_exact
 
 
@@ -88,13 +90,13 @@ def _solve_induced_exact(G, vertices, width_cap, label):
     """Exact signs for G[vertices] as a dict on original ids."""
     sub, old_of = induced_subgraph(G, vertices)
     try:
-        sol, _ = solve_exact(sub, width_cap)
+        values = solve_exact(sub, width_cap).assignment.values
     except CapacityError as e:
         raise CapacityError(
             f"width cap exceeded while solving {label} (bag of width {e.achieved})",
             achieved=e.achieved,
         ) from e
-    return {old_of[i]: s for i, s in enumerate(sol.values)}
+    return {old_of[i]: s for i, s in enumerate(values)}
 
 
 def solve_baker(
@@ -156,6 +158,27 @@ def load_partition(n: int, raw_parts, source: str = "external-file") -> VertexPa
     return VertexPartition(tuple(parts), source)
 
 
+def parse_partition(text: str, n: int) -> VertexPartition:
+    parts = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            ids = [int(t) for t in line.split()]
+        except ValueError:
+            raise ParseError("partition line must be vertex ids", line=lineno) from None
+        if any(not 1 <= v <= n for v in ids):
+            raise ParseError(f"vertex id out of range 1..{n}", line=lineno)
+        parts.append([v - 1 for v in ids])
+    return load_partition(n, parts)
+
+
+def read_partition(path: str, n: int) -> VertexPartition:
+    with open(path, encoding="utf-8") as fh:
+        return parse_partition(fh.read(), n)
+
+
 def heuristic_partition(G: WeightedGraph, k: int) -> VertexPartition:
     """Part i = vertices whose BFS layer index is congruent to i mod k.
 
@@ -201,13 +224,10 @@ def solve_partition_scheme(
         inside = list(part)
         part_set = set(part)
         outside = [v for v in range(G.n) if v not in part_set]
-        if inside and outside:
-            x1 = _solve_induced_exact(G, inside, width_cap, f"G[V_{i}]")
-            x2 = _solve_induced_exact(G, outside, width_cap, f"G[V \\ V_{i}]")
-            signs, _ = combine_disjoint(G, x1, x2)
-        else:
-            signs = _solve_induced_exact(G, inside or outside, width_cap, f"G_{i}")
-        sol = extend_from_induced(G, signs)
+        x1 = _solve_induced_exact(G, inside, width_cap, f"G[V_{i}]") if inside else {}
+        x2 = _solve_induced_exact(G, outside, width_cap, f"G[V \\ V_{i}]") if outside else {}
+        signs, value = combine_disjoint(G, x1, x2)
+        sol = Assignment(tuple(signs[v] for v in range(G.n)), value)
         if best is None or sol.value > best.value:
             best, best_i = sol, i
     guarantee = Fraction(max(k - 6 * h, 0), k)

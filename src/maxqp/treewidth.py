@@ -2,7 +2,8 @@
 
 Pipeline: min-fill elimination ordering -> clique-tree decomposition ->
 nice-form conversion (leaf / introduce / forget / join nodes) -> dynamic
-program over bag sign masks with backtracking reconstruction.
+program over bag sign masks with backtracking reconstruction.  An external
+decomposition in the `b`/`t` text format is read by `read_decomposition`.
 
 The elimination ordering is min-fill with ties broken by vertex id
 (Bodlaender & Koster, "Treewidth computations I. Upper bounds", Inf. Comput.
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
-from .graph import Assignment, WeightedGraph, evaluate
+from .errors import CapacityError, ParseError, ValidationError
+from .graph import ApproxResult, Assignment, WeightedGraph, evaluate
 
 DEFAULT_WIDTH_CAP = 20
 
@@ -46,6 +48,48 @@ class TreeDecomposition:
             if p is not None:
                 ch[p].append(i)
         return ch
+
+
+def parse_decomposition(text: str) -> TreeDecomposition:
+    bags: dict[int, tuple[int, ...]] = {}
+    links: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            if fields[0] == "b":
+                bid = int(fields[1])
+                if bid in bags:
+                    raise ParseError(f"duplicate bag id {bid}", line=lineno)
+                bags[bid] = tuple(sorted(int(t) - 1 for t in fields[2:]))
+            elif fields[0] == "t":
+                links.append((int(fields[1]), int(fields[2])))
+            else:
+                raise ParseError(f"unknown record type {fields[0]!r}", line=lineno)
+        except (ValueError, IndexError):
+            raise ParseError("malformed decomposition line", line=lineno) from None
+    if not bags:
+        raise ParseError("decomposition has no bags")
+    index = {bid: i for i, bid in enumerate(sorted(bags))}
+    parent: list[int | None] = [None] * len(bags)
+    for p, c in links:
+        if p not in index or c not in index:
+            raise ParseError(f"tree link references unknown bag ({p}, {c})")
+        if parent[index[c]] is not None:
+            raise ParseError(f"bag {c} has more than one parent link")
+        parent[index[c]] = index[p]
+    roots = [i for i, p in enumerate(parent) if p is None]
+    if len(roots) != 1:
+        raise ParseError(f"decomposition must have exactly one root, found {len(roots)}")
+    ordered = [bags[bid] for bid in sorted(bags)]
+    return TreeDecomposition(tuple(ordered), tuple(parent), roots[0])
+
+
+def read_decomposition(path: str) -> TreeDecomposition:
+    with open(path, encoding="utf-8") as fh:
+        return parse_decomposition(fh.read())
 
 
 def validate_decomposition(G: WeightedGraph, td: TreeDecomposition) -> None:
@@ -408,11 +452,9 @@ def solve_treewidth(G: WeightedGraph, ntd: NiceTreeDecomposition) -> Assignment:
     return Assignment(tuple(signs), value)
 
 
-def solve_exact(
-    G: WeightedGraph, width_cap: int = DEFAULT_WIDTH_CAP
-) -> tuple[Assignment, int]:
-    """Decompose, convert, and solve; returns (assignment, achieved width)."""
+def solve_exact(G: WeightedGraph, width_cap: int = DEFAULT_WIDTH_CAP) -> ApproxResult:
+    """Decompose, convert, and solve: an optimum, with the achieved width."""
     td = build_decomposition(G, width_cap)
-    ntd = to_nice(td)
-    return solve_treewidth(G, ntd), td.width if td.bags else 0
+    sol = solve_treewidth(G, to_nice(td))
+    return ApproxResult(sol, Fraction(1), {"width": td.width if td.bags else 0})
 

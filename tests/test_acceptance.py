@@ -242,7 +242,7 @@ def test_08_baker_scheme(capsys):
         for trial in range(100):
             G = _planar_like(trial)
             eps = epsilons[trial % 3]
-            opt, _ = solve_exact(G)
+            opt = solve_exact(G).assignment
             r = solve_baker(G, eps)
             assert r.value >= (1 - eps) * opt.value - TOL
             if G.n <= 14:
@@ -268,7 +268,7 @@ def test_09_partition_scheme(capsys):
         for trial in range(100):
             G = _planar_like(trial + 1000)
             eps = [0.5, 0.75, 1.0][trial % 3]
-            opt, _ = solve_exact(G)
+            opt = solve_exact(G).assignment
             if trial % 2:
                 r = solve_partition_scheme(G, eps)
                 assert r.value >= (1 - eps) * opt.value - TOL

@@ -6,8 +6,10 @@ import csv
 import json
 from fractions import Fraction
 
-from maxqp import WeightedGraph
-from maxqp.cli import main
+import pytest
+
+from maxqp import GeneratorSpec, WeightedGraph, generate
+from maxqp.cli import ALGOS, main
 from maxqp.io import format_instance, parse_instance, read_instance
 
 from util import random_graph
@@ -84,6 +86,29 @@ class TestSolve:
 
     def test_baker_requires_epsilon(self, tmp_path, capsys):
         assert main(["solve", _path3(tmp_path), "--algo", "baker"]) == 2
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_every_algo_reports_its_own_assignment(self, tmp_path, capsys, algo):
+        grid = generate(GeneratorSpec("grid-spin-glass", 3, {"rows": 3, "cols": 4}))
+        inst = _write(tmp_path, "g.mq", format_instance(grid))
+        args = ["solve", inst, "--algo", algo, "--epsilon", "0.5", "--emit-assignment"]
+        assert main(args) == 0
+        record, assignment = capsys.readouterr().out.splitlines()
+        fields = dict(kv.split("=", 1) for kv in record.split())
+        assert fields["algo"] == ("exact-tw" if algo == "auto" else algo)
+        Fraction(fields["guarantee"])
+        assert main(["eval", inst, _write(tmp_path, "g.sol", assignment + "\n")]) == 0
+        assert capsys.readouterr().out.strip() == fields["value"]
+
+    def test_partition_file_needs_partition_algo(self, tmp_path, capsys):
+        inst = _path3(tmp_path)
+        part = _write(tmp_path, "p3.part", "1 2\n3\n")
+        for algo in ("auto", "exact-tw"):
+            assert main(["solve", inst, "--algo", algo, "--partition", part]) == 2
+            assert "--partition only applies to partition" in capsys.readouterr().err
+        args = ["solve", inst, "--algo", "partition", "--epsilon", "0.5", "--partition", part]
+        assert main(args) == 0
+        assert "partition_source=external-file" in capsys.readouterr().out
 
 
 class TestExitCodes:
@@ -178,6 +203,28 @@ class TestBench:
         assert main(["bench", suite]) == 2
         captured = capsys.readouterr()
         assert "not valid JSON" in captured.err
+        assert captured.out == ""
+
+    GRID = {"kind": "grid-spin-glass", "rows": 2, "cols": 2}
+    BAD = {
+        "seed-not-int": {"gen": {**GRID, "seed": "x"}, "algos": ["greedy-matching"]},
+        "width-cap-not-int": {"gen": GRID, "algos": ["exact-tw"], "width_cap": "x"},
+        "epsilon-a-string": {"gen": GRID, "algos": ["baker"], "epsilon": "0.5"},
+        "rows-not-int": {"gen": {**GRID, "rows": "a"}, "algos": ["greedy-matching"]},
+        "cols-missing": {"gen": {"kind": "grid-spin-glass", "rows": 2}, "algos": ["easypack"]},
+        "unknown-algo": {"gen": GRID, "algos": ["greedy"]},
+        "oracle-not-a-solver": {"gen": GRID, "algos": ["greedy-matching"], "oracle": "auto"},
+        "gen-without-m": ["gen", "--kind", "sparse-random", "--n", "5"],
+        "gen-negative-n": ["gen", "--kind", "sparse-random", "--n", "-5", "--m", "2"],
+    }
+
+    @pytest.mark.parametrize("given", BAD.values(), ids=BAD.keys())
+    def test_malformed_cell_or_gen_exits_2(self, tmp_path, capsys, given):
+        if isinstance(given, dict):
+            given = ["bench", _write(tmp_path, "suite.json", json.dumps({"cells": [given]}))]
+        assert main(given) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
         assert captured.out == ""
 
     def test_cell_without_gen_exits_2(self, tmp_path, capsys):

@@ -6,15 +6,10 @@ import pytest
 
 from maxqp import WeightedGraph
 from maxqp.errors import ParseError
-from maxqp.io import (
-    format_assignment,
-    format_instance,
-    parse_assignment,
-    parse_decomposition,
-    parse_instance,
-    parse_partition,
-)
 from maxqp.graph import solution
+from maxqp.io import format_assignment, format_instance, parse_assignment, parse_instance
+from maxqp.schemes import parse_partition
+from maxqp.treewidth import parse_decomposition
 
 
 class TestInstanceFormat:

@@ -184,7 +184,8 @@ class TestSolveTreewidth:
             for v in range(1, n):
                 edges.append((rng.randrange(v), v, float(rng.sign()) * (1 + rng.randrange(3))))
             G = WeightedGraph(n, edges)
-            a, width = solve_exact(G)
+            r = solve_exact(G)
+            a, width = r.assignment, r.certificate["width"]
             assert width <= 1
             assert a.value == sum(abs(w) for _, _, w in G.edges)
 
@@ -192,13 +193,13 @@ class TestSolveTreewidth:
         base = [(0, 1, 1.0), (1, 2, -1.0), (2, 3, 1.0), (0, 3, 1.0), (0, 2, -1.0)]
         G1 = WeightedGraph(4, base)
         G2 = WeightedGraph(4, list(reversed(base)))
-        a1, _ = solve_exact(G1)
-        a2, _ = solve_exact(G2)
+        a1 = solve_exact(G1).assignment
+        a2 = solve_exact(G2).assignment
         assert a1.values == a2.values
         assert a1.value == a2.value
 
     def test_grid_spin_glass_matches_brute_force(self):
         G = _grid(4, 4, seed=9)
-        a, _ = solve_exact(G)
+        a = solve_exact(G).assignment
         assert a.value == brute_force(G).value
         assert a.value == evaluate(G, a.values)
