@@ -64,15 +64,18 @@ ALGOS = ("auto", *SOLVERS)
 def _solve(G: WeightedGraph, algo: str, opts: Options) -> tuple[str, ApproxResult]:
     """Run `algo`; returns the name of the solver that answered and its result.
 
-    `auto` runs exact-tw and, when the width cap refuses, baker if an epsilon
-    is given, else greedy-matching.
+    `auto` tries exact-tw, then baker if an epsilon is given, and answers with
+    greedy-matching when the width cap refuses both.
     """
-    if algo == "auto":
+    if algo != "auto":
+        return algo, SOLVERS[algo](G, opts)
+    tries = ("exact-tw", "baker") if opts.epsilon is not None else ("exact-tw",)
+    for name in tries:
         try:
-            return "exact-tw", SOLVERS["exact-tw"](G, opts)
+            return name, SOLVERS[name](G, opts)
         except CapacityError:
-            algo = "baker" if opts.epsilon is not None else "greedy-matching"
-    return algo, SOLVERS[algo](G, opts)
+            pass
+    return "greedy-matching", SOLVERS["greedy-matching"](G, opts)
 
 
 def cmd_solve(args) -> int:
@@ -89,6 +92,11 @@ def cmd_solve(args) -> int:
             raise ValidationError("--decomposition only applies to exact-tw")
         td = read_decomposition(args.decomposition)
         validate_decomposition(G, td)
+        if td.width > args.width_cap:
+            raise CapacityError(
+                f"decomposition width {td.width} exceeds cap {args.width_cap}",
+                achieved=td.width,
+            )
         sol = solve_treewidth(G, to_nice(td))
         algo, r = "exact-tw", ApproxResult(sol, Fraction(1), {"width": td.width})
     else:

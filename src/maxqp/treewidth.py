@@ -5,6 +5,12 @@ nice-form conversion (leaf / introduce / forget / join nodes) -> dynamic
 program over bag sign masks with backtracking reconstruction.  An external
 decomposition in the `b`/`t` text format is read by `read_decomposition`.
 
+The DP streams: each bag table is dropped as soon as its parent's table is
+built, and a forget node keeps only one packed argmax bit per mask for the
+backtrack, so memory is the live tables plus 2^|bag|/8 bytes per forget node
+rather than every table of the decomposition (the one-argmax-per-variable
+idea of Dechter's bucket elimination, Artif. Intell. 1999).
+
 The elimination ordering is min-fill with ties broken by vertex id
 (Bodlaender & Koster, "Treewidth computations I. Upper bounds", Inf. Comput.
 2010).  The next vertex comes from a heap of (fill, id) entries with lazy
@@ -348,98 +354,102 @@ def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     )
 
 
-def _sign_array(size: int, pos: int) -> np.ndarray:
-    masks = np.arange(size, dtype=np.int64)
-    return 1.0 - 2.0 * ((masks >> pos) & 1)
+def _add_edge(table: np.ndarray, i: int, j: int, w: float) -> None:
+    """Add w * s_i * s_j to every cell of a bag table, in place.
 
-
-def _expand_index(size_child: int, pos: int) -> np.ndarray:
-    """Index of each child mask inside the parent mask space, bit `pos` = 0."""
-    masks = np.arange(size_child, dtype=np.int64)
-    low = masks & ((1 << pos) - 1)
-    high = (masks >> pos) << (pos + 1)
-    return high | low
+    Bag bit i is cube axis k-1-i, so the term is the 2x2 block
+    [[w, -w], [-w, w]] broadcast over those two axes.
+    """
+    k = table.ndim
+    shape = [1] * k
+    shape[k - 1 - i] = shape[k - 1 - j] = 2
+    table += np.array([[w, -w], [-w, w]]).reshape(shape)
 
 
 def _bag_value(G: WeightedGraph, bag: tuple[int, ...]) -> np.ndarray:
-    """val_x(G[bag]) for every sign mask over the bag."""
-    size = 1 << len(bag)
+    """val_x(G[bag]) for every sign mask over the bag, as a cube."""
     pos = {v: i for i, v in enumerate(bag)}
-    out = np.zeros(size)
+    out = np.zeros((2,) * len(bag))
     for u in bag:
         for v, w in G.adjacency[u]:
             if u < v and v in pos:
-                out += w * _sign_array(size, pos[u]) * _sign_array(size, pos[v])
+                _add_edge(out, pos[u], pos[v], w)
     return out
+
+
+def _halves(table: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the cells with bag bit i clear and set."""
+    head = (slice(None),) * (table.ndim - 1 - i)
+    return table[(*head, 0, ...)], table[(*head, 1, ...)]
 
 
 def solve_treewidth(G: WeightedGraph, ntd: NiceTreeDecomposition) -> Assignment:
     """Optimal assignment via dynamic programming over the nice decomposition.
 
-    Bag assignments are encoded as bitmasks (bit i set => bag[i] gets -1).
-    Tables are kept for backtracking; memory is O(nodes * 2^(width+1)).
+    A bag's table is a (2,)*|bag| cube indexed by sign mask (bit i set =>
+    bag[i] gets -1; bit i is axis |bag|-1-i, so the flat index is the mask).
+    Tables are built in postorder and a child's table is dropped once its
+    parent is built; a forget node keeps one packed bit per mask, set when
+    the forgotten vertex is better at -1 (ties keep +1).  Memory is the live
+    tables plus 2^|bag|/8 bytes per forget node.
     """
     if G.n == 0:
         return Assignment((), 0.0)
-    order = ntd.postorder()
     tables: dict[int, np.ndarray] = {}
-    for node in order:
+    argmax_bits: dict[int, np.ndarray] = {}
+    for node in ntd.postorder():
         bag = ntd.bags[node]
         kind = ntd.kinds[node]
-        size = 1 << len(bag)
         if kind == "leaf":
-            tables[node] = np.zeros(size)
+            tables[node] = np.zeros((2,) * len(bag))
         elif kind == "introduce":
             (c,) = ntd.children[node]
             v = ntd.special[node]
             p = bag.index(v)
-            base = _expand_index(size >> 1, p)
-            table = np.empty(size)
-            child = tables[c]
-            table[base] = child
-            table[base | (1 << p)] = child
-            sv = _sign_array(size, p)
+            child = tables.pop(c)
+            a = len(bag) - 1 - p
+            table = child.reshape(child.shape[:a] + (1,) + child.shape[a:]).repeat(2, axis=a)
             pos = {u: i for i, u in enumerate(bag)}
             for u, w in G.adjacency[v]:
                 if u in pos:
-                    table += w * sv * _sign_array(size, pos[u])
+                    _add_edge(table, p, pos[u], w)
             tables[node] = table
         elif kind == "forget":
             (c,) = ntd.children[node]
-            v = ntd.special[node]
-            p = ntd.bags[c].index(v)
-            idx0 = _expand_index(size, p)
-            child = tables[c]
-            tables[node] = np.maximum(child[idx0], child[idx0 | (1 << p)])
+            t0, t1 = _halves(tables.pop(c), ntd.bags[c].index(ntd.special[node]))
+            argmax_bits[node] = np.packbits(t1 > t0, axis=None)
+            tables[node] = np.maximum(t0, t1)
         else:  # join
             cy, cz = ntd.children[node]
-            tables[node] = tables[cy] + tables[cz] - _bag_value(G, bag)
+            table = tables.pop(cy)
+            table += tables.pop(cz)
+            table -= _bag_value(G, bag)
+            tables[node] = table
 
-    root_table = tables[ntd.root]
-    best_mask = int(np.argmax(root_table))  # first maximum: deterministic
+    best_mask = int(np.argmax(tables.pop(ntd.root)))  # first maximum: deterministic
 
+    # every bag vertex is either in the root bag or forgotten below it
     signs = [0] * G.n
+    for i, v in enumerate(ntd.bags[ntd.root]):
+        signs[v] = -1 if (best_mask >> i) & 1 else 1
     stack: list[tuple[int, int]] = [(ntd.root, best_mask)]
     while stack:
         node, mask = stack.pop()
-        bag = ntd.bags[node]
-        for i, v in enumerate(bag):
-            signs[v] = 1 if not (mask >> i) & 1 else -1
         kind = ntd.kinds[node]
         if kind == "leaf":
             continue
         if kind == "introduce":
             (c,) = ntd.children[node]
-            p = bag.index(ntd.special[node])
+            p = ntd.bags[node].index(ntd.special[node])
             cm = ((mask >> (p + 1)) << p) | (mask & ((1 << p) - 1))
             stack.append((c, cm))
         elif kind == "forget":
             (c,) = ntd.children[node]
-            p = ntd.bags[c].index(ntd.special[node])
-            i0 = ((mask >> p) << (p + 1)) | (mask & ((1 << p) - 1))
-            i1 = i0 | (1 << p)
-            child = tables[c]
-            cm = i1 if child[i1] > child[i0] else i0  # ties keep +1
+            v = ntd.special[node]
+            p = ntd.bags[c].index(v)
+            bit = int(argmax_bits[node][mask >> 3] >> (7 - (mask & 7))) & 1
+            signs[v] = -1 if bit else 1
+            cm = ((mask >> p) << (p + 1)) | (bit << p) | (mask & ((1 << p) - 1))
             stack.append((c, cm))
         else:
             cy, cz = ntd.children[node]

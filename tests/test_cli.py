@@ -84,6 +84,21 @@ class TestSolve:
         assert auto["algo"] == "greedy-matching"
         assert auto["value"] == greedy["value"]
 
+    def test_auto_with_epsilon_falls_back_to_greedy_when_baker_is_refused(
+        self, tmp_path, capsys
+    ):
+        # baker's subproblems on this graph exceed the width cap as well
+        G = random_graph(1000, 350, 700, real=True)
+        inst = _write(tmp_path, "s350.mq", format_instance(G))
+        assert main(["solve", inst, "--algo", "baker", "--epsilon", "0.5"]) == 3
+        capsys.readouterr()
+        assert main(["solve", inst, "--epsilon", "0.5"]) == 0
+        with_eps = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+        assert main(["solve", inst]) == 0
+        without = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+        assert with_eps["algo"] == without["algo"] == "greedy-matching"
+        assert with_eps["value"] == without["value"]
+
     def test_baker_requires_epsilon(self, tmp_path, capsys):
         assert main(["solve", _path3(tmp_path), "--algo", "baker"]) == 2
 
@@ -136,6 +151,16 @@ class TestExitCodes:
         G = WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
         inst = _write(tmp_path, "k26.mq", format_instance(G))
         assert main(["solve", inst, "--algo", "exact-tw", "--width-cap", "4"]) == 3
+
+    def test_external_decomposition_wider_than_cap_is_capacity_error(self, tmp_path, capsys):
+        n = 22
+        G = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+        inst = _write(tmp_path, "p22.mq", format_instance(G))
+        dec = _write(tmp_path, "p22.td", "b 1 " + " ".join(str(v + 1) for v in range(n)) + "\n")
+        assert main(["solve", inst, "--decomposition", dec]) == 3
+        assert "decomposition width 21 exceeds cap 20" in capsys.readouterr().err
+        assert main(["solve", inst, "--decomposition", dec, "--width-cap", "21"]) == 0
+        assert "width=21" in capsys.readouterr().out
 
 
 class TestGenEval:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxqp import (
     CapacityError,
@@ -20,7 +24,13 @@ from maxqp import (
 )
 from maxqp.oracle import GeneratorSpec, SplitMix64, generate
 
-from util import random_graph, reference_min_fill, sample_small
+from util import (
+    elimination_decomposition,
+    random_graph,
+    reference_min_fill,
+    reference_nice_dp,
+    sample_small,
+)
 
 
 def _grid(rows, cols, seed=1):
@@ -203,3 +213,50 @@ class TestSolveTreewidth:
         a = solve_exact(G).assignment
         assert a.value == brute_force(G).value
         assert a.value == evaluate(G, a.values)
+
+
+def _dp_pair(G, ntd):
+    new, ref = solve_treewidth(G, ntd), reference_nice_dp(G, ntd)
+    return (new.values, new.value), (ref.values, ref.value)
+
+
+class TestAgainstReferenceDP:
+    """The streamed DP makes the old DP's additions in the old order."""
+
+    def test_identical_to_reference_on_small_grid_and_sparse_graphs(self):
+        graphs = [sample_small(seed) for seed in range(200)]
+        graphs += [_grid(k, k, seed=seed) for k in range(3, 11) for seed in range(20)]
+        graphs += [random_graph(700 + seed, 60, 90, real=True) for seed in range(10)]
+        for G in graphs:
+            new, ref = _dp_pair(G, to_nice(build_decomposition(G)))
+            assert new == ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_random_elimination_order_matches_brute_force(self, seed):
+        # a random order gives multi-child joins and empty bags between components
+        G = sample_small(seed)
+        order = list(range(G.n))
+        SplitMix64(seed).shuffle(order)
+        td = elimination_decomposition(G, order)
+        validate_decomposition(G, td)
+        ntd = to_nice(td)
+        validate_nice(G, ntd)
+        new, ref = _dp_pair(G, ntd)
+        assert new == ref
+        assert new[1] == pytest.approx(brute_force(G).value, abs=1e-9)
+
+    def test_peak_memory_is_a_few_tables(self):
+        # 13x13 grid: width 17, largest table 8 * 2^18 bytes; keeping every
+        # table (the reference DP) peaks near 20 of them
+        G = _grid(13, 13)
+        ntd = to_nice(build_decomposition(G))
+        largest = 8 << (ntd.width + 1)
+        tracemalloc.start()
+        try:
+            solve_treewidth(G, ntd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ntd.width == 17
+        assert peak <= 4 * largest

@@ -5,7 +5,18 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from maxqp import GeneratorSpec, SplitMix64, TreeDecomposition, WeightedGraph, generate
+import numpy as np
+
+from maxqp import (
+    Assignment,
+    GeneratorSpec,
+    SplitMix64,
+    TreeDecomposition,
+    ValidationError,
+    WeightedGraph,
+    evaluate,
+    generate,
+)
 
 
 def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph:
@@ -69,6 +80,47 @@ def is_bipartite(G: WeightedGraph) -> bool:
     return True
 
 
+def _clique_tree(order, bags) -> TreeDecomposition:
+    """Parent of v's bag: the bag of the earliest-eliminated remaining member;
+    bags without one chain onto the next such bag, so the result is one tree."""
+    elim_pos = {v: i for i, v in enumerate(order)}
+    parent = [None] * len(order)
+    last_rootless = None
+    for i, v in enumerate(order):
+        rest = [u for u in bags[i] if u != v]
+        if rest:
+            parent[i] = elim_pos[min(rest, key=lambda u: elim_pos[u])]
+        elif last_rootless is not None:
+            parent[last_rootless] = i
+            last_rootless = i
+        else:
+            last_rootless = i
+    return TreeDecomposition(tuple(bags), tuple(parent), len(order) - 1)
+
+
+def elimination_decomposition(G: WeightedGraph, order) -> TreeDecomposition:
+    """Clique tree of an arbitrary elimination order (a permutation of V).
+
+    A random order gives wide bags, bags with several children (so chains of
+    join nodes in nice form) and, between components, forget chains down to
+    the empty bag.
+    """
+    if G.n == 0:
+        return TreeDecomposition((), (), 0)
+    adj = [set(u for u, _ in G.adjacency[v]) for v in range(G.n)]
+    alive = set(range(G.n))
+    bags = []
+    for v in order:
+        nbrs = sorted(u for u in adj[v] if u in alive)
+        bags.append(tuple(sorted([v] + nbrs)))
+        alive.discard(v)
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                adj[a].add(b)
+                adj[b].add(a)
+    return _clique_tree(order, bags)
+
+
 def reference_min_fill(G: WeightedGraph) -> TreeDecomposition:
     """Min-fill clique tree by a full scan of the alive vertices per step.
 
@@ -92,13 +144,12 @@ def reference_min_fill(G: WeightedGraph) -> TreeDecomposition:
         )
 
     fill = {v: fill_count(v) for v in alive}
-    order, bags, elim_pos = [], [], {}
-    for step in range(n):
+    order, bags = [], []
+    for _ in range(n):
         v = min(alive, key=lambda u: (fill[u], u))
         nbrs = sorted(u for u in adj[v] if u in alive)
         bags.append(tuple(sorted([v] + nbrs)))
         order.append(v)
-        elim_pos[v] = step
         alive.discard(v)
         dirty = set(nbrs)
         for i in range(len(nbrs)):
@@ -110,19 +161,7 @@ def reference_min_fill(G: WeightedGraph) -> TreeDecomposition:
                     dirty |= adj[a] & adj[b] & alive
         for u in dirty & alive:
             fill[u] = fill_count(u)
-
-    parent = [None] * n
-    last_rootless = None
-    for i, v in enumerate(order):
-        rest = [u for u in bags[i] if u != v]
-        if rest:
-            parent[i] = elim_pos[min(rest, key=lambda u: elim_pos[u])]
-        elif last_rootless is not None:
-            parent[last_rootless] = i
-            last_rootless = i
-        else:
-            last_rootless = i
-    return TreeDecomposition(tuple(bags), tuple(parent), n - 1)
+    return _clique_tree(order, bags)
 
 
 def reference_scan(G: WeightedGraph, vertices, start=None) -> dict[int, int]:
@@ -163,3 +202,109 @@ def reference_extend(G: WeightedGraph, x) -> tuple[int, ...]:
     rest = reference_scan(G, [v for v in range(G.n) if v not in x])
     signs = reference_combine(G, x, rest)
     return tuple(signs[v] for v in range(G.n))
+
+
+def _sign_array(size: int, pos: int) -> np.ndarray:
+    masks = np.arange(size, dtype=np.int64)
+    return 1.0 - 2.0 * ((masks >> pos) & 1)
+
+
+def _expand_index(size_child: int, pos: int) -> np.ndarray:
+    """Index of each child mask inside the parent mask space, bit `pos` = 0."""
+    masks = np.arange(size_child, dtype=np.int64)
+    low = masks & ((1 << pos) - 1)
+    high = (masks >> pos) << (pos + 1)
+    return high | low
+
+
+def _bag_value(G: WeightedGraph, bag: tuple[int, ...]) -> np.ndarray:
+    """val_x(G[bag]) for every sign mask over the bag."""
+    size = 1 << len(bag)
+    pos = {v: i for i, v in enumerate(bag)}
+    out = np.zeros(size)
+    for u in bag:
+        for v, w in G.adjacency[u]:
+            if u < v and v in pos:
+                out += w * _sign_array(size, pos[u]) * _sign_array(size, pos[v])
+    return out
+
+
+def reference_nice_dp(G: WeightedGraph, ntd) -> Assignment:
+    """The nice-form DP with flat tables, index arrays and per-edge sign arrays.
+
+    Every table is kept until backtracking ends, so memory is
+    O(nodes * 2^(width+1)).  solve_treewidth makes the same additions in the
+    same order, so it must return the same signs and value bit for bit.
+    Bag assignments are encoded as bitmasks (bit i set => bag[i] gets -1).
+    """
+    if G.n == 0:
+        return Assignment((), 0.0)
+    order = ntd.postorder()
+    tables: dict[int, np.ndarray] = {}
+    for node in order:
+        bag = ntd.bags[node]
+        kind = ntd.kinds[node]
+        size = 1 << len(bag)
+        if kind == "leaf":
+            tables[node] = np.zeros(size)
+        elif kind == "introduce":
+            (c,) = ntd.children[node]
+            v = ntd.special[node]
+            p = bag.index(v)
+            base = _expand_index(size >> 1, p)
+            table = np.empty(size)
+            child = tables[c]
+            table[base] = child
+            table[base | (1 << p)] = child
+            sv = _sign_array(size, p)
+            pos = {u: i for i, u in enumerate(bag)}
+            for u, w in G.adjacency[v]:
+                if u in pos:
+                    table += w * sv * _sign_array(size, pos[u])
+            tables[node] = table
+        elif kind == "forget":
+            (c,) = ntd.children[node]
+            v = ntd.special[node]
+            p = ntd.bags[c].index(v)
+            idx0 = _expand_index(size, p)
+            child = tables[c]
+            tables[node] = np.maximum(child[idx0], child[idx0 | (1 << p)])
+        else:  # join
+            cy, cz = ntd.children[node]
+            tables[node] = tables[cy] + tables[cz] - _bag_value(G, bag)
+
+    root_table = tables[ntd.root]
+    best_mask = int(np.argmax(root_table))  # first maximum: deterministic
+
+    signs = [0] * G.n
+    stack: list[tuple[int, int]] = [(ntd.root, best_mask)]
+    while stack:
+        node, mask = stack.pop()
+        bag = ntd.bags[node]
+        for i, v in enumerate(bag):
+            signs[v] = 1 if not (mask >> i) & 1 else -1
+        kind = ntd.kinds[node]
+        if kind == "leaf":
+            continue
+        if kind == "introduce":
+            (c,) = ntd.children[node]
+            p = bag.index(ntd.special[node])
+            cm = ((mask >> (p + 1)) << p) | (mask & ((1 << p) - 1))
+            stack.append((c, cm))
+        elif kind == "forget":
+            (c,) = ntd.children[node]
+            p = ntd.bags[c].index(ntd.special[node])
+            i0 = ((mask >> p) << (p + 1)) | (mask & ((1 << p) - 1))
+            i1 = i0 | (1 << p)
+            child = tables[c]
+            cm = i1 if child[i1] > child[i0] else i0  # ties keep +1
+            stack.append((c, cm))
+        else:
+            cy, cz = ntd.children[node]
+            stack.append((cy, mask))
+            stack.append((cz, mask))
+
+    if any(s == 0 for s in signs):
+        raise ValidationError("decomposition does not cover every vertex")
+    value = evaluate(G, signs)
+    return Assignment(tuple(signs), value)
