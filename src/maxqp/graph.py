@@ -214,56 +214,33 @@ def glue_blocks(
     least the sum of the blocks' inner values.
 
     Returns the signs (0 for left-out vertices) and their evaluated value on
-    the subgraph induced by the included vertices.  O(n + m) per round: numpy
-    folds both inner signs into each cross edge's coefficient, and each round
-    settles every block whose earlier neighbours are all settled, summing its
-    edges with `bincount` in edge order, as a scan in block order would.  When
-    a round settles under an eighth of the open blocks, or the rounds have
-    passed over the cross edges eight times (long chains, as on grids), the
-    rest is one loop over its edges in block order.
+    the subgraph induced by the included vertices.  O(n + m): numpy buckets
+    the cross edges by their later block, with both inner signs folded into
+    each coefficient, and one loop over those edges fixes the flips.
     """
     if len(block_of) != G.n or len(inner) != G.n:
         raise ValidationError("block and sign vectors must have length n")
-    block = np.asarray(block_of, dtype=np.int32)
-    sign = np.asarray(inner, dtype=np.int8)
+    block = np.asarray(block_of, dtype=np.int64)
+    sign = np.asarray(inner, dtype=np.int64)
     eu, ev, ew = G.edge_arrays()
     bu, bv = block[eu], block[ev]
     cross = np.flatnonzero((bu >= 0) & (bv >= 0) & (bu != bv))
     later = np.maximum(bu[cross], bv[cross])
+    order = np.argsort(later, kind="stable")
+    cross, later = cross[order], later[order]
     earlier = np.minimum(bu[cross], bv[cross])
-    coeff = ew[cross] * (sign[eu[cross]] * sign[ev[cross]])
-    nb = int(block.max(initial=0)) + 1
-    flip = np.ones(nb, dtype=np.int8)
-    settled = np.zeros(nb, dtype=bool)
-    open_blocks, spent = nb, 0
-    while len(later) and spent <= 8 * len(cross):
-        spent += len(later)
-        waiting = np.zeros(nb, dtype=bool)
-        waiting[later[~settled[earlier]]] = True
-        ready = ~waiting[later]
-        c = np.bincount(later[ready], coeff[ready] * flip[earlier[ready]], nb)
-        flip[c < 0] = -1
-        settled |= ~waiting
-        later, earlier, coeff = later[~ready], earlier[~ready], coeff[~ready]
-        still_open = nb - int(np.count_nonzero(settled))
-        if 8 * (open_blocks - still_open) < open_blocks:
-            break
-        open_blocks = still_open
-    if len(later):
-        order = np.argsort(later, kind="stable")
-        later, earlier, coeff = later[order], earlier[order], coeff[order]
-        f = flip.tolist()
-        cur, c = -1, 0.0
-        for b, e, w in zip(later.tolist(), earlier.tolist(), coeff.tolist()):
-            if b != cur:  # every edge of block cur is summed: fix its sign
-                if c < 0:
-                    f[cur] = -1
-                cur, c = b, 0.0
-            c += w * f[e]
-        if c < 0:
-            f[cur] = -1
-        flip = np.array(f, dtype=np.int8)
-    signs = np.where(block >= 0, sign * flip[block], 0)
+    coeff = ew[cross] * sign[eu[cross]] * sign[ev[cross]]
+    flip = [1] * (int(block.max(initial=0)) + 1)
+    cur, c = -1, 0.0
+    for b, e, w in zip(later.tolist(), earlier.tolist(), coeff.tolist()):
+        if b != cur:  # every edge of block cur is summed: fix its sign
+            if c < 0:
+                flip[cur] = -1
+            cur, c = b, 0.0
+        c += w * flip[e]
+    if c < 0:
+        flip[cur] = -1
+    signs = np.where(block >= 0, sign * np.asarray(flip, dtype=np.int64)[block], 0)
     value = float(np.sum(ew * (signs[eu] * signs[ev])))
     return signs.tolist(), value
 

@@ -29,23 +29,21 @@ class Matching:
 
 
 def _make_matching(
-    G: WeightedGraph, pairs, total: float | None = None
+    G: WeightedGraph, pairs: list[tuple[int, int]], total: float | None = None
 ) -> Matching:
-    """Wrap vertex-disjoint (u, v) pairs, given in any order, as a Matching."""
-    p = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    matched: list[int | None] = [None] * G.n
+    edges = []
+    for u, v in pairs:
+        if u > v:
+            u, v = v, u
+        assert matched[u] is None and matched[v] is None
+        matched[u] = v
+        matched[v] = u
+        edges.append((u, v))
     if total is None:
-        total = sum(abs(G.weight(u, v)) for u, v in p.tolist())
-    p.sort(axis=1)
-    p = p[np.argsort(p[:, 0], kind="stable")]  # no vertex is in two pairs
-    partner = np.full(G.n, -1, dtype=np.int64)
-    partner[p[:, 0]] = p[:, 1]
-    partner[p[:, 1]] = p[:, 0]
-    assert np.count_nonzero(partner >= 0) == 2 * len(p), "pairs share a vertex"
-    matched = np.full(G.n, None, dtype=object)
-    hit = np.flatnonzero(partner >= 0)
-    matched[hit] = partner[hit].tolist()
-    edges = tuple(zip(p[:, 0].tolist(), p[:, 1].tolist()))
-    return Matching(edges, total, tuple(matched.tolist()))
+        total = sum(abs(G.weight(u, v)) for u, v in edges)
+    edges.sort()
+    return Matching(tuple(edges), total, tuple(matched))
 
 
 def greedy_sorted_matching(G: WeightedGraph) -> Matching:
@@ -53,47 +51,21 @@ def greedy_sorted_matching(G: WeightedGraph) -> Matching:
 
     Equal weights are broken by (u, v) lexicographic order.  The result is
     maximal, and its weight is at least w(E) / (2 * max_degree).
-
-    The scan is replaced by rounds while they pay: an edge that comes first
-    at both of its endpoints among the edges still live is taken by the scan
-    too, so each round takes all such edges at once and drops every edge
-    they touch.  Once a round drops under a quarter of the live edges (long
-    chains of dependent edges, as on grids) the rest is scanned in order.
-    Either way the result is the scan's, edge for edge.
     """
     if G.m == 0:
         return _make_matching(G, [], 0.0)
     eu, ev, ew = G.edge_arrays()
-    # edges are stored in (u, v) order, so a stable sort keeps ties lexicographic
-    order = np.argsort(-np.abs(ew), kind="stable")
-    us, vs = eu[order], ev[order]
-    free = np.ones(G.n, dtype=bool)
-    # the live edges as (rank, u, v), kept in rank order
-    rank, lu, lv = np.arange(G.m, dtype=np.int32), us, vs
-    taken = []
-    while len(rank):
-        first = np.full(G.n, G.m, dtype=np.int32)
-        np.minimum.at(first, lu, rank)
-        np.minimum.at(first, lv, rank)
-        dominant = (first[lu] == rank) & (first[lv] == rank)
-        taken.append(rank[dominant])
-        free[lu[dominant]] = free[lv[dominant]] = False
-        keep = free[lu] & free[lv]
-        before = len(rank)
-        rank, lu, lv = rank[keep], lu[keep], lv[keep]
-        if 4 * len(rank) > 3 * before:
-            break
-    flag = bytearray(free.tobytes())
-    scanned = []
-    for i, u, v in zip(rank.tolist(), lu.tolist(), lv.tolist()):
-        if flag[u] and flag[v]:
-            flag[u] = flag[v] = 0
-            scanned.append(i)
-    taken.append(np.array(scanned, dtype=np.int32))
-    picked = np.sort(np.concatenate(taken))
-    # summed one by one in scan order, as the scan would
-    total = float(np.cumsum(np.abs(ew[order[picked]]))[-1])
-    return _make_matching(G, np.column_stack((us[picked], vs[picked])), total)
+    order = np.lexsort((ev, eu, -np.abs(ew)))
+    us, vs, ws = eu[order].tolist(), ev[order].tolist(), ew[order].tolist()
+    free = bytearray([1]) * G.n
+    pairs = []
+    total = 0.0
+    for u, v, w in zip(us, vs, ws):
+        if free[u] and free[v]:
+            free[u] = free[v] = 0
+            pairs.append((u, v))
+            total += abs(w)
+    return _make_matching(G, pairs, total)
 
 
 def maximal_matching(G: WeightedGraph) -> Matching:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from maxqp import (
     Assignment,
-    GeneratorSpec,
     ValidationError,
     WeightedGraph,
     brute_force,
@@ -19,7 +18,6 @@ from maxqp import (
     evaluate,
     evaluate_partial,
     extend_from_induced,
-    generate,
     glue_blocks,
     induced_subgraph,
     load_graph,
@@ -34,7 +32,6 @@ from util import (
     random_graph,
     reference_combine,
     reference_extend,
-    reference_glue,
     reference_scan,
     sample_small,
 )
@@ -276,26 +273,6 @@ class TestGlueBlocks:
         included = {v: s for v, s in enumerate(signs) if s}
         assert value == pytest.approx(evaluate_partial(G, included), abs=1e-9)
         assert value >= inner_total - 1e-9
-
-
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 10**6), k=st.integers(1, 8))
-    def test_same_as_one_loop_in_block_order(self, seed, k):
-        G = sample_small(seed)
-        block_of, inner = _random_blocks(seed, G.n, k)
-        assert glue_blocks(G, block_of, inner) == reference_glue(G, block_of, inner)
-
-    def test_same_as_one_loop_on_large_graphs(self):
-        # sparse graphs with many blocks settle in rounds; a grid in id order
-        # stops the rounds at once and is finished by the loop
-        graphs = [random_graph(s, 3000, 6000, real=s % 2 == 1) for s in range(4)]
-        graphs.append(generate(GeneratorSpec("grid-spin-glass", 5, {"rows": 30, "cols": 40})))
-        for seed, G in enumerate(graphs):
-            for k in (3, G.n // 4, G.n):
-                block_of, inner = _random_blocks(seed, G.n, k)
-                assert glue_blocks(G, block_of, inner) == reference_glue(G, block_of, inner)
-            ids, ones = list(range(G.n)), [1] * G.n
-            assert glue_blocks(G, ids, ones) == reference_glue(G, ids, ones)
 
 
 class TestSameSignsAsReferenceScan:

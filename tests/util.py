@@ -204,55 +204,6 @@ def reference_extend(G: WeightedGraph, x) -> tuple[int, ...]:
     return tuple(signs[v] for v in range(G.n))
 
 
-def reference_greedy_matching(G: WeightedGraph) -> tuple[tuple[tuple[int, int], ...], float]:
-    """One scan over the edges by non-increasing |w|, ties by (u, v).
-
-    Returns the matched edges in increasing order and their |w| summed in
-    scan order; greedy_sorted_matching must match both exactly.
-    """
-    eu, ev, ew = G.edge_arrays()
-    order = np.lexsort((ev, eu, -np.abs(ew)))
-    free = [True] * G.n
-    pairs = []
-    total = 0.0
-    for u, v, w in zip(eu[order].tolist(), ev[order].tolist(), ew[order].tolist()):
-        if free[u] and free[v]:
-            free[u] = free[v] = False
-            pairs.append((u, v))
-            total += abs(w)
-    return tuple(sorted(pairs)), total
-
-
-def reference_glue(G: WeightedGraph, block_of, inner) -> tuple[list[int], float]:
-    """glue_blocks as one loop over the cross edges in block order.
-
-    The cross edges are sorted stably by their later block and summed one at
-    a time; glue_blocks must give the same signs and value.
-    """
-    block = np.asarray(block_of, dtype=np.int64)
-    sign = np.asarray(inner, dtype=np.int64)
-    eu, ev, ew = G.edge_arrays()
-    bu, bv = block[eu], block[ev]
-    cross = np.flatnonzero((bu >= 0) & (bv >= 0) & (bu != bv))
-    later = np.maximum(bu[cross], bv[cross])
-    order = np.argsort(later, kind="stable")
-    cross, later = cross[order], later[order]
-    earlier = np.minimum(bu[cross], bv[cross])
-    coeff = ew[cross] * sign[eu[cross]] * sign[ev[cross]]
-    flip = [1] * (int(block.max(initial=0)) + 1)
-    cur, c = -1, 0.0
-    for b, e, w in zip(later.tolist(), earlier.tolist(), coeff.tolist()):
-        if b != cur:
-            if c < 0:
-                flip[cur] = -1
-            cur, c = b, 0.0
-        c += w * flip[e]
-    if c < 0:
-        flip[cur] = -1
-    signs = np.where(block >= 0, sign * np.asarray(flip, dtype=np.int64)[block], 0)
-    return signs.tolist(), float(np.sum(ew * (signs[eu] * signs[ev])))
-
-
 def _sign_array(size: int, pos: int) -> np.ndarray:
     masks = np.arange(size, dtype=np.int64)
     return 1.0 - 2.0 * ((masks >> pos) & 1)
