@@ -29,21 +29,23 @@ class Matching:
 
 
 def _make_matching(
-    G: WeightedGraph, pairs: list[tuple[int, int]], total: float | None = None
+    G: WeightedGraph, pairs, total: float | None = None
 ) -> Matching:
-    matched: list[int | None] = [None] * G.n
-    edges = []
-    for u, v in pairs:
-        if u > v:
-            u, v = v, u
-        assert matched[u] is None and matched[v] is None
-        matched[u] = v
-        matched[v] = u
-        edges.append((u, v))
+    """Wrap vertex-disjoint (u, v) pairs, given in any order, as a Matching."""
+    p = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     if total is None:
-        total = sum(abs(G.weight(u, v)) for u, v in edges)
-    edges.sort()
-    return Matching(tuple(edges), total, tuple(matched))
+        total = sum(abs(G.weight(u, v)) for u, v in p.tolist())
+    p.sort(axis=1)
+    p = p[np.argsort(p[:, 0], kind="stable")]  # no vertex is in two pairs
+    partner = np.full(G.n, -1, dtype=np.int64)
+    partner[p[:, 0]] = p[:, 1]
+    partner[p[:, 1]] = p[:, 0]
+    assert np.count_nonzero(partner >= 0) == 2 * len(p), "pairs share a vertex"
+    matched = np.full(G.n, None, dtype=object)
+    hit = np.flatnonzero(partner >= 0)
+    matched[hit] = partner[hit].tolist()
+    edges = tuple(zip(p[:, 0].tolist(), p[:, 1].tolist()))
+    return Matching(edges, total, tuple(matched.tolist()))
 
 
 def greedy_sorted_matching(G: WeightedGraph) -> Matching:
@@ -55,7 +57,8 @@ def greedy_sorted_matching(G: WeightedGraph) -> Matching:
     if G.m == 0:
         return _make_matching(G, [], 0.0)
     eu, ev, ew = G.edge_arrays()
-    order = np.lexsort((ev, eu, -np.abs(ew)))
+    # edges are stored in (u, v) order, so a stable sort keeps ties lexicographic
+    order = np.argsort(-np.abs(ew), kind="stable")
     us, vs, ws = eu[order].tolist(), ev[order].tolist(), ew[order].tolist()
     free = bytearray([1]) * G.n
     pairs = []

@@ -12,7 +12,7 @@ from maxqp import (
     stats,
 )
 
-from util import max_matching_size, random_graph
+from util import max_matching_size, random_graph, reference_greedy_matching, sample_small
 
 
 def _check_disjoint(G, M):
@@ -70,6 +70,28 @@ class TestGreedy:
     def test_empty_graph(self):
         M = greedy_sorted_matching(WeightedGraph(3, []))
         assert len(M) == 0 and M.total_abs_weight == 0.0
+
+    def test_same_matching_as_three_key_sort(self):
+        # few distinct weights tie often: the (u, v) tie rule must hold
+        from maxqp import GeneratorSpec, SplitMix64, generate
+
+        graphs = [sample_small(s) for s in range(200)]
+        graphs += [random_graph(s, 3000, 6000, real=s % 2 == 1) for s in range(4)]
+        graphs += [
+            generate(GeneratorSpec("grid-spin-glass", s, {"rows": 20, "cols": 30}))
+            for s in range(2)
+        ]
+        for s in range(4):
+            rng = SplitMix64(s)
+            G = random_graph(s, 3000, 6000)
+            graphs.append(
+                WeightedGraph(G.n, [(u, v, w * (1 + rng.randrange(3))) for u, v, w in G.edges])
+            )
+        for G in graphs:
+            M = greedy_sorted_matching(G)
+            assert (M.edges, M.total_abs_weight) == reference_greedy_matching(G)
+            assert all(M.matched[M.matched[v]] == v for v in range(G.n) if M.matched[v] is not None)
+            assert sum(x is not None for x in M.matched) == 2 * len(M)
 
 
 class TestMaximal:

@@ -204,6 +204,25 @@ def reference_extend(G: WeightedGraph, x) -> tuple[int, ...]:
     return tuple(signs[v] for v in range(G.n))
 
 
+def reference_greedy_matching(G: WeightedGraph) -> tuple[tuple[tuple[int, int], ...], float]:
+    """One scan over the edges by non-increasing |w|, ties by (u, v).
+
+    Returns the matched edges in increasing order and their |w| summed in
+    scan order; greedy_sorted_matching must match both exactly.
+    """
+    eu, ev, ew = G.edge_arrays()
+    order = np.lexsort((ev, eu, -np.abs(ew)))
+    free = [True] * G.n
+    pairs = []
+    total = 0.0
+    for u, v, w in zip(eu[order].tolist(), ev[order].tolist(), ew[order].tolist()):
+        if free[u] and free[v]:
+            free[u] = free[v] = False
+            pairs.append((u, v))
+            total += abs(w)
+    return tuple(sorted(pairs)), total
+
+
 def _sign_array(size: int, pos: int) -> np.ndarray:
     masks = np.arange(size, dtype=np.int64)
     return 1.0 - 2.0 * ((masks >> pos) & 1)
