@@ -8,7 +8,6 @@ from .graph import (
     WeightedGraph,
     combine_disjoint,
     evaluate,
-    evaluate_partial,
     extend_from_induced,
     glue_blocks,
     induced_subgraph,
@@ -22,7 +21,6 @@ from .oracle import (
     GeneratorSpec,
     SplitMix64,
     brute_force,
-    brute_force_maxcut,
     generate,
     subdivide_for_maxcut,
 )
@@ -30,7 +28,6 @@ from .packing import (
     EasyPacking,
     check_easy_packing,
     easypack,
-    edge_is_good,
     matching_to_solution,
     packing_to_solution,
     solve_bounded_degree,
@@ -49,14 +46,12 @@ from .schemes import (
     solve_partition_scheme,
 )
 from .treewidth import (
-    NiceTreeDecomposition,
     TreeDecomposition,
     build_decomposition,
     solve_exact,
     solve_treewidth,
     to_nice,
     validate_decomposition,
-    validate_nice,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

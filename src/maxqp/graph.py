@@ -191,16 +191,6 @@ def solution(G: WeightedGraph, values: Sequence[int]) -> Assignment:
     return Assignment(tuple(values), evaluate(G, values))
 
 
-def evaluate_partial(G: WeightedGraph, signs: Mapping[int, int]) -> float:
-    """Objective restricted to edges with both endpoints in `signs`."""
-    total = 0.0
-    for u, su in signs.items():
-        for v, w in G.adjacency[u]:
-            if u < v and v in signs:
-                total += w * su * signs[v]
-    return total
-
-
 def glue_blocks(
     G: WeightedGraph, block_of: Sequence[int], inner: Sequence[int]
 ) -> tuple[list[int], float]:

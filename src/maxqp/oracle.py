@@ -84,21 +84,6 @@ def brute_force(G: WeightedGraph, cap: int = DEFAULT_BRUTE_CAP) -> Assignment:
     return Assignment(best, best_val)
 
 
-def brute_force_maxcut(n: int, edges) -> int:
-    """Maximum cut size of an unweighted graph, by enumeration (n <= 24)."""
-    if n > 24:
-        raise CapacityError(f"maxcut enumeration capped at n <= 24, got {n}")
-    best = 0
-    es = [(u, v) for u, v in edges]
-    for mask in range(1 << max(n - 1, 0)):
-        cut = 0
-        for u, v in es:
-            if ((mask >> u) ^ (mask >> v)) & 1:
-                cut += 1
-        best = max(best, cut)
-    return best
-
-
 def subdivide_for_maxcut(G: WeightedGraph) -> WeightedGraph:
     """Replace each edge by a two-edge path through a fresh vertex.
 

@@ -29,12 +29,6 @@ from .graph import (
 from .matching import Matching, greedy_sorted_matching, maximal_matching, maximum_matching
 
 
-def edge_is_good(G: WeightedGraph, values, u: int, v: int) -> bool:
-    """True iff a_uv * x_u * x_v > 0 for the given assignment."""
-    w = G.weight(u, v)
-    return w * values[u] * values[v] > 0
-
-
 def triangle_is_good(G: WeightedGraph, u: int, v: int, w: int) -> bool:
     """True iff the three (unit) weights of the triangle multiply to +1.
 
@@ -265,8 +259,9 @@ def solve_bounded_degree(G: WeightedGraph) -> ApproxResult:
     """Greedy-matching driver: 1/(2*max_degree) of the optimum, any weights."""
     if G.m == 0:
         return _trivial_result(G, {"abs_weight": 0.0})
-    abs_weight = float(np.abs(G.edge_arrays()[2]).sum())
-    max_degree = max(len(a) for a in G.adjacency)
+    eu, ev, ew = G.edge_arrays()
+    abs_weight = float(np.abs(ew).sum())
+    max_degree = int(np.bincount(np.concatenate((eu, ev))).max())
     M = greedy_sorted_matching(G)
     out = matching_to_solution(G, M)
     guarantee = Fraction(1, 2 * max_degree)

@@ -1,15 +1,16 @@
 """Exact solving on bounded-treewidth instances.
 
 Pipeline: min-fill elimination ordering -> clique-tree decomposition ->
-nice-form conversion (leaf / introduce / forget / join nodes) -> dynamic
-program over bag sign masks with backtracking reconstruction.  An external
-decomposition in the `b`/`t` text format is read by `read_decomposition`.
+bags renumbered children before parents (`to_nice`) -> bucket elimination
+over the bags, one sign-mask table per bag, with backtracking
+reconstruction.  An external decomposition in the `b`/`t` text format is
+read by `read_decomposition` and solved as it is, empty bags included.
 
-The DP streams: each bag table is dropped as soon as its parent's table is
-built, and a forget node keeps only one packed argmax bit per mask for the
-backtrack, so memory is the live tables plus 2^|bag|/8 bytes per forget node
-rather than every table of the decomposition (the one-argmax-per-variable
-idea of Dechter's bucket elimination, Artif. Intell. 1999).
+Each bag's table is dropped once its message to the parent is sent, and
+each vertex maxed out keeps only one packed argmax bit per mask for the
+backtrack, so memory is the live messages plus 2^|bag|/8 bytes per
+forgotten vertex rather than every table of the decomposition (Dechter,
+"Bucket elimination", Artif. Intell. 1999).
 
 The elimination ordering is min-fill with ties broken by vertex id
 (Bodlaender & Koster, "Treewidth computations I. Upper bounds", Inf. Comput.
@@ -233,125 +234,28 @@ def build_decomposition(
     return td
 
 
-@dataclass(frozen=True)
-class NiceTreeDecomposition:
-    """Rooted decomposition with leaf/introduce/forget/join nodes only."""
+def to_nice(td: TreeDecomposition) -> TreeDecomposition:
+    """The same bags, each sorted, renumbered so that children come before
+    their parent and the root is last: the order solve_treewidth needs.
 
-    bags: tuple[tuple[int, ...], ...]
-    kinds: tuple[str, ...]  # "leaf" | "introduce" | "forget" | "join"
-    children: tuple[tuple[int, ...], ...]
-    special: tuple[int | None, ...]  # introduced / forgotten vertex
-    root: int
-
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
-
-    def postorder(self) -> list[int]:
-        out: list[int] = []
-        stack = [(self.root, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                out.append(node)
-            else:
-                stack.append((node, True))
-                for c in self.children[node]:
-                    stack.append((c, False))
-        return out
-
-
-def validate_nice(G: WeightedGraph, ntd: NiceTreeDecomposition) -> None:
-    td = TreeDecomposition(
-        ntd.bags,
-        _parents_from_children(ntd.children, ntd.root),
-        ntd.root,
-    )
-    validate_decomposition(G, td)
-    for i, kind in enumerate(ntd.kinds):
-        bag = set(ntd.bags[i])
-        ch = ntd.children[i]
-        if kind == "leaf":
-            if ch or len(bag) != 1:
-                raise ValidationError(f"node {i}: malformed leaf")
-        elif kind == "introduce":
-            (c,) = ch
-            cb = set(ntd.bags[c])
-            if not (cb < bag and len(bag - cb) == 1 and ntd.special[i] in bag - cb):
-                raise ValidationError(f"node {i}: malformed introduce")
-        elif kind == "forget":
-            (c,) = ch
-            cb = set(ntd.bags[c])
-            if not (bag < cb and len(cb - bag) == 1 and ntd.special[i] in cb - bag):
-                raise ValidationError(f"node {i}: malformed forget")
-        elif kind == "join":
-            if len(ch) != 2 or any(set(ntd.bags[c]) != bag for c in ch):
-                raise ValidationError(f"node {i}: malformed join")
-        else:
-            raise ValidationError(f"node {i}: unknown kind {kind!r}")
-
-
-def _parents_from_children(children, root):
-    parent: list[int | None] = [None] * len(children)
-    for i, ch in enumerate(children):
-        for c in ch:
-            parent[c] = i
-    parent[root] = None
-    return tuple(parent)
-
-
-def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
-    """Convert a valid decomposition to nice form with the same width."""
+    The name and the one-argument shape are kept from the nice-form DP this
+    replaced, because span tracing wraps `treewidth.to_nice` by name and
+    reads `.bags` from its result.
+    """
     if not td.bags:
-        return NiceTreeDecomposition((), (), (), (), 0)
-    bags: list[tuple[int, ...]] = []
-    kinds: list[str] = []
-    children: list[tuple[int, ...]] = []
-    special: list[int | None] = []
-
-    def add(bag, kind, ch, sp=None) -> int:
-        bags.append(tuple(sorted(bag)))
-        kinds.append(kind)
-        children.append(tuple(ch))
-        special.append(sp)
-        return len(bags) - 1
-
-    def chain(top: int, target) -> int:
-        """Forget then introduce, one vertex at a time, from bags[top] to target."""
-        cur = set(bags[top])
-        target = set(target)
-        for v in sorted(cur - target):
-            cur.discard(v)
-            top = add(cur, "forget", [top], v)
-        for v in sorted(target - cur):
-            cur.add(v)
-            top = add(cur, "introduce", [top], v)
-        return top
-
+        return td
     ch_of = td.children()
-    done: dict[int, int] = {}
-    stack = [(td.root, False)]
+    order: list[int] = []
+    stack = [td.root]
     while stack:
-        node, ready = stack.pop()
-        if not ready:
-            stack.append((node, True))
-            for c in ch_of[node]:
-                stack.append((c, False))
-            continue
-        bag = td.bags[node]
-        if not ch_of[node]:
-            first = min(bag)
-            top = add([first], "leaf", [])
-            top = chain(top, bag)
-        else:
-            tops = [chain(done[c], bag) for c in ch_of[node]]
-            top = tops[0]
-            for t in tops[1:]:
-                top = add(bag, "join", [top, t])
-        done[node] = top
-    return NiceTreeDecomposition(
-        tuple(bags), tuple(kinds), tuple(children), tuple(special), done[td.root]
-    )
+        node = stack.pop()
+        order.append(node)
+        stack.extend(ch_of[node])
+    order.reverse()  # reversed preorder: every child precedes its parent
+    new = {old: i for i, old in enumerate(order)}
+    parent = tuple(None if td.parent[o] is None else new[td.parent[o]] for o in order)
+    bags = tuple(tuple(sorted(td.bags[o])) for o in order)
+    return TreeDecomposition(bags, parent, len(order) - 1)
 
 
 def _add_edge(table: np.ndarray, i: int, j: int, w: float) -> None:
@@ -366,98 +270,75 @@ def _add_edge(table: np.ndarray, i: int, j: int, w: float) -> None:
     table += np.array([[w, -w], [-w, w]]).reshape(shape)
 
 
-def _bag_value(G: WeightedGraph, bag: tuple[int, ...]) -> np.ndarray:
-    """val_x(G[bag]) for every sign mask over the bag, as a cube."""
-    pos = {v: i for i, v in enumerate(bag)}
-    out = np.zeros((2,) * len(bag))
-    for u in bag:
-        for v, w in G.adjacency[u]:
-            if u < v and v in pos:
-                _add_edge(out, pos[u], pos[v], w)
-    return out
-
-
 def _halves(table: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of the cells with bag bit i clear and set."""
     head = (slice(None),) * (table.ndim - 1 - i)
     return table[(*head, 0, ...)], table[(*head, 1, ...)]
 
 
-def solve_treewidth(G: WeightedGraph, ntd: NiceTreeDecomposition) -> Assignment:
-    """Optimal assignment via dynamic programming over the nice decomposition.
+def solve_treewidth(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
+    """Optimal assignment by bucket elimination over the bags of `td`.
 
-    A bag's table is a (2,)*|bag| cube indexed by sign mask (bit i set =>
-    bag[i] gets -1; bit i is axis |bag|-1-i, so the flat index is the mask).
-    Tables are built in postorder and a child's table is dropped once its
-    parent is built; a forget node keeps one packed bit per mask, set when
-    the forgotten vertex is better at -1 (ties keep +1).  Memory is the live
-    tables plus 2^|bag|/8 bytes per forget node.
+    `td` must be numbered children before parents with the root last, as
+    to_nice returns it, with each bag sorted.  A bag's table is a
+    (2,)*|bag| cube indexed by sign mask (bit i set => bag[i] gets -1; bit i
+    is axis |bag|-1-i, so the flat index is the mask).  It is the sum of the
+    children's messages, broadcast over the bag, and of the edges whose
+    bucket is this bag.  A vertex's bucket is its forget bag, the one bag
+    holding it whose parent does not (the root's parent counts as empty);
+    edge uv goes to u's forget bag if that bag holds v, else to v's.  Each
+    vertex of the bucket is then maxed out, highest bag position first,
+    keeping one packed bit per remaining mask, set when the vertex is better
+    at -1 (ties keep +1); what is left is the message to the parent, and the
+    root's is a 0-d array.  The backtrack reads the bits in reverse.
     """
     if G.n == 0:
         return Assignment((), 0.0)
-    tables: dict[int, np.ndarray] = {}
-    argmax_bits: dict[int, np.ndarray] = {}
-    for node in ntd.postorder():
-        bag = ntd.bags[node]
-        kind = ntd.kinds[node]
-        if kind == "leaf":
-            tables[node] = np.zeros((2,) * len(bag))
-        elif kind == "introduce":
-            (c,) = ntd.children[node]
-            v = ntd.special[node]
-            p = bag.index(v)
-            child = tables.pop(c)
-            a = len(bag) - 1 - p
-            table = child.reshape(child.shape[:a] + (1,) + child.shape[a:]).repeat(2, axis=a)
-            pos = {u: i for i, u in enumerate(bag)}
-            for u, w in G.adjacency[v]:
-                if u in pos:
-                    _add_edge(table, p, pos[u], w)
-            tables[node] = table
-        elif kind == "forget":
-            (c,) = ntd.children[node]
-            t0, t1 = _halves(tables.pop(c), ntd.bags[c].index(ntd.special[node]))
-            argmax_bits[node] = np.packbits(t1 > t0, axis=None)
-            tables[node] = np.maximum(t0, t1)
-        else:  # join
-            cy, cz = ntd.children[node]
-            table = tables.pop(cy)
-            table += tables.pop(cz)
-            table -= _bag_value(G, bag)
-            tables[node] = table
-
-    best_mask = int(np.argmax(tables.pop(ntd.root)))  # first maximum: deterministic
-
-    # every bag vertex is either in the root bag or forgotten below it
-    signs = [0] * G.n
-    for i, v in enumerate(ntd.bags[ntd.root]):
-        signs[v] = -1 if (best_mask >> i) & 1 else 1
-    stack: list[tuple[int, int]] = [(ntd.root, best_mask)]
-    while stack:
-        node, mask = stack.pop()
-        kind = ntd.kinds[node]
-        if kind == "leaf":
-            continue
-        if kind == "introduce":
-            (c,) = ntd.children[node]
-            p = ntd.bags[node].index(ntd.special[node])
-            cm = ((mask >> (p + 1)) << p) | (mask & ((1 << p) - 1))
-            stack.append((c, cm))
-        elif kind == "forget":
-            (c,) = ntd.children[node]
-            v = ntd.special[node]
-            p = ntd.bags[c].index(v)
-            bit = int(argmax_bits[node][mask >> 3] >> (7 - (mask & 7))) & 1
-            signs[v] = -1 if bit else 1
-            cm = ((mask >> p) << (p + 1)) | (bit << p) | (mask & ((1 << p) - 1))
-            stack.append((c, cm))
-        else:
-            cy, cz = ntd.children[node]
-            stack.append((cy, mask))
-            stack.append((cz, mask))
-
-    if any(s == 0 for s in signs):
+    if td.root != len(td.bags) - 1 or any(p is not None and p <= i for i, p in enumerate(td.parent)):
+        raise ValidationError("bags must be numbered children first (see to_nice)")
+    if any(list(bag) != sorted(bag) for bag in td.bags):
+        raise ValidationError("bags must be sorted (see to_nice)")
+    bagsets = [set(bag) for bag in td.bags]
+    forget_at = [-1] * G.n
+    for i, bag in enumerate(td.bags):
+        p = td.parent[i]
+        for v in bag:
+            if p is None or v not in bagsets[p]:
+                forget_at[v] = i
+    if -1 in forget_at:
         raise ValidationError("decomposition does not cover every vertex")
+    bucket: list[list[tuple[int, int, float]]] = [[] for _ in td.bags]
+    for u, v, w in G.edges:
+        bucket[forget_at[u] if v in bagsets[forget_at[u]] else forget_at[v]].append((u, v, w))
+
+    inbox: list[list[tuple[tuple[int, ...], np.ndarray]]] = [[] for _ in td.bags]
+    forgotten: list[tuple[int, tuple[int, ...], np.ndarray]] = []
+    for i, bag in enumerate(td.bags):
+        k = len(bag)
+        pos = {v: j for j, v in enumerate(bag)}
+        table = np.zeros((2,) * k)
+        for keep, msg in inbox[i]:
+            shape = [1] * k
+            for v in keep:
+                shape[k - 1 - pos[v]] = 2
+            table += msg.reshape(shape)
+        inbox[i] = []
+        for u, v, w in bucket[i]:
+            _add_edge(table, pos[u], pos[v], w)
+        keep = bag
+        for j in range(k - 1, -1, -1):  # highest first: lower positions stay put
+            if forget_at[bag[j]] == i:
+                t0, t1 = _halves(table, j)
+                keep = keep[:j] + keep[j + 1 :]
+                forgotten.append((bag[j], keep, np.packbits(t1 > t0, axis=None)))
+                table = np.maximum(t0, t1)
+        if td.parent[i] is not None:
+            inbox[td.parent[i]].append((keep, table))
+
+    signs = [0] * G.n
+    for v, keep, bits in reversed(forgotten):
+        mask = sum(1 << j for j, u in enumerate(keep) if signs[u] < 0)
+        signs[v] = -1 if int(bits[mask >> 3] >> (7 - (mask & 7))) & 1 else 1
     value = evaluate(G, signs)
     return Assignment(tuple(signs), value)
 

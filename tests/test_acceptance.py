@@ -18,11 +18,9 @@ from maxqp import (
     WeightedGraph,
     bfs_layers,
     brute_force,
-    brute_force_maxcut,
     build_decomposition,
     combine_disjoint,
     easypack,
-    evaluate_partial,
     extend_from_induced,
     generate,
     greedy_sorted_matching,
@@ -48,7 +46,13 @@ from maxqp.cli import main as cli_main
 from maxqp.errors import CapacityError, ValidationError
 from maxqp.graph import degeneracy_order
 
-from util import is_bipartite, max_matching_size, random_graph
+from util import (
+    brute_force_maxcut,
+    evaluate_partial,
+    is_bipartite,
+    max_matching_size,
+    random_graph,
+)
 
 TOL = 1e-9
 

@@ -75,6 +75,12 @@ class TestSolve:
         assert main(["solve", inst, "--algo", "exact-tw", "--decomposition", dec]) == 0
         assert "value=2" in capsys.readouterr().out
 
+    def test_external_decomposition_with_empty_leaf_bag(self, tmp_path, capsys):
+        inst = _write(tmp_path, "e.mq", "p maxqp 2 1\ne 1 2 1\n")
+        dec = _write(tmp_path, "e.td", "b 1 1 2\nb 2\nt 1 2\n")
+        assert main(["solve", inst, "--algo", "exact-tw", "--decomposition", dec]) == 0
+        assert "value=1" in capsys.readouterr().out
+
     def test_auto_falls_back_to_greedy_on_wide_sparse_graph(self, tmp_path, capsys):
         inst = _write(tmp_path, "s350.mq", format_instance(random_graph(3, 350, 700, real=True)))
         assert main(["solve", inst]) == 0

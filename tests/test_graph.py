@@ -16,7 +16,6 @@ from maxqp import (
     brute_force,
     combine_disjoint,
     evaluate,
-    evaluate_partial,
     extend_from_induced,
     glue_blocks,
     induced_subgraph,
@@ -29,6 +28,7 @@ from maxqp.graph import degeneracy_order
 from maxqp.oracle import SplitMix64
 
 from util import (
+    evaluate_partial,
     random_graph,
     reference_combine,
     reference_extend,

@@ -11,14 +11,13 @@ from maxqp import (
     ValidationError,
     WeightedGraph,
     brute_force,
-    brute_force_maxcut,
     evaluate,
     generate,
     subdivide_for_maxcut,
 )
 from maxqp.graph import degeneracy_order
 
-from util import exhaustive_opt, is_bipartite, random_graph
+from util import brute_force_maxcut, exhaustive_opt, is_bipartite, random_graph
 
 
 class TestSplitMix64:

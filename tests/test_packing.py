@@ -13,7 +13,6 @@ from maxqp import (
     brute_force,
     check_easy_packing,
     easypack,
-    edge_is_good,
     evaluate,
     greedy_sorted_matching,
     matching_to_solution,
@@ -29,7 +28,7 @@ from maxqp import (
 
 from maxqp.oracle import SplitMix64
 
-from util import random_graph, sample_small
+from util import edge_is_good, random_graph, sample_small
 
 
 def _unit_graph(seed, n, m):

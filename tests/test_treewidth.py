@@ -1,4 +1,4 @@
-"""Decomposition construction, nice-form conversion, and the exact DP."""
+"""Decomposition construction, bag renumbering, and the exact DP."""
 
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from maxqp import (
     solve_treewidth,
     to_nice,
     validate_decomposition,
-    validate_nice,
 )
+from maxqp.graph import value_tol
 from maxqp.oracle import GeneratorSpec, SplitMix64, generate
 
 from util import (
@@ -29,6 +29,7 @@ from util import (
     random_graph,
     reference_min_fill,
     reference_nice_dp,
+    reference_to_nice,
     sample_small,
 )
 
@@ -139,27 +140,39 @@ class TestValidateDecomposition:
             validate_decomposition(G, td)
 
 
+def _check_postorder(td, out):
+    """to_nice keeps the bags and width, numbers children first, root last."""
+    assert sorted(map(sorted, out.bags)) == sorted(map(sorted, td.bags))
+    assert out.width == td.width
+    assert out.root == len(out.bags) - 1 and out.parent[out.root] is None
+    assert all(p > i for i, p in enumerate(out.parent) if p is not None)
+    assert all(list(bag) == sorted(bag) for bag in out.bags)
+
+
 class TestToNice:
-    def test_single_edge_nice_form(self):
+    def test_single_edge_root_is_last(self):
         G = WeightedGraph(2, [(0, 1, 1.0)])
-        ntd = to_nice(build_decomposition(G))
-        validate_nice(G, ntd)
-        assert "leaf" in ntd.kinds and "introduce" in ntd.kinds
+        td = TreeDecomposition(((1, 0), (1,)), (None, 0), 0)
+        validate_decomposition(G, td)
+        out = to_nice(td)
+        _check_postorder(td, out)
+        assert out.bags == ((1,), (0, 1))
 
     def test_star_keeps_width(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
         td = build_decomposition(G)
-        ntd = to_nice(td)
-        validate_nice(G, ntd)
-        assert ntd.width == td.width == 1
+        _check_postorder(td, to_nice(td))
+        assert td.width == 1
 
-    def test_random_conversions_pass_the_validator(self):
+    def test_random_conversions_keep_bags_and_number_children_first(self):
         for seed in range(60):
             G = sample_small(seed)
-            td = build_decomposition(G)
-            ntd = to_nice(td)
-            validate_nice(G, ntd)
-            assert ntd.width == td.width
+            order = list(range(G.n))
+            SplitMix64(seed).shuffle(order)
+            for td in (build_decomposition(G), elimination_decomposition(G, order)):
+                out = to_nice(td)
+                _check_postorder(td, out)
+                validate_decomposition(G, out)
 
 
 class TestSolveTreewidth:
@@ -173,6 +186,17 @@ class TestSolveTreewidth:
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, -1.0)])
         a = solve_treewidth(G, to_nice(build_decomposition(G)))
         assert a.value == 2.0
+
+    def test_rejects_bags_not_numbered_children_first_or_unsorted(self):
+        G = WeightedGraph(2, [(0, 1, 1.0)])
+        for td in [
+            TreeDecomposition(((0, 1), (1,)), (None, 0), 0),
+            TreeDecomposition(((1,), (1, 0)), (1, None), 1),
+        ]:
+            validate_decomposition(G, td)
+            with pytest.raises(ValidationError):
+                solve_treewidth(G, td)
+        assert solve_treewidth(G, to_nice(td)).value == 1.0
 
     def test_matches_enumeration_on_random_graphs(self):
         for seed in range(150):
@@ -215,34 +239,33 @@ class TestSolveTreewidth:
         assert a.value == evaluate(G, a.values)
 
 
-def _dp_pair(G, ntd):
-    new, ref = solve_treewidth(G, ntd), reference_nice_dp(G, ntd)
+def _dp_pair(G, td):
+    new, ref = solve_treewidth(G, to_nice(td)), reference_nice_dp(G, reference_to_nice(td))
     return (new.values, new.value), (ref.values, ref.value)
 
 
 class TestAgainstReferenceDP:
-    """The streamed DP makes the old DP's additions in the old order."""
+    """Bucket elimination over the bags picks the nice-form DP's signs."""
 
     def test_identical_to_reference_on_small_grid_and_sparse_graphs(self):
         graphs = [sample_small(seed) for seed in range(200)]
         graphs += [_grid(k, k, seed=seed) for k in range(3, 11) for seed in range(20)]
         graphs += [random_graph(700 + seed, 60, 90, real=True) for seed in range(10)]
         for G in graphs:
-            new, ref = _dp_pair(G, to_nice(build_decomposition(G)))
+            new, ref = _dp_pair(G, build_decomposition(G))
             assert new == ref
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_random_elimination_order_matches_brute_force(self, seed):
-        # a random order gives multi-child joins and empty bags between components
+        # a random order gives bags with several children and, between
+        # components, bags that share no vertex with their parent
         G = sample_small(seed)
         order = list(range(G.n))
         SplitMix64(seed).shuffle(order)
         td = elimination_decomposition(G, order)
         validate_decomposition(G, td)
-        ntd = to_nice(td)
-        validate_nice(G, ntd)
-        new, ref = _dp_pair(G, ntd)
+        new, ref = _dp_pair(G, td)
         assert new == ref
         assert new[1] == pytest.approx(brute_force(G).value, abs=1e-9)
 
@@ -250,13 +273,74 @@ class TestAgainstReferenceDP:
         # 13x13 grid: width 17, largest table 8 * 2^18 bytes; keeping every
         # table (the reference DP) peaks near 20 of them
         G = _grid(13, 13)
-        ntd = to_nice(build_decomposition(G))
-        largest = 8 << (ntd.width + 1)
+        td = to_nice(build_decomposition(G))
+        largest = 8 << (td.width + 1)
         tracemalloc.start()
         try:
-            solve_treewidth(G, ntd)
+            solve_treewidth(G, td)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ntd.width == 17
+        assert td.width == 17
         assert peak <= 4 * largest
+
+
+def _merge_into_parents(td, merge):
+    """Merge each non-root bag whose flag is set into its parent.
+
+    Bags are visited children first, so a chain of set flags folds into one
+    bag that forgets several vertices at once.  The result is numbered in
+    reverse, so to_nice has to renumber it.
+    """
+    td = to_nice(td)
+    bags = [set(b) for b in td.bags]
+    parent = list(td.parent)
+    alive = [True] * len(bags)
+    for i in range(len(bags) - 1):
+        if merge[i % len(merge)]:
+            p = parent[i]
+            bags[p] |= bags[i]
+            parent = [p if q == i else q for q in parent]
+            alive[i] = False
+    kept = [i for i in reversed(range(len(bags))) if alive[i]]
+    new = {old: j for j, old in enumerate(kept)}
+    return TreeDecomposition(
+        tuple(tuple(bags[i]) for i in kept),
+        tuple(None if parent[i] is None else new[parent[i]] for i in kept),
+        new[td.root],
+    )
+
+
+def _add_empty_leaves(td, attach):
+    """One empty bag below each bag index in `attach` (taken modulo the count)."""
+    k = len(td.bags)
+    return TreeDecomposition(
+        td.bags + ((),) * len(attach),
+        td.parent + tuple(a % k for a in attach),
+        td.root,
+    )
+
+
+class TestUnusualDecompositions:
+    """Decompositions the min-fill builder never makes are solved as they are."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        single_bag=st.booleans(),
+        merge=st.lists(st.booleans(), min_size=1, max_size=12),
+        attach=st.lists(st.integers(0, 100), max_size=4),
+    )
+    def test_optimum_on_merged_single_and_empty_bags(self, seed, single_bag, merge, attach):
+        G = sample_small(seed)
+        if single_bag:
+            td = TreeDecomposition((tuple(range(G.n)),), (None,), 0)
+        else:
+            order = list(range(G.n))
+            SplitMix64(seed).shuffle(order)
+            td = _merge_into_parents(elimination_decomposition(G, order), merge)
+        td = _add_empty_leaves(td, attach)
+        validate_decomposition(G, td)
+        a = solve_treewidth(G, to_nice(td))
+        assert abs(a.value - brute_force(G).value) <= value_tol(G)
+        assert evaluate(G, a.values) == a.value

@@ -3,12 +3,15 @@ independent oracles that do not go through the code under test."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 
 from maxqp import (
     Assignment,
+    CapacityError,
     GeneratorSpec,
     SplitMix64,
     TreeDecomposition,
@@ -78,6 +81,37 @@ def is_bipartite(G: WeightedGraph) -> bool:
                 elif color[u] == color[v]:
                     return False
     return True
+
+
+def evaluate_partial(G: WeightedGraph, signs: Mapping[int, int]) -> float:
+    """Objective restricted to edges with both endpoints in `signs`."""
+    total = 0.0
+    for u, su in signs.items():
+        for v, w in G.adjacency[u]:
+            if u < v and v in signs:
+                total += w * su * signs[v]
+    return total
+
+
+def edge_is_good(G: WeightedGraph, values, u: int, v: int) -> bool:
+    """True iff a_uv * x_u * x_v > 0 for the given assignment."""
+    w = G.weight(u, v)
+    return w * values[u] * values[v] > 0
+
+
+def brute_force_maxcut(n: int, edges) -> int:
+    """Maximum cut size of an unweighted graph, by enumeration (n <= 24)."""
+    if n > 24:
+        raise CapacityError(f"maxcut enumeration capped at n <= 24, got {n}")
+    best = 0
+    es = [(u, v) for u, v in edges]
+    for mask in range(1 << max(n - 1, 0)):
+        cut = 0
+        for u, v in es:
+            if ((mask >> u) ^ (mask >> v)) & 1:
+                cut += 1
+        best = max(best, cut)
+    return best
 
 
 def _clique_tree(order, bags) -> TreeDecomposition:
@@ -221,6 +255,91 @@ def reference_greedy_matching(G: WeightedGraph) -> tuple[tuple[tuple[int, int], 
             pairs.append((u, v))
             total += abs(w)
     return tuple(sorted(pairs)), total
+
+
+@dataclass(frozen=True)
+class NiceTreeDecomposition:
+    """Rooted decomposition with leaf/introduce/forget/join nodes only."""
+
+    bags: tuple[tuple[int, ...], ...]
+    kinds: tuple[str, ...]  # "leaf" | "introduce" | "forget" | "join"
+    children: tuple[tuple[int, ...], ...]
+    special: tuple[int | None, ...]  # introduced / forgotten vertex
+    root: int
+
+    @property
+    def width(self) -> int:
+        return max((len(b) for b in self.bags), default=1) - 1
+
+    def postorder(self) -> list[int]:
+        out: list[int] = []
+        stack = [(self.root, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                out.append(node)
+            else:
+                stack.append((node, True))
+                for c in self.children[node]:
+                    stack.append((c, False))
+        return out
+
+
+def reference_to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
+    """Convert a valid decomposition to nice form with the same width.
+
+    Leaf bags hold one vertex, so an empty leaf bag is not supported.
+    """
+    if not td.bags:
+        return NiceTreeDecomposition((), (), (), (), 0)
+    bags: list[tuple[int, ...]] = []
+    kinds: list[str] = []
+    children: list[tuple[int, ...]] = []
+    special: list[int | None] = []
+
+    def add(bag, kind, ch, sp=None) -> int:
+        bags.append(tuple(sorted(bag)))
+        kinds.append(kind)
+        children.append(tuple(ch))
+        special.append(sp)
+        return len(bags) - 1
+
+    def chain(top: int, target) -> int:
+        """Forget then introduce, one vertex at a time, from bags[top] to target."""
+        cur = set(bags[top])
+        target = set(target)
+        for v in sorted(cur - target):
+            cur.discard(v)
+            top = add(cur, "forget", [top], v)
+        for v in sorted(target - cur):
+            cur.add(v)
+            top = add(cur, "introduce", [top], v)
+        return top
+
+    ch_of = td.children()
+    done: dict[int, int] = {}
+    stack = [(td.root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not ready:
+            stack.append((node, True))
+            for c in ch_of[node]:
+                stack.append((c, False))
+            continue
+        bag = td.bags[node]
+        if not ch_of[node]:
+            first = min(bag)
+            top = add([first], "leaf", [])
+            top = chain(top, bag)
+        else:
+            tops = [chain(done[c], bag) for c in ch_of[node]]
+            top = tops[0]
+            for t in tops[1:]:
+                top = add(bag, "join", [top, t])
+        done[node] = top
+    return NiceTreeDecomposition(
+        tuple(bags), tuple(kinds), tuple(children), tuple(special), done[td.root]
+    )
 
 
 def _sign_array(size: int, pos: int) -> np.ndarray:
