@@ -79,6 +79,8 @@ def _solve(G: WeightedGraph, algo: str, opts: Options) -> tuple[str, ApproxResul
 
 
 def cmd_solve(args) -> int:
+    if args.width_cap < 0:
+        raise ValidationError(f"--width-cap must be nonnegative, got {args.width_cap}")
     G = mio.read_instance(args.instance)
     t0 = time.perf_counter()
     partition = None
@@ -212,6 +214,8 @@ def _read_suite(path: str) -> list[dict]:
         ints = (cell["gen"].get("seed", 0), cell.get("width_cap", 0))
         if any(type(v) is not int for v in ints):
             raise ValidationError(f"suite cell {i}: seed and width_cap must be integers")
+        if cell.get("width_cap", 0) < 0:
+            raise ValidationError(f"suite cell {i}: width_cap must be nonnegative")
         if type(cell.get("epsilon")) not in (int, float, type(None)):
             raise ValidationError(f"suite cell {i}: epsilon must be a number or null")
         if any(a not in ALGOS for a in cell["algos"]):

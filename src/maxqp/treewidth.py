@@ -15,8 +15,10 @@ forgotten vertex rather than every table of the decomposition (Dechter,
 The elimination ordering is min-fill with ties broken by vertex id
 (Bodlaender & Koster, "Treewidth computations I. Upper bounds", Inf. Comput.
 2010).  The next vertex comes from a heap of (fill, id) entries with lazy
-invalidation, so one elimination costs the fill updates of its neighbourhood
-rather than a scan over every alive vertex.
+invalidation.  Adjacency sets hold alive neighbours only, and each fill value
+is counted once and then updated by exact deltas (see `build_decomposition`),
+so one elimination costs set operations over its neighbourhood and the common
+neighbours of its fill edges rather than a scan over every alive vertex.
 
 The DP is exact for *any* valid decomposition; the heuristic only affects
 runtime.  Elimination stops at the first bag wider than the cap and raises a
@@ -162,15 +164,25 @@ def build_decomposition(
     a heap with lazy invalidation.  Raises CapacityError as soon as one bag
     has more than `width_cap + 1` vertices; `achieved` is that bag's width,
     a lower bound on the width the full ordering would reach.
+
+    `adj[v]` holds v's alive neighbours only, and fill[u] (the number of
+    non-adjacent pairs in adj[u]) is counted once per vertex and then kept
+    exact by deltas.  Eliminating v with N = adj[v]:
+      - each u in N drops v from adj[u] and loses one missing pair (v, c) per
+        c in adj[u] outside N: fill[u] -= |adj[u]| - |adj[u] & N|;
+      - each fill edge ab (a, b in N, not adjacent), with C = adj[a] & adj[b]
+        taken before it is added, gives fill[x] -= 1 for x in C, and
+        fill[a] += |adj[a]| - |C| for the new missing pairs (b, c), likewise
+        for b.
+    A (fill, id) entry is pushed only for a vertex whose fill changed.
     """
     n = G.n
     if n == 0:
         return TreeDecomposition((), (), 0)
     adj: list[set[int]] = [set(u for u, _ in G.adjacency[v]) for v in range(n)]
-    alive = set(range(n))
 
     def fill_count(v: int) -> int:
-        nbrs = [u for u in adj[v] if u in alive]
+        nbrs = list(adj[v])
         missing = 0
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
@@ -185,13 +197,14 @@ def build_decomposition(
 
     order: list[int] = []
     bags: list[tuple[int, ...]] = []
-    elim_pos: dict[int, int] = {}
+    elim_pos = [-1] * n  # -1 while alive
     for step in range(n):
         while True:
             f, v = heapq.heappop(heap)
-            if v in alive and f == fill[v]:
+            if elim_pos[v] < 0 and f == fill[v]:
                 break
-        nbrs = sorted(u for u in adj[v] if u in alive)
+        N = adj[v]
+        nbrs = sorted(N)
         if len(nbrs) > width_cap:
             raise CapacityError(
                 f"elimination bag of width {len(nbrs)} exceeds cap {width_cap}",
@@ -200,30 +213,39 @@ def build_decomposition(
         bags.append(tuple(sorted([v] + nbrs)))
         order.append(v)
         elim_pos[v] = step
-        alive.discard(v)
-        dirty = set(nbrs)
+        before = {u: fill[u] for u in nbrs}  # fill at step start, per touched vertex
+        for u in nbrs:
+            adj_u = adj[u]
+            adj_u.discard(v)
+            fill[u] -= len(adj_u) - len(adj_u & N)
         for i in range(len(nbrs)):
+            a = nbrs[i]
+            adj_a = adj[a]
             for j in range(i + 1, len(nbrs)):
-                a, b = nbrs[i], nbrs[j]
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    dirty |= adj[a] & adj[b] & alive
-        for u in dirty:
-            if u in alive:
-                f = fill_count(u)
-                if f != fill[u]:
-                    fill[u] = f
-                    heapq.heappush(heap, (f, u))
+                b = nbrs[j]
+                if b not in adj_a:
+                    adj_b = adj[b]
+                    common = adj_a & adj_b
+                    for x in common:
+                        if x not in before:
+                            before[x] = fill[x]
+                        fill[x] -= 1
+                    fill[a] += len(adj_a) - len(common)
+                    fill[b] += len(adj_b) - len(common)
+                    adj_a.add(b)
+                    adj_b.add(a)
+        for u, f in before.items():
+            if fill[u] != f:
+                heapq.heappush(heap, (fill[u], u))
 
     # parent of v's bag: the bag of the earliest-eliminated remaining member;
     # isolated tails chain onto the last bag so the result is a single tree
     parent: list[int | None] = [None] * n
     last_rootless = None
     for i, v in enumerate(order):
-        rest = [u for u in bags[i] if u != v]
+        rest = [elim_pos[u] for u in bags[i] if u != v]
         if rest:
-            parent[i] = elim_pos[min(rest, key=lambda u: elim_pos[u])]
+            parent[i] = min(rest)
         elif last_rootless is not None:
             parent[last_rootless] = i
             last_rootless = i

@@ -158,6 +158,13 @@ class TestExitCodes:
         inst = _write(tmp_path, "k26.mq", format_instance(G))
         assert main(["solve", inst, "--algo", "exact-tw", "--width-cap", "4"]) == 3
 
+    def test_negative_width_cap_is_validation_error(self, tmp_path, capsys):
+        inst = _write(tmp_path, "e.mq", "p maxqp 3 0\n")
+        assert main(["solve", inst, "--algo", "exact-tw", "--width-cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--width-cap must be nonnegative" in captured.err
+        assert captured.out == ""
+
     def test_external_decomposition_wider_than_cap_is_capacity_error(self, tmp_path, capsys):
         n = 22
         G = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
@@ -240,6 +247,7 @@ class TestBench:
     BAD = {
         "seed-not-int": {"gen": {**GRID, "seed": "x"}, "algos": ["greedy-matching"]},
         "width-cap-not-int": {"gen": GRID, "algos": ["exact-tw"], "width_cap": "x"},
+        "width-cap-negative": {"gen": GRID, "algos": ["exact-tw"], "width_cap": -1},
         "epsilon-a-string": {"gen": GRID, "algos": ["baker"], "epsilon": "0.5"},
         "rows-not-int": {"gen": {**GRID, "rows": "a"}, "algos": ["greedy-matching"]},
         "cols-missing": {"gen": {"kind": "grid-spin-glass", "rows": 2}, "algos": ["easypack"]},

@@ -75,6 +75,17 @@ def _as_tuple(td):
     return td.bags, td.parent, td.root
 
 
+def _assert_matches_reference(G, ref, cap):
+    """build_decomposition(G, cap) is `ref`, or refuses at the first bag of
+    `ref` wider than `cap` (its bags are in elimination order)."""
+    if ref.width > cap:
+        with pytest.raises(CapacityError) as exc:
+            build_decomposition(G, width_cap=cap)
+        assert exc.value.achieved == next(len(b) - 1 for b in ref.bags if len(b) - 1 > cap)
+    else:
+        assert _as_tuple(build_decomposition(G, width_cap=cap)) == _as_tuple(ref)
+
+
 class TestAgainstReferenceMinFill:
     """The heap-driven elimination must reproduce the full-scan min-fill."""
 
@@ -105,12 +116,19 @@ class TestAgainstReferenceMinFill:
         for G in graphs:
             ref = reference_min_fill(G)
             for cap in range(2, 21):
-                if ref.width > cap:
-                    with pytest.raises(CapacityError) as exc:
-                        build_decomposition(G, width_cap=cap)
-                    assert cap < exc.value.achieved <= ref.width
-                else:
-                    assert _as_tuple(build_decomposition(G, width_cap=cap)) == _as_tuple(ref)
+                _assert_matches_reference(G, ref, cap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_from_forests_to_dense_graphs(self, data):
+        # dense graphs add many fill edges with common neighbours, the case
+        # sparse graphs and grids barely reach
+        n = data.draw(st.integers(1, 40), label="n")
+        m = data.draw(st.integers(0, max(n - 1, n * n // 4)), label="m")
+        seed = data.draw(st.integers(0, 10**6), label="seed")
+        cap = data.draw(st.integers(1, n), label="cap")
+        G = random_graph(seed, n, m)
+        _assert_matches_reference(G, reference_min_fill(G), cap)
 
 
 class TestValidateDecomposition:
