@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -245,7 +246,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: every parser is a cycle of about 250 objects
+    # that only the garbage collector frees.
     parser = argparse.ArgumentParser(
         prog="maxqp", description="Combinatorial MaxQP solver toolkit"
     )

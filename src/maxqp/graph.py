@@ -28,6 +28,16 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _check_entry(n: int, u: int, v: int, w: float) -> None:
+    """Reject an out-of-range vertex id, a self-loop or a non-finite weight."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValidationError(f"vertex id out of range: ({u}, {v})")
+    if u == v:
+        raise ValidationError(f"self-loop on vertex {u} is not allowed")
+    if not math.isfinite(w):
+        raise ValidationError(f"non-finite weight on edge ({u}, {v})")
+
+
 class WeightedGraph:
     """Symmetric sparse MaxQP instance as an undirected edge-weighted graph.
 
@@ -38,17 +48,10 @@ class WeightedGraph:
     __slots__ = ("n", "edges", "adjacency", "unit", "_arrays")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
-        if n < 0:
-            raise ValidationError("vertex count must be nonnegative")
         canon = []
         seen = set()
         for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"vertex id out of range: ({u}, {v})")
-            if u == v:
-                raise ValidationError(f"self-loop on vertex {u} is not allowed")
-            if not math.isfinite(w):
-                raise ValidationError(f"non-finite weight on edge ({u}, {v})")
+            _check_entry(n, u, v, w)
             if w == 0:
                 raise ValidationError(f"zero weight on edge ({u}, {v})")
             if u > v:
@@ -57,31 +60,31 @@ class WeightedGraph:
                 raise ValidationError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             canon.append((u, v, float(w)))
-        canon.sort()
-        self.n = n
-        self.edges = canon
-        adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in canon:
-            adjacency[u].append((v, w))
-            adjacency[v].append((u, w))
-        self.adjacency = adjacency
-        self.unit = all(abs(w) == 1.0 for _, _, w in canon)
-        self._arrays = None
+        self._build(n, canon)
 
     @classmethod
     def _from_canonical(cls, n: int, edges: list[tuple[int, int, float]]):
-        """Fast path for generators: edges already unique, u < v, nonzero."""
+        """Trusted path for code that builds its own edges: each one unique,
+        u < v, with a finite nonzero float weight.  Takes ownership of `edges`.
+        """
         self = cls.__new__(cls)
-        self.n = n
-        self.edges = sorted(edges)
+        self._build(n, edges)
+        return self
+
+    def _build(self, n: int, edges: list[tuple[int, int, float]]) -> None:
+        """The one place that sets every field; sorts `edges` in place."""
+        if n < 0:
+            raise ValidationError("vertex count must be nonnegative")
+        edges.sort()
         adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in self.edges:
+        for u, v, w in edges:
             adjacency[u].append((v, w))
             adjacency[v].append((u, w))
+        self.n = n
+        self.edges = edges
         self.adjacency = adjacency
-        self.unit = all(w == 1.0 or w == -1.0 for _, _, w in self.edges)
+        self.unit = all(w == 1.0 or w == -1.0 for _, _, w in edges)
         self._arrays = None
-        return self
 
     def edge_arrays(self):
         """Cached (u, v, w) numpy columns of the edge list, for bulk passes."""
@@ -124,12 +127,7 @@ def load_graph(n: int, entries: Iterable[tuple[int, int, float]]) -> WeightedGra
     sums: dict[tuple[int, int], float] = {}
     counts: dict[tuple[int, int], int] = {}
     for u, v, w in entries:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"vertex id out of range: ({u}, {v})")
-        if u == v:
-            raise ValidationError(f"self-loop on vertex {u} is not allowed")
-        if not math.isfinite(w):
-            raise ValidationError(f"non-finite weight on edge ({u}, {v})")
+        _check_entry(n, u, v, w)
         key = (u, v) if u < v else (v, u)
         sums[key] = sums.get(key, 0.0) + float(w)
         counts[key] = counts.get(key, 0) + 1
@@ -138,7 +136,7 @@ def load_graph(n: int, entries: Iterable[tuple[int, int, float]]) -> WeightedGra
         w = sums[key] / counts[key]
         if w != 0.0:
             merged.append((key[0], key[1], w))
-    return WeightedGraph(n, merged)
+    return WeightedGraph._from_canonical(n, merged)
 
 
 @dataclass(frozen=True)
@@ -364,4 +362,4 @@ def induced_subgraph(
     for u, v, w in G.edges:
         if u in new_of and v in new_of:
             edges.append((new_of[u], new_of[v], w))
-    return WeightedGraph(len(old_of), edges), old_of
+    return WeightedGraph._from_canonical(len(old_of), edges), old_of

@@ -196,7 +196,7 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
         if n % 2:
             raise ValidationError("perfect-matching instance needs even n")
         edges = [(2 * i, 2 * i + 1, float(rng.sign())) for i in range(n // 2)]
-        return WeightedGraph(n, edges)
+        return WeightedGraph._from_canonical(n, edges)
     if kind == "clique-plus-matching":
         n = _count(p, "n")
         c = int(n**0.5)
@@ -210,10 +210,10 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
                 edges.append((i, j, float(rng.sign())))
         for i in range(c, n, 2):
             edges.append((i, i + 1, float(rng.sign())))
-        return WeightedGraph(n, edges)
+        return WeightedGraph._from_canonical(n, edges)
     if kind == "maxcut-subdivision":
         n, m = _count(p, "n"), _count(p, "m")
         pairs = _sample_pairs(rng, n, m)
-        base = WeightedGraph(n, [(u, v, 1.0) for u, v in pairs])
+        base = WeightedGraph._from_canonical(n, [(u, v, 1.0) for u, v in pairs])
         return subdivide_for_maxcut(base)
     raise ValidationError(f"unknown generator kind: {kind!r}")

@@ -206,11 +206,9 @@ def easypack(G: WeightedGraph) -> EasyPacking:
             adj_x, adj_y = cx in nbrs, cy in nbrs
             if adj_x != adj_y:
                 parts[idx].append(v)
-                istar.discard(v)
                 break
             if adj_x and adj_y and triangle_is_good(G, v, cx, cy):
                 parts[idx].append(v)
-                istar.discard(v)
                 break
     return _packing_from_parts(G, parts, centers)
 

@@ -44,42 +44,29 @@ class LayerStructure:
 def bfs_layers(G: WeightedGraph, root: int | None = None) -> LayerStructure:
     """Exact BFS distance layers.
 
-    Components are processed in increasing min-id order; each runs its own
-    BFS (from `root` for the component containing it, from the minimum id
-    otherwise) and the layer indices of all components are shared.
+    One BFS per component: the first from `root` when it is given, then one
+    from each vertex not yet reached, in increasing id order.  The layer
+    indices of all components are shared.
     """
     if root is not None and not 0 <= root < G.n:
         raise ValidationError(f"root {root} out of range")
     layer_of = [-1] * G.n
     layers: list[list[int]] = []
-    seen = [False] * G.n
-    for seed in range(G.n):
-        if seen[seed]:
+    starts = range(G.n) if root is None else [root, *range(G.n)]
+    for start in starts:
+        if layer_of[start] >= 0:
             continue
-        # find this component and pick its start vertex
-        comp = []
-        dq = deque([seed])
-        seen[seed] = True
-        while dq:
-            v = dq.popleft()
-            comp.append(v)
-            for u, _ in G.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    dq.append(u)
-        start = root if root is not None and root in comp else seed
-        dist = {start: 0}
+        layer_of[start] = 0
         dq = deque([start])
         while dq:
             v = dq.popleft()
-            d = dist[v]
-            layer_of[v] = d
-            while len(layers) <= d:
+            d = layer_of[v]
+            if d == len(layers):
                 layers.append([])
             layers[d].append(v)
             for u, _ in G.adjacency[v]:
-                if u not in dist:
-                    dist[u] = d + 1
+                if layer_of[u] < 0:
+                    layer_of[u] = d + 1
                     dq.append(u)
     return LayerStructure(
         tuple(tuple(sorted(layer)) for layer in layers), tuple(layer_of)

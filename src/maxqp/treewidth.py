@@ -369,5 +369,5 @@ def solve_exact(G: WeightedGraph, width_cap: int = DEFAULT_WIDTH_CAP) -> ApproxR
     """Decompose, convert, and solve: an optimum, with the achieved width."""
     td = build_decomposition(G, width_cap)
     sol = solve_treewidth(G, to_nice(td))
-    return ApproxResult(sol, Fraction(1), {"width": td.width if td.bags else 0})
+    return ApproxResult(sol, Fraction(1), {"width": td.width})
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from fractions import Fraction
 
@@ -140,6 +141,11 @@ class TestExitCodes:
         bad = _write(tmp_path, "bad.mq", "p maxqp 2 1\ne 1 2 x\n")
         assert main(["solve", bad]) == 2
 
+    def test_negative_vertex_count_is_validation_error(self, tmp_path, capsys):
+        bad = _write(tmp_path, "neg.mq", "p maxqp -1 0\n")
+        assert main(["solve", bad]) == 2
+        assert "vertex count must be nonnegative" in capsys.readouterr().err
+
     def test_cyclic_decomposition_is_validation_error(self, tmp_path, capsys):
         inst = _write(tmp_path, "e.mq", "p maxqp 2 1\ne 1 2 -1\n")
         dec = _write(tmp_path, "e.td", "b 1 1\nb 2 2\nb 3 1 2\nb 4 1 2\nt 1 2\nt 3 4\nt 4 3\n")
@@ -200,6 +206,19 @@ class TestGenEval:
         asg = _write(tmp_path, "e.sol", "+1 +1\n")
         assert main(["eval", inst, asg]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+
+class TestRepeatedCalls:
+    def test_calls_leave_no_garbage_cycles(self, tmp_path, capsys):
+        # in-process callers (the benchmark runs main in a loop) would see
+        # every call's leftover cycles in their allocation peaks
+        inst = _write(tmp_path, "e.mq", "p maxqp 3 2\ne 1 2 1\ne 2 3 -1\n")
+        asg = _write(tmp_path, "e.sol", "+1 +1 -1\n")
+        for argv in (["eval", inst, asg], ["solve", inst, "--emit-assignment"]):
+            assert main(argv) == 0
+            gc.collect()
+            assert main(argv) == 0
+            assert gc.collect() == 0
 
 
 class TestBench:

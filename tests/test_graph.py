@@ -28,6 +28,7 @@ from maxqp.graph import degeneracy_order
 from maxqp.oracle import SplitMix64
 
 from util import (
+    assert_same_graph,
     evaluate_partial,
     random_graph,
     reference_combine,
@@ -83,6 +84,60 @@ class TestLoadGraph:
     def test_self_loop_rejected(self):
         with pytest.raises(ValidationError):
             load_graph(4, [(3, 3, 5.0)])
+
+
+@st.composite
+def _raw_entries(draw):
+    """(n, entries) with repeated, reversed and cancelling pairs."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    weight = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]) | st.floats(-4, 4)
+    entries = draw(st.lists(st.tuples(pair, weight).map(lambda t: (*t[0], t[1])), max_size=30))
+    cancel = draw(st.lists(st.sampled_from(entries), max_size=10)) if entries else []
+    entries += [(v, u, -w) for u, v, w in cancel]
+    entries += draw(st.lists(st.sampled_from(entries), max_size=10)) if entries else []
+    return n, draw(st.permutations(entries))
+
+
+def _merge(entries) -> list[tuple[int, int, float]]:
+    """Average each unordered pair's entries in order; drop zero averages."""
+    groups: dict[tuple[int, int], list[float]] = {}
+    for u, v, w in entries:
+        groups.setdefault((min(u, v), max(u, v)), []).append(w)
+    merged = [(u, v, sum(ws, 0.0) / len(ws)) for (u, v), ws in groups.items()]
+    return [(u, v, w) for u, v, w in merged if w != 0.0]
+
+
+class TestLoadGraphMatchesConstructor:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_raw_entries())
+    def test_same_graph_as_validating_constructor(self, case):
+        n, entries = case
+        assert_same_graph(load_graph(n, entries), WeightedGraph(n, _merge(entries)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=_raw_entries(),
+        bad=st.sampled_from(
+            [
+                ((0, 99, 1.0), "out of range"),
+                ((-1, 0, 1.0), "out of range"),
+                ((1, 1, 1.0), "self-loop"),
+                ((0, 1, math.nan), "non-finite"),
+                ((1, 0, -math.inf), "non-finite"),
+            ]
+        ),
+        data=st.data(),
+    )
+    def test_bad_entry_anywhere_raises(self, case, bad, data):
+        n, entries = case
+        entry, message = bad
+        at = data.draw(st.integers(0, len(entries)))
+        entries = entries[:at] + [entry] + entries[at:]
+        with pytest.raises(ValidationError, match=message):
+            load_graph(n, entries)
+        with pytest.raises(ValidationError, match=message):
+            WeightedGraph(n, [entry])
 
 
 class TestEvaluate:
@@ -359,3 +414,18 @@ class TestInducedSubgraph:
         H, old_of = induced_subgraph(G, [0, 2, 4])
         assert old_of == [0, 2, 4]
         assert H.edges == [(0, 1, 1.0), (1, 2, -2.0)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_same_graph_as_validating_constructor(self, seed, data):
+        G = sample_small(seed)
+        picked = data.draw(st.lists(st.integers(0, G.n - 1), max_size=2 * G.n))
+        H, old_of = induced_subgraph(G, picked)
+        assert old_of == sorted(set(picked))
+        edges = [
+            (j, i, G.weight(b, a))
+            for i, a in enumerate(old_of)
+            for j, b in enumerate(old_of)
+            if j > i and G.has_edge(a, b)
+        ]
+        assert_same_graph(H, WeightedGraph(len(old_of), edges[::-1]))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from maxqp import WeightedGraph
-from maxqp.errors import ParseError
+from maxqp.errors import ParseError, ValidationError
 from maxqp.graph import solution
 from maxqp.io import format_assignment, format_instance, parse_assignment, parse_instance
 from maxqp.schemes import parse_partition
@@ -47,6 +47,10 @@ class TestInstanceFormat:
     def test_self_loop(self):
         with pytest.raises(ParseError):
             parse_instance("p maxqp 2 1\ne 1 1 1\n")
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValidationError, match="vertex count must be nonnegative"):
+            parse_instance("p maxqp -1 0\n")
 
     def test_asymmetric_duplicates_are_averaged(self):
         G = parse_instance("p maxqp 2 2\ne 1 2 3\ne 2 1 1\n")

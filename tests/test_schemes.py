@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,30 @@ class TestBfsLayers:
         G = WeightedGraph(5, [(0, 1, 1.0), (3, 4, 1.0)])
         L = bfs_layers(G)
         assert all(li >= 0 for li in L.layer_of)
+
+    def test_root_outside_first_component(self):
+        for seed in range(40):
+            # two copies of one random graph: components on both sides of the root
+            H = random_graph(seed, 8, 4 + seed % 10)
+            G = WeightedGraph(16, H.edges + [(u + 8, v + 8, w) for u, v, w in H.edges])
+            root = 8 + seed % 8
+            dist = [-1] * G.n
+            for start in [root, *range(G.n)]:
+                if dist[start] >= 0:
+                    continue
+                dist[start] = 0
+                queue = deque([start])
+                while queue:
+                    v = queue.popleft()
+                    for u, _ in G.adjacency[v]:
+                        if dist[u] < 0:
+                            dist[u] = dist[v] + 1
+                            queue.append(u)
+            L = bfs_layers(G, root=root)
+            assert L.layer_of == tuple(dist)
+            assert L.layers == tuple(
+                tuple(v for v in range(G.n) if dist[v] == d) for d in range(max(dist) + 1)
+            )
 
     def test_edges_stay_within_adjacent_layers(self):
         for seed in range(60):

@@ -27,6 +27,13 @@ def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph
     return generate(GeneratorSpec("sparse-random", seed, {"n": n, "m": m, "real": real}))
 
 
+def assert_same_graph(G: WeightedGraph, H: WeightedGraph) -> None:
+    """Every stored field of G equals H's, the numpy edge columns included."""
+    assert (G.n, G.edges, G.adjacency, G.unit) == (H.n, H.edges, H.adjacency, H.unit)
+    for a, b in zip(G.edge_arrays(), H.edge_arrays()):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def sample_small(seed: int, max_n: int = 12, real_every: int = 3):
     """One reproducible small instance per seed; weights alternate unit/real."""
     rng = SplitMix64(seed)
