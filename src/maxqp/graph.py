@@ -122,7 +122,8 @@ def load_graph(n: int, entries: Iterable[tuple[int, int, float]]) -> WeightedGra
 
     All entries for the same unordered pair are merged by averaging, the
     symmetrization rule a' = (a_uv + a_vu) / 2 applied uniformly.  Pairs whose
-    average is zero are dropped.  Self-loops are rejected.
+    average is zero are dropped.  Self-loops are rejected, and so is a pair
+    whose finite entries overflow to a non-finite average.
     """
     sums: dict[tuple[int, int], float] = {}
     counts: dict[tuple[int, int], int] = {}
@@ -134,6 +135,8 @@ def load_graph(n: int, entries: Iterable[tuple[int, int, float]]) -> WeightedGra
     merged = []
     for key in sorted(sums):
         w = sums[key] / counts[key]
+        if not math.isfinite(w):
+            raise ValidationError(f"non-finite weight on edge ({key[0]}, {key[1]})")
         if w != 0.0:
             merged.append((key[0], key[1], w))
     return WeightedGraph._from_canonical(n, merged)

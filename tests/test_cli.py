@@ -146,6 +146,11 @@ class TestExitCodes:
         assert main(["solve", bad]) == 2
         assert "vertex count must be nonnegative" in capsys.readouterr().err
 
+    def test_overflowing_average_weight_is_validation_error(self, tmp_path, capsys):
+        bad = _write(tmp_path, "big.mq", "p maxqp 2 2\ne 1 2 1e308\ne 2 1 1e308\n")
+        assert main(["solve", bad]) == 2
+        assert "non-finite weight on edge (0, 1)" in capsys.readouterr().err
+
     def test_cyclic_decomposition_is_validation_error(self, tmp_path, capsys):
         inst = _write(tmp_path, "e.mq", "p maxqp 2 1\ne 1 2 -1\n")
         dec = _write(tmp_path, "e.td", "b 1 1\nb 2 2\nb 3 1 2\nb 4 1 2\nt 1 2\nt 3 4\nt 4 3\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -86,12 +87,16 @@ class TestLoadGraph:
             load_graph(4, [(3, 3, 5.0)])
 
 
+_SMALL_WEIGHTS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]) | st.floats(-4, 4)
+# Finite entries whose sums can overflow to +-inf (or to nan once both signs meet).
+_HUGE_WEIGHTS = st.sampled_from([-1.5e308, -1e308, 1e308, 1.5e308]) | _SMALL_WEIGHTS
+
+
 @st.composite
-def _raw_entries(draw):
+def _raw_entries(draw, weight=_SMALL_WEIGHTS):
     """(n, entries) with repeated, reversed and cancelling pairs."""
     n = draw(st.integers(2, 8))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
-    weight = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]) | st.floats(-4, 4)
     entries = draw(st.lists(st.tuples(pair, weight).map(lambda t: (*t[0], t[1])), max_size=30))
     cancel = draw(st.lists(st.sampled_from(entries), max_size=10)) if entries else []
     entries += [(v, u, -w) for u, v, w in cancel]
@@ -100,11 +105,12 @@ def _raw_entries(draw):
 
 
 def _merge(entries) -> list[tuple[int, int, float]]:
-    """Average each unordered pair's entries in order; drop zero averages."""
+    """Average each unordered pair's entries in order; drop zero averages.
+    Pairs come out sorted, so a bad average is the first one reported."""
     groups: dict[tuple[int, int], list[float]] = {}
     for u, v, w in entries:
         groups.setdefault((min(u, v), max(u, v)), []).append(w)
-    merged = [(u, v, sum(ws, 0.0) / len(ws)) for (u, v), ws in groups.items()]
+    merged = [(u, v, sum(ws, 0.0) / len(ws)) for (u, v), ws in sorted(groups.items())]
     return [(u, v, w) for u, v, w in merged if w != 0.0]
 
 
@@ -138,6 +144,24 @@ class TestLoadGraphMatchesConstructor:
             load_graph(n, entries)
         with pytest.raises(ValidationError, match=message):
             WeightedGraph(n, [entry])
+
+    def test_finite_entries_overflowing_to_inf_raise(self):
+        with pytest.raises(ValidationError, match=r"non-finite weight on edge \(0, 1\)"):
+            load_graph(2, [(0, 1, 1e308), (1, 0, 1e308)])
+        with pytest.raises(ValidationError, match=r"non-finite weight on edge \(0, 1\)"):
+            load_graph(2, [(1, 0, -1e308), (0, 1, -1e308)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_raw_entries(weight=_HUGE_WEIGHTS))
+    def test_overflow_rejected_exactly_when_constructor_rejects(self, case):
+        n, entries = case
+        try:
+            expected = WeightedGraph(n, _merge(entries))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                load_graph(n, entries)
+        else:
+            assert_same_graph(load_graph(n, entries), expected)
 
 
 class TestEvaluate:

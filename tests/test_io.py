@@ -52,6 +52,10 @@ class TestInstanceFormat:
         with pytest.raises(ValidationError, match="vertex count must be nonnegative"):
             parse_instance("p maxqp -1 0\n")
 
+    def test_finite_entries_overflowing_when_averaged(self):
+        with pytest.raises(ValidationError, match=r"non-finite weight on edge \(0, 1\)"):
+            parse_instance("p maxqp 2 2\ne 1 2 1e308\ne 2 1 1e308\n")
+
     def test_asymmetric_duplicates_are_averaged(self):
         G = parse_instance("p maxqp 2 2\ne 1 2 3\ne 2 1 1\n")
         assert G.edges == [(0, 1, 2.0)]
