@@ -25,7 +25,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
+
+MAX_VERTICES = 10**7  # a larger n is refused before anything is allocated per vertex
 
 
 def _check_entry(n: int, u: int, v: int, w: float) -> None:
@@ -43,6 +45,8 @@ class WeightedGraph:
 
     Immutable after construction: no self-loops, each unordered edge stored
     once with a nonzero weight.  `unit` is true iff every |w| == 1.
+    `adjacency[v]` maps each neighbour of v to the edge weight, keys in
+    increasing id order, so `u in adjacency[v]` and `adjacency[v][u]` are O(1).
     """
 
     __slots__ = ("n", "edges", "adjacency", "unit", "_arrays")
@@ -75,11 +79,16 @@ class WeightedGraph:
         """The one place that sets every field; sorts `edges` in place."""
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
+        if n > MAX_VERTICES:
+            raise CapacityError(f"vertex count {n} exceeds cap {MAX_VERTICES}", achieved=n)
+        # brute force's local move doubles a neighbourhood sum; keep every sum finite
+        if not math.isfinite(2.0 * sum(abs(w) for _, _, w in edges)):
+            raise ValidationError("total absolute weight overflows: 2 * sum |w| is not finite")
         edges.sort()
-        adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        adjacency: list[dict[int, float]] = [{} for _ in range(n)]
         for u, v, w in edges:
-            adjacency[u].append((v, w))
-            adjacency[v].append((u, w))
+            adjacency[u][v] = w
+            adjacency[v][u] = w
         self.n = n
         self.edges = edges
         self.adjacency = adjacency
@@ -102,13 +111,13 @@ class WeightedGraph:
 
     def weight(self, u: int, v: int) -> float:
         """Weight of edge {u, v}; raises if the edge is absent."""
-        for x, w in self.adjacency[u]:
-            if x == v:
-                return w
-        raise ValidationError(f"no edge ({u}, {v})")
+        w = self.adjacency[u].get(v)
+        if w is None:
+            raise ValidationError(f"no edge ({u}, {v})")
+        return w
 
     def has_edge(self, u: int, v: int) -> bool:
-        return any(x == v for x, _ in self.adjacency[u])
+        return v in self.adjacency[u]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -334,7 +343,7 @@ def degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
         removed[v] = True
         order.append(v)
         d = max(d, cur)
-        for u, _ in G.adjacency[v]:
+        for u in G.adjacency[v]:
             if not removed[u]:
                 deg[u] -= 1
                 buckets[deg[u]].append(u)

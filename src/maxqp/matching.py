@@ -89,7 +89,6 @@ def maximum_matching(G: WeightedGraph) -> Matching:
     O(n^2 * m) overall; adequate at the instance sizes this toolkit targets.
     """
     n = G.n
-    adj = [[u for u, _ in G.adjacency[v]] for v in range(n)]
     match: list[int] = [-1] * n
     parent = [0] * n
     base = [0] * n
@@ -125,7 +124,7 @@ def maximum_matching(G: WeightedGraph) -> Matching:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in adj[v]:
+            for to in G.adjacency[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):

@@ -58,7 +58,8 @@ def brute_force(G: WeightedGraph, cap: int = DEFAULT_BRUTE_CAP) -> Assignment:
         raise CapacityError(f"brute force capped at n <= {cap}, got {n}", achieved=n)
     if n == 0:
         return Assignment((), 0.0)
-    adj = G.adjacency
+    # plain lists: calling .items() on every step costs about a fifth at n = 20
+    adj = [list(nbrs.items()) for nbrs in G.adjacency]
     x = [1] * n
     val = evaluate(G, x)
     best_val = val

@@ -53,9 +53,7 @@ class EasyPacking:
 
 def _part_edge_count(G: WeightedGraph, part) -> int:
     inpart = set(part)
-    return sum(
-        1 for u in part for v, _ in G.adjacency[u] if u < v and v in inpart
-    )
+    return sum(1 for u in part for v in G.adjacency[u] if u < v and v in inpart)
 
 
 def check_easy_packing(G: WeightedGraph, P: EasyPacking) -> None:
@@ -72,7 +70,7 @@ def check_easy_packing(G: WeightedGraph, P: EasyPacking) -> None:
             raise ValidationError(f"center pair ({cu}, {cv}) is not an edge")
         outside = pset - {cu, cv}
         for o in outside:
-            nbrs = {v for v, _ in G.adjacency[o] if v in pset}
+            nbrs = G.adjacency[o].keys() & pset
             if not nbrs:
                 raise ValidationError(f"part is disconnected at vertex {o}")
             if not nbrs <= {cu, cv}:
@@ -145,12 +143,11 @@ def packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignment:
     block_of = [-1] * G.n
     inner = [1] * G.n
     for b, (part, (cu, cv)) in enumerate(zip(P.parts, P.centers)):
-        pset = set(part)
         local = {cu: 1, cv: 1 if G.weight(cu, cv) > 0 else -1}
         for o in part:
             if o in (cu, cv):
                 continue
-            nbrs = {v: w for v, w in G.adjacency[o] if v in pset}
+            nbrs = G.adjacency[o]
             forced = None
             for c in (cu, cv):
                 if c in nbrs:
@@ -188,9 +185,7 @@ def easypack(G: WeightedGraph) -> EasyPacking:
     istar = {v for v in range(G.n) if M.matched[v] is None and G.degree(v) > 0}
     mstar: list[tuple[int, int]] = []
     for x, y in M.edges:
-        nx = {v for v, _ in G.adjacency[x]}
-        ny = {v for v, _ in G.adjacency[y]}
-        common = sorted(nx & ny & istar)
+        common = sorted(G.adjacency[x].keys() & G.adjacency[y].keys() & istar)
         if len(common) >= 2:
             u, v = common[0], common[1]
             mstar.append(tuple(sorted((u, x))))
@@ -201,7 +196,7 @@ def easypack(G: WeightedGraph) -> EasyPacking:
     parts = [[a, b] for a, b in mstar]
     centers = list(mstar)
     for v in sorted(istar):
-        nbrs = {u for u, _ in G.adjacency[v]}
+        nbrs = G.adjacency[v]
         for idx, (cx, cy) in enumerate(centers):
             adj_x, adj_y = cx in nbrs, cy in nbrs
             if adj_x != adj_y:
@@ -231,7 +226,7 @@ def star_packing(G: WeightedGraph) -> EasyPacking:
     hub: list[int | None] = [None] * len(parts)
     unmatched = sorted(v for v in range(G.n) if M.matched[v] is None)
     for v in unmatched:
-        nbrs = {u for u, _ in G.adjacency[v]}
+        nbrs = G.adjacency[v]
         for idx, (x, y) in enumerate(centers):
             adj_x, adj_y = x in nbrs, y in nbrs
             if adj_x and adj_y:
@@ -314,8 +309,6 @@ def solve_dense(G: WeightedGraph) -> ApproxResult:
     out = extend_from_induced(G, signs)
     density = Fraction(H.m, H.n)
     guarantee = Fraction(1, 1) / (3 * density)
-    if guarantee > 1:
-        guarantee = Fraction(1)
     if out.value + value_tol(G) < float(Fraction(H.m, 1) / (3 * density)):
         raise InternalError("dense certificate violated")
     cert = {

@@ -64,7 +64,7 @@ def bfs_layers(G: WeightedGraph, root: int | None = None) -> LayerStructure:
             if d == len(layers):
                 layers.append([])
             layers[d].append(v)
-            for u, _ in G.adjacency[v]:
+            for u in G.adjacency[v]:
                 if layer_of[u] < 0:
                     layer_of[u] = d + 1
                     dq.append(u)

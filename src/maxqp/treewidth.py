@@ -179,7 +179,7 @@ def build_decomposition(
     n = G.n
     if n == 0:
         return TreeDecomposition((), (), 0)
-    adj: list[set[int]] = [set(u for u, _ in G.adjacency[v]) for v in range(n)]
+    adj: list[set[int]] = [set(nbrs) for nbrs in G.adjacency]
 
     def fill_count(v: int) -> int:
         nbrs = list(adj[v])

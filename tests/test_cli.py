@@ -151,6 +151,21 @@ class TestExitCodes:
         assert main(["solve", bad]) == 2
         assert "non-finite weight on edge (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("w1, w2", [("1e308", "1e308"), ("9e307", "-9e307"), ("8e307", "-8e307")])
+    def test_total_weight_overflow_is_validation_error(self, tmp_path, capsys, w1, w2):
+        # the parent crashed on all three, or reported value=0 as brute force's optimum
+        inst = _write(tmp_path, "big.mq", f"p maxqp 3 2\ne 1 2 {w1}\ne 2 3 {w2}\n")
+        for algo in ALGOS:
+            assert main(["solve", inst, "--algo", algo, "--epsilon", "0.5"]) == 2, algo
+            assert "2 * sum |w| is not finite" in capsys.readouterr().err
+        assert main(["eval", inst, _write(tmp_path, "x.sol", "+1 +1 +1\n")]) == 2
+        assert "2 * sum |w| is not finite" in capsys.readouterr().err
+
+    def test_vertex_count_over_cap_is_capacity_error(self, tmp_path, capsys):
+        inst = _write(tmp_path, "huge.mq", "p maxqp 1000000000000000 0\n")
+        assert main(["solve", inst]) == 3
+        assert "vertex count 1000000000000000 exceeds cap" in capsys.readouterr().err
+
     def test_cyclic_decomposition_is_validation_error(self, tmp_path, capsys):
         inst = _write(tmp_path, "e.mq", "p maxqp 2 1\ne 1 2 -1\n")
         dec = _write(tmp_path, "e.td", "b 1 1\nb 2 2\nb 3 1 2\nb 4 1 2\nt 1 2\nt 3 4\nt 4 3\n")

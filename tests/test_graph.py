@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 from maxqp import (
     Assignment,
+    CapacityError,
+    GeneratorSpec,
     ValidationError,
     WeightedGraph,
     brute_force,
     combine_disjoint,
     evaluate,
     extend_from_induced,
+    generate,
     glue_blocks,
     induced_subgraph,
     load_graph,
@@ -25,10 +28,11 @@ from maxqp import (
     solution,
     stats,
 )
-from maxqp.graph import degeneracy_order
+from maxqp.graph import MAX_VERTICES, degeneracy_order
 from maxqp.oracle import SplitMix64
 
 from util import (
+    GENERATOR_SPECS,
     assert_same_graph,
     evaluate_partial,
     random_graph,
@@ -67,6 +71,27 @@ class TestConstruction:
         assert G.edges == [(0, 2, 1.0), (1, 2, -1.0)]
         assert G.weight(2, 0) == 1.0
         assert G.has_edge(1, 2) and not G.has_edge(0, 1)
+
+    @pytest.mark.parametrize("w1, w2", [(1e308, 1e308), (9e307, -9e307), (8e307, -8e307)])
+    def test_rejects_total_weight_whose_double_overflows(self, w1, w2):
+        # every weight is finite, and for the last two pairs so is sum |w|
+        edges = [(0, 1, w1), (1, 2, w2)]
+        with pytest.raises(ValidationError, match=r"2 \* sum \|w\| is not finite"):
+            WeightedGraph(3, edges)
+        with pytest.raises(ValidationError, match=r"2 \* sum \|w\| is not finite"):
+            load_graph(3, edges)
+
+    def test_total_weight_just_inside_the_bound_solves(self):
+        G = WeightedGraph(3, [(0, 1, 4e307), (1, 2, -4e307)])
+        best = brute_force(G)
+        assert best.value == 8e307 == evaluate(G, best.values)
+
+    def test_vertex_count_over_cap_is_refused_before_allocating(self):
+        with pytest.raises(CapacityError, match="exceeds cap") as info:
+            WeightedGraph(10**15, [])
+        assert info.value.achieved == 10**15
+        with pytest.raises(CapacityError):
+            load_graph(MAX_VERTICES + 1, [(0, 1, 1.0)])
 
 
 class TestLoadGraph:
@@ -164,6 +189,46 @@ class TestLoadGraphMatchesConstructor:
             assert_same_graph(load_graph(n, entries), expected)
 
 
+@st.composite
+def _graphs_from_every_builder(draw):
+    """A graph from the validating constructor (edges shuffled and some
+    reversed), load_graph, induced_subgraph or one of the generators."""
+    source = draw(st.sampled_from(["constructor", "load_graph", "induced", "generator"]))
+    if source == "generator":
+        kind, params = draw(st.sampled_from(GENERATOR_SPECS))
+        return generate(GeneratorSpec(kind, draw(st.integers(0, 10**6)), params))
+    if source == "induced":
+        G = sample_small(draw(st.integers(0, 10**6)))
+        return induced_subgraph(G, draw(st.lists(st.integers(0, G.n - 1))))[0]
+    n, entries = draw(_raw_entries())
+    if source == "load_graph":
+        return load_graph(n, entries)
+    edges = draw(st.permutations(_merge(entries)))
+    flip = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return WeightedGraph(n, [(v, u, w) if f else (u, v, w) for (u, v, w), f in zip(edges, flip)])
+
+
+class TestNeighbourMaps:
+    @settings(max_examples=200, deadline=None)
+    @given(G=_graphs_from_every_builder())
+    def test_maps_hold_exactly_the_edges_in_ascending_key_order(self, G):
+        for u, v, w in G.edges:
+            assert G.adjacency[u][v] == G.adjacency[v][u] == w
+            assert G.weight(u, v) == G.weight(v, u) == w
+            assert G.has_edge(u, v) and G.has_edge(v, u)
+        assert sum(len(nbrs) for nbrs in G.adjacency) == 2 * G.m
+        for nbrs in G.adjacency:
+            assert list(nbrs) == sorted(nbrs)
+        present = {(u, v) for u, v, _ in G.edges}
+        for u in range(G.n):
+            for v in range(G.n):
+                if (min(u, v), max(u, v)) in present:
+                    continue
+                assert not G.has_edge(u, v)
+                with pytest.raises(ValidationError, match="no edge"):
+                    G.weight(u, v)
+
+
 class TestEvaluate:
     def test_single_positive_edge(self):
         G = WeightedGraph(2, [(0, 1, 1.0)])
@@ -199,7 +264,7 @@ class TestEvaluate:
         v %= G.n
         x = [1 if (seed >> i) & 1 else -1 for i in range(G.n)]
         before = evaluate(G, x)
-        delta = 2.0 * sum(w * x[u] * x[v] for u, w in G.adjacency[v])
+        delta = 2.0 * sum(w * x[u] * x[v] for u, w in G.adjacency[v].items())
         x[v] = -x[v]
         assert evaluate(G, x) == pytest.approx(before - delta, abs=1e-9)
 

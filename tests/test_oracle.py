@@ -17,7 +17,14 @@ from maxqp import (
 )
 from maxqp.graph import degeneracy_order
 
-from util import assert_same_graph, brute_force_maxcut, exhaustive_opt, is_bipartite, random_graph
+from util import (
+    GENERATOR_SPECS,
+    assert_same_graph,
+    brute_force_maxcut,
+    exhaustive_opt,
+    is_bipartite,
+    random_graph,
+)
 
 
 class TestSplitMix64:
@@ -134,18 +141,7 @@ class TestGenerators:
         assert G.n == 6 + 7 and G.m == 14
         assert is_bipartite(G)
 
-    @pytest.mark.parametrize(
-        "kind, params",
-        [
-            ("grid-spin-glass", {"rows": 3, "cols": 4}),
-            ("sparse-random", {"n": 12, "m": 20}),
-            ("sparse-random", {"n": 12, "m": 20, "real": True}),
-            ("d-regular", {"n": 10, "degree": 3}),
-            ("perfect-matching", {"n": 10}),
-            ("clique-plus-matching", {"n": 18}),
-            ("maxcut-subdivision", {"n": 7, "m": 9}),
-        ],
-    )
+    @pytest.mark.parametrize("kind, params", GENERATOR_SPECS)
     def test_output_passes_the_validating_constructor(self, kind, params):
         # generators skip validation, so their edges must already be canonical
         for seed in range(5):

@@ -171,9 +171,7 @@ class TestEasypack:
                 v for v in range(G.n) if v not in center_vs and G.degree(v) > 0
             }
             for x, y in P.centers:
-                nx = {u for u, _ in G.adjacency[x]}
-                ny = {u for u, _ in G.adjacency[y]}
-                assert len(nx & ny & istar) <= 1
+                assert len(G.adjacency[x].keys() & G.adjacency[y].keys() & istar) <= 1
 
 
 class TestStarPacking:
@@ -210,7 +208,7 @@ class TestStarPacking:
                 touching = {
                     v
                     for v in P.leftover
-                    if any(u in part for u, _ in G.adjacency[v])
+                    if any(u in part for u in G.adjacency[v])
                 }
                 assert len(touching) <= 1
             checked += 1

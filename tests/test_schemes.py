@@ -61,7 +61,7 @@ class TestBfsLayers:
                 queue = deque([start])
                 while queue:
                     v = queue.popleft()
-                    for u, _ in G.adjacency[v]:
+                    for u in G.adjacency[v]:
                         if dist[u] < 0:
                             dist[u] = dist[v] + 1
                             queue.append(u)

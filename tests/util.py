@@ -22,6 +22,18 @@ from maxqp import (
 )
 
 
+# One small instance of every generator kind (sparse-random with both weight types).
+GENERATOR_SPECS = [
+    ("grid-spin-glass", {"rows": 3, "cols": 4}),
+    ("sparse-random", {"n": 12, "m": 20}),
+    ("sparse-random", {"n": 12, "m": 20, "real": True}),
+    ("d-regular", {"n": 10, "degree": 3}),
+    ("perfect-matching", {"n": 10}),
+    ("clique-plus-matching", {"n": 18}),
+    ("maxcut-subdivision", {"n": 7, "m": 9}),
+]
+
+
 def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph:
     m = min(m, n * (n - 1) // 2)
     return generate(GeneratorSpec("sparse-random", seed, {"n": n, "m": m, "real": real}))
@@ -29,7 +41,9 @@ def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph
 
 def assert_same_graph(G: WeightedGraph, H: WeightedGraph) -> None:
     """Every stored field of G equals H's, the numpy edge columns included."""
-    assert (G.n, G.edges, G.adjacency, G.unit) == (H.n, H.edges, H.adjacency, H.unit)
+    assert (G.n, G.edges, G.unit) == (H.n, H.edges, H.unit)
+    # dict equality ignores key order, so compare the maps as item lists
+    assert [list(a.items()) for a in G.adjacency] == [list(a.items()) for a in H.adjacency]
     for a, b in zip(G.edge_arrays(), H.edge_arrays()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -81,7 +95,7 @@ def is_bipartite(G: WeightedGraph) -> bool:
         stack = [s]
         while stack:
             v = stack.pop()
-            for u, _ in G.adjacency[v]:
+            for u in G.adjacency[v]:
                 if color[u] == 0:
                     color[u] = -color[v]
                     stack.append(u)
@@ -94,7 +108,7 @@ def evaluate_partial(G: WeightedGraph, signs: Mapping[int, int]) -> float:
     """Objective restricted to edges with both endpoints in `signs`."""
     total = 0.0
     for u, su in signs.items():
-        for v, w in G.adjacency[u]:
+        for v, w in G.adjacency[u].items():
             if u < v and v in signs:
                 total += w * su * signs[v]
     return total
@@ -148,7 +162,7 @@ def elimination_decomposition(G: WeightedGraph, order) -> TreeDecomposition:
     """
     if G.n == 0:
         return TreeDecomposition((), (), 0)
-    adj = [set(u for u, _ in G.adjacency[v]) for v in range(G.n)]
+    adj = [set(G.adjacency[v]) for v in range(G.n)]
     alive = set(range(G.n))
     bags = []
     for v in order:
@@ -172,7 +186,7 @@ def reference_min_fill(G: WeightedGraph) -> TreeDecomposition:
     n = G.n
     if n == 0:
         return TreeDecomposition((), (), 0)
-    adj = [set(u for u, _ in G.adjacency[v]) for v in range(n)]
+    adj = [set(G.adjacency[v]) for v in range(n)]
     alive = set(range(n))
 
     def fill_count(v):
@@ -218,7 +232,7 @@ def reference_scan(G: WeightedGraph, vertices, start=None) -> dict[int, int]:
     for i in order:
         s = start[i] if start is not None else 1
         z = 0.0
-        for j, w in G.adjacency[i]:
+        for j, w in G.adjacency[i].items():
             if j < i and j in inset:
                 z += w * s * signs[j]
         signs[i] = -s if z < 0 else s
@@ -230,7 +244,7 @@ def reference_combine(G: WeightedGraph, x1, x2) -> dict[int, int]:
     small, big = (x1, x2) if len(x1) <= len(x2) else (x2, x1)
     c = 0.0
     for u, su in small.items():
-        for v, w in G.adjacency[u]:
+        for v, w in G.adjacency[u].items():
             if v in big:
                 c += w * su * big[v]
     out = dict(x2)
@@ -368,7 +382,7 @@ def _bag_value(G: WeightedGraph, bag: tuple[int, ...]) -> np.ndarray:
     pos = {v: i for i, v in enumerate(bag)}
     out = np.zeros(size)
     for u in bag:
-        for v, w in G.adjacency[u]:
+        for v, w in G.adjacency[u].items():
             if u < v and v in pos:
                 out += w * _sign_array(size, pos[u]) * _sign_array(size, pos[v])
     return out
@@ -403,7 +417,7 @@ def reference_nice_dp(G: WeightedGraph, ntd) -> Assignment:
             table[base | (1 << p)] = child
             sv = _sign_array(size, p)
             pos = {u: i for i, u in enumerate(bag)}
-            for u, w in G.adjacency[v]:
+            for u, w in G.adjacency[v].items():
                 if u in pos:
                     table += w * sv * _sign_array(size, pos[u])
             tables[node] = table
