@@ -81,7 +81,8 @@ class WeightedGraph:
             raise ValidationError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
             raise CapacityError(f"vertex count {n} exceeds cap {MAX_VERTICES}", achieved=n)
-        # brute force's local move doubles a neighbourhood sum; keep every sum finite
+        # every value and partial sum lies within +-sum |w|, so the difference of
+        # two values (a self-check's margin) lies within 2 * sum |w|: keep that finite
         if not math.isfinite(2.0 * sum(abs(w) for _, _, w in edges)):
             raise ValidationError("total absolute weight overflows: 2 * sum |w| is not finite")
         edges.sort()
@@ -159,7 +160,7 @@ class Assignment:
     value: float
 
     def __post_init__(self):
-        if any(s not in (-1, 1) for s in self.values):
+        if not set(self.values) <= {-1, 1}:
             raise ValidationError("assignment entries must be -1 or +1")
 
 

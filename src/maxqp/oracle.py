@@ -1,15 +1,25 @@
 """Ground truth and instance machinery: exhaustive solver, the MaxCut
-subdivision construction, and seeded instance generators."""
+subdivision construction, and seeded instance generators.
+
+`brute_force` enumerates every assignment in dense numpy blocks and reports
+the true `evaluate(G, x)` of the one it picks; a plain Gray-code loop kept
+in the tests is its reference.
+"""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import CapacityError, ValidationError
-from .graph import Assignment, WeightedGraph, evaluate
+from .graph import Assignment, WeightedGraph, evaluate, value_tol
 
 DEFAULT_BRUTE_CAP = 28
+LOW_BITS = 14  # the low block: 2^14 sign rows of 14 vertices, 1.75 MiB
+CHUNK_CELLS = 1 << 20  # values per chunk table: 8 MiB of float64
 
 
 class SplitMix64:
@@ -46,43 +56,75 @@ class SplitMix64:
             xs[i], xs[j] = xs[j], xs[i]
 
 
-def brute_force(G: WeightedGraph, cap: int = DEFAULT_BRUTE_CAP) -> Assignment:
-    """True optimum by Gray-code enumeration of 2^(n-1) assignments.
+def _signs(start: int, stop: int, bits: int) -> np.ndarray:
+    """Row i: the signs of `bits` vertices under mask start + i, the first
+    vertex on the most significant bit and a set bit meaning -1."""
+    masks = np.arange(start, stop, dtype=np.int64)
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
+    return 1.0 - 2.0 * ((masks[:, None] >> shifts) & 1)
 
-    Vertex 0 is pinned to +1 (global sign symmetry); each step flips a single
-    vertex and updates the value via the local-move identity.  Ties go to the
-    lexicographically smallest assignment (+1 before -1).
+
+def _block_values(S: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Value of each sign row of S on the edges of W, stored once above the diagonal."""
+    return ((S @ W) * S).sum(axis=1)
+
+
+def _mask_values(G: WeightedGraph, masks: np.ndarray) -> np.ndarray:
+    """`evaluate` of every mask, bit-identical: each edge adds +-w in edge order."""
+    n = G.n
+    total = np.zeros(len(masks))
+    for u, v, w in G.edges:
+        total += np.where(((masks >> (n - 1 - u)) ^ (masks >> (n - 1 - v))) & 1, -w, w)
+    return total
+
+
+def brute_force(G: WeightedGraph, cap: int = DEFAULT_BRUTE_CAP) -> Assignment:
+    """True optimum over all 2^(n-1) assignments with vertex 0 pinned to +1.
+
+    An assignment is a mask of n bits, vertex v on bit n-1-v and a set bit
+    meaning -1, so numeric mask order is the lexicographic order with +1
+    first.  The last b = min(n-1, 14) vertices form the low block: its 2^b
+    sign rows and their inner values are built once.  The high assignments
+    go in chunks of at most CHUNK_CELLS values, each a dense table of the
+    high values, plus the cross terms by one matrix product, plus the low
+    values.  The cells within `value_tol` of the chunk's maximum, or of the
+    winner so far when that is higher, are re-evaluated exactly as
+    `evaluate` sums them, so rounding in the table never picks the winner.
+    Ties go to the smallest mask, i.e. the lexicographically smallest
+    assignment; the reported value is `evaluate(G, x)`.
     """
     n = G.n
     if n > cap:
         raise CapacityError(f"brute force capped at n <= {cap}, got {n}", achieved=n)
     if n == 0:
         return Assignment((), 0.0)
-    # plain lists: calling .items() on every step costs about a fifth at n = 20
-    adj = [list(nbrs.items()) for nbrs in G.adjacency]
-    x = [1] * n
-    val = evaluate(G, x)
-    best_val = val
-    best = tuple(x)
-    best_key = tuple(0 for _ in x)
-    for idx in range(1, 1 << (n - 1)):
-        v = (idx & -idx).bit_length()  # flipped vertex: lowest set bit + 1
-        s = 0.0
-        xv = x[v]
-        for u, w in adj[v]:
-            s += w * x[u]
-        val -= 2.0 * xv * s
-        x[v] = -xv
-        if val > best_val:
-            best_val = val
-            best = tuple(x)
-            best_key = tuple(0 if t == 1 else 1 for t in best)
-        elif val == best_val:
-            key = tuple(0 if t == 1 else 1 for t in x)
-            if key < best_key:
-                best = tuple(x)
-                best_key = key
-    return Assignment(best, best_val)
+    b = min(n - 1, LOW_BITS)
+    k = n - b  # high block: vertex 0 (its bit is always clear) and vertices 1..k-1
+    eu, ev, ew = G.edge_arrays()
+    W = np.zeros((n, n))
+    W[eu, ev] = ew  # u < v: each edge once, above the diagonal
+    S_low = _signs(0, 1 << b, b)
+    low_values = _block_values(S_low, W[k:, k:])
+    tol = value_tol(G)
+    rows, step = 1 << (k - 1), max(1, CHUNK_CELLS >> b)
+    best_mask, best_val = -1, -math.inf
+    for r0 in range(0, rows, step):
+        S_high = _signs(r0, min(r0 + step, rows), k)
+        T = (S_high @ W[:k, k:]) @ S_low.T
+        T += _block_values(S_high, W[:k, :k])[:, None]
+        T += low_values
+        near = np.flatnonzero(T >= max(float(T.max()), best_val) - tol)
+        del T  # one chunk's arrays alive at a time
+        if near.size:
+            near += r0 << b
+            values = _mask_values(G, near)
+            i = int(np.argmax(values))  # first of the chunk's best: its smallest mask
+            if values[i] > best_val:  # a tie keeps the earlier chunk's smaller mask
+                best_mask, best_val = int(near[i]), float(values[i])
+            del values
+        del near
+    x = tuple(-1 if best_mask >> (n - 1 - v) & 1 else 1 for v in range(n))
+    return Assignment(x, evaluate(G, x))
 
 
 def subdivide_for_maxcut(G: WeightedGraph) -> WeightedGraph:

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from maxqp import GeneratorSpec, WeightedGraph, generate
+from maxqp import GeneratorSpec, WeightedGraph, evaluate, generate
 from maxqp.cli import ALGOS, main
-from maxqp.io import format_instance, parse_instance, read_instance
+from maxqp.io import format_instance, format_number, parse_instance, read_instance
 
 from util import random_graph
 
@@ -61,6 +61,19 @@ class TestSolve:
             kv.split("=", 1) for kv in capsys.readouterr().out.split()
         )
         assert float(fields["ratio"]) >= float(Fraction(fields["guarantee"]))
+
+    def test_brute_force_value_and_oracle_field_are_evaluate(self, tmp_path, capsys):
+        # real weights, where a running sum would drift from evaluate in the last bits
+        G = random_graph(1022, 22, 44, real=True)
+        inst = _write(tmp_path, "n22.mq", format_instance(G))
+        assert main(["solve", inst, "--algo", "brute-force", "--emit-assignment"]) == 0
+        record, signs = capsys.readouterr().out.splitlines()
+        x = [int(t) for t in signs.split()]
+        expected = format_number(evaluate(G, x))
+        assert dict(kv.split("=", 1) for kv in record.split())["value"] == expected
+        assert main(["solve", inst, "--algo", "greedy-matching", "--oracle", "brute-force"]) == 0
+        fields = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+        assert fields["oracle"] == expected
 
     def test_emitted_assignment_reproduces_value(self, tmp_path, capsys):
         inst = _path3(tmp_path)

@@ -274,6 +274,16 @@ class TestAssignment:
         with pytest.raises(ValidationError):
             Assignment((1, 0), 0.0)
 
+    @pytest.mark.parametrize("bad", [0, 2, -2, 0.5, -1.5, float("nan")])
+    def test_any_non_sign_entry_is_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            Assignment((1, -1, bad, 1), 0.0)
+
+    def test_entries_equal_to_a_sign_are_accepted(self):
+        # the check compares by value, so True and 1.0 count as +1
+        assert Assignment((True, 1.0, -1.0, -1), 0.0).values == (True, 1.0, -1.0, -1)
+        assert Assignment((), 0.0).values == ()
+
     def test_solution_caches_value(self):
         G = WeightedGraph(2, [(0, 1, -2.0)])
         a = solution(G, [1, -1])

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxqp import (
     CapacityError,
@@ -15,7 +21,8 @@ from maxqp import (
     generate,
     subdivide_for_maxcut,
 )
-from maxqp.graph import degeneracy_order
+from maxqp import oracle
+from maxqp.graph import degeneracy_order, value_tol
 
 from util import (
     GENERATOR_SPECS,
@@ -24,6 +31,7 @@ from util import (
     exhaustive_opt,
     is_bipartite,
     random_graph,
+    reference_brute_force,
 )
 
 
@@ -69,6 +77,130 @@ class TestBruteForce:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             brute_force(WeightedGraph(30, []), cap=28)
+        with pytest.raises(CapacityError):
+            brute_force(WeightedGraph(29, []))
+
+
+def _assert_agrees_with_reference(G):
+    """brute_force against the Gray-code loop: the same assignment on unit
+    weights; on real weights a true optimum, the same value within
+    `value_tol`, and the same assignment unless the two are tied within it."""
+    a, r = brute_force(G), reference_brute_force(G)
+    assert a.value == evaluate(G, a.values)
+    if G.unit:
+        assert (a.values, a.value) == (r.values, r.value)
+        return
+    tol = value_tol(G)
+    assert a.value >= evaluate(G, r.values)
+    assert abs(a.value - r.value) <= tol
+    if a.values != r.values:
+        assert a.value - evaluate(G, r.values) <= tol
+
+
+# Tiny blocks: three vertices in the low block and two high rows per chunk,
+# so a 12-vertex instance takes 128 chunks and ties cross chunk borders often.
+TINY_BLOCKS = {"LOW_BITS": 3, "CHUNK_CELLS": 16}
+
+
+class TestBruteForceBlocks:
+    @pytest.mark.parametrize("n, seed", [(14, 1014), (16, 1016), (18, 1019), (22, 1022)])
+    def test_value_is_exactly_evaluate(self, n, seed):
+        # on each of these the reference loop's running sum differs from evaluate in its last bits
+        G = random_graph(seed, n, 2 * n, real=True)
+        a = brute_force(G)
+        assert a.value == evaluate(G, a.values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 16),
+        seed=st.integers(0, 10**6),
+        density=st.floats(0.0, 1.0),
+        real=st.booleans(),
+    )
+    def test_matches_gray_code_reference(self, n, seed, density, real):
+        m = round(density * n * (n - 1) / 4)  # up to half of all pairs
+        _assert_agrees_with_reference(random_graph(seed, n, m, real=real))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 12),
+        seed=st.integers(0, 10**6),
+        density=st.floats(0.0, 1.0),
+        real=st.booleans(),
+    )
+    def test_matches_gray_code_reference_across_many_chunks(self, n, seed, density, real):
+        m = round(density * n * (n - 1) / 4)
+        with mock.patch.multiple(oracle, **TINY_BLOCKS):
+            _assert_agrees_with_reference(random_graph(seed, n, m, real=real))
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            # the table ranks (1, 1, 1, 1, -1) first; evaluate gives it 1.8499999999999999
+            (5, [(0, 1, 0.35), (0, 2, 0.3), (0, 3, 0.7), (1, 2, 0.2), (1, 3, 0.3),
+                 (1, 4, -0.3), (2, 3, -0.3), (2, 4, 0.2), (3, 4, -0.2)]),
+            # evaluate ties two assignments at 1.251; the table ranks the later one first
+            (7, [(0, 1, -0.1), (0, 2, -0.3), (1, 2, -0.1), (1, 3, -0.6), (2, 4, 0.35),
+                 (4, 6, 0.001)]),
+        ],
+    )
+    def test_rounding_in_the_table_never_picks_the_winner(self, n, edges):
+        G = WeightedGraph(n, edges)
+        # the first of the lexicographic (+1 first) assignments with the best evaluate
+        signs = ((1, *t) for t in itertools.product((1, -1), repeat=n - 1))
+        best = max(signs, key=lambda x: evaluate(G, x))
+        assert brute_force(G).values == best
+
+    def test_no_vertex(self):
+        a = brute_force(WeightedGraph(0, []))
+        assert (a.values, a.value) == ((), 0.0)
+
+    def test_one_vertex(self):
+        a = brute_force(WeightedGraph(1, []))
+        assert (a.values, a.value) == ((1,), 0.0)
+
+    @pytest.mark.parametrize("w, x", [(-1.0, (1, -1)), (0.5, (1, 1))])
+    def test_two_vertices(self, w, x):
+        a = brute_force(WeightedGraph(2, [(0, 1, w)]))
+        assert (a.values, a.value) == (x, abs(w))
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_low_block_fills_then_spills(self, n):
+        # n = 15 is one row of 2^14 low assignments; n = 16 adds a second row
+        assert brute_force(WeightedGraph(n, [])).values == (1,) * n
+        for seed in range(3):
+            _assert_agrees_with_reference(random_graph(seed, n, 2 * n))
+            _assert_agrees_with_reference(random_graph(seed, n, 2 * n, real=True))
+
+    def test_only_optimum_in_the_last_chunk(self):
+        # A path whose every edge can be satisfied, plus chords that agree with
+        # it: the optimum sum |w| is unique once vertex 0 is +1.  Vertices 1 and 2
+        # are -1 there, the two top bits of the high block, so at n = 23 the
+        # optimum lies in the last of the four chunks.
+        n = 23
+        weights = [-1.0, 0.75] + [(1 + i / 8) * (-1 if i % 3 == 0 else 1) for i in range(2, n - 1)]
+        x = [1]
+        for w in weights:
+            x.append(x[-1] if w > 0 else -x[-1])
+        edges = [(i, i + 1, w) for i, w in enumerate(weights)]
+        edges += [(u, v, 0.5 * x[u] * x[v]) for u, v in [(0, 22), (3, 17), (5, 20)]]
+        G = WeightedGraph(n, edges)
+        a = brute_force(G)
+        assert (x[1], x[2]) == (-1, -1)
+        assert a.values == tuple(x)
+        assert a.value == evaluate(G, x) == sum(abs(w) for _, _, w in edges)
+
+    def test_empty_graph_at_the_cap_ties_everywhere_in_bounded_memory(self):
+        # all 2^27 assignments tie at 0: the first one wins, and only one
+        # chunk's candidates are ever held at a time
+        tracemalloc.start()
+        try:
+            a = brute_force(WeightedGraph(28, []))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (a.values, a.value) == ((1,) * 28, 0.0)
+        assert peak < 64 * 2**20
 
 
 class TestSubdivision:

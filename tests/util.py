@@ -66,6 +66,43 @@ def exhaustive_opt(G: WeightedGraph) -> float:
     return best
 
 
+def reference_brute_force(G: WeightedGraph) -> Assignment:
+    """Gray-code enumeration of the 2^(n-1) assignments with vertex 0 at +1.
+
+    Each step flips one vertex and updates the value by the local move, so
+    the value it reports is a running sum that can differ from
+    `evaluate(G, x)` in the last bits.  Ties go to the lexicographically
+    smallest assignment (+1 before -1), as in `brute_force`.
+    """
+    n = G.n
+    if n == 0:
+        return Assignment((), 0.0)
+    adj = [list(nbrs.items()) for nbrs in G.adjacency]
+    x = [1] * n
+    val = evaluate(G, x)
+    best_val = val
+    best = tuple(x)
+    best_key = tuple(0 for _ in x)
+    for idx in range(1, 1 << (n - 1)):
+        v = (idx & -idx).bit_length()  # flipped vertex: lowest set bit + 1
+        s = 0.0
+        xv = x[v]
+        for u, w in adj[v]:
+            s += w * x[u]
+        val -= 2.0 * xv * s
+        x[v] = -xv
+        if val > best_val:
+            best_val = val
+            best = tuple(x)
+            best_key = tuple(0 if t == 1 else 1 for t in best)
+        elif val == best_val:
+            key = tuple(0 if t == 1 else 1 for t in x)
+            if key < best_key:
+                best = tuple(x)
+                best_key = key
+    return Assignment(best, best_val)
+
+
 def max_matching_size(G: WeightedGraph) -> int:
     """Maximum-cardinality matching size by bitmask DP over vertex subsets."""
     pairs = [(u, v) for u, v, _ in G.edges]
