@@ -26,7 +26,6 @@ from .oracle import (
 )
 from .packing import (
     EasyPacking,
-    check_easy_packing,
     easypack,
     matching_to_solution,
     packing_to_solution,

@@ -48,7 +48,6 @@ class EasyPacking:
     centers: tuple[tuple[int, int], ...]
     edge_count: int
     covered: frozenset[int]
-    leftover: frozenset[int]
 
 
 def _part_edge_count(G: WeightedGraph, part) -> int:
@@ -56,48 +55,14 @@ def _part_edge_count(G: WeightedGraph, part) -> int:
     return sum(1 for u in part for v in G.adjacency[u] if u < v and v in inpart)
 
 
-def check_easy_packing(G: WeightedGraph, P: EasyPacking) -> None:
-    """Structural validator; raises ValidationError on any breach."""
-    seen: set[int] = set()
-    for part, (cu, cv) in zip(P.parts, P.centers):
-        pset = set(part)
-        if pset & seen:
-            raise ValidationError("packing parts are not disjoint")
-        seen |= pset
-        if cu not in pset or cv not in pset:
-            raise ValidationError("center endpoints not inside their part")
-        if not G.has_edge(cu, cv):
-            raise ValidationError(f"center pair ({cu}, {cv}) is not an edge")
-        outside = pset - {cu, cv}
-        for o in outside:
-            nbrs = G.adjacency[o].keys() & pset
-            if not nbrs:
-                raise ValidationError(f"part is disconnected at vertex {o}")
-            if not nbrs <= {cu, cv}:
-                raise ValidationError(
-                    f"outside vertex {o} adjacent to a non-center vertex"
-                )
-            if nbrs == {cu, cv} and not triangle_is_good(G, o, cu, cv):
-                raise ValidationError(
-                    f"bad triangle ({o}, {cu}, {cv}) inside a part"
-                )
-    if seen != set(P.covered):
-        raise ValidationError("covered set disagrees with parts")
-    expected = sum(_part_edge_count(G, part) for part in P.parts)
-    if expected != P.edge_count:
-        raise ValidationError("edge_count disagrees with parts")
-
-
 def _packing_from_parts(G: WeightedGraph, parts, centers) -> EasyPacking:
     covered = frozenset(v for part in parts for v in part)
-    leftover = frozenset(range(G.n)) - covered
     edge_count = sum(_part_edge_count(G, part) for part in parts)
     return EasyPacking(
         tuple(tuple(sorted(p)) for p in parts),
         tuple(centers),
         edge_count,
         covered,
-        leftover,
     )
 
 
@@ -170,14 +135,30 @@ def packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignment:
     return out
 
 
+def _center_index(n: int, centers) -> list[int]:
+    """Index of the center edge at each endpoint, -1 elsewhere (centers are disjoint)."""
+    center_of = [-1] * n
+    for idx, (x, y) in enumerate(centers):
+        center_of[x] = center_of[y] = idx
+    return center_of
+
+
+def _touching(center_of: list[int], nbrs) -> list[int]:
+    """Indices of the centers with an endpoint in `nbrs`, in increasing order."""
+    return sorted({center_of[u] for u in nbrs if center_of[u] >= 0})
+
+
 def easypack(G: WeightedGraph) -> EasyPacking:
     """Greedy easy packing seeded from a maximal matching.
 
     Steps: (1) maximal matching M, unmatched set I; (2-3) for each matched
     edge {x, y}, if two unmatched vertices each form a triangle with it, split
     it into the two center edges {u, x} and {v, y}; (4) seed parts from the
-    resulting edges; (5) attach remaining unmatched vertices that form a path
-    or a good triangle with some center.  All scans in increasing id order.
+    resulting edges; (5) attach each remaining unmatched vertex v to the
+    first center it forms a path or a good triangle with.  The candidate
+    centers are those with an endpoint in N(v), tried in index order; a
+    center outside N(v) can never take v.  All scans in increasing id order,
+    O(n + m) after the maximal matching.
     """
     if not G.unit:
         raise ValidationError("easypack requires unit weights")
@@ -195,9 +176,11 @@ def easypack(G: WeightedGraph) -> EasyPacking:
             mstar.append((x, y))
     parts = [[a, b] for a, b in mstar]
     centers = list(mstar)
+    center_of = _center_index(G.n, centers)
     for v in sorted(istar):
         nbrs = G.adjacency[v]
-        for idx, (cx, cy) in enumerate(centers):
+        for idx in _touching(center_of, nbrs):
+            cx, cy = centers[idx]
             adj_x, adj_y = cx in nbrs, cy in nbrs
             if adj_x != adj_y:
                 parts[idx].append(v)
@@ -211,9 +194,10 @@ def easypack(G: WeightedGraph) -> EasyPacking:
 def star_packing(G: WeightedGraph) -> EasyPacking:
     """Star packing seeded from a maximum-cardinality matching.
 
-    Unmatched vertices are scanned in increasing id order and attached to the
-    first part that stays a star.  Requires a unit instance without isolated
-    vertices.
+    Unmatched vertices are scanned in increasing id order and each is
+    attached to the first part that stays a star.  The candidate parts of v
+    are those whose center edge has an endpoint in N(v), tried in index
+    order.  Requires a unit instance without isolated vertices.
     """
     if not G.unit:
         raise ValidationError("star_packing requires unit weights")
@@ -225,9 +209,11 @@ def star_packing(G: WeightedGraph) -> EasyPacking:
     # star hub per part; fixed by the first attached outside vertex
     hub: list[int | None] = [None] * len(parts)
     unmatched = sorted(v for v in range(G.n) if M.matched[v] is None)
+    center_of = _center_index(G.n, centers)
     for v in unmatched:
         nbrs = G.adjacency[v]
-        for idx, (x, y) in enumerate(centers):
+        for idx in _touching(center_of, nbrs):
+            x, y = centers[idx]
             adj_x, adj_y = x in nbrs, y in nbrs
             if adj_x and adj_y:
                 continue  # would close a triangle

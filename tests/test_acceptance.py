@@ -29,7 +29,6 @@ from maxqp import (
     load_partition,
     maximum_matching,
     normalize_nonneg,
-    check_easy_packing,
     solve_baker,
     solve_bounded_degree,
     solve_degenerate,
@@ -48,6 +47,7 @@ from maxqp.graph import degeneracy_order
 
 from util import (
     brute_force_maxcut,
+    check_easy_packing,
     evaluate_partial,
     is_bipartite,
     max_matching_size,
@@ -207,10 +207,11 @@ def test_06_dense_driver(capsys):
             assert r.value >= bound - TOL
             assert r.value >= opt / (3 * float(delta)) - TOL
             assert P.edge_count >= bound - TOL
+            leftover = set(range(G.n)) - P.covered
             for part in P.parts:
                 pset = set(part)
                 touching = {
-                    v for v in P.leftover
+                    v for v in leftover
                     if any(u in pset for u in G.adjacency[v])
                 }
                 assert len(touching) <= 1

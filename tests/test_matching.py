@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from maxqp import (
+    InternalError,
     WeightedGraph,
     greedy_sorted_matching,
     maximal_matching,
@@ -12,7 +14,17 @@ from maxqp import (
     stats,
 )
 
-from util import max_matching_size, random_graph, reference_greedy_matching, sample_small
+from maxqp.matching import _make_matching
+
+from util import (
+    max_matching_size,
+    random_graph,
+    reference_greedy_matching,
+    reference_maximum_matching,
+    sample_small,
+    tutte_matching_size,
+    unit_graphs,
+)
 
 
 def _check_disjoint(G, M):
@@ -32,6 +44,18 @@ def _check_disjoint(G, M):
 
 def _is_maximal(G, M):
     return all(M.matched[u] is not None or M.matched[v] is not None for u, v, _ in G.edges)
+
+
+class TestMakeMatching:
+    def test_pairs_sharing_a_vertex_raise(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(InternalError):
+            _make_matching(G, [(0, 1), (1, 2)])
+
+    def test_repeated_pair_raises(self):
+        G = WeightedGraph(2, [(0, 1, 1.0)])
+        with pytest.raises(InternalError):
+            _make_matching(G, [(0, 1), (1, 0)])
 
 
 class TestGreedy:
@@ -133,3 +157,59 @@ class TestMaximum:
         _check_disjoint(G, M)
         assert len(M) == max_matching_size(G)
         assert len(M) >= len(maximal_matching(G))
+
+
+# Fixed graphs whose later searches contract blossoms (each labelling was
+# picked by counting contractions or comparing pairs over random
+# relabellings): n, edges, maximum matching size.
+BLOSSOM_CASES = {
+    # 5-cycle 0-2-5-1-4 with the pendant path 0-3-7-6: one contraction
+    "five-cycle-pendant-path": (
+        8,
+        [(0, 2), (0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (3, 7), (6, 7)],
+        4,
+    ),
+    # triangle 0-3-6 contracted first, then a blossom around its base
+    "nested": (7, [(0, 1), (0, 3), (0, 6), (1, 4), (2, 5), (2, 6), (3, 6), (4, 5)], 3),
+    # relabelling a blossom's vertices out of id order changes the pairs
+    "relabel-order": (8, [(0, 1), (0, 6), (1, 2), (2, 4), (2, 7), (3, 4), (3, 5), (5, 6), (5, 7)], 4),
+    "petersen": (
+        10,
+        [
+            (0, 1), (0, 4), (0, 6), (1, 5), (1, 8), (2, 6), (2, 8), (2, 9),
+            (3, 5), (3, 6), (3, 7), (4, 7), (4, 9), (5, 9), (7, 8),
+        ],
+        5,
+    ),
+}
+
+
+class TestMaximumDifferential:
+    """maximum_matching against the per-search-reset reference, pair for pair."""
+
+    @pytest.mark.parametrize("name", sorted(BLOSSOM_CASES))
+    def test_blossom_cases(self, name):
+        n, edges, size = BLOSSOM_CASES[name]
+        G = WeightedGraph(n, [(u, v, 1.0) for u, v in edges])
+        M = maximum_matching(G)
+        _check_disjoint(G, M)
+        assert M.edges == reference_maximum_matching(G)
+        assert len(M) == max_matching_size(G) == size
+
+    @settings(max_examples=150, deadline=None)
+    @given(G=unit_graphs())
+    def test_same_pairs_as_reference(self, G):
+        M = maximum_matching(G)
+        _check_disjoint(G, M)
+        assert M.edges == reference_maximum_matching(G)
+        assert len(M) == tutte_matching_size(G)
+        if G.n <= 12:
+            assert len(M) == max_matching_size(G)
+
+    def test_same_pairs_as_reference_on_random_graphs(self):
+        # several blossoms per search, over sparse through dense graphs
+        for seed in range(300):
+            n = 10 + seed % 51
+            pairs = n * (n - 1) // 2
+            G = random_graph(5000 + seed, n, [n, 2 * n, pairs // 3, pairs][seed % 4])
+            assert maximum_matching(G).edges == reference_maximum_matching(G)

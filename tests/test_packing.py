@@ -5,16 +5,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from maxqp import (
     EasyPacking,
     ValidationError,
     WeightedGraph,
     brute_force,
-    check_easy_packing,
     easypack,
     evaluate,
     greedy_sorted_matching,
+    induced_subgraph,
     matching_to_solution,
     maximal_matching,
     packing_to_solution,
@@ -28,7 +29,16 @@ from maxqp import (
 
 from maxqp.oracle import SplitMix64
 
-from util import edge_is_good, random_graph, sample_small
+from util import (
+    check_easy_packing,
+    edge_is_good,
+    random_graph,
+    reference_easypack,
+    reference_star_packing,
+    sample_small,
+    tutte_matching_size,
+    unit_graphs,
+)
 
 
 def _unit_graph(seed, n, m):
@@ -82,7 +92,6 @@ class TestPackingToSolution:
             centers=((0, 1),),
             edge_count=3,
             covered=frozenset({0, 1, 2, 3}),
-            leftover=frozenset(),
         )
         check_easy_packing(G, P)
         assert packing_to_solution(G, P).value == 3.0
@@ -94,13 +103,12 @@ class TestPackingToSolution:
             centers=((0, 1),),
             edge_count=3,
             covered=frozenset({0, 1, 2}),
-            leftover=frozenset(),
         )
         assert packing_to_solution(G, P).value == 3.0
 
     def test_rejects_non_unit_instance(self):
         G = WeightedGraph(2, [(0, 1, 2.0)])
-        P = EasyPacking(((0, 1),), ((0, 1),), 1, frozenset({0, 1}), frozenset())
+        P = EasyPacking(((0, 1),), ((0, 1),), 1, frozenset({0, 1}))
         with pytest.raises(ValidationError):
             packing_to_solution(G, P)
 
@@ -108,30 +116,26 @@ class TestPackingToSolution:
 class TestValidator:
     def test_rejects_overlapping_parts(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        P = EasyPacking(
-            ((0, 1), (1, 2)), ((0, 1), (1, 2)), 2, frozenset({0, 1, 2}), frozenset()
-        )
+        P = EasyPacking(((0, 1), (1, 2)), ((0, 1), (1, 2)), 2, frozenset({0, 1, 2}))
         with pytest.raises(ValidationError):
             check_easy_packing(G, P)
 
     def test_rejects_outside_vertex_with_non_center_neighbor(self):
         # 0-1 center, 2 and 3 outside but adjacent to each other
         G = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)])
-        P = EasyPacking(
-            ((0, 1, 2, 3),), ((0, 1),), 4, frozenset({0, 1, 2, 3}), frozenset()
-        )
+        P = EasyPacking(((0, 1, 2, 3),), ((0, 1),), 4, frozenset({0, 1, 2, 3}))
         with pytest.raises(ValidationError):
             check_easy_packing(G, P)
 
     def test_rejects_bad_triangle_inside_part(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -1.0)])
-        P = EasyPacking(((0, 1, 2),), ((0, 1),), 3, frozenset({0, 1, 2}), frozenset())
+        P = EasyPacking(((0, 1, 2),), ((0, 1),), 3, frozenset({0, 1, 2}))
         with pytest.raises(ValidationError):
             check_easy_packing(G, P)
 
     def test_rejects_missing_center_edge(self):
         G = WeightedGraph(3, [(0, 1, 1.0)])
-        P = EasyPacking(((0, 2),), ((0, 2),), 0, frozenset({0, 2}), frozenset({1}))
+        P = EasyPacking(((0, 2),), ((0, 2),), 0, frozenset({0, 2}))
         with pytest.raises(ValidationError):
             check_easy_packing(G, P)
 
@@ -148,7 +152,7 @@ class TestEasypack:
         P = easypack(G)
         assert P.parts == ((0, 1),)
         assert P.edge_count == 1
-        assert P.leftover == frozenset({2})
+        assert set(range(G.n)) - P.covered == {2}
 
     def test_requires_unit_weights(self):
         with pytest.raises(ValidationError):
@@ -185,7 +189,7 @@ class TestStarPacking:
         G = WeightedGraph(6, [(0, 1, 1.0), (2, 3, -1.0), (4, 5, 1.0)])
         P = star_packing(G)
         assert P.edge_count == 3
-        assert P.leftover == frozenset()
+        assert P.covered == set(range(G.n))
 
     def test_rejects_isolated_vertices(self):
         with pytest.raises(ValidationError):
@@ -203,15 +207,43 @@ class TestStarPacking:
             check_easy_packing(G, P)
             st = stats(G)
             assert P.edge_count >= G.m / (3 * float(st.density)) - 1e-9
+            leftover = set(range(G.n)) - P.covered
             for part in P.parts:
                 # at most one leftover vertex touches each part
-                touching = {
-                    v
-                    for v in P.leftover
-                    if any(u in part for u in G.adjacency[v])
-                }
+                touching = {v for v in leftover if any(u in part for u in G.adjacency[v])}
                 assert len(touching) <= 1
             checked += 1
+
+
+class TestPackingDifferential:
+    """The indexed packers against the scan-every-center references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(G=unit_graphs(max_isolated=4))
+    def test_easypack_same_as_reference(self, G):
+        P = easypack(G)
+        check_easy_packing(G, P)
+        assert (P.parts, P.centers) == reference_easypack(G)
+
+    @settings(max_examples=150, deadline=None)
+    @given(G=unit_graphs())
+    def test_star_packing_same_as_reference(self, G):
+        H, _ = induced_subgraph(G, [v for v in range(G.n) if G.degree(v) > 0])
+        P = star_packing(H)
+        check_easy_packing(H, P)
+        assert (P.parts, P.centers) == reference_star_packing(H)
+        assert len(P.centers) == tutte_matching_size(H)
+
+    def test_same_as_reference_on_random_graphs(self):
+        for seed in range(300):
+            n = 10 + seed % 51
+            pairs = n * (n - 1) // 2
+            G = _unit_graph(7000 + seed, n, [n, 2 * n, pairs // 3, pairs][seed % 4])
+            P = easypack(G)
+            assert (P.parts, P.centers) == reference_easypack(G)
+            H, _ = induced_subgraph(G, [v for v in range(G.n) if G.degree(v) > 0])
+            P = star_packing(H)
+            assert (P.parts, P.centers) == reference_star_packing(H)
 
 
 class TestDrivers:

@@ -3,15 +3,18 @@ independent oracles that do not go through the code under test."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
+from hypothesis import strategies as st
 
 from maxqp import (
     Assignment,
     CapacityError,
+    EasyPacking,
     GeneratorSpec,
     SplitMix64,
     TreeDecomposition,
@@ -19,6 +22,8 @@ from maxqp import (
     WeightedGraph,
     evaluate,
     generate,
+    maximal_matching,
+    triangle_is_good,
 )
 
 
@@ -37,6 +42,18 @@ GENERATOR_SPECS = [
 def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph:
     m = min(m, n * (n - 1) // 2)
     return generate(GeneratorSpec("sparse-random", seed, {"n": n, "m": m, "real": real}))
+
+
+@st.composite
+def unit_graphs(draw, max_n: int = 60, max_isolated: int = 0) -> WeightedGraph:
+    """A unit sparse-random graph, from empty through complete, on n <= max_n
+    vertices, followed by up to max_isolated extra isolated vertices."""
+    n = draw(st.integers(1, max_n))
+    pairs = n * (n - 1) // 2
+    m = draw(st.one_of(st.integers(0, min(2 * n, pairs)), st.integers(0, pairs)))
+    G = random_graph(draw(st.integers(0, 2**32)), n, m)
+    extra = draw(st.integers(0, max_isolated))
+    return WeightedGraph(n + extra, G.edges) if extra else G
 
 
 def assert_same_graph(G: WeightedGraph, H: WeightedGraph) -> None:
@@ -121,6 +138,199 @@ def max_matching_size(G: WeightedGraph) -> int:
     result = best((1 << G.n) - 1)
     best.cache_clear()
     return result
+
+
+def tutte_matching_size(G: WeightedGraph, seed: int = 0) -> int:
+    """Maximum matching size as half the rank of a random Tutte matrix mod p.
+
+    The rank over GF(p) is 2 * nu(G) unless the random entries hit a root of
+    a nonzero polynomial of degree <= n, which has probability <= n / p
+    (Lovász, 1979).  p = 2^61 - 1 and the entries are seeded, so the answer
+    is reproducible and does not go through any matching code.
+    """
+    p = (1 << 61) - 1
+    rng = SplitMix64(seed)
+    n = G.n
+    A = [[0] * n for _ in range(n)]
+    for u, v, _ in G.edges:
+        x = 1 + rng.randrange(p - 1)
+        A[u][v], A[v][u] = x, p - x
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if A[r][col]), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        inv = pow(A[rank][col], p - 2, p)
+        for r in range(rank + 1, n):
+            if A[r][col]:
+                f = A[r][col] * inv % p
+                A[r] = [(a - f * b) % p for a, b in zip(A[r], A[rank])]
+        rank += 1
+    return rank // 2
+
+
+def reference_maximum_matching(G: WeightedGraph) -> tuple[tuple[int, int], ...]:
+    """Blossom search per unmatched root in id order, every array reset per search.
+
+    Each search clears parent, base and used for all n vertices, and each
+    LCA walk and contraction allocates and scans n-element arrays, so it is
+    O(n) per step by design.  maximum_matching must return the same pairs.
+    """
+    n = G.n
+    match = [-1] * n
+    parent = [0] * n
+    base = [0] * n
+
+    def find_lca(a, b):
+        used_path = [False] * n
+        while True:
+            a = base[a]
+            used_path[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if used_path[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(blossom, v, b, child):
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def find_augmenting(root):
+        used = [False] * n
+        for v in range(n):
+            parent[v] = -1
+            base[v] = v
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in G.adjacency[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    curbase = find_lca(v, to)
+                    blossom = [False] * n
+                    mark_path(blossom, v, curbase, to)
+                    mark_path(blossom, to, curbase, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        return to
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return -1
+
+    for v in range(n):
+        if match[v] == -1:
+            end = find_augmenting(v)
+            while end != -1:
+                pv = parent[end]
+                ppv = match[pv]
+                match[end] = pv
+                match[pv] = end
+                end = ppv
+    return tuple((v, match[v]) for v in range(n) if match[v] > v)
+
+
+def _part_edge_count(G: WeightedGraph, part) -> int:
+    inpart = set(part)
+    return sum(1 for u in part for v in G.adjacency[u] if u < v and v in inpart)
+
+
+def check_easy_packing(G: WeightedGraph, P: EasyPacking) -> None:
+    """Structural validator of an easy packing; raises ValidationError on any breach."""
+    seen: set[int] = set()
+    for part, (cu, cv) in zip(P.parts, P.centers):
+        pset = set(part)
+        if pset & seen:
+            raise ValidationError("packing parts are not disjoint")
+        seen |= pset
+        if cu not in pset or cv not in pset:
+            raise ValidationError("center endpoints not inside their part")
+        if not G.has_edge(cu, cv):
+            raise ValidationError(f"center pair ({cu}, {cv}) is not an edge")
+        outside = pset - {cu, cv}
+        for o in outside:
+            nbrs = G.adjacency[o].keys() & pset
+            if not nbrs:
+                raise ValidationError(f"part is disconnected at vertex {o}")
+            if not nbrs <= {cu, cv}:
+                raise ValidationError(f"outside vertex {o} adjacent to a non-center vertex")
+            if nbrs == {cu, cv} and not triangle_is_good(G, o, cu, cv):
+                raise ValidationError(f"bad triangle ({o}, {cu}, {cv}) inside a part")
+    if seen != set(P.covered):
+        raise ValidationError("covered set disagrees with parts")
+    expected = sum(_part_edge_count(G, part) for part in P.parts)
+    if expected != P.edge_count:
+        raise ValidationError("edge_count disagrees with parts")
+
+
+def reference_easypack(G: WeightedGraph):
+    """easypack with step 5 scanning every center from index 0 for each vertex.
+
+    Returns (parts, centers) in EasyPacking's form; easypack must match both.
+    """
+    M = maximal_matching(G)
+    istar = {v for v in range(G.n) if M.matched[v] is None and G.degree(v) > 0}
+    mstar = []
+    for x, y in M.edges:
+        common = sorted(G.adjacency[x].keys() & G.adjacency[y].keys() & istar)
+        if len(common) >= 2:
+            u, v = common[0], common[1]
+            mstar.append(tuple(sorted((u, x))))
+            mstar.append(tuple(sorted((v, y))))
+            istar -= {u, v}
+        else:
+            mstar.append((x, y))
+    parts = [[a, b] for a, b in mstar]
+    for v in sorted(istar):
+        nbrs = G.adjacency[v]
+        for idx, (cx, cy) in enumerate(mstar):
+            adj_x, adj_y = cx in nbrs, cy in nbrs
+            if adj_x != adj_y or (adj_x and adj_y and triangle_is_good(G, v, cx, cy)):
+                parts[idx].append(v)
+                break
+    return tuple(tuple(sorted(p)) for p in parts), tuple(mstar)
+
+
+def reference_star_packing(G: WeightedGraph):
+    """star_packing over reference_maximum_matching, scanning every part from
+    index 0 for each unmatched vertex.  Returns (parts, centers)."""
+    centers = reference_maximum_matching(G)
+    parts = [[x, y] for x, y in centers]
+    hub = [None] * len(parts)
+    matched = {v for c in centers for v in c}
+    for v in range(G.n):
+        if v in matched:
+            continue
+        nbrs = G.adjacency[v]
+        for idx, (x, y) in enumerate(centers):
+            adj_x, adj_y = x in nbrs, y in nbrs
+            if adj_x == adj_y:
+                continue  # no edge to the center, or a triangle
+            t = x if adj_x else y
+            if hub[idx] is None:
+                hub[idx] = t
+            elif hub[idx] != t:
+                continue
+            parts[idx].append(v)
+            break
+    return tuple(tuple(sorted(p)) for p in parts), centers
 
 
 def is_bipartite(G: WeightedGraph) -> bool:
