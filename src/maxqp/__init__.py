@@ -12,8 +12,6 @@ from .graph import (
     glue_blocks,
     induced_subgraph,
     load_graph,
-    normalize_nonneg,
-    solution,
     stats,
 )
 from .matching import Matching, greedy_sorted_matching, maximal_matching, maximum_matching
@@ -36,7 +34,6 @@ from .packing import (
     triangle_is_good,
 )
 from .schemes import (
-    LayerStructure,
     VertexPartition,
     bfs_layers,
     heuristic_partition,

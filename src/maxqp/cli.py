@@ -27,7 +27,6 @@ from .treewidth import (
     read_decomposition,
     solve_exact,
     solve_treewidth,
-    to_nice,
     validate_decomposition,
 )
 
@@ -66,7 +65,8 @@ def _solve(G: WeightedGraph, algo: str, opts: Options) -> tuple[str, ApproxResul
     """Run `algo`; returns the name of the solver that answered and its result.
 
     `auto` tries exact-tw, then baker if an epsilon is given, and answers with
-    greedy-matching when the width cap refuses both.
+    greedy-matching when a capacity error (the width cap, or the DP's width
+    limit) refuses both.
     """
     if algo != "auto":
         return algo, SOLVERS[algo](G, opts)
@@ -100,7 +100,7 @@ def cmd_solve(args) -> int:
                 f"decomposition width {td.width} exceeds cap {args.width_cap}",
                 achieved=td.width,
             )
-        sol = solve_treewidth(G, to_nice(td))
+        sol = solve_treewidth(G, td)
         algo, r = "exact-tw", ApproxResult(sol, Fraction(1), {"width": td.width})
     else:
         algo, r = _solve(G, args.algo, opts)
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MaxQPError, OSError) as e:
+    except (MaxQPError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, CapacityError):
             return 3

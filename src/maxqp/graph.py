@@ -3,9 +3,9 @@
 Every way of putting local solutions together without losing value goes
 through `glue_blocks`: blocks of vertices with fixed inner signs are placed
 one after another, and a block is flipped when its edges to the blocks
-already placed sum below zero.  `normalize_nonneg`, `combine_disjoint` and
-`extend_from_induced` are choices of blocks, as are the matching and packing
-drivers in :mod:`maxqp.packing`.
+already placed sum below zero.  `combine_disjoint` and `extend_from_induced`
+are choices of blocks, as are the matching and packing drivers in
+:mod:`maxqp.packing`.
 
 The objective used everywhere is the edge-based sum over stored undirected
 edges: val_x(G) = sum over {u,v} in E of a_uv * x_u * x_v.  This is half of
@@ -197,11 +197,6 @@ def value_tol(G: WeightedGraph) -> float:
     return 1e-9 * max(1.0, float(np.abs(G.edge_arrays()[2]).sum()))
 
 
-def solution(G: WeightedGraph, values: Sequence[int]) -> Assignment:
-    """Wrap a sign vector as an Assignment with its evaluated value."""
-    return Assignment(tuple(values), evaluate(G, values))
-
-
 def glue_blocks(
     G: WeightedGraph, block_of: Sequence[int], inner: Sequence[int]
 ) -> tuple[list[int], float]:
@@ -244,19 +239,6 @@ def glue_blocks(
     signs = np.where(block >= 0, sign * np.asarray(flip, dtype=np.int64)[block], 0)
     value = float(np.sum(ew * (signs[eu] * signs[ev])))
     return signs.tolist(), value
-
-
-def normalize_nonneg(G: WeightedGraph, start: Assignment | None = None) -> Assignment:
-    """Compute an assignment with value >= 0 in O(n + m).
-
-    Starts from `start` (all +1 when absent) and glues the vertices on one at
-    a time in id order, so each one's edges to earlier vertices sum to >= 0.
-    """
-    if start is not None and len(start.values) != G.n:
-        raise ValidationError("start assignment length mismatch")
-    inner = start.values if start is not None else [1] * G.n
-    signs, value = glue_blocks(G, range(G.n), inner)
-    return Assignment(tuple(signs), value)
 
 
 def _check_vertices(G: WeightedGraph, x: Mapping[int, int]) -> None:

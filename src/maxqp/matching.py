@@ -25,9 +25,6 @@ class Matching:
     total_abs_weight: float
     matched: tuple[int | None, ...]
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
 
 def _make_matching(
     G: WeightedGraph, pairs, total: float | None = None

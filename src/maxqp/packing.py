@@ -55,17 +55,6 @@ def _part_edge_count(G: WeightedGraph, part) -> int:
     return sum(1 for u in part for v in G.adjacency[u] if u < v and v in inpart)
 
 
-def _packing_from_parts(G: WeightedGraph, parts, centers) -> EasyPacking:
-    covered = frozenset(v for part in parts for v in part)
-    edge_count = sum(_part_edge_count(G, part) for part in parts)
-    return EasyPacking(
-        tuple(tuple(sorted(p)) for p in parts),
-        tuple(centers),
-        edge_count,
-        covered,
-    )
-
-
 def _glue_with_rest(G: WeightedGraph, block_of, inner, k: int) -> Assignment:
     """Glue blocks 0..k-1, then each vertex still at block -1 alone, in id order."""
     block_of = np.asarray(block_of, dtype=np.int64)
@@ -135,17 +124,26 @@ def packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignment:
     return out
 
 
-def _center_index(n: int, centers) -> list[int]:
-    """Index of the center edge at each endpoint, -1 elsewhere (centers are disjoint)."""
-    center_of = [-1] * n
+def _attach(G: WeightedGraph, centers, vertices, fits) -> EasyPacking:
+    """Seed one part per center edge, then give each vertex, in order, to the
+    first center with an endpoint in N(v) that `fits(idx, v)` accepts.
+
+    Centers are disjoint edges, so each endpoint indexes one center; a center
+    outside N(v) can never take v, so only the touching ones are tried, in
+    index order.
+    """
+    parts = [[x, y] for x, y in centers]
+    center_of = [-1] * G.n
     for idx, (x, y) in enumerate(centers):
         center_of[x] = center_of[y] = idx
-    return center_of
-
-
-def _touching(center_of: list[int], nbrs) -> list[int]:
-    """Indices of the centers with an endpoint in `nbrs`, in increasing order."""
-    return sorted({center_of[u] for u in nbrs if center_of[u] >= 0})
+    for v in vertices:
+        for idx in sorted({center_of[u] for u in G.adjacency[v] if center_of[u] >= 0}):
+            if fits(idx, v):
+                parts[idx].append(v)
+                break
+    covered = frozenset(v for part in parts for v in part)
+    edge_count = sum(_part_edge_count(G, part) for part in parts)
+    return EasyPacking(tuple(tuple(sorted(p)) for p in parts), tuple(centers), edge_count, covered)
 
 
 def easypack(G: WeightedGraph) -> EasyPacking:
@@ -155,78 +153,61 @@ def easypack(G: WeightedGraph) -> EasyPacking:
     edge {x, y}, if two unmatched vertices each form a triangle with it, split
     it into the two center edges {u, x} and {v, y}; (4) seed parts from the
     resulting edges; (5) attach each remaining unmatched vertex v to the
-    first center it forms a path or a good triangle with.  The candidate
-    centers are those with an endpoint in N(v), tried in index order; a
-    center outside N(v) can never take v.  All scans in increasing id order,
-    O(n + m) after the maximal matching.
+    first center it forms a path or a good triangle with.  All scans in
+    increasing id order, O(n + m) after the maximal matching.
     """
     if not G.unit:
         raise ValidationError("easypack requires unit weights")
     M = maximal_matching(G)
     istar = {v for v in range(G.n) if M.matched[v] is None and G.degree(v) > 0}
-    mstar: list[tuple[int, int]] = []
+    centers: list[tuple[int, int]] = []
     for x, y in M.edges:
         common = sorted(G.adjacency[x].keys() & G.adjacency[y].keys() & istar)
         if len(common) >= 2:
             u, v = common[0], common[1]
-            mstar.append(tuple(sorted((u, x))))
-            mstar.append(tuple(sorted((v, y))))
+            centers.append(tuple(sorted((u, x))))
+            centers.append(tuple(sorted((v, y))))
             istar -= {u, v}
         else:
-            mstar.append((x, y))
-    parts = [[a, b] for a, b in mstar]
-    centers = list(mstar)
-    center_of = _center_index(G.n, centers)
-    for v in sorted(istar):
+            centers.append((x, y))
+
+    def fits(idx: int, v: int) -> bool:
+        # a touching center has an endpoint in N(v): a path unless both are
+        cx, cy = centers[idx]
         nbrs = G.adjacency[v]
-        for idx in _touching(center_of, nbrs):
-            cx, cy = centers[idx]
-            adj_x, adj_y = cx in nbrs, cy in nbrs
-            if adj_x != adj_y:
-                parts[idx].append(v)
-                break
-            if adj_x and adj_y and triangle_is_good(G, v, cx, cy):
-                parts[idx].append(v)
-                break
-    return _packing_from_parts(G, parts, centers)
+        return (cx in nbrs) != (cy in nbrs) or triangle_is_good(G, v, cx, cy)
+
+    return _attach(G, centers, sorted(istar), fits)
 
 
 def star_packing(G: WeightedGraph) -> EasyPacking:
     """Star packing seeded from a maximum-cardinality matching.
 
     Unmatched vertices are scanned in increasing id order and each is
-    attached to the first part that stays a star.  The candidate parts of v
-    are those whose center edge has an endpoint in N(v), tried in index
-    order.  Requires a unit instance without isolated vertices.
+    attached to the first part that stays a star: v is adjacent to exactly
+    one endpoint of the center, and that endpoint is the part's hub (fixed by
+    the first vertex attached).  Requires a unit instance without isolated
+    vertices.
     """
     if not G.unit:
         raise ValidationError("star_packing requires unit weights")
     if any(G.degree(v) == 0 for v in range(G.n)):
         raise ValidationError("star_packing requires no isolated vertices")
     M = maximum_matching(G)
-    parts = [[x, y] for x, y in M.edges]
-    centers = list(M.edges)
-    # star hub per part; fixed by the first attached outside vertex
-    hub: list[int | None] = [None] * len(parts)
-    unmatched = sorted(v for v in range(G.n) if M.matched[v] is None)
-    center_of = _center_index(G.n, centers)
-    for v in unmatched:
+    hub: list[int | None] = [None] * len(M.edges)
+
+    def fits(idx: int, v: int) -> bool:
+        x, y = M.edges[idx]
         nbrs = G.adjacency[v]
-        for idx in _touching(center_of, nbrs):
-            x, y = centers[idx]
-            adj_x, adj_y = x in nbrs, y in nbrs
-            if adj_x and adj_y:
-                continue  # would close a triangle
-            if not (adj_x or adj_y):
-                continue
-            t = x if adj_x else y
-            if hub[idx] is None:
-                hub[idx] = t
-            elif hub[idx] != t:
-                continue
-            parts[idx].append(v)
-            break
-    return _packing_from_parts(G, parts, centers)
+        if x in nbrs and y in nbrs:
+            return False  # would close a triangle
+        t = x if x in nbrs else y
+        if hub[idx] is None:
+            hub[idx] = t
+        return hub[idx] == t
+
+    unmatched = [v for v in range(G.n) if M.matched[v] is None]
+    return _attach(G, M.edges, unmatched, fits)
 
 
 def _trivial_result(G: WeightedGraph, extra: dict) -> ApproxResult:

@@ -26,23 +26,8 @@ from .graph import (
 from .treewidth import DEFAULT_WIDTH_CAP, solve_exact
 
 
-@dataclass(frozen=True)
-class LayerStructure:
-    """BFS layers; layer indices are shared across connected components."""
-
-    layers: tuple[tuple[int, ...], ...]
-    layer_of: tuple[int, ...]
-
-    def residue_classes(self, k: int) -> list[list[int]]:
-        """Class i = union of layers whose index is congruent to i mod k."""
-        classes: list[list[int]] = [[] for _ in range(k)]
-        for v, li in enumerate(self.layer_of):
-            classes[li % k].append(v)
-        return classes
-
-
-def bfs_layers(G: WeightedGraph, root: int | None = None) -> LayerStructure:
-    """Exact BFS distance layers.
+def bfs_layers(G: WeightedGraph, root: int | None = None) -> tuple[int, ...]:
+    """Exact BFS distance layers: the layer index of each vertex.
 
     One BFS per component: the first from `root` when it is given, then one
     from each vertex not yet reached, in increasing id order.  The layer
@@ -51,7 +36,6 @@ def bfs_layers(G: WeightedGraph, root: int | None = None) -> LayerStructure:
     if root is not None and not 0 <= root < G.n:
         raise ValidationError(f"root {root} out of range")
     layer_of = [-1] * G.n
-    layers: list[list[int]] = []
     starts = range(G.n) if root is None else [root, *range(G.n)]
     for start in starts:
         if layer_of[start] >= 0:
@@ -60,17 +44,25 @@ def bfs_layers(G: WeightedGraph, root: int | None = None) -> LayerStructure:
         dq = deque([start])
         while dq:
             v = dq.popleft()
-            d = layer_of[v]
-            if d == len(layers):
-                layers.append([])
-            layers[d].append(v)
+            d = layer_of[v] + 1
             for u in G.adjacency[v]:
                 if layer_of[u] < 0:
-                    layer_of[u] = d + 1
+                    layer_of[u] = d
                     dq.append(u)
-    return LayerStructure(
-        tuple(tuple(sorted(layer)) for layer in layers), tuple(layer_of)
-    )
+    return tuple(layer_of)
+
+
+def residue_classes(layer_of, k: int) -> list[list[int]]:
+    """Class i = vertices whose layer index is congruent to i mod k, in id order.
+
+    Only the classes that occur are built: with L layers, classes 0..min(k, L)-1,
+    plus class L, empty, when k > L.  Every class from L on is empty, so that
+    one stands for all of them.
+    """
+    classes: list[list[int]] = [[] for _ in range(min(k, max(layer_of, default=-1) + 2))]
+    for v, li in enumerate(layer_of):
+        classes[li % k].append(v)
+    return classes
 
 
 def _solve_induced_exact(G, vertices, width_cap, label):
@@ -98,12 +90,11 @@ def solve_baker(
     if not 0 < eps <= 1:
         raise ValidationError("epsilon must be in (0, 1]")
     k = math.ceil(4 / eps)
-    structure = bfs_layers(G)
-    classes = structure.residue_classes(k)
     best = None
     best_i = -1
-    for i in range(k):
-        drop = set(classes[i])
+    # the classes past the last one built are empty, like the last: the first wins ties
+    for i, cls in enumerate(residue_classes(bfs_layers(G), k)):
+        drop = set(cls)
         keep = [v for v in range(G.n) if v not in drop]
         signs = _solve_induced_exact(G, keep, width_cap, f"G_{i}")
         sol = extend_from_induced(G, signs)
@@ -174,7 +165,8 @@ def heuristic_partition(G: WeightedGraph, k: int) -> VertexPartition:
     """
     if k < 1:
         raise ValidationError("k must be at least 1")
-    classes = bfs_layers(G).residue_classes(k)
+    classes = residue_classes(bfs_layers(G), k)
+    classes += [[]] * (k - len(classes))
     return VertexPartition(
         tuple(tuple(c) for c in classes), "bfs-layer-heuristic"
     )
@@ -207,7 +199,10 @@ def solve_partition_scheme(
     k = partition.k
     best = None
     best_i = -1
+    first_empty = partition.parts.index(()) if () in partition.parts else None
     for i, part in enumerate(partition.parts):
+        if not part and i != first_empty:
+            continue  # the same subproblems as the first empty part, which wins ties
         inside = list(part)
         part_set = set(part)
         outside = [v for v in range(G.n) if v not in part_set]

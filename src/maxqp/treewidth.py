@@ -1,10 +1,12 @@
 """Exact solving on bounded-treewidth instances.
 
 Pipeline: min-fill elimination ordering -> clique-tree decomposition ->
-bags renumbered children before parents (`to_nice`) -> bucket elimination
-over the bags, one sign-mask table per bag, with backtracking
-reconstruction.  An external decomposition in the `b`/`t` text format is
-read by `read_decomposition` and solved as it is, empty bags included.
+bucket elimination over the bags, one sign-mask table per bag, with
+backtracking reconstruction.  The DP takes any valid decomposition: it
+renumbers the bags children before parents itself (`to_nice`).  An external
+decomposition in the `b`/`t` text format is read by `read_decomposition` and
+solved as it is, empty bags included.  A decomposition wider than
+MAX_DP_WIDTH is refused before any table is allocated.
 
 Each bag's table is dropped once its message to the parent is sent, and
 each vertex maxed out keeps only one packed argmax bit per mask for the
@@ -39,6 +41,7 @@ from .errors import CapacityError, ParseError, ValidationError
 from .graph import ApproxResult, Assignment, WeightedGraph, evaluate
 
 DEFAULT_WIDTH_CAP = 20
+MAX_DP_WIDTH = 27  # a bag of 28 vertices makes a 2 GiB table
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ def validate_decomposition(G: WeightedGraph, td: TreeDecomposition) -> None:
         if G.n == 0:
             return
         raise ValidationError("decomposition has no bags")
-    _validate_tree(td)
+    _preorder(td)
     containing: dict[int, list[int]] = {v: [] for v in range(G.n)}
     for i, bag in enumerate(td.bags):
         for v in bag:
@@ -135,8 +138,9 @@ def validate_decomposition(G: WeightedGraph, td: TreeDecomposition) -> None:
             raise ValidationError(f"bags containing vertex {v} are not connected")
 
 
-def _validate_tree(td: TreeDecomposition) -> None:
-    """The parent links must form one tree, rooted at td.root, over all bags."""
+def _preorder(td: TreeDecomposition) -> list[int]:
+    """The bags in depth-first preorder from td.root; raises unless the
+    parent links form one tree, rooted at td.root, over all bags."""
     k = len(td.bags)
     if len(td.parent) != k or not 0 <= td.root < k or td.parent[td.root] is not None:
         raise ValidationError("decomposition root must be a bag without a parent")
@@ -146,13 +150,15 @@ def _validate_tree(td: TreeDecomposition) -> None:
         if p is not None and not 0 <= p < k:
             raise ValidationError(f"bag {i} has unknown parent {p}")
     ch_of = td.children()
-    reached = 0
+    order: list[int] = []
     stack = [td.root]
     while stack:
-        reached += 1
-        stack.extend(ch_of[stack.pop()])
-    if reached != k:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(ch_of[node])
+    if len(order) != k:
         raise ValidationError("decomposition tree links contain a cycle")
+    return order
 
 
 def build_decomposition(
@@ -258,22 +264,15 @@ def build_decomposition(
 
 def to_nice(td: TreeDecomposition) -> TreeDecomposition:
     """The same bags, each sorted, renumbered so that children come before
-    their parent and the root is last: the order solve_treewidth needs.
+    their parent and the root is last: the order solve_treewidth works in.
+    Idempotent: a renumbered decomposition comes back unchanged.
 
-    The name and the one-argument shape are kept from the nice-form DP this
-    replaced, because span tracing wraps `treewidth.to_nice` by name and
-    reads `.bags` from its result.
+    The name is kept from the nice-form DP this replaced: span tracing wraps
+    `treewidth.to_nice` by name and reads `.bags` from its result.
     """
     if not td.bags:
         return td
-    ch_of = td.children()
-    order: list[int] = []
-    stack = [td.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(ch_of[node])
-    order.reverse()  # reversed preorder: every child precedes its parent
+    order = _preorder(td)[::-1]  # reversed preorder: every child precedes its parent
     new = {old: i for i, old in enumerate(order)}
     parent = tuple(None if td.parent[o] is None else new[td.parent[o]] for o in order)
     bags = tuple(tuple(sorted(td.bags[o])) for o in order)
@@ -301,8 +300,8 @@ def _halves(table: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
 def solve_treewidth(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
     """Optimal assignment by bucket elimination over the bags of `td`.
 
-    `td` must be numbered children before parents with the root last, as
-    to_nice returns it, with each bag sorted.  A bag's table is a
+    `td` is any valid decomposition of G; its bags are first renumbered
+    children before parents, each sorted (`to_nice`).  A bag's table is a
     (2,)*|bag| cube indexed by sign mask (bit i set => bag[i] gets -1; bit i
     is axis |bag|-1-i, so the flat index is the mask).  It is the sum of the
     children's messages, broadcast over the bag, and of the edges whose
@@ -314,12 +313,14 @@ def solve_treewidth(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
     at -1 (ties keep +1); what is left is the message to the parent, and the
     root's is a 0-d array.  The backtrack reads the bits in reverse.
     """
+    if td.width > MAX_DP_WIDTH:
+        raise CapacityError(
+            f"decomposition width {td.width} exceeds the DP limit {MAX_DP_WIDTH}",
+            achieved=td.width,
+        )
+    td = to_nice(td)
     if G.n == 0:
         return Assignment((), 0.0)
-    if td.root != len(td.bags) - 1 or any(p is not None and p <= i for i, p in enumerate(td.parent)):
-        raise ValidationError("bags must be numbered children first (see to_nice)")
-    if any(list(bag) != sorted(bag) for bag in td.bags):
-        raise ValidationError("bags must be sorted (see to_nice)")
     bagsets = [set(bag) for bag in td.bags]
     forget_at = [-1] * G.n
     for i, bag in enumerate(td.bags):
@@ -366,8 +367,8 @@ def solve_treewidth(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
 
 
 def solve_exact(G: WeightedGraph, width_cap: int = DEFAULT_WIDTH_CAP) -> ApproxResult:
-    """Decompose, convert, and solve: an optimum, with the achieved width."""
+    """Decompose and solve: an optimum, with the achieved width."""
     td = build_decomposition(G, width_cap)
-    sol = solve_treewidth(G, to_nice(td))
+    sol = solve_treewidth(G, td)
     return ApproxResult(sol, Fraction(1), {"width": td.width})
 

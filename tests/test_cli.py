@@ -204,6 +204,32 @@ class TestExitCodes:
         assert "--width-cap must be nonnegative" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n", [70, 40])
+    def test_decomposition_wider_than_the_dp_limit_is_capacity_error(self, tmp_path, capsys, n):
+        G = WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
+        inst = _write(tmp_path, "k.mq", format_instance(G))
+        assert main(["solve", inst, "--algo", "exact-tw", "--width-cap", "100"]) == 3
+        captured = capsys.readouterr()
+        assert f"decomposition width {n - 1} exceeds the DP limit" in captured.err
+        assert captured.out == ""
+        assert main(["solve", inst, "--width-cap", "100"]) == 0
+        assert "algo=greedy-matching" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("reader", ["instance", "decomposition", "partition", "assignment"])
+    def test_input_that_is_not_utf8_is_validation_error(self, tmp_path, capsys, reader):
+        inst, bad = _path3(tmp_path), _write(tmp_path, "bad", "")
+        (tmp_path / "bad").write_bytes(b"\xff")
+        argv = {
+            "instance": ["solve", bad],
+            "decomposition": ["solve", inst, "--decomposition", bad],
+            "partition": ["solve", inst, "--algo", "partition", "--epsilon", "0.5", "--partition", bad],
+            "assignment": ["eval", inst, bad],
+        }[reader]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_external_decomposition_wider_than_cap_is_capacity_error(self, tmp_path, capsys):
         n = 22
         G = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])

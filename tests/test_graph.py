@@ -24,8 +24,6 @@ from maxqp import (
     glue_blocks,
     induced_subgraph,
     load_graph,
-    normalize_nonneg,
-    solution,
     stats,
 )
 from maxqp.graph import MAX_VERTICES, degeneracy_order
@@ -35,11 +33,13 @@ from util import (
     GENERATOR_SPECS,
     assert_same_graph,
     evaluate_partial,
+    normalize_nonneg,
     random_graph,
     reference_combine,
     reference_extend,
     reference_scan,
     sample_small,
+    solution,
 )
 
 

@@ -6,10 +6,11 @@ import pytest
 
 from maxqp import WeightedGraph
 from maxqp.errors import ParseError, ValidationError
-from maxqp.graph import solution
 from maxqp.io import format_assignment, format_instance, parse_assignment, parse_instance
 from maxqp.schemes import parse_partition
 from maxqp.treewidth import parse_decomposition
+
+from util import solution
 
 
 class TestInstanceFormat:

@@ -69,7 +69,7 @@ class TestGreedy:
     def test_disjoint_edges_all_taken(self):
         G = WeightedGraph(6, [(0, 1, 1.0), (2, 3, -2.0), (4, 5, 3.0)])
         M = greedy_sorted_matching(G)
-        assert len(M) == 3
+        assert len(M.edges) == 3
         assert M.total_abs_weight == 6.0
 
     def test_equal_weights_break_ties_lexicographically(self):
@@ -93,7 +93,7 @@ class TestGreedy:
 
     def test_empty_graph(self):
         M = greedy_sorted_matching(WeightedGraph(3, []))
-        assert len(M) == 0 and M.total_abs_weight == 0.0
+        assert len(M.edges) == 0 and M.total_abs_weight == 0.0
 
     def test_same_matching_as_three_key_sort(self):
         # few distinct weights tie often: the (u, v) tie rule must hold
@@ -115,7 +115,7 @@ class TestGreedy:
             M = greedy_sorted_matching(G)
             assert (M.edges, M.total_abs_weight) == reference_greedy_matching(G)
             assert all(M.matched[M.matched[v]] == v for v in range(G.n) if M.matched[v] is not None)
-            assert sum(x is not None for x in M.matched) == 2 * len(M)
+            assert sum(x is not None for x in M.matched) == 2 * len(M.edges)
 
 
 class TestMaximal:
@@ -124,7 +124,7 @@ class TestMaximal:
         assert maximal_matching(G).edges == ((0, 1),)
 
     def test_empty_graph(self):
-        assert len(maximal_matching(WeightedGraph(2, []))) == 0
+        assert len(maximal_matching(WeightedGraph(2, [])).edges) == 0
 
     def test_maximality_on_random_graphs(self):
         for seed in range(50):
@@ -137,16 +137,16 @@ class TestMaximal:
 class TestMaximum:
     def test_path_p4(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        assert len(maximum_matching(G)) == 2
+        assert len(maximum_matching(G).edges) == 2
 
     def test_triangle(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        assert len(maximum_matching(G)) == 1
+        assert len(maximum_matching(G).edges) == 1
 
     def test_odd_cycle_with_pendant_needs_blossom(self):
         # 5-cycle plus a pendant on vertex 0: maximum matching has 3 edges
         edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.0), (0, 5, 1.0)]
-        assert len(maximum_matching(WeightedGraph(6, edges))) == 3
+        assert len(maximum_matching(WeightedGraph(6, edges)).edges) == 3
 
     @pytest.mark.parametrize("seed", range(60))
     def test_cardinality_matches_subset_dp_oracle(self, seed):
@@ -155,8 +155,8 @@ class TestMaximum:
         G = random_graph(200 + seed, n, m)
         M = maximum_matching(G)
         _check_disjoint(G, M)
-        assert len(M) == max_matching_size(G)
-        assert len(M) >= len(maximal_matching(G))
+        assert len(M.edges) == max_matching_size(G)
+        assert len(M.edges) >= len(maximal_matching(G).edges)
 
 
 # Fixed graphs whose later searches contract blossoms (each labelling was
@@ -194,7 +194,7 @@ class TestMaximumDifferential:
         M = maximum_matching(G)
         _check_disjoint(G, M)
         assert M.edges == reference_maximum_matching(G)
-        assert len(M) == max_matching_size(G) == size
+        assert len(M.edges) == max_matching_size(G) == size
 
     @settings(max_examples=150, deadline=None)
     @given(G=unit_graphs())
@@ -202,9 +202,9 @@ class TestMaximumDifferential:
         M = maximum_matching(G)
         _check_disjoint(G, M)
         assert M.edges == reference_maximum_matching(G)
-        assert len(M) == tutte_matching_size(G)
+        assert len(M.edges) == tutte_matching_size(G)
         if G.n <= 12:
-            assert len(M) == max_matching_size(G)
+            assert len(M.edges) == max_matching_size(G)
 
     def test_same_pairs_as_reference_on_random_graphs(self):
         # several blossoms per search, over sparse through dense graphs

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from fractions import Fraction
 
@@ -19,8 +20,9 @@ from maxqp import (
     solve_partition_scheme,
 )
 from maxqp.oracle import GeneratorSpec, generate
+from maxqp.schemes import residue_classes
 
-from util import random_graph
+from util import layers_of, random_graph, reference_baker, reference_partition_scheme
 
 
 def _grid(rows, cols, seed=1):
@@ -30,22 +32,19 @@ def _grid(rows, cols, seed=1):
 class TestBfsLayers:
     def test_star_from_center(self):
         G = WeightedGraph(5, [(0, i, 1.0) for i in range(1, 5)])
-        L = bfs_layers(G, root=0)
-        assert L.layers == ((0,), (1, 2, 3, 4))
+        assert layers_of(bfs_layers(G, root=0)) == ((0,), (1, 2, 3, 4))
 
     def test_path_from_end(self):
         G = WeightedGraph(5, [(i, i + 1, 1.0) for i in range(4)])
-        L = bfs_layers(G, root=0)
-        assert L.layers == ((0,), (1,), (2,), (3,), (4,))
+        assert layers_of(bfs_layers(G, root=0)) == ((0,), (1,), (2,), (3,), (4,))
 
     def test_grid_from_corner_layer_sizes(self):
-        L = bfs_layers(_grid(4, 4), root=0)
-        assert [len(layer) for layer in L.layers] == [1, 2, 3, 4, 3, 2, 1]
+        layers = layers_of(bfs_layers(_grid(4, 4), root=0))
+        assert [len(layer) for layer in layers] == [1, 2, 3, 4, 3, 2, 1]
 
     def test_disconnected_components_all_layered(self):
         G = WeightedGraph(5, [(0, 1, 1.0), (3, 4, 1.0)])
-        L = bfs_layers(G)
-        assert all(li >= 0 for li in L.layer_of)
+        assert all(li >= 0 for li in bfs_layers(G))
 
     def test_root_outside_first_component(self):
         for seed in range(40):
@@ -65,23 +64,33 @@ class TestBfsLayers:
                         if dist[u] < 0:
                             dist[u] = dist[v] + 1
                             queue.append(u)
-            L = bfs_layers(G, root=root)
-            assert L.layer_of == tuple(dist)
-            assert L.layers == tuple(
+            layer_of = bfs_layers(G, root=root)
+            assert layer_of == tuple(dist)
+            assert layers_of(layer_of) == tuple(
                 tuple(v for v in range(G.n) if dist[v] == d) for d in range(max(dist) + 1)
             )
 
     def test_edges_stay_within_adjacent_layers(self):
         for seed in range(60):
             G = random_graph(seed, 10, 3 + seed % 15)
-            L = bfs_layers(G)
+            layer_of = bfs_layers(G)
             for u, v, _ in G.edges:
-                assert abs(L.layer_of[u] - L.layer_of[v]) <= 1
+                assert abs(layer_of[u] - layer_of[v]) <= 1
 
     def test_residue_classes_partition_vertices(self):
         G = _grid(3, 5)
-        classes = bfs_layers(G).residue_classes(3)
+        classes = residue_classes(bfs_layers(G), 3)
         assert sorted(v for c in classes for v in c) == list(range(G.n))
+
+    def test_residue_classes_past_the_layers_are_one_empty_class(self):
+        G = _grid(3, 5)  # 7 layers from vertex 0
+        layer_of = bfs_layers(G)
+        for k in (1, 3, 7, 8, 9, 400, 10**12):
+            classes = residue_classes(layer_of, k)
+            assert len(classes) == min(k, 8)
+            for i, cls in enumerate(classes):
+                assert cls == [v for v in range(G.n) if layer_of[v] % k == i]
+        assert residue_classes((), 5) == [[]]
 
 
 class TestBaker:
@@ -110,6 +119,23 @@ class TestBaker:
             solve_baker(G, 0.0)
         with pytest.raises(ValidationError):
             solve_baker(G, 1.5)
+
+    @pytest.mark.parametrize("rows, cols, seed", [(4, 4, 3), (6, 6, 11), (3, 9, 5), (8, 8, 2)])
+    def test_same_result_as_solving_every_class(self, rows, cols, seed):
+        # k = 80 is far past the layer count, so most classes are empty
+        G = _grid(rows, cols, seed=seed)
+        r, ref = solve_baker(G, 0.05), reference_baker(G, 0.05)
+        assert r.assignment == ref.assignment
+        assert (r.guarantee, r.certificate) == (ref.guarantee, ref.certificate)
+
+    def test_tiny_epsilon_solves_the_empty_class_once(self):
+        G = _grid(6, 6, seed=4)
+        start = time.perf_counter()
+        r = solve_baker(G, 1e-9)
+        assert time.perf_counter() - start < 1.0
+        assert r.value == solve_exact(G).value
+        assert r.certificate["k"] == 4 * 10**9
+        assert r.certificate["chosen_class"] <= 11  # 11 layers: class 11 is the first empty one
 
     def test_epsilon_one_allows_any_value(self):
         G = _grid(3, 3, seed=2)
@@ -142,9 +168,13 @@ class TestPartitions:
     def test_heuristic_on_grid_forms_bands(self):
         G = _grid(5, 5)
         P = heuristic_partition(G, 3)
-        L = bfs_layers(G)
+        layer_of = bfs_layers(G)
         for i, part in enumerate(P.parts):
-            assert all(L.layer_of[v] % 3 == i for v in part)
+            assert all(layer_of[v] % 3 == i for v in part)
+
+    def test_heuristic_keeps_k_parts_past_the_layers(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert heuristic_partition(G, 5).parts == ((0,), (1,), (2,), (), ())
 
 
 class TestPartitionScheme:
@@ -167,6 +197,21 @@ class TestPartitionScheme:
         assert r.certificate["k"] == G.n
         assert r.certificate["partition_source"] == "external-file"
         assert r.value >= float(r.guarantee) * brute_force(G).value - 1e-9
+
+    @pytest.mark.parametrize("rows, cols, seed, eps", [(4, 4, 6, 0.5), (8, 8, 1, 0.5), (5, 7, 3, 0.2)])
+    def test_same_result_as_solving_every_part(self, rows, cols, seed, eps):
+        G = _grid(rows, cols, seed=seed)
+        r, ref = solve_partition_scheme(G, eps), reference_partition_scheme(G, eps)
+        assert r.assignment == ref.assignment
+        assert (r.guarantee, r.certificate) == (ref.guarantee, ref.certificate)
+
+    def test_repeated_empty_parts_of_an_external_partition(self):
+        G = _grid(3, 4, seed=8)
+        P = load_partition(G.n, [[], list(range(6)), [], list(range(6, 12)), []])
+        r = solve_partition_scheme(G, 1.0, partition=P)
+        ref = reference_partition_scheme(G, 1.0, partition=P)
+        assert r.assignment == ref.assignment and r.certificate == ref.certificate
+        assert r.certificate["k"] == 5
 
     def test_rejects_real_weights(self):
         with pytest.raises(ValidationError):

@@ -22,10 +22,12 @@ from maxqp import (
     validate_decomposition,
 )
 from maxqp.graph import value_tol
+from maxqp.treewidth import MAX_DP_WIDTH
 from maxqp.oracle import GeneratorSpec, SplitMix64, generate
 
 from util import (
     elimination_decomposition,
+    is_valid_decomposition,
     random_graph,
     reference_min_fill,
     reference_nice_dp,
@@ -157,6 +159,36 @@ class TestValidateDecomposition:
         with pytest.raises(ValidationError):
             validate_decomposition(G, td)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_random_edits_rejected_exactly_when_invalid(self, seed, data):
+        G = sample_small(seed)
+        order = list(range(G.n))
+        SplitMix64(seed).shuffle(order)
+        td = elimination_decomposition(G, order)
+        bags = [list(b) for b in td.bags]
+        parent, root = list(td.parent), td.root
+        k = len(bags)
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, k - 1))
+            edit = data.draw(st.sampled_from(["drop", "add", "parent", "root"]))
+            if edit == "drop" and bags[i]:
+                bags[i].remove(data.draw(st.sampled_from(bags[i])))
+            elif edit == "add":
+                v = data.draw(st.integers(-1, G.n))
+                if v not in bags[i]:
+                    bags[i].append(v)
+            elif edit == "parent":
+                parent[i] = data.draw(st.one_of(st.none(), st.integers(-1, k)))
+            else:
+                root = data.draw(st.integers(0, k - 1))
+        td = TreeDecomposition(tuple(map(tuple, bags)), tuple(parent), root)
+        if is_valid_decomposition(G, td):
+            validate_decomposition(G, td)
+        else:
+            with pytest.raises(ValidationError):
+                validate_decomposition(G, td)
+
 
 def _check_postorder(td, out):
     """to_nice keeps the bags and width, numbers children first, root last."""
@@ -182,6 +214,15 @@ class TestToNice:
         _check_postorder(td, to_nice(td))
         assert td.width == 1
 
+    def test_idempotent(self):
+        for seed in range(150):
+            G = sample_small(seed)
+            order = list(range(G.n))
+            SplitMix64(seed).shuffle(order)
+            for td in (build_decomposition(G), elimination_decomposition(G, order)):
+                once = to_nice(td)
+                assert to_nice(once) == once
+
     def test_random_conversions_keep_bags_and_number_children_first(self):
         for seed in range(60):
             G = sample_small(seed)
@@ -196,30 +237,61 @@ class TestToNice:
 class TestSolveTreewidth:
     def test_single_edge(self):
         G = WeightedGraph(2, [(0, 1, 1.0)])
-        a = solve_treewidth(G, to_nice(build_decomposition(G)))
+        a = solve_treewidth(G, build_decomposition(G))
         assert a.value == 1.0
         assert a.values[0] == a.values[1]
 
     def test_path_with_mixed_signs(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, -1.0)])
-        a = solve_treewidth(G, to_nice(build_decomposition(G)))
+        a = solve_treewidth(G, build_decomposition(G))
         assert a.value == 2.0
 
-    def test_rejects_bags_not_numbered_children_first_or_unsorted(self):
-        G = WeightedGraph(2, [(0, 1, 1.0)])
-        for td in [
-            TreeDecomposition(((0, 1), (1,)), (None, 0), 0),
-            TreeDecomposition(((1,), (1, 0)), (1, None), 1),
-        ]:
-            validate_decomposition(G, td)
-            with pytest.raises(ValidationError):
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_any_numbering_root_and_bag_order(self, seed, data):
+        # a valid decomposition, re-rooted at a random bag, its bags renumbered
+        # by a random permutation and each bag's vertices shuffled
+        G = sample_small(seed)
+        order = list(range(G.n))
+        SplitMix64(seed).shuffle(order)
+        td = elimination_decomposition(G, order)
+        k = len(td.bags)
+        parent = list(td.parent)
+        node, above = data.draw(st.integers(0, k - 1)), None
+        while node is not None:  # reverse the links on the path to the old root
+            parent[node], above, node = above, node, parent[node]
+        perm = data.draw(st.permutations(range(k)))
+        new_of = {old: new for new, old in enumerate(perm)}
+        shuffled = TreeDecomposition(
+            tuple(tuple(data.draw(st.permutations(td.bags[old]))) for old in perm),
+            tuple(None if parent[old] is None else new_of[parent[old]] for old in perm),
+            new_of[parent.index(None)],
+        )
+        validate_decomposition(G, shuffled)
+        a = solve_treewidth(G, shuffled)
+        assert abs(a.value - brute_force(G).value) <= value_tol(G)
+        b = solve_treewidth(G, to_nice(shuffled))
+        assert (a.values, a.value) == (b.values, b.value)
+
+    def test_wider_than_the_dp_limit_is_refused_before_any_table(self):
+        n = MAX_DP_WIDTH + 2
+        G = WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
+        td = TreeDecomposition((tuple(range(n)),), (None,), 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="DP limit"):
                 solve_treewidth(G, td)
-        assert solve_treewidth(G, to_nice(td)).value == 1.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(CapacityError):
+            solve_exact(G, width_cap=100)
 
     def test_matches_enumeration_on_random_graphs(self):
         for seed in range(150):
             G = sample_small(seed)
-            a = solve_treewidth(G, to_nice(build_decomposition(G)))
+            a = solve_treewidth(G, build_decomposition(G))
             opt = brute_force(G).value
             if G.unit:
                 assert a.value == opt
@@ -359,6 +431,6 @@ class TestUnusualDecompositions:
             td = _merge_into_parents(elimination_decomposition(G, order), merge)
         td = _add_empty_leaves(td, attach)
         validate_decomposition(G, td)
-        a = solve_treewidth(G, to_nice(td))
+        a = solve_treewidth(G, td)
         assert abs(a.value - brute_force(G).value) <= value_tol(G)
         assert evaluate(G, a.values) == a.value

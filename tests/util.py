@@ -3,8 +3,10 @@ independent oracles that do not go through the code under test."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
@@ -12,6 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from maxqp import (
+    ApproxResult,
     Assignment,
     CapacityError,
     EasyPacking,
@@ -20,9 +23,15 @@ from maxqp import (
     TreeDecomposition,
     ValidationError,
     WeightedGraph,
+    bfs_layers,
     evaluate,
+    extend_from_induced,
     generate,
+    glue_blocks,
+    heuristic_partition,
+    induced_subgraph,
     maximal_matching,
+    solve_exact,
     triangle_is_good,
 )
 
@@ -466,6 +475,21 @@ def reference_min_fill(G: WeightedGraph) -> TreeDecomposition:
     return _clique_tree(order, bags)
 
 
+def solution(G: WeightedGraph, values) -> Assignment:
+    """Wrap a sign vector as an Assignment with its evaluated value."""
+    return Assignment(tuple(values), evaluate(G, values))
+
+
+def normalize_nonneg(G: WeightedGraph, start: Assignment | None = None) -> Assignment:
+    """An assignment with value >= 0: glue_blocks with every vertex its own
+    block, in id order, each starting from `start` (all +1 when absent)."""
+    if start is not None and len(start.values) != G.n:
+        raise ValidationError("start assignment length mismatch")
+    inner = start.values if start is not None else [1] * G.n
+    signs, value = glue_blocks(G, range(G.n), inner)
+    return Assignment(tuple(signs), value)
+
+
 def reference_scan(G: WeightedGraph, vertices, start=None) -> dict[int, int]:
     """Nonnegative scan over `vertices` in id order, one vertex at a time.
 
@@ -714,3 +738,106 @@ def reference_nice_dp(G: WeightedGraph, ntd) -> Assignment:
         raise ValidationError("decomposition does not cover every vertex")
     value = evaluate(G, signs)
     return Assignment(tuple(signs), value)
+
+
+def layers_of(layer_of) -> tuple[tuple[int, ...], ...]:
+    """The BFS layers, each in id order, from each vertex's layer index."""
+    layers = [[] for _ in range(max(layer_of, default=-1) + 1)]
+    for v, li in enumerate(layer_of):
+        layers[li].append(v)
+    return tuple(tuple(layer) for layer in layers)
+
+
+def reference_baker(G: WeightedGraph, eps: float, width_cap: int = 20) -> ApproxResult:
+    """solve_baker's loop over all k residue classes, empty ones included,
+    each solved on its own."""
+    k = math.ceil(4 / eps)
+    classes: list[list[int]] = [[] for _ in range(k)]
+    for v, li in enumerate(bfs_layers(G)):
+        classes[li % k].append(v)
+    best, best_i = None, -1
+    for i in range(k):
+        drop = set(classes[i])
+        keep = [v for v in range(G.n) if v not in drop]
+        sub, old_of = induced_subgraph(G, keep)
+        values = solve_exact(sub, width_cap).assignment.values
+        sol = extend_from_induced(G, {old_of[j]: s for j, s in enumerate(values)})
+        if best is None or sol.value > best.value:
+            best, best_i = sol, i
+    cert = {"epsilon": eps, "k": k, "chosen_class": best_i}
+    return ApproxResult(best, Fraction(max(k - 4, 0), k), cert)
+
+
+def is_valid_decomposition(G: WeightedGraph, td: TreeDecomposition) -> bool:
+    """The definition checked directly: the parent links form one tree rooted
+    at td.root, every vertex and every edge lies in some bag, and the bags
+    holding each vertex are connected in that tree."""
+    k = len(td.bags)
+    if k == 0:
+        return G.n == 0
+    if len(td.parent) != k or not 0 <= td.root < k:
+        return False
+    if any(p is not None and not (isinstance(p, int) and 0 <= p < k) for p in td.parent):
+        return False
+    if [i for i, p in enumerate(td.parent) if p is None] != [td.root]:
+        return False
+    for i in range(k):  # every bag reaches the root within k steps
+        j, steps = i, 0
+        while j != td.root and steps <= k:
+            j, steps = td.parent[j], steps + 1
+        if j != td.root:
+            return False
+    if any(not 0 <= v < G.n for bag in td.bags for v in bag):
+        return False
+    sets = [set(bag) for bag in td.bags]
+    if set().union(*sets) != set(range(G.n)):
+        return False
+    if any(not any(u in b and v in b for b in sets) for u, v, _ in G.edges):
+        return False
+    nbrs: list[set[int]] = [set() for _ in range(k)]
+    for i, p in enumerate(td.parent):
+        if p is not None:
+            nbrs[i].add(p)
+            nbrs[p].add(i)
+    for v in range(G.n):
+        holding = {i for i in range(k) if v in sets[i]}
+        start = min(holding)
+        seen, queue = {start}, deque([start])
+        while queue:
+            for j in nbrs[queue.popleft()] & holding:
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        if seen != holding:
+            return False
+    return True
+
+
+def reference_partition_scheme(G: WeightedGraph, eps: float, partition=None) -> ApproxResult:
+    """solve_partition_scheme's loop over every part of the (default
+    heuristic) partition, empty parts included, each solved on its own."""
+    h = max(1, math.ceil(G.m / G.n))
+    if partition is None:
+        partition = heuristic_partition(G, math.ceil(6 * h / eps))
+    best, best_i = None, -1
+    for i, part in enumerate(partition.parts):
+        x = {}
+        for vertices in (set(range(G.n)) - set(part), part):
+            if vertices:
+                sub, old_of = induced_subgraph(G, vertices)
+                values = solve_exact(sub).assignment.values
+                x.update((old_of[j], s) for j, s in enumerate(values))
+        # both sides glued as blocks in combine_disjoint's order: outside, then part
+        inside = set(part)
+        block_of = [1 if v in inside else 0 for v in range(G.n)]
+        signs, value = glue_blocks(G, block_of, [x[v] for v in range(G.n)])
+        if best is None or value > best.value:
+            best, best_i = Assignment(tuple(signs), value), i
+    cert = {
+        "epsilon": eps,
+        "k": partition.k,
+        "h": h,
+        "partition_source": partition.source,
+        "chosen_part": best_i,
+    }
+    return ApproxResult(best, Fraction(max(partition.k - 6 * h, 0), partition.k), cert)
