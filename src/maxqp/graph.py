@@ -64,7 +64,7 @@ class WeightedGraph:
                 raise ValidationError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             canon.append((u, v, float(w)))
-        self._build(n, canon)
+        self._build(n, canon, None)
 
     @classmethod
     def _from_canonical(cls, n: int, edges: list[tuple[int, int, float]]):
@@ -72,20 +72,34 @@ class WeightedGraph:
         u < v, with a finite nonzero float weight.  Takes ownership of `edges`.
         """
         self = cls.__new__(cls)
-        self._build(n, edges)
+        self._build(n, edges, None)
         return self
 
-    def _build(self, n: int, edges: list[tuple[int, int, float]]) -> None:
-        """The one place that sets every field; sorts `edges` in place."""
+    def _build(self, n: int, edges: list[tuple[int, int, float]], arrays) -> None:
+        """The one place that sets every field, from canonical `edges`.
+
+        `arrays` is None, and then `edges` is sorted in place, or the same
+        edges as (u, v, w) numpy columns sorted by (u, v), which `edge_arrays`
+        then returns instead of converting `edges` on first use.
+        """
         if n < 0:
             raise ValidationError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
             raise CapacityError(f"vertex count {n} exceeds cap {MAX_VERTICES}", achieved=n)
+        if arrays is None:
+            absw = np.abs(np.array([w for _, _, w in edges], dtype=np.float64))
+        else:
+            absw = np.abs(arrays[2])
         # every value and partial sum lies within +-sum |w|, so the difference of
         # two values (a self-check's margin) lies within 2 * sum |w|: keep that finite
-        if not math.isfinite(2.0 * sum(abs(w) for _, _, w in edges)):
+        with np.errstate(over="ignore"):
+            total = float(absw.sum())
+        if total > 1e307:  # near overflow the order of summation decides: sum as given
+            total = sum(absw.tolist())
+        if not math.isfinite(2.0 * total):
             raise ValidationError("total absolute weight overflows: 2 * sum |w| is not finite")
-        edges.sort()
+        if arrays is None:
+            edges.sort()
         adjacency: list[dict[int, float]] = [{} for _ in range(n)]
         for u, v, w in edges:
             adjacency[u][v] = w
@@ -93,8 +107,8 @@ class WeightedGraph:
         self.n = n
         self.edges = edges
         self.adjacency = adjacency
-        self.unit = all(w == 1.0 or w == -1.0 for _, _, w in edges)
-        self._arrays = None
+        self.unit = bool((absw == 1.0).all())
+        self._arrays = arrays
 
     def edge_arrays(self):
         """Cached (u, v, w) numpy columns of the edge list, for bulk passes."""
@@ -135,21 +149,57 @@ def load_graph(n: int, entries: Iterable[tuple[int, int, float]]) -> WeightedGra
     average is zero are dropped.  Self-loops are rejected, and so is a pair
     whose finite entries overflow to a non-finite average.
     """
-    sums: dict[tuple[int, int], float] = {}
-    counts: dict[tuple[int, int], int] = {}
+    us, vs, ws = [], [], []
     for u, v, w in entries:
         _check_entry(n, u, v, w)
-        key = (u, v) if u < v else (v, u)
-        sums[key] = sums.get(key, 0.0) + float(w)
-        counts[key] = counts.get(key, 0) + 1
-    merged = []
-    for key in sorted(sums):
-        w = sums[key] / counts[key]
-        if not math.isfinite(w):
-            raise ValidationError(f"non-finite weight on edge ({key[0]}, {key[1]})")
-        if w != 0.0:
-            merged.append((key[0], key[1], w))
-    return WeightedGraph._from_canonical(n, merged)
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    return merge_columns(n, us, vs, ws)
+
+
+def merge_columns(n: int, u, v, w) -> WeightedGraph:
+    """`load_graph` on entries given as columns: u, v 0-based ids, w weights.
+
+    The first entry (in column order) with an out-of-range id, a self-loop or
+    a non-finite weight raises `_check_entry`'s error.  Each pair's entries
+    are summed in entry order from 0.0, as a running float sum would: a stable
+    sort keeps that order within a pair, and `np.add.at` adds unbuffered, one
+    entry after another.  The first non-finite average in pair order raises.
+    """
+    try:
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+    except OverflowError:  # an id past 2^63 - 1, so n is far over the cap
+        raise CapacityError(f"vertex count {n} exceeds cap {MAX_VERTICES}", achieved=n) from None
+    w = np.asarray(w, dtype=np.float64)
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | ~np.isfinite(w)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_entry(n, int(u[i]), int(v[i]), float(w[i]))
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    span = int(hi.max(initial=0)) + 1
+    # one int64 key per entry, in (lo, hi) order; ids of 2^31 on are past the vertex cap
+    order = np.argsort(lo * span + hi, kind="stable") if span < 2**31 else np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], w[order]
+    first = np.ones(len(lo), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    if not first.all():  # some pair has several entries: average them
+        group = np.cumsum(first) - 1
+        sums = np.zeros(int(group[-1]) + 1)
+        with np.errstate(over="ignore"):
+            np.add.at(sums, group, w)
+        lo, hi = lo[first], hi[first]
+        w = sums / np.bincount(group)
+        bad = ~np.isfinite(w)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"non-finite weight on edge ({int(lo[i])}, {int(hi[i])})")
+    keep = w != 0.0
+    lo, hi, w = lo[keep], hi[keep], w[keep]
+    G = WeightedGraph.__new__(WeightedGraph)
+    G._build(n, list(zip(lo.tolist(), hi.tolist(), w.tolist())), (lo, hi, w))
+    return G
 
 
 @dataclass(frozen=True)
@@ -337,8 +387,9 @@ def degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
 
 def stats(G: WeightedGraph) -> InstanceStats:
     """Exact max degree, degeneracy, density m/n, and total absolute weight."""
-    abs_weight = sum(abs(w) for _, _, w in G.edges)
-    max_degree = max((G.degree(v) for v in range(G.n)), default=0)
+    eu, ev, ew = G.edge_arrays()
+    abs_weight = float(np.abs(ew).sum())
+    max_degree = int(np.bincount(np.concatenate((eu, ev))).max(initial=0))
     d, _ = degeneracy_order(G)
     density = Fraction(G.m, G.n) if G.n else Fraction(0)
     return InstanceStats(abs_weight, max_degree, d, density)

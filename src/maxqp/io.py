@@ -9,8 +9,10 @@ read by :mod:`maxqp.schemes` and :mod:`maxqp.treewidth`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ParseError
-from .graph import Assignment, WeightedGraph, load_graph
+from .graph import MAX_VERTICES, Assignment, WeightedGraph, merge_columns
 
 
 def format_number(x: float) -> str:
@@ -20,10 +22,74 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
+# Line boundaries of str.splitlines() in ASCII text, other than "\n".
+_OTHER_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
 def parse_instance(text: str) -> WeightedGraph:
+    """Parse an instance: canonical text by columns, anything else by lines.
+
+    Both paths end in the same merge and give the same graph; any anomaly in
+    a canonical-looking text sends it down the line path, which reports every
+    error with its line number.
+    """
+    n, us, vs, ws = _canonical_columns(text) or _line_columns(text)
+    return merge_columns(n, us, vs, ws)
+
+
+def _canonical_columns(text: str):
+    """(n, u, v, w) of text as `format_instance` writes it, or None when the
+    text is not exactly that and valid.
+
+    Canonical means ASCII, "#" comment lines only before the header, then a
+    header line and m lines "e u v w", each line ended by "\n", no blank
+    line.  One `split()` gives the tokens; the header's m, the token count and
+    the "e" at every fourth token, with m + 1 newlines of which m start "e ",
+    prove that every line holds exactly four fields, so the line path would
+    read the same entries.  u and v convert as `int()` does (an overflow falls
+    back) and w by `float()`.
+    """
+    if not text.isascii() or any(c in text for c in _OTHER_LINE_BREAKS):
+        return None
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if start == 0:
+            return None
+    body = text[start:]
+    tokens = body.split()
+    if len(tokens) < 4 or tokens[0] != "p" or tokens[1] != "maxqp":
+        return None
+    try:
+        n, m = int(tokens[2]), int(tokens[3])
+    except ValueError:
+        return None
+    if (
+        not 0 <= n <= MAX_VERTICES
+        or len(tokens) != 4 * m + 4
+        or tokens[4::4].count("e") != m
+        or not body.endswith("\n")
+        or body.count("\n") != m + 1
+        or body.count("\ne ") != m
+    ):
+        return None
+    try:
+        u = np.array(tokens[5::4], dtype=np.int64)
+        v = np.array(tokens[6::4], dtype=np.int64)
+        w = list(map(float, tokens[7::4]))
+    except (ValueError, OverflowError):
+        return None
+    if ((u < 1) | (u > n) | (v < 1) | (v > n) | (u == v)).any():
+        return None
+    return n, u - 1, v - 1, w
+
+
+def _line_columns(text: str):
+    """(n, u, v, w) of any instance text, line by line; raises `ParseError`
+    with the line number of the first malformed line."""
     n = None
     m = None
-    entries = []
+    us, vs, ws = [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -52,14 +118,16 @@ def parse_instance(text: str) -> WeightedGraph:
                 raise ParseError(f"vertex id out of range 1..{n}", line=lineno)
             if u == v:
                 raise ParseError("self-loop is not allowed", line=lineno)
-            entries.append((u - 1, v - 1, w))
+            us.append(u - 1)
+            vs.append(v - 1)
+            ws.append(w)
         else:
             raise ParseError(f"unknown record type {fields[0]!r}", line=lineno)
     if n is None:
         raise ParseError("missing header line")
-    if m is not None and len(entries) != m:
-        raise ParseError(f"header declares {m} edges, found {len(entries)}")
-    return load_graph(n, entries)
+    if m is not None and len(ws) != m:
+        raise ParseError(f"header declares {m} edges, found {len(ws)}")
+    return n, us, vs, ws
 
 
 def read_instance(path: str) -> WeightedGraph:

@@ -184,27 +184,22 @@ def star_packing(G: WeightedGraph) -> EasyPacking:
     """Star packing seeded from a maximum-cardinality matching.
 
     Unmatched vertices are scanned in increasing id order and each is
-    attached to the first part that stays a star: v is adjacent to exactly
-    one endpoint of the center, and that endpoint is the part's hub (fixed by
-    the first vertex attached).  Requires a unit instance without isolated
-    vertices.
+    attached to the first touching center it is adjacent to at exactly one
+    endpoint (both would close a triangle).  Each part is then a star around
+    one endpoint, its hub: if unmatched v and w hung off opposite endpoints
+    x, y of one center, v-x-y-w would be an augmenting path, and M is
+    maximum.  Requires a unit instance without isolated vertices.
     """
     if not G.unit:
         raise ValidationError("star_packing requires unit weights")
     if any(G.degree(v) == 0 for v in range(G.n)):
         raise ValidationError("star_packing requires no isolated vertices")
     M = maximum_matching(G)
-    hub: list[int | None] = [None] * len(M.edges)
 
     def fits(idx: int, v: int) -> bool:
         x, y = M.edges[idx]
         nbrs = G.adjacency[v]
-        if x in nbrs and y in nbrs:
-            return False  # would close a triangle
-        t = x if x in nbrs else y
-        if hub[idx] is None:
-            hub[idx] = t
-        return hub[idx] == t
+        return not (x in nbrs and y in nbrs)
 
     unmatched = [v for v in range(G.n) if M.matched[v] is None]
     return _attach(G, M.edges, unmatched, fits)

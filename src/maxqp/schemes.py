@@ -194,13 +194,17 @@ def solve_partition_scheme(
         return ApproxResult(extend_from_induced(G, {}), Fraction(1), {"k": 0})
     h = max(1, math.ceil(G.m / G.n))
     if partition is None:
+        # the residue classes of heuristic_partition(G, k) that are not
+        # padding: its parts past the last class are empty, like that class
         k = math.ceil(6 * h / eps)
-        partition = heuristic_partition(G, k)
-    k = partition.k
+        parts = residue_classes(bfs_layers(G), k)
+        source = "bfs-layer-heuristic"
+    else:
+        k, parts, source = partition.k, partition.parts, partition.source
     best = None
     best_i = -1
-    first_empty = partition.parts.index(()) if () in partition.parts else None
-    for i, part in enumerate(partition.parts):
+    first_empty = next((i for i, part in enumerate(parts) if not part), None)
+    for i, part in enumerate(parts):
         if not part and i != first_empty:
             continue  # the same subproblems as the first empty part, which wins ties
         inside = list(part)
@@ -217,7 +221,7 @@ def solve_partition_scheme(
         "epsilon": eps,
         "k": k,
         "h": h,
-        "partition_source": partition.source,
+        "partition_source": source,
         "chosen_part": best_i,
     }
     return ApproxResult(best, guarantee, cert)

@@ -6,6 +6,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,29 @@ class TestConstruction:
             WeightedGraph(3, edges)
         with pytest.raises(ValidationError, match=r"2 \* sum \|w\| is not finite"):
             load_graph(3, edges)
+
+    def test_total_weight_overflow_decided_by_a_sum_in_edge_order(self):
+        # a numpy sum of these |w| is pairwise and stays below 2^1023, so twice it is
+        # finite; summed one edge after another it rounds up to 2^1023
+        ws = [float.fromhex(h) for h in (
+            "0x1.2492492492497p+1018", "0x1.2492492492494p+1018", "0x1.2492492492494p+1018",
+            "0x1.0000000000000p+1022", "0x1.2492492492492p+1018", "0x1.2492492492489p+1018",
+            "0x1.2492492492498p+1018", "0x1.2492492492490p+1018", "0x1.2492492492497p+1018",
+            "0x1.2492492492499p+1018", "0x1.2492492492495p+1018", "0x1.2492492492484p+1018",
+            "0x1.2492492492494p+1018", "0x1.2492492492492p+1018", "0x1.2492492492492p+1018",
+        )]
+        assert math.isfinite(2.0 * float(np.sum(ws))) and not math.isfinite(2.0 * sum(ws))
+        star = [(0, i + 1, w) for i, w in enumerate(ws)]
+        for build in (WeightedGraph, load_graph):
+            with pytest.raises(ValidationError, match=r"2 \* sum \|w\| is not finite"):
+                build(len(ws) + 1, star)
+
+    def test_ids_past_int32_merge_before_the_vertex_count_is_checked(self):
+        far = 2**35
+        with pytest.raises(CapacityError):
+            load_graph(2**40, [(0, far, 1.0), (far, 0, 1.0)])
+        with pytest.raises(ValidationError, match=rf"non-finite weight on edge \(0, {far}\)"):
+            load_graph(2**40, [(far, 0, 1e308), (0, far, 1e308)])
 
     def test_total_weight_just_inside_the_bound_solves(self):
         G = WeightedGraph(3, [(0, 1, 4e307), (1, 2, -4e307)])

@@ -3,14 +3,30 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxqp import WeightedGraph
-from maxqp.errors import ParseError, ValidationError
-from maxqp.io import format_assignment, format_instance, parse_assignment, parse_instance
+import maxqp.io
+from maxqp import GeneratorSpec, WeightedGraph, generate
+from maxqp.errors import CapacityError, ParseError, ValidationError
+from maxqp.io import (
+    format_assignment,
+    format_instance,
+    parse_assignment,
+    parse_instance,
+    read_instance,
+    write_instance,
+)
 from maxqp.schemes import parse_partition
 from maxqp.treewidth import parse_decomposition
 
-from util import solution
+from util import (
+    GENERATOR_SPECS,
+    assert_same_graph,
+    random_graph,
+    reference_parse_instance,
+    solution,
+)
 
 
 class TestInstanceFormat:
@@ -31,6 +47,8 @@ class TestInstanceFormat:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_instance("e 1 2 1\n")
+        with pytest.raises(ParseError, match="missing header line"):
+            parse_instance("# a comment and no newline")
 
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError) as exc:
@@ -60,6 +78,179 @@ class TestInstanceFormat:
     def test_asymmetric_duplicates_are_averaged(self):
         G = parse_instance("p maxqp 2 2\ne 1 2 3\ne 2 1 1\n")
         assert G.edges == [(0, 1, 2.0)]
+
+
+def _edge_line(draw, body) -> int | None:
+    """Index of a random "e" line of body, or None when there is none."""
+    at = [i for i, line in enumerate(body) if line.startswith("e")]
+    return draw(st.sampled_from(at)) if at else None
+
+
+def _set_field(draw, body, field, value):
+    i = _edge_line(draw, body)
+    fields = body[i].split(" ") if i is not None else []
+    if field < len(fields):
+        fields[field] = value(fields[field])
+        body[i] = " ".join(fields)
+
+
+def _append_pair(draw, body, w1, w2):
+    i = _edge_line(draw, body)
+    fields = body[i].split(" ") if i is not None else []
+    if len(fields) >= 3:
+        u, v = fields[1], fields[2]
+        body += [f"e {u} {v} {w1}", f"e {v} {u} {w2}"]
+
+
+def _insert(draw, body, line):
+    body.insert(draw(st.integers(0, len(body))), line)
+
+
+def _replace_space(draw, body, by):
+    i = _edge_line(draw, body)
+    at = [j for j, c in enumerate(body[i]) if c == " "] if i is not None else []
+    if at:
+        j = draw(st.sampled_from(at))
+        body[i] = body[i][:j] + by + body[i][j + 1 :]
+
+
+# Each mutation edits the body lines (everything after the header) in place.
+_BODY_MUTATIONS = {
+    "comment": lambda d, b: _insert(d, b, "# a comment"),
+    "blank": lambda d, b: _insert(d, b, ""),
+    "tab": lambda d, b: _replace_space(d, b, "\t"),
+    "double-space": lambda d, b: _replace_space(d, b, "  "),
+    "indent": lambda d, b: _set_field(d, b, 0, lambda t: " " + t),
+    "missing-field": lambda d, b: _set_field(d, b, 3, lambda t: ""),
+    "extra-field": lambda d, b: _set_field(d, b, 3, lambda t: t + " 7"),
+    "plus-sign": lambda d, b: _set_field(d, b, 1, lambda t: "+" + t),
+    "underscore": lambda d, b: _set_field(d, b, 2, lambda t: "0_" + t),
+    "1_0": lambda d, b: _set_field(d, b, 1, lambda t: "1_0"),
+    "bad-token": lambda d, b: _set_field(d, b, 2, lambda t: t + "x"),
+    "huge-id": lambda d, b: _set_field(d, b, 1, lambda t: "9" * 25),
+    "zero-id": lambda d, b: _set_field(d, b, 2, lambda t: "0"),
+    "self-loop": lambda d, b: _set_field(d, b, 2, lambda t: "1"),
+    "nan": lambda d, b: _set_field(d, b, 3, lambda t: "nan"),
+    "inf": lambda d, b: _set_field(d, b, 3, lambda t: "-inf"),
+    "huge-weight": lambda d, b: _set_field(d, b, 3, lambda t: d(st.sampled_from(["8e307", "1.5e308"]))),
+    "overflowing-pair": lambda d, b: _append_pair(d, b, "1e308", "1e308"),
+    "asymmetric": lambda d, b: _append_pair(d, b, "0.25", "-3"),
+    "duplicate": lambda d, b: _append_pair(d, b, "1", "1"),
+    "cancelling": lambda d, b: _append_pair(d, b, "1", "-1"),
+    "unknown-record": lambda d, b: _insert(d, b, "q 1 2"),
+    "second-header": lambda d, b: _insert(d, b, "p maxqp 2 1"),
+}
+
+# Every line break of str.splitlines() other than "\n", ASCII or not.
+_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _swap(draw, text, a, b):
+    """Turn one random a in text into b, and one random b into a."""
+    at_a = [i for i, c in enumerate(text) if c == a]
+    at_b = [i for i, c in enumerate(text) if c == b]
+    if not (at_a and at_b):
+        return text
+    chars = list(text)
+    i, j = draw(st.sampled_from(at_a)), draw(st.sampled_from(at_b))
+    chars[i], chars[j] = b, a
+    return "".join(chars)
+
+
+def _space_to(draw, text):
+    """One random space turned into another separator: whitespace that
+    str.splitlines() breaks at, or does not, or a non-ASCII line break."""
+    at = [i for i, c in enumerate(text) if c == " "]
+    if not at:
+        return text
+    by = draw(st.sampled_from(["\n", "\t", "\x1f", *_LINE_BREAKS]))
+    i = draw(st.sampled_from(at))
+    return text[:i] + by + text[i + 1 :]
+
+
+# Applied to the joined text.  "moved-break" keeps every token and the count of
+# newlines but moves a line break, so some lines get the wrong field count.
+_TEXT_MUTATIONS = {
+    "crlf": lambda d, t: t.replace("\n", "\r\n"),
+    "no-final-newline": lambda d, t: t[:-1],
+    "leading-newline": lambda d, t: "\n" + t,
+    "moved-break": lambda d, t: _swap(d, t, "\n", " "),
+    "space-to": _space_to,
+}
+
+
+@st.composite
+def _instance_texts(draw):
+    """A random instance as `format_instance` writes it, then mutated."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(0, n * (n - 1) // 2))
+    G = random_graph(draw(st.integers(0, 2**32)), n, m, real=draw(st.booleans()))
+    lines = format_instance(G).splitlines()
+    head, body = lines[0].split(" "), lines[1:]
+    for name in draw(st.lists(st.sampled_from(sorted(_BODY_MUTATIONS)), max_size=3)):
+        _BODY_MUTATIONS[name](draw, body)
+    # the header's m follows the edge lines, or it is off by one, or it stays
+    m_of = draw(st.sampled_from(["follow", "off", "stay"]))
+    if m_of != "stay":
+        count = sum(1 for line in body if line.strip().startswith("e"))
+        head[3] = str(count + (m_of == "off"))
+    if draw(st.integers(0, 7)) == 0:  # n is 0, negative, over the cap, or past int64
+        head[2] = draw(st.sampled_from(["0", "-1", str(10**7 + 1), str(10**20)]))
+    lead = draw(st.lists(st.sampled_from(["# gen {}", "#", "  # indented"]), max_size=2))
+    text = "\n".join([*lead, " ".join(head), *body]) + "\n"
+    for name in draw(st.lists(st.sampled_from(sorted(_TEXT_MUTATIONS)), max_size=2)):
+        text = _TEXT_MUTATIONS[name](draw, text)
+    return text
+
+
+def _outcome(parse, text):
+    """The graph parse(text) returns, or its error as (type, message, line)."""
+    try:
+        return parse(text)
+    except (ParseError, ValidationError, CapacityError) as e:
+        return type(e), str(e), getattr(e, "line", None)
+
+
+class TestInstanceColumns:
+    """The column reader of canonical text against the line-by-line parser."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=_instance_texts())
+    def test_same_graph_or_same_error_as_line_loop(self, text):
+        got = _outcome(parse_instance, text)
+        want = _outcome(reference_parse_instance, text)
+        if isinstance(want, WeightedGraph):
+            assert isinstance(got, WeightedGraph), got
+            assert_same_graph(got, want)
+            assert [w.hex() for _, _, w in got.edges] == [w.hex() for _, _, w in want.edges]
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("sep", _LINE_BREAKS)
+    def test_line_break_inside_an_edge_line(self, sep):
+        text = f"p maxqp 3 1\ne 1{sep}2 1\n"
+        assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+        assert _outcome(parse_instance, text)[2] == 2
+
+    @pytest.mark.parametrize("sep", _LINE_BREAKS)
+    def test_line_break_inside_a_leading_comment(self, sep):
+        text = f"# gen{sep}q\np maxqp 3 1\ne 1 2 1\n"
+        assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+        assert _outcome(parse_instance, text)[2] == 2
+
+    @pytest.mark.parametrize("kind, params", GENERATOR_SPECS + [("sparse-random", {"n": 1, "m": 0})])
+    def test_written_instances_are_read_by_columns(self, kind, params, tmp_path, monkeypatch):
+        G = generate(GeneratorSpec(kind, 7, params))
+        path = str(tmp_path / "g.mq")
+        write_instance(G, path)
+
+        def no_line_loop(text):
+            raise AssertionError("canonical text fell back to the line loop")
+
+        monkeypatch.setattr(maxqp.io, "_line_columns", no_line_loop)
+        assert_same_graph(read_instance(path), G)
+        # the comment line `maxqp gen` writes before the header
+        assert_same_graph(parse_instance(format_instance(G, ["gen {}"])), G)
 
 
 class TestAssignmentFormat:

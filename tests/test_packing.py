@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxqp import (
     EasyPacking,
@@ -26,7 +27,7 @@ from maxqp import (
     stats,
     triangle_is_good,
 )
-
+from maxqp.graph import value_tol
 from maxqp.oracle import SplitMix64
 
 from util import (
@@ -320,3 +321,59 @@ class TestDrivers:
             P = easypack(G)
             d = stats(G).degeneracy
             assert brute_force(G).value <= d * len(P.covered) + 1e-9
+
+
+def _naive_degeneracy(G: WeightedGraph) -> int:
+    """Largest degree at removal when a vertex of least remaining degree is
+    removed each time, found by a full scan per step."""
+    alive = set(range(G.n))
+    d = 0
+    while alive:
+        deg = {v: sum(1 for u in G.adjacency[v] if u in alive) for v in alive}
+        v = min(alive, key=deg.__getitem__)
+        d = max(d, deg[v])
+        alive.remove(v)
+    return d
+
+
+def _reports_true_value(G: WeightedGraph, r) -> bool:
+    return abs(r.value - evaluate(G, r.assignment.values)) <= value_tol(G)
+
+
+class TestFactorsAgainstBruteForce:
+    """Each approximation solver's stated factor against the optimum, on n <= 12."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 12), density=st.floats(0, 1), seed=st.integers(0, 2**32), real=st.booleans())
+    def test_greedy_matching_within_one_over_twice_max_degree(self, n, density, seed, real):
+        G = random_graph(seed, n, round(density * n * (n - 1) / 2), real=real)
+        r = solve_bounded_degree(G)
+        assert _reports_true_value(G, r)
+        if G.m:
+            delta = max(G.degree(v) for v in range(n))
+            assert r.guarantee == Fraction(1, 2 * delta)
+            assert r.value >= brute_force(G).value / (2 * delta) - value_tol(G)
+
+    @settings(max_examples=150, deadline=None)
+    @given(G=unit_graphs(max_n=12))
+    def test_easypack_within_one_over_twice_degeneracy(self, G):
+        r = solve_degenerate(G)
+        assert _reports_true_value(G, r)
+        if G.m:
+            d = _naive_degeneracy(G)
+            assert r.guarantee == Fraction(1, 2 * d)
+            assert r.value >= brute_force(G).value / (2 * d) - value_tol(G)
+
+    @settings(max_examples=150, deadline=None)
+    @given(G=unit_graphs(max_n=12))
+    def test_star_pack_within_one_over_three_density(self, G):
+        # relabel the non-isolated vertices 0..k-1: star-pack's bound needs none isolated
+        alive = [v for v in range(G.n) if G.degree(v)]
+        new_of = {v: i for i, v in enumerate(alive)}
+        H = WeightedGraph(len(alive), [(new_of[u], new_of[v], w) for u, v, w in G.edges])
+        if H.m == 0:
+            return
+        r = solve_dense(H)
+        assert _reports_true_value(H, r)
+        assert r.guarantee == Fraction(H.n, 3 * H.m)
+        assert r.value >= brute_force(H).value * H.n / (3 * H.m) - value_tol(H)

@@ -213,6 +213,17 @@ class TestPartitionScheme:
         assert r.assignment == ref.assignment and r.certificate == ref.certificate
         assert r.certificate["k"] == 5
 
+    def test_tiny_epsilon_builds_only_the_classes_that_occur(self):
+        # k = 1.2e10 parts, of which the 11 BFS layers and one empty class occur
+        G = _grid(6, 6, seed=2)
+        start = time.perf_counter()
+        r = solve_partition_scheme(G, 1e-9)
+        assert time.perf_counter() - start < 1.0
+        assert r.certificate["k"] == 12 * 10**9
+        ref = reference_partition_scheme(G, 0.05)  # k = 240: the same classes occur
+        assert r.assignment == ref.assignment
+        assert r.certificate["chosen_part"] == ref.certificate["chosen_part"]
+
     def test_rejects_real_weights(self):
         with pytest.raises(ValidationError):
             solve_partition_scheme(WeightedGraph(2, [(0, 1, 0.5)]), 0.5)

@@ -19,6 +19,7 @@ from maxqp import (
     CapacityError,
     EasyPacking,
     GeneratorSpec,
+    ParseError,
     SplitMix64,
     TreeDecomposition,
     ValidationError,
@@ -72,6 +73,71 @@ def assert_same_graph(G: WeightedGraph, H: WeightedGraph) -> None:
     assert [list(a.items()) for a in G.adjacency] == [list(a.items()) for a in H.adjacency]
     for a, b in zip(G.edge_arrays(), H.edge_arrays()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def reference_parse_instance(text: str) -> WeightedGraph:
+    """The instance parser as one loop over lines, then a running dict sum per
+    pair, as `parse_instance` was before it read canonical text by columns.
+
+    Raises what it would: `ParseError` with the first bad line's number, then
+    `ValidationError` for the first non-finite entry (0-based ids as written)
+    or the first non-finite average in pair order; the validating constructor
+    then checks n and the total weight.
+    """
+    n = None
+    m = None
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate header line", line=lineno)
+            if len(fields) != 4 or fields[1] != "maxqp":
+                raise ParseError("header must be 'p maxqp <n> <m>'", line=lineno)
+            try:
+                n, m = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise ParseError("non-integer header fields", line=lineno) from None
+        elif fields[0] == "e":
+            if n is None:
+                raise ParseError("edge line before header", line=lineno)
+            if len(fields) != 4:
+                raise ParseError("edge line must be 'e <u> <v> <w>'", line=lineno)
+            try:
+                u, v = int(fields[1]), int(fields[2])
+                w = float(fields[3])
+            except ValueError:
+                raise ParseError("malformed edge entry", line=lineno) from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"vertex id out of range 1..{n}", line=lineno)
+            if u == v:
+                raise ParseError("self-loop is not allowed", line=lineno)
+            entries.append((u - 1, v - 1, w))
+        else:
+            raise ParseError(f"unknown record type {fields[0]!r}", line=lineno)
+    if n is None:
+        raise ParseError("missing header line")
+    if m is not None and len(entries) != m:
+        raise ParseError(f"header declares {m} edges, found {len(entries)}")
+    sums: dict[tuple[int, int], float] = {}
+    counts: dict[tuple[int, int], int] = {}
+    for u, v, w in entries:
+        if not math.isfinite(w):
+            raise ValidationError(f"non-finite weight on edge ({u}, {v})")
+        key = (min(u, v), max(u, v))
+        sums[key] = sums.get(key, 0.0) + w
+        counts[key] = counts.get(key, 0) + 1
+    merged = []
+    for key in sorted(sums):
+        w = sums[key] / counts[key]
+        if not math.isfinite(w):
+            raise ValidationError(f"non-finite weight on edge ({key[0]}, {key[1]})")
+        if w != 0.0:
+            merged.append((*key, w))
+    return WeightedGraph(n, merged)
 
 
 def sample_small(seed: int, max_n: int = 12, real_every: int = 3):
