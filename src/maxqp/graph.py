@@ -75,6 +75,14 @@ class WeightedGraph:
         self._build(n, edges, None)
         return self
 
+    @classmethod
+    def _from_columns(cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+        """Trusted path from canonical int64/float64 columns sorted by (u, v),
+        which `edge_arrays` then returns."""
+        self = cls.__new__(cls)
+        self._build(n, list(zip(u.tolist(), v.tolist(), w.tolist())), (u, v, w))
+        return self
+
     def _build(self, n: int, edges: list[tuple[int, int, float]], arrays) -> None:
         """The one place that sets every field, from canonical `edges`.
 
@@ -196,10 +204,7 @@ def merge_columns(n: int, u, v, w) -> WeightedGraph:
             i = int(np.argmax(bad))
             raise ValidationError(f"non-finite weight on edge ({int(lo[i])}, {int(hi[i])})")
     keep = w != 0.0
-    lo, hi, w = lo[keep], hi[keep], w[keep]
-    G = WeightedGraph.__new__(WeightedGraph)
-    G._build(n, list(zip(lo.tolist(), hi.tolist(), w.tolist())), (lo, hi, w))
-    return G
+    return WeightedGraph._from_columns(n, lo[keep], hi[keep], w[keep])
 
 
 @dataclass(frozen=True)
@@ -400,12 +405,16 @@ def induced_subgraph(
 ) -> tuple[WeightedGraph, list[int]]:
     """Induced subgraph with vertices relabeled 0..k-1 in increasing id order.
 
-    Returns the subgraph and `old_of`, mapping new ids back to ids in G.
+    Returns the subgraph and `old_of`, mapping new ids back to ids in G.  The
+    relabelling keeps id order, so G's (u, v)-sorted edge columns, gathered
+    and masked, are the subgraph's.
     """
     old_of = sorted(set(vertices))
-    new_of = {old: new for new, old in enumerate(old_of)}
-    edges = []
-    for u, v, w in G.edges:
-        if u in new_of and v in new_of:
-            edges.append((new_of[u], new_of[v], w))
-    return WeightedGraph._from_canonical(len(old_of), edges), old_of
+    if old_of and not (0 <= old_of[0] and old_of[-1] < G.n):
+        raise ValidationError(f"vertex id out of range: {old_of[0]}..{old_of[-1]}")
+    new_of = np.full(G.n, -1, dtype=np.int64)
+    new_of[old_of] = np.arange(len(old_of))
+    eu, ev, ew = G.edge_arrays()
+    su, sv = new_of[eu], new_of[ev]
+    keep = (su >= 0) & (sv >= 0)
+    return WeightedGraph._from_columns(len(old_of), su[keep], sv[keep], ew[keep]), old_of

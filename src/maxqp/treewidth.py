@@ -8,9 +8,14 @@ decomposition in the `b`/`t` text format is read by `read_decomposition` and
 solved as it is, empty bags included.  A decomposition wider than
 MAX_DP_WIDTH is refused before any table is allocated.
 
-Each bag's table is dropped once its message to the parent is sent, and
-each vertex maxed out keeps only one packed argmax bit per mask for the
-backtrack, so memory is the live messages plus 2^|bag|/8 bytes per
+The objective is the same at x and -x, and so is every table of the
+elimination, so each bag's table covers only the cells where one vertex of
+the bag, its pin, is +1: 2^(|bag|-1) cells.  A child's message pinned at
+another vertex is added to the parent's two halves along that vertex's axis,
+the -1 half reading it reversed on every axis.  Each bag's table is dropped
+once its message to the parent is sent, and each vertex maxed out keeps two
+packed bits per remaining cell for the backtrack (better at +1, better at
+-1), so memory is the live messages plus at most 2^|bag|/16 bytes per
 forgotten vertex rather than every table of the decomposition (Dechter,
 "Bucket elimination", Artif. Intell. 1999).
 
@@ -32,6 +37,7 @@ not the final width itself.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +47,7 @@ from .errors import CapacityError, ParseError, ValidationError
 from .graph import ApproxResult, Assignment, WeightedGraph, evaluate
 
 DEFAULT_WIDTH_CAP = 20
-MAX_DP_WIDTH = 27  # a bag of 28 vertices makes a 2 GiB table
+MAX_DP_WIDTH = 27  # a bag of 28 vertices makes a 1 GiB half table
 
 
 @dataclass(frozen=True)
@@ -279,39 +285,33 @@ def to_nice(td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(bags, parent, len(order) - 1)
 
 
-def _add_edge(table: np.ndarray, i: int, j: int, w: float) -> None:
-    """Add w * s_i * s_j to every cell of a bag table, in place.
-
-    Bag bit i is cube axis k-1-i, so the term is the 2x2 block
-    [[w, -w], [-w, w]] broadcast over those two axes.
-    """
-    k = table.ndim
-    shape = [1] * k
-    shape[k - 1 - i] = shape[k - 1 - j] = 2
-    table += np.array([[w, -w], [-w, w]]).reshape(shape)
-
-
-def _halves(table: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the cells with bag bit i clear and set."""
-    head = (slice(None),) * (table.ndim - 1 - i)
-    return table[(*head, 0, ...)], table[(*head, 1, ...)]
+_SIGN = np.array([1.0, -1.0])
 
 
 def solve_treewidth(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
     """Optimal assignment by bucket elimination over the bags of `td`.
 
     `td` is any valid decomposition of G; its bags are first renumbered
-    children before parents, each sorted (`to_nice`).  A bag's table is a
-    (2,)*|bag| cube indexed by sign mask (bit i set => bag[i] gets -1; bit i
-    is axis |bag|-1-i, so the flat index is the mask).  It is the sum of the
-    children's messages, broadcast over the bag, and of the edges whose
-    bucket is this bag.  A vertex's bucket is its forget bag, the one bag
-    holding it whose parent does not (the root's parent counts as empty);
-    edge uv goes to u's forget bag if that bag holds v, else to v's.  Each
-    vertex of the bucket is then maxed out, highest bag position first,
-    keeping one packed bit per remaining mask, set when the vertex is better
-    at -1 (ties keep +1); what is left is the message to the parent, and the
-    root's is a 0-d array.  The backtrack reads the bits in reverse.
+    children before parents, each sorted (`to_nice`).  A vertex's bucket is
+    its forget bag, the one bag holding it whose parent does not (the root's
+    parent counts as empty); edge uv goes to u's forget bag if that bag holds
+    v, else to v's.  The vertices are ranked by (forget bag, -id), and a
+    bag's last vertex in that order is its pin.  The objective is the same at
+    x and -x, so a bag's table is a (2,)*(|bag|-1) cube over the cells where
+    the pin is +1, one axis per other vertex in rank order (index 1 => -1).
+    It is the sum of the children's messages, broadcast over the bag, and of
+    the edges in the bucket.  A message pinned at another vertex c goes to
+    the half where c is +1 as it is, and reversed on every axis to the half
+    where c is -1 (T(-s) = T(s)).
+
+    The vertices forgotten at a bag lead its axes and are maxed out in turn,
+    highest id first, each keeping two packed bits per remaining cell,
+    t0 > t1 then t1 > t0; what is left is the message to the parent, pinned
+    at the same pin, or 0-d if the bag forgets every vertex.  The backtrack
+    reads t1 > t0 at the signs when the pin is +1, else t0 > t1 at the
+    flipped signs, so a vertex takes -1 exactly when it is better there with
+    the signs already chosen (ties keep +1); a pin forgotten with its whole
+    bag, maxed out last, takes +1.
     """
     if td.width > MAX_DP_WIDTH:
         raise CapacityError(
@@ -323,44 +323,64 @@ def solve_treewidth(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
         return Assignment((), 0.0)
     bagsets = [set(bag) for bag in td.bags]
     forget_at = [-1] * G.n
+    forgets = [0] * len(td.bags)
     for i, bag in enumerate(td.bags):
         p = td.parent[i]
         for v in bag:
             if p is None or v not in bagsets[p]:
                 forget_at[v] = i
+                forgets[i] += 1
     if -1 in forget_at:
         raise ValidationError("decomposition does not cover every vertex")
     bucket: list[list[tuple[int, int, float]]] = [[] for _ in td.bags]
     for u, v, w in G.edges:
         bucket[forget_at[u] if v in bagsets[forget_at[u]] else forget_at[v]].append((u, v, w))
+    rank = {v: r for r, v in enumerate(sorted(range(G.n), key=lambda v: (forget_at[v], -v)))}
 
-    inbox: list[list[tuple[tuple[int, ...], np.ndarray]]] = [[] for _ in td.bags]
-    forgotten: list[tuple[int, tuple[int, ...], np.ndarray]] = []
+    patterns: dict[tuple[int, ...], np.ndarray] = {}  # +-1 edge terms by (ndim, axes)
+    inbox: list[list[tuple[int | None, list[int], np.ndarray]]] = [[] for _ in td.bags]
+    forgotten: list[tuple[int, int, list[int], np.ndarray]] = []
     for i, bag in enumerate(td.bags):
-        k = len(bag)
-        pos = {v: j for j, v in enumerate(bag)}
-        table = np.zeros((2,) * k)
-        for keep, msg in inbox[i]:
-            shape = [1] * k
+        axes = sorted(bag, key=rank.__getitem__)
+        pin = axes.pop() if axes else None
+        d = len(axes)
+        pos = dict(zip(axes, range(d)))
+        table = np.zeros((2,) * d)
+        for cpin, keep, msg in inbox[i]:
+            idx: list[slice | None] = [None] * d
             for v in keep:
-                shape[k - 1 - pos[v]] = 2
-            table += msg.reshape(shape)
+                idx[pos[v]] = slice(None)
+            if cpin is None or cpin == pin:
+                table += msg[tuple(idx)]
+            else:  # the half where cpin is -1 reads msg reversed: T(-s) = T(s)
+                a = pos[cpin]
+                del idx[a]
+                ix, flip = tuple(idx), (slice(None, None, -1),) * msg.ndim
+                lo, hi = (slice(None),) * a + (0,), (slice(None),) * a + (1,)
+                # unnamed views: a named one would keep this table alive once it is maxed out
+                np.add(table[lo], msg[ix], out=table[lo])
+                np.add(table[hi], msg[flip][ix], out=table[hi])
         inbox[i] = []
         for u, v, w in bucket[i]:
-            _add_edge(table, pos[u], pos[v], w)
-        keep = bag
-        for j in range(k - 1, -1, -1):  # highest first: lower positions stay put
-            if forget_at[bag[j]] == i:
-                t0, t1 = _halves(table, j)
-                keep = keep[:j] + keep[j + 1 :]
-                forgotten.append((bag[j], keep, np.packbits(t1 > t0, axis=None)))
-                table = np.maximum(t0, t1)
-        if td.parent[i] is not None:
-            inbox[td.parent[i]].append((keep, table))
+            key = (d, pos[v]) if u == pin else (d, pos[u]) if v == pin else (d, pos[u], pos[v])
+            pat = patterns.get(key)
+            if pat is None:
+                axis = [_SIGN.reshape((1,) * a + (2,) + (1,) * (d - 1 - a)) for a in key[1:]]
+                pat = patterns[key] = math.prod(axis)
+            table += w * pat
+        gone = min(forgets[i], d)  # the pin is kept unless the bag forgets every vertex
+        for j in range(gone):
+            forgotten.append((axes[j], pin, axes[j + 1 :], np.packbits(table > table[::-1])))
+            table = np.maximum(table[0, ...], table[1, ...])
+        if td.parent[i] is not None:  # a 0-d message is the same at every pin
+            inbox[td.parent[i]].append((pin if gone < d else None, axes[gone:], table))
 
-    signs = [0] * G.n
-    for v, keep, bits in reversed(forgotten):
-        mask = sum(1 << j for j, u in enumerate(keep) if signs[u] < 0)
+    signs = [1] * G.n
+    for v, pin, keep, bits in reversed(forgotten):
+        s = signs[pin]
+        mask = s > 0  # selects the t1 > t0 half
+        for u in keep:
+            mask = mask << 1 | (signs[u] != s)
         signs[v] = -1 if int(bits[mask >> 3] >> (7 - (mask & 7))) & 1 else 1
     value = evaluate(G, signs)
     return Assignment(tuple(signs), value)

@@ -552,3 +552,24 @@ class TestInducedSubgraph:
             if j > i and G.has_edge(a, b)
         ]
         assert_same_graph(H, WeightedGraph(len(old_of), edges[::-1]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    def test_edge_arrays_are_the_columns_of_edges(self, seed, data):
+        # both for a parent with merged columns and for one built from tuples
+        G = random_graph(seed, 30, 60, real=seed % 2 == 1)
+        if data.draw(st.booleans()):
+            G = load_graph(G.n, G.edges)
+        picked = data.draw(st.lists(st.integers(0, G.n - 1), max_size=2 * G.n))
+        H, _ = induced_subgraph(G, picked)
+        eu, ev, ew = H.edge_arrays()
+        assert (eu.dtype, ev.dtype, ew.dtype) == (np.int64, np.int64, np.float64)
+        assert eu.tolist() == [u for u, _, _ in H.edges]
+        assert ev.tolist() == [v for _, v, _ in H.edges]
+        assert [w.hex() for w in ew.tolist()] == [w.hex() for _, _, w in H.edges]
+
+    def test_rejects_vertex_out_of_range(self):
+        G = WeightedGraph(3, [(0, 1, 1.0)])
+        for bad in ([0, 3], [-1, 2]):
+            with pytest.raises(ValidationError, match="out of range"):
+                induced_subgraph(G, bad)

@@ -360,11 +360,12 @@ class TestAgainstReferenceDP:
         assert new[1] == pytest.approx(brute_force(G).value, abs=1e-9)
 
     def test_peak_memory_is_a_few_tables(self):
-        # 13x13 grid: width 17, largest table 8 * 2^18 bytes; keeping every
-        # table (the reference DP) peaks near 20 of them
+        # 13x13 grid: width 17, largest half table 8 * 2^17 bytes, so the
+        # bound is four of them; keeping every full table (the reference DP)
+        # peaks near 40
         G = _grid(13, 13)
         td = to_nice(build_decomposition(G))
-        largest = 8 << (td.width + 1)
+        largest = 8 << td.width
         tracemalloc.start()
         try:
             solve_treewidth(G, td)
@@ -411,8 +412,42 @@ def _add_empty_leaves(td, attach):
     )
 
 
+def _shuffled(td, seed):
+    """The same tree, its bags renumbered by a random permutation and each
+    bag's vertices shuffled."""
+    rng = SplitMix64(seed)
+    perm = list(range(len(td.bags)))
+    rng.shuffle(perm)
+    new = {old: j for j, old in enumerate(perm)}
+    bags = []
+    for old in perm:
+        bag = list(td.bags[old])
+        rng.shuffle(bag)
+        bags.append(tuple(bag))
+    parent = tuple(None if td.parent[old] is None else new[td.parent[old]] for old in perm)
+    return TreeDecomposition(tuple(bags), parent, new[td.root])
+
+
+def _pinned_elsewhere(td):
+    """How many bags send a message pinned at a vertex other than their
+    parent's pin, by the rule solve_treewidth documents: vertices ranked by
+    (forget bag, -id), a bag's pin is its last vertex in that order."""
+    td = to_nice(td)
+    forget_at = {}
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            forget_at[v] = i  # bags come children first: the last holder forgets v
+    pin = [max(bag, key=lambda v: (forget_at[v], -v), default=None) for bag in td.bags]
+    return sum(
+        1
+        for i, p in enumerate(td.parent)
+        if p is not None and pin[i] is not None and forget_at[pin[i]] != i and pin[i] != pin[p]
+    )
+
+
 class TestUnusualDecompositions:
-    """Decompositions the min-fill builder never makes are solved as they are."""
+    """Decompositions the min-fill builder never makes are solved as they are,
+    with the reference DP's signs."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -420,8 +455,11 @@ class TestUnusualDecompositions:
         single_bag=st.booleans(),
         merge=st.lists(st.booleans(), min_size=1, max_size=12),
         attach=st.lists(st.integers(0, 100), max_size=4),
+        shuffle=st.booleans(),
     )
-    def test_optimum_on_merged_single_and_empty_bags(self, seed, single_bag, merge, attach):
+    def test_optimum_on_merged_single_and_empty_bags(
+        self, seed, single_bag, merge, attach, shuffle
+    ):
         G = sample_small(seed)
         if single_bag:
             td = TreeDecomposition((tuple(range(G.n)),), (None,), 0)
@@ -430,7 +468,28 @@ class TestUnusualDecompositions:
             SplitMix64(seed).shuffle(order)
             td = _merge_into_parents(elimination_decomposition(G, order), merge)
         td = _add_empty_leaves(td, attach)
+        if shuffle:
+            td = _shuffled(td, seed)
         validate_decomposition(G, td)
         a = solve_treewidth(G, td)
         assert abs(a.value - brute_force(G).value) <= value_tol(G)
         assert evaluate(G, a.values) == a.value
+        new, ref = _dp_pair(G, td)
+        assert new == ref == (a.values, a.value)
+
+    def test_messages_pinned_elsewhere_match_the_reference(self):
+        # a random elimination order often leaves a child whose kept vertices
+        # miss the parent's pin, so its message is added to both halves of
+        # the parent's table, the -1 half reading it reversed
+        reversed_halves = 0
+        for seed in range(300):
+            G = sample_small(seed, max_n=14)
+            order = list(range(G.n))
+            SplitMix64(seed).shuffle(order)
+            td = elimination_decomposition(G, order)
+            if seed % 2:
+                td = _shuffled(_merge_into_parents(td, [seed % 3 == 0, True, False]), seed)
+            reversed_halves += _pinned_elsewhere(td)
+            new, ref = _dp_pair(G, td)
+            assert new == ref
+        assert reversed_halves >= 100

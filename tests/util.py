@@ -646,7 +646,11 @@ class NiceTreeDecomposition:
 def reference_to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     """Convert a valid decomposition to nice form with the same width.
 
-    Leaf bags hold one vertex, so an empty leaf bag is not supported.
+    A leaf bag starts from its lowest vertex (an empty one from the empty
+    bag).  Where a bag forgets several vertices, the chain forgets the
+    highest id first, and the root's bag is forgotten down to the empty bag,
+    so the backtrack decides a bag's forgotten vertices lowest id first with
+    ties kept at +1: the order in which solve_treewidth maxes them out.
     """
     if not td.bags:
         return NiceTreeDecomposition((), (), (), (), 0)
@@ -666,7 +670,7 @@ def reference_to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         """Forget then introduce, one vertex at a time, from bags[top] to target."""
         cur = set(bags[top])
         target = set(target)
-        for v in sorted(cur - target):
+        for v in sorted(cur - target, reverse=True):
             cur.discard(v)
             top = add(cur, "forget", [top], v)
         for v in sorted(target - cur):
@@ -686,18 +690,15 @@ def reference_to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             continue
         bag = td.bags[node]
         if not ch_of[node]:
-            first = min(bag)
-            top = add([first], "leaf", [])
-            top = chain(top, bag)
+            top = chain(add(sorted(bag)[:1], "leaf", []), bag)
         else:
             tops = [chain(done[c], bag) for c in ch_of[node]]
             top = tops[0]
             for t in tops[1:]:
                 top = add(bag, "join", [top, t])
         done[node] = top
-    return NiceTreeDecomposition(
-        tuple(bags), tuple(kinds), tuple(children), tuple(special), done[td.root]
-    )
+    root = chain(done[td.root], ())
+    return NiceTreeDecomposition(tuple(bags), tuple(kinds), tuple(children), tuple(special), root)
 
 
 def _sign_array(size: int, pos: int) -> np.ndarray:
