@@ -30,6 +30,14 @@ from .errors import CapacityError, ValidationError
 MAX_VERTICES = 10**7  # a larger n is refused before anything is allocated per vertex
 
 
+def check_vertex_count(n: int) -> None:
+    """Reject a negative vertex count, or one over MAX_VERTICES."""
+    if n < 0:
+        raise ValidationError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} exceeds cap {MAX_VERTICES}", achieved=n)
+
+
 def _check_entry(n: int, u: int, v: int, w: float) -> None:
     """Reject an out-of-range vertex id, a self-loop or a non-finite weight."""
     if not (0 <= u < n and 0 <= v < n):
@@ -44,12 +52,15 @@ class WeightedGraph:
     """Symmetric sparse MaxQP instance as an undirected edge-weighted graph.
 
     Immutable after construction: no self-loops, each unordered edge stored
-    once with a nonzero weight.  `unit` is true iff every |w| == 1.
+    once with a nonzero weight.  `unit` is true iff every |w| == 1.  The stored
+    form is three numpy columns (u, v, w): int64 ids with u < v and float64
+    weights, sorted by (u, v), which `edge_arrays` returns.  `edges`, the same
+    edges as (u, v, w) tuples, and `adjacency` are built on first read:
     `adjacency[v]` maps each neighbour of v to the edge weight, keys in
     increasing id order, so `u in adjacency[v]` and `adjacency[v][u]` are O(1).
     """
 
-    __slots__ = ("n", "edges", "adjacency", "unit", "_arrays")
+    __slots__ = ("n", "unit", "_arrays", "_edges", "_adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         canon = []
@@ -64,40 +75,24 @@ class WeightedGraph:
                 raise ValidationError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             canon.append((u, v, float(w)))
-        self._build(n, canon, None)
-
-    @classmethod
-    def _from_canonical(cls, n: int, edges: list[tuple[int, int, float]]):
-        """Trusted path for code that builds its own edges: each one unique,
-        u < v, with a finite nonzero float weight.  Takes ownership of `edges`.
-        """
-        self = cls.__new__(cls)
-        self._build(n, edges, None)
-        return self
+        check_vertex_count(n)  # so every id fits in int64
+        canon.sort()
+        u, v, w = zip(*canon) if canon else ((), (), ())
+        ids = np.array((u, v), dtype=np.int64)
+        self._build(n, ids[0], ids[1], np.array(w, dtype=np.float64))
 
     @classmethod
     def _from_columns(cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
-        """Trusted path from canonical int64/float64 columns sorted by (u, v),
-        which `edge_arrays` then returns."""
+        """Trusted path from canonical columns: int64 ids u < v, each pair once
+        and sorted by (u, v), with finite nonzero float64 weights."""
         self = cls.__new__(cls)
-        self._build(n, list(zip(u.tolist(), v.tolist(), w.tolist())), (u, v, w))
+        self._build(n, u, v, w)
         return self
 
-    def _build(self, n: int, edges: list[tuple[int, int, float]], arrays) -> None:
-        """The one place that sets every field, from canonical `edges`.
-
-        `arrays` is None, and then `edges` is sorted in place, or the same
-        edges as (u, v, w) numpy columns sorted by (u, v), which `edge_arrays`
-        then returns instead of converting `edges` on first use.
-        """
-        if n < 0:
-            raise ValidationError("vertex count must be nonnegative")
-        if n > MAX_VERTICES:
-            raise CapacityError(f"vertex count {n} exceeds cap {MAX_VERTICES}", achieved=n)
-        if arrays is None:
-            absw = np.abs(np.array([w for _, _, w in edges], dtype=np.float64))
-        else:
-            absw = np.abs(arrays[2])
+    def _build(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        """The one place that sets every field, from canonical columns."""
+        check_vertex_count(n)
+        absw = np.abs(w)
         # every value and partial sum lies within +-sum |w|, so the difference of
         # two values (a self-check's margin) lies within 2 * sum |w|: keep that finite
         with np.errstate(over="ignore"):
@@ -106,31 +101,38 @@ class WeightedGraph:
             total = sum(absw.tolist())
         if not math.isfinite(2.0 * total):
             raise ValidationError("total absolute weight overflows: 2 * sum |w| is not finite")
-        if arrays is None:
-            edges.sort()
-        adjacency: list[dict[int, float]] = [{} for _ in range(n)]
-        for u, v, w in edges:
-            adjacency[u][v] = w
-            adjacency[v][u] = w
         self.n = n
-        self.edges = edges
-        self.adjacency = adjacency
         self.unit = bool((absw == 1.0).all())
-        self._arrays = arrays
+        self._arrays = (u, v, w)
+        self._edges = None
+        self._adjacency = None
 
     def edge_arrays(self):
-        """Cached (u, v, w) numpy columns of the edge list, for bulk passes."""
-        if self._arrays is None:
-            cols = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
-            eu = cols[:, 0].astype(np.int64)
-            ev = cols[:, 1].astype(np.int64)
-            ew = np.ascontiguousarray(cols[:, 2])
-            self._arrays = (eu, ev, ew)
+        """The (u, v, w) numpy columns, the stored form, for bulk passes."""
         return self._arrays
 
     @property
+    def edges(self) -> list[tuple[int, int, float]]:
+        """The edges as (u, v, w) tuples in column order, built on first read."""
+        if self._edges is None:
+            u, v, w = self._arrays
+            self._edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
+        return self._edges
+
+    @property
+    def adjacency(self) -> list[dict[int, float]]:
+        """Neighbour -> weight map of each vertex, built on first read."""
+        if self._adjacency is None:
+            adjacency: list[dict[int, float]] = [{} for _ in range(self.n)]
+            for u, v, w in self.edges:
+                adjacency[u][v] = w
+                adjacency[v][u] = w
+            self._adjacency = adjacency
+        return self._adjacency
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._arrays[0])
 
     def weight(self, u: int, v: int) -> float:
         """Weight of edge {u, v}; raises if the edge is absent."""

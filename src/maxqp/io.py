@@ -135,12 +135,25 @@ def read_instance(path: str) -> WeightedGraph:
         return parse_instance(fh.read())
 
 
+def _number_words(x: np.ndarray) -> list[str]:
+    """`format_number` of each float: the integral ones below 2^63 as int64
+    in numpy, the rest one at a time."""
+    small = (x == np.trunc(x)) & (np.abs(x) < 2.0**63)
+    words = np.empty(len(x), dtype=object)
+    words[small] = list(map(str, x[small].astype(np.int64).tolist()))
+    words[~small] = list(map(format_number, x[~small].tolist()))
+    return words.tolist()
+
+
 def format_instance(G: WeightedGraph, comments: list[str] | None = None) -> str:
-    lines = [f"# {c}" for c in comments or []]
-    lines.append(f"p maxqp {G.n} {G.m}")
-    for u, v, w in G.edges:
-        lines.append(f"e {u + 1} {v + 1} {format_number(w)}")
-    return "\n".join(lines) + "\n"
+    eu, ev, ew = G.edge_arrays()
+    lines = [f"# {c}\n" for c in comments or []]
+    lines.append(f"p maxqp {G.n} {G.m}\n")
+    lines += [
+        f"e {u} {v} {w}\n"
+        for u, v, w in zip((eu + 1).tolist(), (ev + 1).tolist(), _number_words(ew))
+    ]
+    return "".join(lines)
 
 
 def write_instance(G: WeightedGraph, path: str, comments=None) -> None:

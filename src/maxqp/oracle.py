@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .graph import Assignment, WeightedGraph, evaluate, value_tol
+from .graph import Assignment, WeightedGraph, check_vertex_count, evaluate, value_tol
 
 DEFAULT_BRUTE_CAP = 28
 LOW_BITS = 14  # the low block: 2^14 sign rows of 14 vertices, 1.75 MiB
@@ -26,20 +26,36 @@ class SplitMix64:
     """Minimal portable PRNG (splitmix64 finalizer) for reproducible instances.
 
     Identical sequences for identical seeds on every platform; deliberately
-    independent of the interpreter's RNG.
+    independent of the interpreter's RNG.  `draw` gives the next outputs as
+    one numpy block, the same values that as many `next_u64` calls give
+    (Steele, Lea & Flood, *Fast splittable pseudorandom number generators*,
+    OOPSLA 2014).
     """
 
     MASK = (1 << 64) - 1
+    GAMMA = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
         self.state = seed & self.MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        self.state = (self.state + self.GAMMA) & self.MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
         return z ^ (z >> 31)
+
+    def draw(self, k: int) -> np.ndarray:
+        """The next k outputs of `next_u64` as a uint64 array; the state
+        advances by k.  numpy's uint64 arithmetic wraps as MASK does."""
+        z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(self.GAMMA) + np.uint64(self.state)
+        self.state = (self.state + k * self.GAMMA) & self.MASK
+        z ^= z >> 30
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> 27
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> 31
+        return z
 
     def random(self) -> float:
         return (self.next_u64() >> 11) / float(1 << 53)
@@ -135,12 +151,12 @@ def subdivide_for_maxcut(G: WeightedGraph) -> WeightedGraph:
     twice the maximum cut of the input (weights of the input are ignored).
     """
     n, m = G.n, G.m
-    out = []
-    for t, (u, v, _) in enumerate(G.edges):
-        mid = n + t
-        out.append((u, mid, 1.0))
-        out.append((v, mid, -1.0))
-    return WeightedGraph._from_canonical(n + m, out)
+    eu, ev, _ = G.edge_arrays()
+    ends = np.stack((eu, ev), axis=1).ravel()  # u0, v0, u1, v1, ...
+    mids = np.repeat(np.arange(n, n + m, dtype=np.int64), 2)
+    ws = np.tile([1.0, -1.0], m)
+    order = np.argsort(ends, kind="stable")  # mids rise along ends: ties stay in mid order
+    return WeightedGraph._from_columns(n + m, ends[order], mids[order], ws[order])
 
 
 @dataclass(frozen=True)
@@ -152,19 +168,61 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
 
-def _sample_pairs(rng: SplitMix64, n: int, m: int) -> list[tuple[int, int]]:
-    if m > n * (n - 1) // 2:
+def _sample_pairs(rng: SplitMix64, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m distinct pairs u < v as int64 columns sorted by (u, v), by rejection.
+
+    An attempt draws u = randrange(n), then v = randrange(n); it is skipped
+    when u == v and counts only at the first occurrence of its pair.  The
+    attempts are drawn in blocks, and the stream is left just after the
+    attempt that gives the m-th pair, as one attempt at a time would leave it.
+    """
+    total = n * (n - 1) // 2
+    if m > total:
         raise ValidationError(f"cannot place {m} edges on {n} vertices")
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        chosen.add((u, v))
-    return sorted(chosen)
+    check_vertex_count(n)  # so u * n + v fits in int64
+    found = np.empty(0, dtype=np.int64)  # the pairs so far as u * n + v, sorted
+    while len(found) < m:
+        need, start = m - len(found), rng.state
+        # an attempt gives a new pair with chance 2 * (pairs not found) / n^2:
+        # draw a little over the expected number of attempts for `need` of them
+        k = 16 + need * n * n * 9 // ((total - len(found)) * 16)
+        d = rng.draw(2 * k) % np.uint64(n)
+        u, v = d[0::2].astype(np.int64), d[1::2].astype(np.int64)
+        key = np.where(u == v, -1, np.minimum(u, v) * n + np.maximum(u, v))
+        order = np.argsort(key, kind="stable")
+        sk = key[order]
+        head = np.ones(k, dtype=bool)  # the first attempt at each pair in this block
+        head[1:] = sk[1:] != sk[:-1]
+        head &= sk >= 0
+        head[head] = ~np.isin(sk[head], found)
+        is_new = np.zeros(k, dtype=bool)
+        is_new[order[head]] = True
+        new = np.flatnonzero(is_new)[:need]  # the attempts that give new pairs, in draw order
+        if len(new) == need:
+            rng.state = (start + 2 * (int(new[-1]) + 1) * rng.GAMMA) & rng.MASK
+        found = np.sort(np.concatenate((found, key[new])))
+    return found // n, found % n
+
+
+def _sign_weights(rng: SplitMix64, k: int) -> np.ndarray:
+    """k weights of +-1, one `sign()` draw each."""
+    return np.where(rng.draw(k) & 1, 1.0, -1.0)
+
+
+def _real_weights(rng: SplitMix64, k: int) -> np.ndarray:
+    """k weights 2r - 1 for r = `random()`, in draw order; a draw that gives
+    0.0 is skipped, as a redraw loop per weight skips it."""
+    parts, got = [np.empty(0)], 0
+    while got < k:
+        w = 2.0 * ((rng.draw(k - got) >> 11).astype(np.float64) / float(1 << 53)) - 1.0
+        parts.append(w[w != 0.0])
+        got += len(parts[-1])
+    return np.concatenate(parts)
+
+
+def _signed(rng: SplitMix64, n: int, u: np.ndarray, v: np.ndarray) -> WeightedGraph:
+    """The graph on canonical pairs (u, v), a random sign drawn per pair in order."""
+    return WeightedGraph._from_columns(n, u, v, _sign_weights(rng, len(u)))
 
 
 def _count(params: dict, key: str) -> int:
@@ -178,7 +236,17 @@ def _count(params: dict, key: str) -> int:
 
 
 def generate(spec: GeneratorSpec) -> WeightedGraph:
-    """Build the instance described by `spec`, reproducibly from its seed."""
+    """Build the instance described by `spec`, reproducibly from its seed.
+
+    Every kind reads one SplitMix64 stream seeded with `spec.seed`, mostly in
+    numpy blocks that hold the values one `next_u64` call per draw would give,
+    in the same order.  sparse-random and maxcut-subdivision sample their
+    pairs by rejection (`_sample_pairs`); then each edge, in (u, v) order,
+    draws its weight: a sign from one draw's low bit, or a real 2r - 1 drawn
+    again while it is 0.0.  grid-spin-glass draws a sign per edge in row-major
+    order, right edge before down edge; d-regular shuffles its stubs one draw
+    at a time.  The graph is built from its columns.
+    """
     rng = SplitMix64(spec.seed)
     p = spec.params
     kind = spec.kind
@@ -186,33 +254,23 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
         rows, cols = _count(p, "rows"), _count(p, "cols")
         if rows < 1 or cols < 1:
             raise ValidationError("grid dimensions must be positive")
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                v = r * cols + c
-                if c + 1 < cols:
-                    edges.append((v, v + 1, float(rng.sign())))
-                if r + 1 < rows:
-                    edges.append((v, v + cols, float(rng.sign())))
-        return WeightedGraph._from_canonical(rows * cols, edges)
+        check_vertex_count(rows * cols)
+        v = np.arange(rows * cols, dtype=np.int64)
+        # row-major: each vertex's edge to the right, then its edge down
+        has = np.stack((v % cols + 1 < cols, v // cols + 1 < rows), axis=1)
+        ends = np.stack((v + 1, v + cols), axis=1)
+        return _signed(rng, rows * cols, np.repeat(v, has.sum(axis=1)), ends[has])
     if kind == "sparse-random":
         n, m = _count(p, "n"), _count(p, "m")
         real = bool(p.get("real", False))
-        pairs = _sample_pairs(rng, n, m)
-        edges = []
-        for u, v in pairs:
-            if real:
-                w = 0.0
-                while w == 0.0:
-                    w = 2.0 * rng.random() - 1.0
-            else:
-                w = float(rng.sign())
-            edges.append((u, v, w))
-        return WeightedGraph._from_canonical(n, edges)
+        u, v = _sample_pairs(rng, n, m)
+        w = _real_weights(rng, m) if real else _sign_weights(rng, m)
+        return WeightedGraph._from_columns(n, u, v, w)
     if kind == "d-regular":
         n, d = _count(p, "n"), _count(p, "degree")
         if n * d % 2 or d >= n:
             raise ValidationError(f"no simple {d}-regular graph on {n} vertices")
+        check_vertex_count(n)
         for _ in range(1000):
             stubs = [v for v in range(n) for _ in range(d)]
             rng.shuffle(stubs)
@@ -230,16 +288,16 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
                     break
                 pairs.add((u, v))
             if ok:
-                return WeightedGraph._from_canonical(
-                    n, [(u, v, float(rng.sign())) for u, v in sorted(pairs)]
-                )
+                cols = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+                return _signed(rng, n, cols[:, 0].copy(), cols[:, 1].copy())
         raise ValidationError("configuration model failed to produce a simple graph")
     if kind == "perfect-matching":
         n = _count(p, "n")
         if n % 2:
             raise ValidationError("perfect-matching instance needs even n")
-        edges = [(2 * i, 2 * i + 1, float(rng.sign())) for i in range(n // 2)]
-        return WeightedGraph._from_canonical(n, edges)
+        check_vertex_count(n)
+        u = np.arange(0, n, 2, dtype=np.int64)
+        return _signed(rng, n, u, u + 1)
     if kind == "clique-plus-matching":
         n = _count(p, "n")
         c = int(n**0.5)
@@ -247,16 +305,12 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
             raise ValidationError(
                 f"clique-plus-matching needs n - isqrt(n) even, got n = {n}"
             )
-        edges = []
-        for i in range(c):
-            for j in range(i + 1, c):
-                edges.append((i, j, float(rng.sign())))
-        for i in range(c, n, 2):
-            edges.append((i, i + 1, float(rng.sign())))
-        return WeightedGraph._from_canonical(n, edges)
+        check_vertex_count(n)
+        iu, ju = np.triu_indices(c, 1)  # the clique's pairs in (i, j) order
+        mu = np.arange(c, n, 2, dtype=np.int64)
+        return _signed(rng, n, np.concatenate((iu, mu)), np.concatenate((ju, mu + 1)))
     if kind == "maxcut-subdivision":
         n, m = _count(p, "n"), _count(p, "m")
-        pairs = _sample_pairs(rng, n, m)
-        base = WeightedGraph._from_canonical(n, [(u, v, 1.0) for u, v in pairs])
-        return subdivide_for_maxcut(base)
+        u, v = _sample_pairs(rng, n, m)
+        return subdivide_for_maxcut(WeightedGraph._from_columns(n, u, v, np.ones(m)))
     raise ValidationError(f"unknown generator kind: {kind!r}")

@@ -295,7 +295,9 @@ def solve_treewidth(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
     children before parents, each sorted (`to_nice`).  A vertex's bucket is
     its forget bag, the one bag holding it whose parent does not (the root's
     parent counts as empty); edge uv goes to u's forget bag if that bag holds
-    v, else to v's.  The vertices are ranked by (forget bag, -id), and a
+    v, else to v's.  A bag vertex outside 0..n-1, a vertex in no bag, a
+    vertex with two forget bags (its bags are not connected) and an edge that
+    neither bag holds each raise `ValidationError`.  The vertices are ranked by (forget bag, -id), and a
     bag's last vertex in that order is its pin.  The objective is the same at
     x and -x, so a bag's table is a (2,)*(|bag|-1) cube over the cells where
     the pin is +1, one axis per other vertex in rank order (index 1 => -1).
@@ -325,16 +327,23 @@ def solve_treewidth(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
     forget_at = [-1] * G.n
     forgets = [0] * len(td.bags)
     for i, bag in enumerate(td.bags):
+        if bag and (bag[0] < 0 or bag[-1] >= G.n):  # each bag is sorted
+            raise ValidationError(f"a bag mentions a vertex outside 0..{G.n - 1}")
         p = td.parent[i]
         for v in bag:
             if p is None or v not in bagsets[p]:
+                if forget_at[v] >= 0:  # a second top bag: two pieces of v's trace
+                    raise ValidationError(f"bags containing vertex {v} are not connected")
                 forget_at[v] = i
                 forgets[i] += 1
     if -1 in forget_at:
         raise ValidationError("decomposition does not cover every vertex")
     bucket: list[list[tuple[int, int, float]]] = [[] for _ in td.bags]
     for u, v, w in G.edges:
-        bucket[forget_at[u] if v in bagsets[forget_at[u]] else forget_at[v]].append((u, v, w))
+        b = forget_at[u] if v in bagsets[forget_at[u]] else forget_at[v]
+        if u not in bagsets[b]:  # with connected traces, the lower forget bag covers uv
+            raise ValidationError(f"edge ({u}, {v}) covered by no bag")
+        bucket[b].append((u, v, w))
     rank = {v: r for r, v in enumerate(sorted(range(G.n), key=lambda v: (forget_at[v], -v)))}
 
     patterns: dict[tuple[int, ...], np.ndarray] = {}  # +-1 edge terms by (ndim, axes)

@@ -25,9 +25,11 @@ from maxqp import (
     glue_blocks,
     induced_subgraph,
     load_graph,
+    solve_bounded_degree,
     stats,
 )
 from maxqp.graph import MAX_VERTICES, degeneracy_order
+from maxqp.io import format_instance, parse_instance
 from maxqp.oracle import SplitMix64
 
 from util import (
@@ -251,6 +253,35 @@ class TestNeighbourMaps:
                 assert not G.has_edge(u, v)
                 with pytest.raises(ValidationError, match="no edge"):
                     G.weight(u, v)
+
+
+class TestColumnsFirst:
+    """Columns are the stored form; `edges` and `adjacency` are built on first read."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_raw_entries())
+    def test_from_columns_same_as_validating_constructor(self, case):
+        n, entries = case
+        edges = _merge(entries)
+        u = np.array([e[0] for e in edges], dtype=np.int64)
+        v = np.array([e[1] for e in edges], dtype=np.int64)
+        w = np.array([e[2] for e in edges], dtype=np.float64)
+        G = WeightedGraph._from_columns(n, u, v, w)
+        assert (G.m, G.unit) == (len(edges), all(abs(x) == 1.0 for _, _, x in edges))
+        assert all(a is b for a, b in zip(G.edge_arrays(), (u, v, w)))
+        assert G._edges is None and G._adjacency is None  # m, unit and the columns build neither
+        assert_same_graph(G, WeightedGraph(n, edges[::-1]))
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_greedy_driver_builds_neither_edges_nor_adjacency(self, real):
+        G = generate(GeneratorSpec("sparse-random", 5, {"n": 300, "m": 600, "real": real}))
+        for H in (G, parse_instance(format_instance(G))):
+            solve_bounded_degree(H)
+            assert H._edges is None and H._adjacency is None
+
+    def test_adjacency_is_built_once(self):
+        G = random_graph(2, 20, 40)
+        assert G.adjacency is G.adjacency and G.edges is G.edges
 
 
 class TestEvaluate:

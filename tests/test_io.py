@@ -44,6 +44,22 @@ class TestInstanceFormat:
         G = WeightedGraph(2, [(0, 1, -1.0)])
         assert "e 1 2 -1" in format_instance(G)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.sampled_from([2.0**63, 2.0**63 - 1024, 2.0**64, 1e300, 2.0**53 + 2, 3.0, 1e-300, 0.1])
+            | st.floats(-1e300, 1e300).filter(lambda w: w != 0.0),
+            max_size=12,
+        ),
+        signs=st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    def test_weights_written_as_format_number_writes_them(self, weights, signs):
+        # integral weights as integers, past 2^63 too, and any other weight by repr
+        weights = [-w if s else w for w, s in zip(weights, signs)]
+        G = WeightedGraph(len(weights) + 1, [(0, i + 1, w) for i, w in enumerate(weights)])
+        lines = [f"e {u + 1} {v + 1} {maxqp.io.format_number(w)}\n" for u, v, w in G.edges]
+        assert format_instance(G, ["c"]) == "".join([f"# c\np maxqp {G.n} {G.m}\n", *lines])
+
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_instance("e 1 2 1\n")

@@ -6,6 +6,7 @@ import itertools
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from maxqp import (
 )
 from maxqp import oracle
 from maxqp.graph import degeneracy_order, value_tol
+from maxqp.io import format_instance
 
 from util import (
     GENERATOR_SPECS,
@@ -32,6 +34,9 @@ from util import (
     is_bipartite,
     random_graph,
     reference_brute_force,
+    reference_generate,
+    reference_real_weight,
+    reference_sample_pairs,
 )
 
 
@@ -46,6 +51,100 @@ class TestSplitMix64:
         SplitMix64(7).shuffle(xs)
         assert sorted(xs) == list(range(20))
         assert xs != list(range(20))
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64 - 3 * SplitMix64.GAMMA % 2**64, 0])
+    def test_block_draws_equal_single_draws_across_a_wrap(self, seed):
+        # from 2^64 - 1 the first step wraps the state past 2^64; from
+        # 2^64 - 3 * GAMMA (mod 2^64) the third state is exactly 0
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        for k in (0, 1, 5, 0, 17):
+            block = a.draw(k)
+            assert block.dtype == np.uint64
+            assert block.tolist() == [b.next_u64() for _ in range(k)]
+            assert a.state == b.state
+
+
+def _seed_before(z: int, draws: int) -> int:
+    """A seed whose output after `draws` draws is z: the finalizer of
+    `next_u64` is a bijection, inverted here one step at a time."""
+    def unshift(y: int, s: int) -> int:  # the inverse of x -> x ^ (x >> s)
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64, 30)
+    return (z - (draws + 1) * SplitMix64.GAMMA) % 2**64
+
+
+class TestBlockStream:
+    """The numpy block draws of `generate` against one draw at a time."""
+
+    @pytest.mark.parametrize("draws", [0, 3])
+    def test_real_weight_redraws_a_zero(self, draws):
+        # random() is (z >> 11) / 2^53, and 2r - 1 == 0.0 exactly when z >> 11 == 2^52
+        seed = _seed_before(2**63 | 0x5A5, draws)
+        probe = SplitMix64(seed)
+        probe.draw(draws)
+        assert 2.0 * probe.random() - 1.0 == 0.0
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        weights = oracle._real_weights(a, 6)
+        assert weights.tolist() == [reference_real_weight(b) for _ in range(6)]
+        assert a.state == b.state == (seed + 7 * SplitMix64.GAMMA) % 2**64  # 6 weights, 1 redraw
+        assert 0.0 not in weights.tolist()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_no_edges_take_no_draw(self, n, real):
+        rng = SplitMix64(3)
+        u, v = oracle._sample_pairs(rng, n, 0)
+        assert (u.dtype, v.dtype, len(u), len(v)) == (np.int64, np.int64, 0, 0)
+        assert len(oracle._real_weights(rng, 0)) == len(oracle._sign_weights(rng, 0)) == 0
+        assert rng.state == 3
+        G = generate(GeneratorSpec("sparse-random", 3, {"n": n, "m": 0, "real": real}))
+        assert (G.n, G.m, format_instance(G)) == (n, 0, f"p maxqp {n} 0\n")
+
+    def test_pair_sampler_stops_after_the_attempt_of_the_last_pair(self):
+        for seed in range(300):
+            n = 2 + seed % 17
+            m = seed * 7919 % (n * (n - 1) // 2 + 1)
+            a, b = SplitMix64(seed), SplitMix64(seed)
+            u, v = oracle._sample_pairs(a, n, m)
+            assert list(zip(u.tolist(), v.tolist())) == reference_sample_pairs(b, n, m)
+            assert a.state == b.state
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("sparse-random", {"n": 30, "m": 60}),
+            ("sparse-random", {"n": 30, "m": 60, "real": True}),
+            ("sparse-random", {"n": 0, "m": 0}),
+            ("sparse-random", {"n": 1, "m": 0, "real": True}),
+            ("sparse-random", {"n": 9, "m": 36}),  # every pair: most attempts are rejected
+            ("sparse-random", {"n": 8, "m": 28, "real": True}),
+            ("grid-spin-glass", {"rows": 1, "cols": 9}),
+            ("grid-spin-glass", {"rows": 9, "cols": 1}),
+            ("grid-spin-glass", {"rows": 1, "cols": 1}),
+            ("grid-spin-glass", {"rows": 4, "cols": 6}),
+            ("maxcut-subdivision", {"n": 7, "m": 12}),
+            ("perfect-matching", {"n": 10}),
+            ("clique-plus-matching", {"n": 18}),
+        ],
+    )
+    def test_same_file_as_one_draw_at_a_time(self, kind, params):
+        for seed in [*range(200), *range(2**64 - 20, 2**64)]:
+            spec = GeneratorSpec(kind, seed, params)
+            assert format_instance(generate(spec)) == format_instance(reference_generate(spec))
+
+    def test_same_file_on_varied_sizes(self):
+        for seed in range(300):
+            n = seed % 41
+            params = {"n": n, "m": seed * 7919 % (n * (n - 1) // 2 + 1), "real": seed % 2 == 1}
+            spec = GeneratorSpec("sparse-random", seed, params)
+            assert format_instance(generate(spec)) == format_instance(reference_generate(spec))
 
 
 class TestBruteForce:
@@ -280,6 +379,21 @@ class TestGenerators:
             G = generate(GeneratorSpec(kind, seed, params))
             reversed_edges = [(v, u, w) for u, v, w in reversed(G.edges)]
             assert_same_graph(G, WeightedGraph(G.n, reversed_edges))
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("grid-spin-glass", {"rows": 10**8, "cols": 10**8}),
+            ("sparse-random", {"n": 10**15, "m": 0}),
+            ("d-regular", {"n": 10**15, "degree": 2}),
+            ("perfect-matching", {"n": 10**15}),
+            ("clique-plus-matching", {"n": 10**14}),
+            ("maxcut-subdivision", {"n": 10**15, "m": 3}),
+        ],
+    )
+    def test_vertex_count_over_cap_is_refused_before_allocating(self, kind, params):
+        with pytest.raises(CapacityError, match="exceeds cap"):
+            generate(GeneratorSpec(kind, 0, params))
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):

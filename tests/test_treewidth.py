@@ -159,6 +159,28 @@ class TestValidateDecomposition:
         with pytest.raises(ValidationError):
             validate_decomposition(G, td)
 
+    @pytest.mark.parametrize("root", [0, 2])
+    def test_dp_rejects_disconnected_trace_without_validation(self, root):
+        # every vertex and edge is covered, but vertex 0 is in bags 0 and 2 only
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        parent = (None, 0, 1) if root == 0 else (1, 2, None)
+        td = TreeDecomposition(((0, 1), (1, 2), (0, 2)), parent, root)
+        with pytest.raises(ValidationError, match="vertex 0 are not connected"):
+            solve_treewidth(G, td)
+
+    def test_dp_rejects_uncovered_edge_without_validation(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        td = TreeDecomposition(((0, 1), (1, 2)), (None, 0), 0)
+        with pytest.raises(ValidationError, match=r"edge \(0, 2\) covered by no bag"):
+            solve_treewidth(G, td)
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_dp_rejects_unknown_vertex_without_validation(self, bad):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        td = TreeDecomposition(((0, 1, 2), (2, bad)), (None, 0), 0)
+        with pytest.raises(ValidationError, match=r"outside 0\.\.2"):
+            solve_treewidth(G, td)
+
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 10**6), data=st.data())
     def test_random_edits_rejected_exactly_when_invalid(self, seed, data):
@@ -188,6 +210,8 @@ class TestValidateDecomposition:
         else:
             with pytest.raises(ValidationError):
                 validate_decomposition(G, td)
+            with pytest.raises(ValidationError):  # the DP's own checks
+                solve_treewidth(G, td)
 
 
 def _check_postorder(td, out):

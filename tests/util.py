@@ -54,6 +54,68 @@ def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph
     return generate(GeneratorSpec("sparse-random", seed, {"n": n, "m": m, "real": real}))
 
 
+def reference_sample_pairs(rng: SplitMix64, n: int, m: int) -> list[tuple[int, int]]:
+    """`generate`'s pair sampler one attempt at a time: u, then v, each
+    `randrange(n)`; u == v is skipped and a pair counts once."""
+    if m > n * (n - 1) // 2:
+        raise ValidationError(f"cannot place {m} edges on {n} vertices")
+    chosen: set[tuple[int, int]] = set()
+    while len(chosen) < m:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        chosen.add((min(u, v), max(u, v)))
+    return sorted(chosen)
+
+
+def reference_real_weight(rng: SplitMix64) -> float:
+    """One real weight 2r - 1, drawn again while it is 0.0."""
+    w = 0.0
+    while w == 0.0:
+        w = 2.0 * rng.random() - 1.0
+    return w
+
+
+def reference_generate(spec: GeneratorSpec) -> WeightedGraph:
+    """`generate` one draw at a time, through the validating constructor, for
+    the kinds whose draws are taken in numpy blocks (all but d-regular)."""
+    rng = SplitMix64(spec.seed)
+    p = spec.params
+
+    def sign() -> float:
+        return float(rng.sign())
+
+    if spec.kind == "grid-spin-glass":
+        rows, cols = p["rows"], p["cols"]
+        edges = []
+        for r in range(rows):
+            for c in range(cols):
+                v = r * cols + c
+                if c + 1 < cols:
+                    edges.append((v, v + 1, sign()))
+                if r + 1 < rows:
+                    edges.append((v, v + cols, sign()))
+        return WeightedGraph(rows * cols, edges)
+    n = p["n"]
+    if spec.kind == "perfect-matching":
+        return WeightedGraph(n, [(2 * i, 2 * i + 1, sign()) for i in range(n // 2)])
+    if spec.kind == "clique-plus-matching":
+        c = int(n**0.5)
+        clique = [(i, j, sign()) for i in range(c) for j in range(i + 1, c)]
+        return WeightedGraph(n, clique + [(i, i + 1, sign()) for i in range(c, n, 2)])
+    pairs = reference_sample_pairs(rng, n, p["m"])
+    if spec.kind == "sparse-random":
+        if p.get("real"):
+            return WeightedGraph(n, [(u, v, reference_real_weight(rng)) for u, v in pairs])
+        return WeightedGraph(n, [(u, v, sign()) for u, v in pairs])
+    assert spec.kind == "maxcut-subdivision"  # edge t becomes u -(+1)- n + t -(-1)- v
+    return WeightedGraph(
+        n + len(pairs),
+        [e for t, (u, v) in enumerate(pairs) for e in ((u, n + t, 1.0), (v, n + t, -1.0))],
+    )
+
+
 @st.composite
 def unit_graphs(draw, max_n: int = 60, max_isolated: int = 0) -> WeightedGraph:
     """A unit sparse-random graph, from empty through complete, on n <= max_n
