@@ -46,6 +46,7 @@ from .treewidth import (
     build_decomposition,
     solve_exact,
     solve_treewidth,
+    solve_treewidths,
     to_nice,
     validate_decomposition,
 )

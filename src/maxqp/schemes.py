@@ -23,7 +23,7 @@ from .graph import (
     extend_from_induced,
     induced_subgraph,
 )
-from .treewidth import DEFAULT_WIDTH_CAP, solve_exact
+from .treewidth import DEFAULT_WIDTH_CAP, build_decomposition, check_dp_width, solve_treewidths
 
 
 def bfs_layers(G: WeightedGraph, root: int | None = None) -> tuple[int, ...]:
@@ -65,17 +65,26 @@ def residue_classes(layer_of, k: int) -> list[list[int]]:
     return classes
 
 
-def _solve_induced_exact(G, vertices, width_cap, label):
-    """Exact signs for G[vertices] as a dict on original ids."""
+def _decompose_induced(G, vertices, width_cap, label):
+    """G[vertices], its decomposition and its ids in G, or a CapacityError
+    that names the subproblem."""
     sub, old_of = induced_subgraph(G, vertices)
     try:
-        values = solve_exact(sub, width_cap).assignment.values
+        td = build_decomposition(sub, width_cap)
+        check_dp_width(td)
     except CapacityError as e:
         raise CapacityError(
             f"width cap exceeded while solving {label} (bag of width {e.achieved})",
             achieved=e.achieved,
         ) from e
-    return {old_of[i]: s for i, s in enumerate(values)}
+    return sub, td, old_of
+
+
+def _solve_all(subproblems) -> list[dict[int, int]]:
+    """Exact signs of every decomposed subproblem, from one DP run, each as a
+    dict on the ids of G."""
+    sols = solve_treewidths([(sub, td) for sub, td, _ in subproblems])
+    return [dict(zip(old_of, a.values)) for (_, _, old_of), a in zip(subproblems, sols)]
 
 
 def solve_baker(
@@ -85,18 +94,21 @@ def solve_baker(
 
     k is the smallest integer with 4/k <= eps.  Returns the best of the k
     lifted solutions; value >= (1 - eps) * opt on instances where every
-    remainder fits the width cap.
+    remainder fits the width cap.  Every remainder is decomposed before any
+    is solved, so a remainder over the cap is refused before any DP table.
     """
     if not 0 < eps <= 1:
         raise ValidationError("epsilon must be in (0, 1]")
     k = math.ceil(4 / eps)
-    best = None
-    best_i = -1
+    subproblems = []
     # the classes past the last one built are empty, like the last: the first wins ties
     for i, cls in enumerate(residue_classes(bfs_layers(G), k)):
         drop = set(cls)
         keep = [v for v in range(G.n) if v not in drop]
-        signs = _solve_induced_exact(G, keep, width_cap, f"G_{i}")
+        subproblems.append(_decompose_induced(G, keep, width_cap, f"G_{i}"))
+    best = None
+    best_i = -1
+    for i, signs in enumerate(_solve_all(subproblems)):
         sol = extend_from_induced(G, signs)
         if best is None or sol.value > best.value:
             best, best_i = sol, i
@@ -201,17 +213,26 @@ def solve_partition_scheme(
         source = "bfs-layer-heuristic"
     else:
         k, parts, source = partition.k, partition.parts, partition.source
-    best = None
-    best_i = -1
     first_empty = next((i for i, part in enumerate(parts) if not part), None)
+    # per part solved: its index and the subproblem indices of G[V_i] and
+    # G[V \ V_i], None for an empty one
+    runs, subproblems = [], []
     for i, part in enumerate(parts):
         if not part and i != first_empty:
             continue  # the same subproblems as the first empty part, which wins ties
-        inside = list(part)
         part_set = set(part)
         outside = [v for v in range(G.n) if v not in part_set]
-        x1 = _solve_induced_exact(G, inside, width_cap, f"G[V_{i}]") if inside else {}
-        x2 = _solve_induced_exact(G, outside, width_cap, f"G[V \\ V_{i}]") if outside else {}
+        at = []
+        for vertices, label in ((list(part), f"G[V_{i}]"), (outside, f"G[V \\ V_{i}]")):
+            if vertices:
+                subproblems.append(_decompose_induced(G, vertices, width_cap, label))
+            at.append(len(subproblems) - 1 if vertices else None)
+        runs.append((i, at))
+    signs_of = _solve_all(subproblems)
+    best = None
+    best_i = -1
+    for i, at in runs:
+        x1, x2 = ({} if j is None else signs_of[j] for j in at)
         signs, value = combine_disjoint(G, x1, x2)
         sol = Assignment(tuple(signs[v] for v in range(G.n)), value)
         if best is None or sol.value > best.value:

@@ -8,6 +8,16 @@ decomposition in the `b`/`t` text format is read by `read_decomposition` and
 solved as it is, empty bags included.  A decomposition wider than
 MAX_DP_WIDTH is refused before any table is allocated.
 
+`solve_treewidths` solves a list of (graph, decomposition) pairs in one run;
+`solve_treewidth` is its one-pair case.  Each pair is checked and put in
+array form first (bag entries as flat arrays with per-bag offsets, each
+child message's axes in its parent, each bucket edge's +-1 pattern code),
+with numpy passes rather than a Python loop per bag.  The bags of all pairs
+then run side by side: bags at the same step with the same size and
+number of vertices maxed out share one table with a row per bag, so a run of
+many narrow bags pays numpy's call overhead once per group rather than once
+per bag.
+
 The objective is the same at x and -x, and so is every table of the
 elimination, so each bag's table covers only the cells where one vertex of
 the bag, its pin, is +1: 2^(|bag|-1) cells.  A child's message pinned at
@@ -37,7 +47,8 @@ not the final width itself.
 from __future__ import annotations
 
 import heapq
-import math
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,7 +92,11 @@ def parse_decomposition(text: str) -> TreeDecomposition:
                 bid = int(fields[1])
                 if bid in bags:
                     raise ParseError(f"duplicate bag id {bid}", line=lineno)
-                bags[bid] = tuple(sorted(int(t) - 1 for t in fields[2:]))
+                bag = tuple(sorted(int(t) - 1 for t in fields[2:]))
+                twice = next((v for v, u in zip(bag, bag[1:]) if v == u), None)
+                if twice is not None:
+                    raise ParseError(f"bag {bid} lists vertex {twice + 1} twice", line=lineno)
+                bags[bid] = bag
             elif fields[0] == "t":
                 links.append((int(fields[1]), int(fields[2])))
             else:
@@ -123,6 +138,8 @@ def validate_decomposition(G: WeightedGraph, td: TreeDecomposition) -> None:
         for v in bag:
             if not 0 <= v < G.n:
                 raise ValidationError(f"bag {i} mentions unknown vertex {v}")
+            if containing[v][-1:] == [i]:
+                raise ValidationError(f"bag {i} lists vertex {v} twice")
             containing[v].append(i)
     for v in range(G.n):
         if not containing[v]:
@@ -177,7 +194,8 @@ def build_decomposition(
     has more than `width_cap + 1` vertices; `achieved` is that bag's width,
     a lower bound on the width the full ordering would reach.
 
-    `adj[v]` holds v's alive neighbours only, and fill[u] (the number of
+    `adj[v]` holds v's alive neighbours only (built from the edge columns,
+    so G's adjacency maps are not built), and fill[u] (the number of
     non-adjacent pairs in adj[u]) is counted once per vertex and then kept
     exact by deltas.  Eliminating v with N = adj[v]:
       - each u in N drops v from adj[u] and loses one missing pair (v, c) per
@@ -191,7 +209,11 @@ def build_decomposition(
     n = G.n
     if n == 0:
         return TreeDecomposition((), (), 0)
-    adj: list[set[int]] = [set(nbrs) for nbrs in G.adjacency]
+    eu, ev, _ = G.edge_arrays()
+    ends = np.concatenate((eu, ev))
+    nbr = np.concatenate((ev, eu))[np.argsort(ends, kind="stable")].tolist()
+    cut = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+    adj: list[set[int]] = [set(nbr[a:b]) for a, b in zip([0] + cut, cut)]
 
     def fill_count(v: int) -> int:
         nbrs = list(adj[v])
@@ -268,6 +290,15 @@ def build_decomposition(
     return td
 
 
+def check_dp_width(td: TreeDecomposition) -> None:
+    """Refuse a decomposition wider than MAX_DP_WIDTH before any table exists."""
+    if td.width > MAX_DP_WIDTH:
+        raise CapacityError(
+            f"decomposition width {td.width} exceeds the DP limit {MAX_DP_WIDTH}",
+            achieved=td.width,
+        )
+
+
 def to_nice(td: TreeDecomposition) -> TreeDecomposition:
     """The same bags, each sorted, renumbered so that children come before
     their parent and the root is last: the order solve_treewidth works in.
@@ -285,114 +316,416 @@ def to_nice(td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(bags, parent, len(order) - 1)
 
 
-_SIGN = np.array([1.0, -1.0])
+@dataclass(frozen=True)
+class _Problem:
+    """One (graph, decomposition) pair in the DP's array form.
+
+    Bags are numbered children before parents (`to_nice`); bag i runs at
+    step wave[i].  Its vertices are ax[off[i]:off[i+1]] in rank order, its
+    pin last; its table has d[i] = max(|bag| - 1, 0) axes and it maxes out
+    gone[i] of them.  Axis a of a d-axis table is bit d - 1 - a of a flat
+    cell index.  Each non-root bag c (in `child`) sends its message to inbox
+    slot `slot` of its parent `to`, on the parent's cell bits `mask`, read
+    reversed on the half where parent bit `flip` is set (-1: no such half).
+    Each edge goes to slot `eslot` of bag `bucket` and adds
+    w * (-1)^popcount(cell & code).
+    """
+
+    G: WeightedGraph
+    d: np.ndarray
+    gone: np.ndarray
+    wave: np.ndarray
+    ax: np.ndarray
+    off: np.ndarray
+    child: np.ndarray
+    to: np.ndarray
+    slot: np.ndarray
+    mask: np.ndarray
+    flip: np.ndarray
+    bucket: np.ndarray
+    eslot: np.ndarray
+    code: np.ndarray
+    w: np.ndarray
+
+
+def _rank_within(keys: np.ndarray) -> np.ndarray:
+    """Position of each element among the elements with its key, in index order."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    out = np.empty(len(keys), dtype=np.int64)
+    out[order] = np.arange(len(keys)) - np.searchsorted(ranked, ranked)
+    return out
+
+
+def _prepare(G: WeightedGraph, td: TreeDecomposition) -> _Problem | None:
+    """Validate one pair and put it in array form; None when G has no vertex."""
+    check_dp_width(td)
+    nice = to_nice(td)
+    n, k = G.n, len(nice.bags)
+    if n == 0:
+        return None
+    size = np.fromiter(map(len, nice.bags), dtype=np.int64, count=k)
+    off = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(size, out=off[1:])
+    flat = np.fromiter(itertools.chain.from_iterable(nice.bags), dtype=np.int64, count=off[-1])
+    parent = np.fromiter((-1 if p is None else p for p in nice.parent), dtype=np.int64, count=k)
+    del nice
+    if flat.size and (flat.min() < 0 or flat.max() >= n):
+        raise ValidationError(f"a bag mentions a vertex outside 0..{n - 1}")
+    bag_of = np.repeat(np.arange(k), size)
+    twice = np.flatnonzero((flat[1:] == flat[:-1]) & (bag_of[1:] == bag_of[:-1]))
+    if twice.size:  # each bag is sorted
+        raise ValidationError(f"a bag lists vertex {flat[twice[0]]} twice")
+    key = bag_of * n + flat  # strictly increasing: (bag, vertex) pairs in order
+
+    def entry(bags: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Index in `flat` of each vertex in the given bag, -1 where it is absent."""
+        q = bags * n + vs  # negative for bag -1, so never found
+        i = np.minimum(np.searchsorted(key, q), len(key) - 1)
+        return np.where(key[i] == q, i, -1)
+
+    up = entry(parent[bag_of], flat)  # the same vertex in the parent bag
+    top = up < 0
+    fv = flat[top]
+    seen = np.bincount(fv, minlength=n)
+    if (seen > 1).any():  # a second top bag: two pieces of the vertex's trace
+        first = np.argsort(fv, kind="stable")
+        again = first[1:][fv[first[1:]] == fv[first[:-1]]]
+        raise ValidationError(f"bags containing vertex {fv[again.min()]} are not connected")
+    if (seen == 0).any():
+        raise ValidationError("decomposition does not cover every vertex")
+    forget_at = np.empty(n, dtype=np.int64)
+    forget_at[fv] = bag_of[top]
+
+    eu, ev, w = G.edge_arrays()
+    fu = forget_at[eu]
+    bucket = np.where(entry(fu, ev) >= 0, fu, forget_at[ev])
+    iu, iv = entry(bucket, eu), entry(bucket, ev)
+    if (iu < 0).any():  # with connected traces, the lower forget bag covers uv
+        e = int(np.argmax(iu < 0))
+        raise ValidationError(f"edge ({eu[e]}, {ev[e]}) covered by no bag")
+
+    rank = np.empty(n, dtype=np.int64)  # by (forget bag, -id)
+    rank[np.argsort(forget_at * n + (n - 1 - np.arange(n)), kind="stable")] = np.arange(n)
+    perm = np.argsort(bag_of * n + rank[flat], kind="stable")  # each bag in rank order
+    pos = np.empty(len(flat), dtype=np.int64)  # each entry's axis; the pin's is d
+    pos[perm] = np.arange(len(flat)) - off[bag_of]
+    d = np.maximum(size - 1, 0)
+    forgets = np.bincount(bag_of[top], minlength=k)
+    gone = np.minimum(forgets, d)
+    bit = d[bag_of] - 1 - pos  # each entry's cell bit in its own bag; -1 at the pin
+
+    child = np.flatnonzero(parent >= 0)
+    kept = ~top
+    pbit = bit[up[kept]]  # the kept entry's bit in the parent bag
+    is_pin = bit[kept] < 0
+    mask = np.bincount(
+        bag_of[kept][~is_pin], weights=np.ldexp(1.0, pbit[~is_pin]), minlength=k
+    ).astype(np.int64)
+    flip = np.full(k, -1, dtype=np.int64)
+    flip[bag_of[kept][is_pin]] = pbit[is_pin]
+    flip[gone == d] = -1  # a 0-d message is the same at every pin
+
+    bu, bv = bit[iu], bit[iv]
+    code = np.where(bu >= 0, np.left_shift(1, np.maximum(bu, 0)), 0)
+    code |= np.where(bv >= 0, np.left_shift(1, np.maximum(bv, 0)), 0)
+    return _Problem(
+        G,
+        d,
+        gone,
+        _waves(parent, forgets == size),
+        flat[perm],
+        off,
+        child,
+        parent[child],
+        _rank_within(parent[child]),
+        mask[child],
+        flip[child],
+        bucket,
+        _rank_within(bucket),
+        code,
+        w,
+    )
+
+
+def _waves(parent: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """The step at which each bag runs.
+
+    A piece is a subtree joined to the rest only through empty separators
+    (`cut` marks the bags whose whole bag is forgotten).  Each piece runs its
+    bags in the children-first numbering, one per step, from its start; a
+    piece starts late enough that its linked child pieces end before the bag
+    they send their 0-d message to.
+    """
+    k = len(parent)
+    head = np.where(cut | (parent < 0), np.arange(k), parent)
+    while True:  # pointer jumping to each bag's piece root
+        nxt = head[head]
+        if (nxt == head).all():
+            break
+        head = nxt
+    pos = _rank_within(head)
+    size = np.bincount(head, minlength=k).tolist()
+    start = [0] * k
+    linked = np.flatnonzero(cut & (parent >= 0))  # in numbering order: child pieces first
+    above = parent[linked]
+    for r, q, p in zip(linked.tolist(), head[above].tolist(), pos[above].tolist()):
+        start[q] = max(start[q], start[r] + size[r] - p)
+    return np.asarray(start, dtype=np.int64)[head] + pos
 
 
 def solve_treewidth(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
-    """Optimal assignment by bucket elimination over the bags of `td`.
+    """Optimal assignment by bucket elimination over the bags of `td`: the
+    one-pair case of `solve_treewidths`, which documents the DP."""
+    return solve_treewidths([(G, td)])[0]
 
-    `td` is any valid decomposition of G; its bags are first renumbered
-    children before parents, each sorted (`to_nice`).  A vertex's bucket is
-    its forget bag, the one bag holding it whose parent does not (the root's
-    parent counts as empty); edge uv goes to u's forget bag if that bag holds
-    v, else to v's.  A bag vertex outside 0..n-1, a vertex in no bag, a
-    vertex with two forget bags (its bags are not connected) and an edge that
-    neither bag holds each raise `ValidationError`.  The vertices are ranked by (forget bag, -id), and a
-    bag's last vertex in that order is its pin.  The objective is the same at
-    x and -x, so a bag's table is a (2,)*(|bag|-1) cube over the cells where
-    the pin is +1, one axis per other vertex in rank order (index 1 => -1).
-    It is the sum of the children's messages, broadcast over the bag, and of
-    the edges in the bucket.  A message pinned at another vertex c goes to
-    the half where c is +1 as it is, and reversed on every axis to the half
-    where c is -1 (T(-s) = T(s)).
 
+def solve_treewidths(
+    pairs: Sequence[tuple[WeightedGraph, TreeDecomposition]],
+) -> list[Assignment]:
+    """Optimal assignments of several (graph, decomposition) pairs, one per
+    pair, from one run of bucket elimination over all their bags.
+
+    Each `td` is any valid decomposition of its G; its bags are first
+    renumbered children before parents, each sorted (`to_nice`).  A vertex's
+    bucket is its forget bag, the one bag holding it whose parent does not
+    (the root's parent counts as empty); edge uv goes to u's forget bag if
+    that bag holds v, else to v's.  Every pair is checked before any table is
+    allocated: a decomposition wider than MAX_DP_WIDTH raises CapacityError,
+    and a bag vertex outside 0..n-1, a bag listing a vertex twice, a vertex in
+    no bag, a vertex with two forget bags (its bags are not connected) and an
+    edge that neither bag holds each raise `ValidationError`.
+
+    The vertices are ranked by (forget bag, -id), and a bag's last vertex in
+    that order is its pin.  The objective is the same at x and -x, so a bag's
+    table is a (2,)*(|bag|-1) cube over the cells where the pin is +1, one
+    axis per other vertex in rank order (index 1 => -1).  It is the sum of the
+    children's messages, broadcast over the bag, in the order the children
+    are numbered, and then of the edges in the bucket, in edge order.  A
+    message pinned at another vertex c goes to the half where c is +1 as it
+    is, and reversed on every axis to the half where c is -1 (T(-s) = T(s)).
     The vertices forgotten at a bag lead its axes and are maxed out in turn,
-    highest id first, each keeping two packed bits per remaining cell,
-    t0 > t1 then t1 > t0; what is left is the message to the parent, pinned
-    at the same pin, or 0-d if the bag forgets every vertex.  The backtrack
-    reads t1 > t0 at the signs when the pin is +1, else t0 > t1 at the
-    flipped signs, so a vertex takes -1 exactly when it is better there with
-    the signs already chosen (ties keep +1); a pin forgotten with its whole
-    bag, maxed out last, takes +1.
+    highest id first, each keeping two packed bits per remaining cell, t0 > t1
+    then t1 > t0; what is left is the message to the parent, pinned at the
+    same pin, or 0-d if the bag forgets every vertex.  The backtrack reads
+    t1 > t0 at the signs when the pin is +1, else t0 > t1 at the flipped
+    signs, so a vertex takes -1 exactly when it is better there with the signs
+    already chosen (ties keep +1); a pin forgotten with its whole bag, maxed
+    out last, takes +1.
+
+    The bags of all pairs run side by side.  A piece, a subtree joined to the
+    rest only through empty separators (one connected component, for
+    `build_decomposition`), runs its bags one per step in the children-first
+    order; all pieces advance together, and the bags of one step with the
+    same size and the same number of vertices maxed out share one
+    (bags, 2^(|bag|-1)) table.  Each cell still receives the same additions
+    in the same order as in a run of its pair alone, so every pair gets the
+    same assignment either way.  (A table whose first sub-batch covers all
+    its rows starts as that sub-batch's values instead of adding them to
+    zeros: 0.0 + x is x up to the sign of zero, which no comparison sees.)
     """
-    if td.width > MAX_DP_WIDTH:
-        raise CapacityError(
-            f"decomposition width {td.width} exceeds the DP limit {MAX_DP_WIDTH}",
-            achieved=td.width,
-        )
-    td = to_nice(td)
-    if G.n == 0:
-        return Assignment((), 0.0)
-    bagsets = [set(bag) for bag in td.bags]
-    forget_at = [-1] * G.n
-    forgets = [0] * len(td.bags)
-    for i, bag in enumerate(td.bags):
-        if bag and (bag[0] < 0 or bag[-1] >= G.n):  # each bag is sorted
-            raise ValidationError(f"a bag mentions a vertex outside 0..{G.n - 1}")
-        p = td.parent[i]
-        for v in bag:
-            if p is None or v not in bagsets[p]:
-                if forget_at[v] >= 0:  # a second top bag: two pieces of v's trace
-                    raise ValidationError(f"bags containing vertex {v} are not connected")
-                forget_at[v] = i
-                forgets[i] += 1
-    if -1 in forget_at:
-        raise ValidationError("decomposition does not cover every vertex")
-    bucket: list[list[tuple[int, int, float]]] = [[] for _ in td.bags]
-    for u, v, w in G.edges:
-        b = forget_at[u] if v in bagsets[forget_at[u]] else forget_at[v]
-        if u not in bagsets[b]:  # with connected traces, the lower forget bag covers uv
-            raise ValidationError(f"edge ({u}, {v}) covered by no bag")
-        bucket[b].append((u, v, w))
-    rank = {v: r for r, v in enumerate(sorted(range(G.n), key=lambda v: (forget_at[v], -v)))}
+    problems = [_prepare(G, td) for G, td in pairs]
+    live = [p for p in problems if p is not None]
+    group, row, bits = _run(live) if live else (None, None, None)
+    out, base = [], 0
+    for p in problems:
+        if p is None:
+            out.append(Assignment((), 0.0))
+            continue
+        k = len(p.d)
+        out.append(_backtrack(p, group[base : base + k], row[base : base + k], bits))
+        base += k
+    return out
 
-    patterns: dict[tuple[int, ...], np.ndarray] = {}  # +-1 edge terms by (ndim, axes)
-    inbox: list[list[tuple[int | None, list[int], np.ndarray]]] = [[] for _ in td.bags]
-    forgotten: list[tuple[int, int, list[int], np.ndarray]] = []
-    for i, bag in enumerate(td.bags):
-        axes = sorted(bag, key=rank.__getitem__)
-        pin = axes.pop() if axes else None
-        d = len(axes)
-        pos = dict(zip(axes, range(d)))
-        table = np.zeros((2,) * d)
-        for cpin, keep, msg in inbox[i]:
-            idx: list[slice | None] = [None] * d
-            for v in keep:
-                idx[pos[v]] = slice(None)
-            if cpin is None or cpin == pin:
-                table += msg[tuple(idx)]
-            else:  # the half where cpin is -1 reads msg reversed: T(-s) = T(s)
-                a = pos[cpin]
-                del idx[a]
-                ix, flip = tuple(idx), (slice(None, None, -1),) * msg.ndim
-                lo, hi = (slice(None),) * a + (0,), (slice(None),) * a + (1,)
-                # unnamed views: a named one would keep this table alive once it is maxed out
-                np.add(table[lo], msg[ix], out=table[lo])
-                np.add(table[hi], msg[flip][ix], out=table[hi])
-        inbox[i] = []
-        for u, v, w in bucket[i]:
-            key = (d, pos[v]) if u == pin else (d, pos[u]) if v == pin else (d, pos[u], pos[v])
-            pat = patterns.get(key)
-            if pat is None:
-                axis = [_SIGN.reshape((1,) * a + (2,) + (1,) * (d - 1 - a)) for a in key[1:]]
-                pat = patterns[key] = math.prod(axis)
-            table += w * pat
-        gone = min(forgets[i], d)  # the pin is kept unless the bag forgets every vertex
-        for j in range(gone):
-            forgotten.append((axes[j], pin, axes[j + 1 :], np.packbits(table > table[::-1])))
-            table = np.maximum(table[0, ...], table[1, ...])
-        if td.parent[i] is not None:  # a 0-d message is the same at every pin
-            inbox[td.parent[i]].append((pin if gone < d else None, axes[gone:], table))
 
-    signs = [1] * G.n
-    for v, pin, keep, bits in reversed(forgotten):
-        s = signs[pin]
-        mask = s > 0  # selects the t1 > t0 half
-        for u in keep:
-            mask = mask << 1 | (signs[u] != s)
-        signs[v] = -1 if int(bits[mask >> 3] >> (7 - (mask & 7))) & 1 else 1
-    value = evaluate(G, signs)
-    return Assignment(tuple(signs), value)
+def _starts(new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment starts and ends of a sequence whose segment heads are `new`,
+    and the segment index of each element."""
+    start = np.flatnonzero(new)
+    return start, np.append(start[1:], len(new))[: len(start)], np.cumsum(new) - 1
+
+
+def _heads(*cols: np.ndarray) -> np.ndarray:
+    """True where any column differs from the previous element."""
+    new = np.zeros(len(cols[0]), dtype=bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return new
+
+
+def _run(live: list[_Problem]):
+    """The DP over all bags of `live`: each bag's group and row in it, and per
+    group the packed bits of each vertex it maxes out, (bags, 2, bytes) each."""
+    base = np.cumsum([0] + [len(p.d) for p in live[:-1]])
+    wave = np.concatenate([p.wave for p in live])
+    d = np.concatenate([p.d for p in live])
+    gone = np.concatenate([p.gone for p in live])
+    order = np.lexsort((gone, d, wave))
+    gstart, gend, gid = _starts(_heads(wave[order], d[order], gone[order]))
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = gid
+    row = np.empty(len(order), dtype=np.int64)
+    row[order] = np.arange(len(order)) - gstart[gid]
+    ng = len(gstart)
+    gsize = gend - gstart
+    ginfo = zip(gsize.tolist(), d[order[gstart]].tolist(), gone[order[gstart]].tolist())
+    del wave, d, gone, order, gid, gstart, gend
+
+    def cat(field, shift=False):
+        return np.concatenate([getattr(p, field) + (b if shift else 0) for p, b in zip(live, base)])
+
+    # child messages in sub-batches (parent group, slot, mask, flip), each
+    # made of runs from one source group
+    child, to = cat("child", True), cat("to", True)
+    lg, lr, sg, sr = group[to], row[to], group[child], row[child]
+    slot, mask, flip = cat("slot"), cat("mask"), cat("flip")
+    o = np.lexsort((sr, sg, flip, mask, slot, lg))
+    lg, lr, sg, sr, slot, mask, flip = (a[o] for a in (lg, lr, sg, sr, slot, mask, flip))
+    sb_new = _heads(lg, slot, mask, flip)
+    sb, sb_end, sb_of = _starts(sb_new)
+    run, run_end, _ = _starts(sb_new | _heads(sg))
+    runtab = np.stack([sg[run], run, run_end], axis=1)
+    ra, rb = np.searchsorted(run, sb), np.searchsorted(run, sb_end)
+    whole = (rb - ra == 1) & (sb_end - sb == gsize[sg[sb]])  # one source, all its rows in order
+    misplaced = np.bincount(sb_of, weights=lr != np.arange(len(o)) - sb[sb_of], minlength=len(sb))
+    ident = (sb_end - sb == gsize[lg[sb]]) & (misplaced == 0)  # every row of the group, in order
+    src = np.where(whole, sg[sb], -1)
+    ops = np.stack(  # kind 0, mask, flip, links l0:l1, all rows, whole source, runs ra:rb
+        [np.zeros_like(sb), mask[sb], flip[sb], sb, sb_end, ident, src, ra, rb], axis=1
+    )
+    ogroup = lg[sb]
+    last = np.full(ng, -1, dtype=np.int64)  # the last group that reads each group's messages
+    np.maximum.at(last, sg, lg)
+    keep_msg = (last >= 0).tolist()
+    freed = np.flatnonzero(last >= 0)
+    freed = freed[np.argsort(last[freed], kind="stable")]
+    free_at = np.searchsorted(last[freed], np.arange(ng + 1)).tolist()
+    freed = freed.tolist()
+    del child, to, lg, sg, slot, mask, flip, sb_new, sb, sb_end, sb_of, run, run_end
+    del ra, rb, whole, misplaced, ident, src, last
+
+    # bucket edges in sub-batches (group, slot, code)
+    eb = cat("bucket", True)
+    eg, er = group[eb], row[eb]
+    eslot, code, ew = cat("eslot"), cat("code"), cat("w")
+    o = np.lexsort((er, code, eslot, eg))
+    eg, er, eslot, code, ew = (a[o] for a in (eg, er, eslot, code, ew))
+    terms = ew[:, None] * np.array([1.0, -1.0, -1.0, 1.0])  # w * (-1)^popcount, 1 or 2 axes
+    esb, esb_end, _ = _starts(_heads(eg, eslot, code))
+    z = np.zeros_like(esb)
+    edge_ops = np.stack(  # kind 1, code, no flip, edges e0:e1, all rows
+        [z + 1, code[esb], z - 1, esb, esb_end, esb_end - esb == gsize[eg[esb]], z, z, z], axis=1
+    )
+    ogroup = np.concatenate([ogroup, eg[esb]])
+    o = np.argsort(ogroup, kind="stable")  # per group: its messages, then its edges
+    ops = np.concatenate([ops, edge_ops])[o]
+    op_at = np.searchsorted(ogroup[o], np.arange(ng + 1)).tolist()
+    del eb, eg, eslot, code, ew, esb, esb_end, z, edge_ops, ogroup, o
+
+    layouts: dict = {}
+    msgs: list = [None] * ng
+    bits: list = [None] * ng
+    for gi, (g, dd, gn) in enumerate(ginfo):
+        T = _table(g, dd, ops[op_at[gi] : op_at[gi + 1]].tolist(), runtab, msgs, sr, lr, er,
+                   terms, freed[free_at[gi] : free_at[gi + 1]], layouts)
+        steps = []
+        for _ in range(gn):  # t0 > t1 and t1 > t0, then the max over the leading axis
+            T = T.reshape(g, 2, -1)
+            steps.append(np.packbits(T > T[:, ::-1], axis=-1))
+            T = np.maximum(T[:, 0], T[:, 1])
+        bits[gi] = steps
+        if keep_msg[gi]:
+            msgs[gi] = T
+    return group, row, bits
+
+
+def _table(g, d, ops, runtab, msgs, sr, lr, er, terms, freed, layouts) -> np.ndarray:
+    """The (g, 2^d) table of a group: its child messages, one inbox slot
+    after the other, then its bucket edges, one bucket slot after the other,
+    each sub-batch added to its rows.  The messages read here for the last
+    time (`freed`) are dropped before the edges are added.  When the first
+    sub-batch covers every row, it writes the table instead of adding to
+    zeros."""
+    fresh = bool(ops) and bool(ops[0][5])
+    T = np.empty((g, 1 << d)) if fresh else np.zeros((g, 1 << d))
+    Tv = T.reshape((g,) + (2,) * d)
+    for kind, mask, flip, l0, l1, ident, src, ra, rb in ops:
+        lay = layouts.get((d, mask, flip))
+        if lay is None:
+            lay = layouts[d, mask, flip] = _layout(d, mask, flip)
+        shape, lo, hi, rev = lay
+        if kind:  # edges: each row's w * (-1)^popcount(cell & code), code in `mask`
+            if freed is not None:
+                for s in freed:
+                    msgs[s] = None
+                freed = None
+            X = terms[l0:l1, : 1 << shape.count(2)]
+        elif src >= 0:
+            X = msgs[src]
+        else:
+            parts = [msgs[s][sr[a:b]] for s, a, b in runtab[ra:rb].tolist()]
+            X = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        X = X.reshape((l1 - l0,) + shape)
+        if fresh:
+            fresh = False
+            if lo is None:
+                Tv[...] = X
+            else:
+                Tv[lo] = X
+                Tv[hi] = X[rev]
+            continue
+        rows = None if ident else (er if kind else lr)[l0:l1]
+        target = Tv if ident else Tv[rows]
+        if lo is None:
+            target += X
+        else:  # the half where the child's pin is -1 reads the message reversed
+            half = target[lo]
+            half += X
+            half = target[hi]
+            half += X[rev]
+        if not ident:
+            Tv[rows] = target
+    for s in freed or ():
+        msgs[s] = None
+    return T
+
+
+def _layout(d: int, mask: int, flip: int):
+    """Broadcast shape of a message (or edge term) on the cell bits `mask` of
+    a d-axis table, and, when it is read reversed where bit `flip` is set,
+    the index of each half and of the reversed message."""
+    axes = [2 if mask >> (d - 1 - a) & 1 else 1 for a in range(d)]
+    if flip < 0:
+        return tuple(axes), None, None, None
+    a = d - 1 - flip
+    del axes[a]
+    lead = (slice(None),) * (a + 1)
+    rev = (slice(None),) + (slice(None, None, -1),) * (d - 1)
+    return tuple(axes), lead + (0,), lead + (1,), rev
+
+
+def _backtrack(p: _Problem, group: np.ndarray, row: np.ndarray, bits: list) -> Assignment:
+    """Signs of one pair from its bags' packed bits, parents before children."""
+    size = np.diff(p.off)
+    bag = np.repeat(np.arange(len(size)), size)
+    j = np.arange(len(p.ax)) - p.off[bag]
+    sel = np.flatnonzero(j < p.gone[bag])[::-1]
+    b = bag[sel]
+    pins = p.off[b + 1] - 1
+    ax = p.ax.tolist()
+    signs = [1] * p.G.n
+    for e, pe, gi, r, jj in zip(
+        sel.tolist(), pins.tolist(), group[b].tolist(), row[b].tolist(), j[sel].tolist()
+    ):
+        s = signs[ax[pe]]
+        rest = 0
+        for u in ax[e + 1 : pe]:
+            rest = rest << 1 | (signs[u] != s)
+        # t1 > t0 at these signs when the pin is +1, else t0 > t1 at the flipped ones
+        if bits[gi][jj][r, (s + 1) >> 1, rest >> 3] >> (7 - (rest & 7)) & 1:
+            signs[ax[e]] = -1
+    return Assignment(tuple(signs), evaluate(p.G, signs))
 
 
 def solve_exact(G: WeightedGraph, width_cap: int = DEFAULT_WIDTH_CAP) -> ApproxResult:

@@ -191,6 +191,12 @@ class TestExitCodes:
         assert main(["solve", inst, "--decomposition", dec]) == 2
         assert "duplicate bag id 1" in capsys.readouterr().err
 
+    def test_bag_listing_a_vertex_twice_is_validation_error(self, tmp_path, capsys):
+        inst = _write(tmp_path, "e.mq", "p maxqp 2 1\ne 1 2 -1\n")
+        dec = _write(tmp_path, "e.td", "b 1 1 1 2\n")
+        assert main(["solve", inst, "--decomposition", dec]) == 2
+        assert "line 1: bag 1 lists vertex 1 twice" in capsys.readouterr().err
+
     def test_width_cap_is_capacity_error(self, tmp_path, capsys):
         n = 26
         G = WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])

@@ -309,6 +309,10 @@ class TestDecompositionFormat:
         with pytest.raises(ParseError, match="line 2: duplicate bag id 1"):
             parse_decomposition("b 1 1 2\nb 1 2\n")
 
+    def test_rejects_a_vertex_listed_twice(self):
+        with pytest.raises(ParseError, match="line 2: bag 2 lists vertex 2 twice"):
+            parse_decomposition("b 1 1 2\nb 2 2 3 2\nt 1 2\n")
+
     def test_rejects_second_parent_link(self):
         with pytest.raises(ParseError, match="bag 3 has more than one parent link"):
             parse_decomposition("b 1 1 2\nb 2 2 3\nb 3 3\nt 1 3\nt 2 3\nt 1 2\n")

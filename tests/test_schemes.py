@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import maxqp.schemes
 from maxqp import (
+    CapacityError,
     ValidationError,
     WeightedGraph,
     bfs_layers,
@@ -227,3 +229,36 @@ class TestPartitionScheme:
     def test_rejects_real_weights(self):
         with pytest.raises(ValidationError):
             solve_partition_scheme(WeightedGraph(2, [(0, 1, 0.5)]), 0.5)
+
+
+class TestRefusalBeforeAnyDP:
+    """Every subproblem is decomposed before the one DP run, so a scheme run
+    that a subproblem's width refuses builds no DP table."""
+
+    @pytest.fixture
+    def dp_calls(self, monkeypatch):
+        calls = []
+        solve = maxqp.schemes.solve_treewidths
+
+        def counted(pairs):
+            calls.append(len(pairs))
+            return solve(pairs)
+
+        monkeypatch.setattr(maxqp.schemes, "solve_treewidths", counted)
+        return calls
+
+    def test_partition_refused_at_a_later_subproblem(self, dp_calls):
+        # G[V_0] .. G[V \ V_1] fit the cap; the fifth subproblem does not
+        with pytest.raises(CapacityError, match=r"while solving G\[V \\ V_2\] \(bag of width 21\)"):
+            solve_partition_scheme(_grid(18, 18, seed=1), 0.5)
+        assert dp_calls == []
+
+    def test_baker_refused_at_a_small_cap(self, dp_calls):
+        with pytest.raises(CapacityError, match=r"while solving G_0 \(bag of width 3\)"):
+            solve_baker(_grid(8, 8, seed=1), 0.5, width_cap=2)
+        assert dp_calls == []
+
+    def test_one_dp_run_per_scheme_run(self, dp_calls):
+        solve_baker(_grid(8, 8, seed=1), 0.5)
+        solve_partition_scheme(_grid(8, 8, seed=1), 0.5)
+        assert dp_calls == [8, 31]  # 15 layers: 15 parts with two subproblems, one empty part

@@ -18,6 +18,7 @@ from maxqp import (
     evaluate,
     solve_exact,
     solve_treewidth,
+    solve_treewidths,
     to_nice,
     validate_decomposition,
 )
@@ -29,6 +30,7 @@ from util import (
     elimination_decomposition,
     is_valid_decomposition,
     random_graph,
+    reference_bucket_elimination,
     reference_min_fill,
     reference_nice_dp,
     reference_to_nice,
@@ -172,6 +174,14 @@ class TestValidateDecomposition:
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         td = TreeDecomposition(((0, 1), (1, 2)), (None, 0), 0)
         with pytest.raises(ValidationError, match=r"edge \(0, 2\) covered by no bag"):
+            solve_treewidth(G, td)
+
+    def test_rejects_a_bag_listing_a_vertex_twice(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        td = TreeDecomposition(((0, 1, 1), (1, 2)), (None, 0), 0)
+        with pytest.raises(ValidationError, match="bag 0 lists vertex 1 twice"):
+            validate_decomposition(G, td)
+        with pytest.raises(ValidationError, match="lists vertex 1 twice"):
             solve_treewidth(G, td)
 
     @pytest.mark.parametrize("bad", [3, -1])
@@ -383,6 +393,11 @@ class TestAgainstReferenceDP:
         assert new == ref
         assert new[1] == pytest.approx(brute_force(G).value, abs=1e-9)
 
+    def test_builds_no_adjacency_maps(self):
+        G = _grid(6, 6)
+        solve_exact(G)
+        assert G._adjacency is None
+
     def test_peak_memory_is_a_few_tables(self):
         # 13x13 grid: width 17, largest half table 8 * 2^17 bytes, so the
         # bound is four of them; keeping every full table (the reference DP)
@@ -517,3 +532,104 @@ class TestUnusualDecompositions:
             new, ref = _dp_pair(G, td)
             assert new == ref
         assert reversed_halves >= 100
+
+
+def _hung_under_a_wide_bag(G1, G2):
+    """G1 and G2 side by side (G2's ids after G1's), decomposed by G1's
+    min-fill decomposition with G2's hung below G1's first bag that has two
+    vertices and a child: an empty separator, so G2's root sends a 0-d
+    message that shifts every cell of that bag's table."""
+    n1 = G1.n
+    edges = G1.edges + [(u + n1, v + n1, w) for u, v, w in G2.edges]
+    t1, t2 = build_decomposition(G1), build_decomposition(G2)
+    at = next(i for i, b in enumerate(t1.bags) if len(b) >= 2 and i in t1.parent)
+    k1 = len(t1.bags)
+    bags = t1.bags + tuple(tuple(v + n1 for v in b) for b in t2.bags)
+    parent = t1.parent + tuple(at if p is None else p + k1 for p in t2.parent)
+    return WeightedGraph(n1 + G2.n, edges), TreeDecomposition(bags, parent, t1.root)
+
+
+class TestSolveTreewidths:
+    """All pairs in one run give each pair the signs of a run of it alone
+    and of the nice-form reference DP."""
+
+    def _pairs(self):
+        pairs = [(WeightedGraph(0, []), TreeDecomposition((), (), 0))]
+        graphs = [_grid(r, c, seed=r * c) for r, c in [(1, 1), (3, 3), (4, 7), (6, 6), (2, 12)]]
+        graphs += [random_graph(800 + s, 40, 45 + 5 * s, real=True) for s in range(6)]
+        graphs += [random_graph(900 + s, 30, 12, real=True) for s in range(3)]  # many components
+        graphs += [sample_small(seed) for seed in range(40)]
+        for i, G in enumerate(graphs):
+            pairs.append((G, build_decomposition(G)))
+            order = list(range(G.n))
+            SplitMix64(i).shuffle(order)
+            pairs.append((G, elimination_decomposition(G, order)))
+        for s in range(4):
+            small = random_graph(1000 + s, 12, 20, real=True)
+            large = random_graph(1100 + s, 40, 70, real=True)
+            pairs.append(_hung_under_a_wide_bag(small, large))
+            pairs.append(_hung_under_a_wide_bag(large, small))
+        return pairs
+
+    def test_same_signs_as_alone_and_as_the_references(self):
+        pairs = self._pairs()
+        together = solve_treewidths(pairs)
+        assert len(together) == len(pairs)
+        for (G, td), a in zip(pairs, together):
+            validate_decomposition(G, td)
+            alone = solve_treewidth(G, td)
+            ref = reference_nice_dp(G, reference_to_nice(td))
+            assert (a.values, a.value) == (alone.values, alone.value) == (ref.values, ref.value)
+            assert a == reference_bucket_elimination(G, td)
+
+    def test_same_roundings_as_the_per_bag_loop(self):
+        # weights 1e16 apart make a sum depend on its order, so a cell that
+        # got its additions in another order would often compare otherwise
+        weights = [1e16, -1e16, 1.0, -1.0, 3.0, -3.0, 0.5]
+        pairs = []
+        for seed in range(400):
+            rng = SplitMix64(seed)
+            n = 8 + rng.randrange(9)
+            edges = {}
+            for _ in range(2 * n):
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    edges[min(u, v), max(u, v)] = weights[rng.randrange(len(weights))]
+            G = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+            order = list(range(n))
+            rng.shuffle(order)
+            pairs.append((G, elimination_decomposition(G, order)))
+        graphs = [G for G, _ in pairs]
+        pairs += [_hung_under_a_wide_bag(G1, G2) for G1, G2 in zip(graphs[:20], graphs[20:40])]
+        for (G, td), a in zip(pairs, solve_treewidths(pairs)):
+            assert a == reference_bucket_elimination(G, td)
+
+    def test_an_invalid_pair_is_refused_before_any_table(self):
+        # the 13x13 grid alone would allocate tables of 8 * 2^17 bytes
+        G = _grid(13, 13)
+        bad = TreeDecomposition(((0, 1), (1, 2)), (None, 0), 0)
+        triangle = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        pairs = [(G, build_decomposition(G)), (triangle, bad), (G, build_decomposition(G))]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"edge \(0, 2\) covered by no bag"):
+                solve_treewidths(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 17
+
+    def test_strip_peak_memory_follows_the_piece_order(self):
+        # the width-20 strip runs its bags one at a time, children first, as
+        # in a run of its own: about 13.9 MiB, where running all bags of one
+        # height together keeps two wide branches alive, about 15.3 MiB
+        G = generate(GeneratorSpec("grid-spin-glass", 1002, {"rows": 14, "cols": 30}))
+        td = build_decomposition(G)
+        tracemalloc.start()
+        try:
+            solve_treewidths([(G, td)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert td.width == 20
+        assert peak < 14.6 * 2**20

@@ -33,6 +33,7 @@ from maxqp import (
     induced_subgraph,
     maximal_matching,
     solve_exact,
+    to_nice,
     triangle_is_good,
 )
 
@@ -792,8 +793,12 @@ def reference_nice_dp(G: WeightedGraph, ntd) -> Assignment:
     """The nice-form DP with flat tables, index arrays and per-edge sign arrays.
 
     Every table is kept until backtracking ends, so memory is
-    O(nodes * 2^(width+1)).  solve_treewidth makes the same additions in the
-    same order, so it must return the same signs and value bit for bit.
+    O(nodes * 2^(width+1)).  solve_treewidth must return the same signs and
+    value wherever the tables' sums are exact, as with the test graphs'
+    weights.  A join node adds two child tables and subtracts the bag's own
+    value, so where a sum's rounding depends on its order (weights 1e16
+    apart) the two can differ; reference_bucket_elimination adds in
+    solve_treewidth's order.
     Bag assignments are encoded as bitmasks (bit i set => bag[i] gets -1).
     """
     if G.n == 0:
@@ -867,6 +872,74 @@ def reference_nice_dp(G: WeightedGraph, ntd) -> Assignment:
         raise ValidationError("decomposition does not cover every vertex")
     value = evaluate(G, signs)
     return Assignment(tuple(signs), value)
+
+
+def reference_bucket_elimination(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
+    """solve_treewidth's DP one bag at a time, with per-bag Python sets,
+    dicts and index tuples: the loop the batched DP replaced.
+
+    Each table cell receives the same additions in the same order as in the
+    batched DP (children in numbering order, then bucket edges in edge
+    order), so the two must agree bit for bit even where the order of
+    additions changes a rounding.
+    """
+    td = to_nice(td)
+    if G.n == 0:
+        return Assignment((), 0.0)
+    bagsets = [set(bag) for bag in td.bags]
+    forget_at = [-1] * G.n
+    forgets = [0] * len(td.bags)
+    for i, bag in enumerate(td.bags):
+        p = td.parent[i]
+        for v in bag:
+            if p is None or v not in bagsets[p]:
+                forget_at[v] = i
+                forgets[i] += 1
+    bucket: list[list[tuple[int, int, float]]] = [[] for _ in td.bags]
+    for u, v, w in G.edges:
+        bucket[forget_at[u] if v in bagsets[forget_at[u]] else forget_at[v]].append((u, v, w))
+    rank = {v: r for r, v in enumerate(sorted(range(G.n), key=lambda v: (forget_at[v], -v)))}
+    sign = np.array([1.0, -1.0])
+    inbox: list[list] = [[] for _ in td.bags]
+    forgotten = []
+    for i, bag in enumerate(td.bags):
+        axes = sorted(bag, key=rank.__getitem__)
+        pin = axes.pop() if axes else None
+        d = len(axes)
+        pos = dict(zip(axes, range(d)))
+        table = np.zeros((2,) * d)
+        for cpin, keep, msg in inbox[i]:
+            idx: list = [None] * d
+            for v in keep:
+                idx[pos[v]] = slice(None)
+            if cpin is None or cpin == pin:
+                table += msg[tuple(idx)]
+            else:
+                a = pos[cpin]
+                del idx[a]
+                ix, flip = tuple(idx), (slice(None, None, -1),) * msg.ndim
+                lo, hi = (slice(None),) * a + (0,), (slice(None),) * a + (1,)
+                np.add(table[lo], msg[ix], out=table[lo])
+                np.add(table[hi], msg[flip][ix], out=table[hi])
+        for u, v, w in bucket[i]:
+            ends = [pos[x] for x in (u, v) if x != pin]
+            table += w * math.prod(
+                sign.reshape((1,) * a + (2,) + (1,) * (d - 1 - a)) for a in ends
+            )
+        gone = min(forgets[i], d)
+        for j in range(gone):
+            forgotten.append((axes[j], pin, axes[j + 1 :], np.packbits(table > table[::-1])))
+            table = np.maximum(table[0, ...], table[1, ...])
+        if td.parent[i] is not None:
+            inbox[td.parent[i]].append((pin if gone < d else None, axes[gone:], table))
+    signs = [1] * G.n
+    for v, pin, keep, bits in reversed(forgotten):
+        s = signs[pin]
+        mask = s > 0
+        for u in keep:
+            mask = mask << 1 | (signs[u] != s)
+        signs[v] = -1 if int(bits[mask >> 3] >> (7 - (mask & 7))) & 1 else 1
+    return Assignment(tuple(signs), evaluate(G, signs))
 
 
 def layers_of(layer_of) -> tuple[tuple[int, ...], ...]:
