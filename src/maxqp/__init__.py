@@ -36,7 +36,6 @@ from .packing import (
 from .schemes import (
     VertexPartition,
     bfs_layers,
-    heuristic_partition,
     load_partition,
     solve_baker,
     solve_partition_scheme,

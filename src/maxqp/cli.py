@@ -227,9 +227,13 @@ def _read_suite(path: str) -> list[dict]:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     cells = _read_suite(args.suite)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all its workers at the first submit: no more than cells
+    jobs = min(args.jobs, len(cells))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_bench_cell, cells))
     else:
         results = [_bench_cell(c) for c in cells]

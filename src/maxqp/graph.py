@@ -54,13 +54,13 @@ class WeightedGraph:
     Immutable after construction: no self-loops, each unordered edge stored
     once with a nonzero weight.  `unit` is true iff every |w| == 1.  The stored
     form is three numpy columns (u, v, w): int64 ids with u < v and float64
-    weights, sorted by (u, v), which `edge_arrays` returns.  `edges`, the same
-    edges as (u, v, w) tuples, and `adjacency` are built on first read:
-    `adjacency[v]` maps each neighbour of v to the edge weight, keys in
-    increasing id order, so `u in adjacency[v]` and `adjacency[v][u]` are O(1).
+    weights, sorted by (u, v), which `edge_arrays` returns: the one edge
+    list.  `adjacency` is built from it on first read: `adjacency[v]` maps
+    each neighbour of v to the edge weight, keys in increasing id order, so
+    `u in adjacency[v]` and `adjacency[v][u]` are O(1).
     """
 
-    __slots__ = ("n", "unit", "_arrays", "_edges", "_adjacency")
+    __slots__ = ("n", "unit", "_arrays", "_adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         canon = []
@@ -104,7 +104,6 @@ class WeightedGraph:
         self.n = n
         self.unit = bool((absw == 1.0).all())
         self._arrays = (u, v, w)
-        self._edges = None
         self._adjacency = None
 
     def edge_arrays(self):
@@ -112,19 +111,11 @@ class WeightedGraph:
         return self._arrays
 
     @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        """The edges as (u, v, w) tuples in column order, built on first read."""
-        if self._edges is None:
-            u, v, w = self._arrays
-            self._edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
-        return self._edges
-
-    @property
     def adjacency(self) -> list[dict[int, float]]:
         """Neighbour -> weight map of each vertex, built on first read."""
         if self._adjacency is None:
             adjacency: list[dict[int, float]] = [{} for _ in range(self.n)]
-            for u, v, w in self.edges:
+            for u, v, w in zip(*(c.tolist() for c in self._arrays)):
                 adjacency[u][v] = w
                 adjacency[v][u] = w
             self._adjacency = adjacency
@@ -140,9 +131,6 @@ class WeightedGraph:
         if w is None:
             raise ValidationError(f"no edge ({u}, {v})")
         return w
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -236,13 +224,21 @@ class ApproxResult:
 
 
 def evaluate(G: WeightedGraph, values: Sequence[int]) -> float:
-    """Edge-based objective: sum of a_uv * x_u * x_v over stored edges."""
+    """Edge-based objective: sum of a_uv * x_u * x_v over stored edges.
+
+    The terms are added one after another in edge order, from 0.0:
+    `np.add.accumulate` is a running sum, unlike the pairwise `np.sum`, so
+    every value reported anywhere is this one, bit for bit.
+    """
     if len(values) != G.n:
         raise ValidationError(f"assignment length {len(values)} != n = {G.n}")
-    total = 0.0
-    for u, v, w in G.edges:
-        total += w * values[u] * values[v]
-    return total
+    eu, ev, ew = G.edge_arrays()
+    if not len(ew):
+        return 0.0
+    x = np.asarray(values, dtype=np.float64)
+    terms = ew * x[eu] * x[ev]
+    # + 0.0, the running sum's start, makes a sum of -0.0 terms 0.0
+    return float(np.add.accumulate(terms, out=terms)[-1]) + 0.0
 
 
 def value_tol(G: WeightedGraph) -> float:
@@ -266,10 +262,11 @@ def glue_blocks(
     nonnegative amount to the blocks before it, so the result is worth at
     least the sum of the blocks' inner values.
 
-    Returns the signs (0 for left-out vertices) and their evaluated value on
-    the subgraph induced by the included vertices.  O(n + m): numpy buckets
-    the cross edges by their later block, with both inner signs folded into
-    each coefficient, and one loop over those edges fixes the flips.
+    Returns the signs (0 for left-out vertices) and `evaluate` of them, the
+    value on the subgraph induced by the included vertices.  O(n + m): numpy
+    buckets the cross edges by their later block, with both inner signs
+    folded into each coefficient, and one loop over those edges fixes the
+    flips.
     """
     if len(block_of) != G.n or len(inner) != G.n:
         raise ValidationError("block and sign vectors must have length n")
@@ -294,8 +291,7 @@ def glue_blocks(
     if c < 0:
         flip[cur] = -1
     signs = np.where(block >= 0, sign * np.asarray(flip, dtype=np.int64)[block], 0)
-    value = float(np.sum(ew * (signs[eu] * signs[ev])))
-    return signs.tolist(), value
+    return signs.tolist(), evaluate(G, signs)
 
 
 def _check_vertices(G: WeightedGraph, x: Mapping[int, int]) -> None:

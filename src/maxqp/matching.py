@@ -72,9 +72,10 @@ def greedy_sorted_matching(G: WeightedGraph) -> Matching:
 
 def maximal_matching(G: WeightedGraph) -> Matching:
     """Inclusion-wise maximal matching by a single scan in canonical edge order."""
+    eu, ev, _ = G.edge_arrays()
     free = [True] * G.n
     pairs = []
-    for u, v, _ in G.edges:
+    for u, v in zip(eu.tolist(), ev.tolist()):
         if free[u] and free[v]:
             free[u] = free[v] = False
             pairs.append((u, v))

@@ -88,8 +88,9 @@ def _block_values(S: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _mask_values(G: WeightedGraph, masks: np.ndarray) -> np.ndarray:
     """`evaluate` of every mask, bit-identical: each edge adds +-w in edge order."""
     n = G.n
+    eu, ev, ew = G.edge_arrays()
     total = np.zeros(len(masks))
-    for u, v, w in G.edges:
+    for u, v, w in zip(eu.tolist(), ev.tolist(), ew.tolist()):
         total += np.where(((masks >> (n - 1 - u)) ^ (masks >> (n - 1 - v))) & 1, -w, w)
     return total
 

@@ -169,21 +169,6 @@ def read_partition(path: str, n: int) -> VertexPartition:
         return parse_partition(fh.read(), n)
 
 
-def heuristic_partition(G: WeightedGraph, k: int) -> VertexPartition:
-    """Part i = vertices whose BFS layer index is congruent to i mod k.
-
-    For planar-like inputs the union of any k-1 parts tends to have small
-    treewidth; the scheme checks achieved widths rather than assuming it.
-    """
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    classes = residue_classes(bfs_layers(G), k)
-    classes += [[]] * (k - len(classes))
-    return VertexPartition(
-        tuple(tuple(c) for c in classes), "bfs-layer-heuristic"
-    )
-
-
 def solve_partition_scheme(
     G: WeightedGraph,
     eps: float,
@@ -206,8 +191,8 @@ def solve_partition_scheme(
         return ApproxResult(extend_from_induced(G, {}), Fraction(1), {"k": 0})
     h = max(1, math.ceil(G.m / G.n))
     if partition is None:
-        # the residue classes of heuristic_partition(G, k) that are not
-        # padding: its parts past the last class are empty, like that class
+        # the residue classes mod k of the BFS layers: the parts past the
+        # last class built are empty, like that class
         k = math.ceil(6 * h / eps)
         parts = residue_classes(bfs_layers(G), k)
         source = "bfs-layer-heuristic"

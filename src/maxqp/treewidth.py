@@ -81,7 +81,7 @@ class TreeDecomposition:
 
 def parse_decomposition(text: str) -> TreeDecomposition:
     bags: dict[int, tuple[int, ...]] = {}
-    links: list[tuple[int, int]] = []
+    links: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -98,7 +98,9 @@ def parse_decomposition(text: str) -> TreeDecomposition:
                     raise ParseError(f"bag {bid} lists vertex {twice + 1} twice", line=lineno)
                 bags[bid] = bag
             elif fields[0] == "t":
-                links.append((int(fields[1]), int(fields[2])))
+                if len(fields) != 3:
+                    raise ParseError("a t record is 't <parent> <child>'", line=lineno)
+                links.append((int(fields[1]), int(fields[2]), lineno))
             else:
                 raise ParseError(f"unknown record type {fields[0]!r}", line=lineno)
         except (ValueError, IndexError):
@@ -107,11 +109,11 @@ def parse_decomposition(text: str) -> TreeDecomposition:
         raise ParseError("decomposition has no bags")
     index = {bid: i for i, bid in enumerate(sorted(bags))}
     parent: list[int | None] = [None] * len(bags)
-    for p, c in links:
+    for p, c, lineno in links:
         if p not in index or c not in index:
-            raise ParseError(f"tree link references unknown bag ({p}, {c})")
+            raise ParseError(f"tree link references unknown bag ({p}, {c})", line=lineno)
         if parent[index[c]] is not None:
-            raise ParseError(f"bag {c} has more than one parent link")
+            raise ParseError(f"bag {c} has more than one parent link", line=lineno)
         parent[index[c]] = index[p]
     roots = [i for i, p in enumerate(parent) if p is None]
     if len(roots) != 1:
@@ -126,39 +128,9 @@ def read_decomposition(path: str) -> TreeDecomposition:
 
 
 def validate_decomposition(G: WeightedGraph, td: TreeDecomposition) -> None:
-    """Check the tree shape, vertex coverage, edge coverage, and connected
-    vertex traces."""
-    if not td.bags:
-        if G.n == 0:
-            return
-        raise ValidationError("decomposition has no bags")
-    _preorder(td)
-    containing: dict[int, list[int]] = {v: [] for v in range(G.n)}
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            if not 0 <= v < G.n:
-                raise ValidationError(f"bag {i} mentions unknown vertex {v}")
-            if containing[v][-1:] == [i]:
-                raise ValidationError(f"bag {i} lists vertex {v} twice")
-            containing[v].append(i)
-    for v in range(G.n):
-        if not containing[v]:
-            raise ValidationError(f"vertex {v} appears in no bag")
-    for u, v, _ in G.edges:
-        if not any(u in td.bags[i] for i in containing[v]):
-            raise ValidationError(f"edge ({u}, {v}) covered by no bag")
-    # trace connectivity: within the bags containing v, exactly one has its
-    # parent outside the trace
-    bagsets = [set(b) for b in td.bags]
-    for v in range(G.n):
-        trace = containing[v]
-        tops = sum(
-            1
-            for i in trace
-            if td.parent[i] is None or v not in bagsets[td.parent[i]]
-        )
-        if tops != 1:
-            raise ValidationError(f"bags containing vertex {v} are not connected")
+    """Raise `ValidationError` unless `td` is a valid decomposition of G: the
+    checks `solve_treewidths` runs on every pair, without its width limit."""
+    _check(G, td)
 
 
 def _preorder(td: TreeDecomposition) -> list[int]:
@@ -357,21 +329,29 @@ def _rank_within(keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prepare(G: WeightedGraph, td: TreeDecomposition) -> _Problem | None:
-    """Validate one pair and put it in array form; None when G has no vertex."""
-    check_dp_width(td)
-    nice = to_nice(td)
+def _check(G: WeightedGraph, td: TreeDecomposition):
+    """Raise `ValidationError` unless `td` is a valid decomposition of G;
+    else its bags in flat form, numbered by `to_nice`.
+
+    Returns (size, off, flat, parent, bag_of, up, forget_at, bucket, iu, iv):
+    bag i holds flat[off[i]:off[i+1]], sorted, and has parent[i] (-1 at the
+    root); entry j is in bag bag_of[j], and up[j] is the same vertex's entry
+    in the parent bag, -1 where the parent lacks it.  Vertex v is forgotten
+    at bag forget_at[v]; edge e's bucket is bag bucket[e], holding its ends
+    at entries iu[e] and iv[e].
+    """
+    nice = to_nice(td)  # raises unless the links form one tree over all bags
     n, k = G.n, len(nice.bags)
-    if n == 0:
-        return None
     size = np.fromiter(map(len, nice.bags), dtype=np.int64, count=k)
     off = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(size, out=off[1:])
     flat = np.fromiter(itertools.chain.from_iterable(nice.bags), dtype=np.int64, count=off[-1])
     parent = np.fromiter((-1 if p is None else p for p in nice.parent), dtype=np.int64, count=k)
     del nice
-    if flat.size and (flat.min() < 0 or flat.max() >= n):
-        raise ValidationError(f"a bag mentions a vertex outside 0..{n - 1}")
+    outside = (flat < 0) | (flat >= n)
+    if outside.any():
+        v = flat[np.argmax(outside)]
+        raise ValidationError(f"a bag mentions vertex {v}, outside 0..{n - 1}")
     bag_of = np.repeat(np.arange(k), size)
     twice = np.flatnonzero((flat[1:] == flat[:-1]) & (bag_of[1:] == bag_of[:-1]))
     if twice.size:  # each bag is sorted
@@ -393,17 +373,27 @@ def _prepare(G: WeightedGraph, td: TreeDecomposition) -> _Problem | None:
         again = first[1:][fv[first[1:]] == fv[first[:-1]]]
         raise ValidationError(f"bags containing vertex {fv[again.min()]} are not connected")
     if (seen == 0).any():
-        raise ValidationError("decomposition does not cover every vertex")
+        raise ValidationError(f"vertex {np.argmax(seen == 0)} appears in no bag")
     forget_at = np.empty(n, dtype=np.int64)
     forget_at[fv] = bag_of[top]
 
-    eu, ev, w = G.edge_arrays()
+    eu, ev, _ = G.edge_arrays()
     fu = forget_at[eu]
     bucket = np.where(entry(fu, ev) >= 0, fu, forget_at[ev])
     iu, iv = entry(bucket, eu), entry(bucket, ev)
     if (iu < 0).any():  # with connected traces, the lower forget bag covers uv
         e = int(np.argmax(iu < 0))
         raise ValidationError(f"edge ({eu[e]}, {ev[e]}) covered by no bag")
+    return size, off, flat, parent, bag_of, up, forget_at, bucket, iu, iv
+
+
+def _prepare(G: WeightedGraph, td: TreeDecomposition) -> _Problem | None:
+    """Check one pair and put it in array form; None when G has no vertex."""
+    size, off, flat, parent, bag_of, up, forget_at, bucket, iu, iv = _check(G, td)
+    n, k = G.n, len(size)
+    if n == 0:
+        return None
+    top = up < 0
 
     rank = np.empty(n, dtype=np.int64)  # by (forget bag, -id)
     rank[np.argsort(forget_at * n + (n - 1 - np.arange(n)), kind="stable")] = np.arange(n)
@@ -444,7 +434,7 @@ def _prepare(G: WeightedGraph, td: TreeDecomposition) -> _Problem | None:
         bucket,
         _rank_within(bucket),
         code,
-        w,
+        G.edge_arrays()[2],
     )
 
 
@@ -492,9 +482,10 @@ def solve_treewidths(
     (the root's parent counts as empty); edge uv goes to u's forget bag if
     that bag holds v, else to v's.  Every pair is checked before any table is
     allocated: a decomposition wider than MAX_DP_WIDTH raises CapacityError,
-    and a bag vertex outside 0..n-1, a bag listing a vertex twice, a vertex in
-    no bag, a vertex with two forget bags (its bags are not connected) and an
-    edge that neither bag holds each raise `ValidationError`.
+    and then `validate_decomposition`'s checks run: links that do not form one
+    tree, a bag vertex outside 0..n-1, a bag listing a vertex twice, a vertex
+    in no bag, a vertex with two forget bags (its bags are not connected) and
+    an edge that neither bag holds each raise `ValidationError`.
 
     The vertices are ranked by (forget bag, -id), and a bag's last vertex in
     that order is its pin.  The objective is the same at x and -x, so a bag's
@@ -524,7 +515,10 @@ def solve_treewidths(
     its rows starts as that sub-batch's values instead of adding them to
     zeros: 0.0 + x is x up to the sign of zero, which no comparison sees.)
     """
-    problems = [_prepare(G, td) for G, td in pairs]
+    problems = []
+    for G, td in pairs:
+        check_dp_width(td)
+        problems.append(_prepare(G, td))
     live = [p for p in problems if p is not None]
     group, row, bits = _run(live) if live else (None, None, None)
     out, base = [], 0

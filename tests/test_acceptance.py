@@ -24,7 +24,6 @@ from maxqp import (
     extend_from_induced,
     generate,
     greedy_sorted_matching,
-    heuristic_partition,
     induced_subgraph,
     load_partition,
     maximum_matching,
@@ -48,7 +47,9 @@ from maxqp.schemes import residue_classes
 from util import (
     brute_force_maxcut,
     check_easy_packing,
+    edge_list,
     evaluate_partial,
+    heuristic_partition,
     is_bipartite,
     max_matching_size,
     normalize_nonneg,
@@ -106,7 +107,7 @@ def test_02_nonnegative_normalization(capsys):
         for seed in range(1000):
             G = _small_instance(rng, seed)
             if seed % 5 == 0:  # include all-negative-weight graphs
-                G = WeightedGraph(G.n, [(u, v, -abs(w)) for u, v, w in G.edges])
+                G = WeightedGraph(G.n, [(u, v, -abs(w)) for u, v, w in edge_list(G)])
             assert normalize_nonneg(G).value >= -TOL
 
 
@@ -153,7 +154,7 @@ def test_04_bounded_degree_driver(capsys):
             G = random_graph(60_000 + trial, n, m, real=trial % 7 == 0)
             M = greedy_sorted_matching(G)
             delta = max(G.degree(v) for v in range(n))
-            w_all = sum(abs(w) for _, _, w in G.edges)
+            w_all = sum(abs(w) for _, _, w in edge_list(G))
             assert M.total_abs_weight >= w_all / (2 * delta) - TOL
 
 
@@ -235,7 +236,7 @@ def _planar_like(trial):
     cols = 2 + rng.randrange(5)
     G = generate(GeneratorSpec("grid-spin-glass", trial, {"rows": rows, "cols": cols}))
     if trial % 2:
-        kept = [e for e in G.edges if rng.randrange(5)]
+        kept = [e for e in edge_list(G) if rng.randrange(5)]
         G = WeightedGraph(G.n, kept)
     return G
 
@@ -287,7 +288,7 @@ def test_09_partition_scheme(capsys):
                 full = brute_force(G).value
                 for part in parts:
                     pset = set(part)
-                    m_i = sum(1 for u, v, _ in G.edges if (u in pset) != (v in pset))
+                    m_i = sum(1 for u, v, _ in edge_list(G) if (u in pset) != (v in pset))
                     inside, _ = induced_subgraph(G, pset)
                     outside, _ = induced_subgraph(G, set(range(G.n)) - pset)
                     opt_gi = brute_force(inside).value + brute_force(outside).value
@@ -305,7 +306,7 @@ def test_10_subdivision_reduction(capsys):
             assert is_bipartite(H)
             d, _ = degeneracy_order(H)
             assert d <= 2
-            cut = brute_force_maxcut(G.n, [(u, v) for u, v, _ in G.edges])
+            cut = brute_force_maxcut(G.n, [(u, v) for u, v, _ in edge_list(G)])
             assert brute_force(H).value == 2 * cut
 
 
@@ -377,4 +378,4 @@ def test_12_deterministic_reports(capsys, tmp_path):
         assert serial.read_bytes() == parallel.read_bytes()
 
         spec = GeneratorSpec("sparse-random", 5, {"n": 50, "m": 100, "real": True})
-        assert generate(spec).edges == generate(spec).edges
+        assert edge_list(generate(spec)) == edge_list(generate(spec))

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+import maxqp.cli
 from maxqp import GeneratorSpec, WeightedGraph, evaluate, generate
-from maxqp.cli import ALGOS, main
+from maxqp.cli import ALGOS, SOLVERS, Options, main
 from maxqp.io import format_instance, format_number, parse_instance, read_instance
 
 from util import random_graph
@@ -247,6 +248,39 @@ class TestExitCodes:
         assert "width=21" in capsys.readouterr().out
 
 
+class TestReportedValue:
+    """Every solver reports `evaluate` of its own assignment, bit for bit."""
+
+    # real weights wherever the solver takes them; m large enough that a
+    # pairwise sum rounds differently from the running one
+    INSTANCES = {
+        "greedy-matching": (3000, 6000, True),
+        "easypack": (3000, 6000, False),
+        "star-pack": (3000, 6000, False),
+        "exact-tw": (60, 75, True),
+        "baker": (400, 400, True),
+        "partition": (100, 110, False),
+        "brute-force": (14, 40, True),
+    }
+
+    @pytest.mark.parametrize("algo", SOLVERS)
+    def test_value_is_evaluate_of_the_assignment(self, algo):
+        n, m, real = self.INSTANCES[algo]
+        for seed in range(4):
+            G = random_graph(seed, n, m, real=real)
+            r = SOLVERS[algo](G, Options(0.5, None, 20))
+            assert r.value.hex() == evaluate(G, r.assignment.values).hex(), seed
+
+    def test_solve_and_eval_print_the_same_value(self, tmp_path, capsys):
+        G = random_graph(1, 3000, 6000, real=True)
+        inst = _write(tmp_path, "g.mq", format_instance(G))
+        assert main(["solve", inst, "--algo", "greedy-matching", "--emit-assignment"]) == 0
+        record, assignment = capsys.readouterr().out.split("\n", 1)
+        value = dict(field.split("=", 1) for field in record.split())["value"]
+        assert main(["eval", inst, _write(tmp_path, "g.sol", assignment)]) == 0
+        assert capsys.readouterr().out.strip() == value
+
+
 class TestGenEval:
     def test_gen_round_trips_through_the_loader(self, tmp_path, capsys):
         out = str(tmp_path / "grid.mq")
@@ -319,6 +353,39 @@ class TestBench:
         assert main(["bench", suite, "--out", one, "--jobs", "1"]) == 0
         assert main(["bench", suite, "--out", two, "--jobs", "2"]) == 0
         assert open(one, "rb").read() == open(two, "rb").read()
+
+    @pytest.mark.parametrize("jobs, pools", [(1, []), (2, [2]), (64, [2])])
+    def test_workers_capped_at_the_cell_count(self, tmp_path, capsys, monkeypatch, jobs, pools):
+        started = []
+
+        class Recorder:
+            """A pool that records its size and runs the cells in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(maxqp.cli, "ProcessPoolExecutor", Recorder)
+        suite = _write(tmp_path, "suite.json", json.dumps(self.SUITE))  # two cells
+        assert main(["bench", suite, "--out", str(tmp_path / "r.csv"), "--jobs", str(jobs)]) == 0
+        assert started == pools
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(maxqp.cli, "ProcessPoolExecutor", None)  # no pool may start
+        suite = _write(tmp_path, "suite.json", json.dumps(self.SUITE))
+        assert main(["bench", suite, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert f"--jobs must be at least 1, got {jobs}" in captured.err
+        assert captured.out == ""
 
     def test_suite_that_is_not_json_exits_2(self, tmp_path, capsys):
         suite = _write(tmp_path, "suite.json", '{"cells": [')

@@ -23,6 +23,7 @@ from maxqp.treewidth import parse_decomposition
 from util import (
     GENERATOR_SPECS,
     assert_same_graph,
+    edge_list,
     random_graph,
     reference_parse_instance,
     solution,
@@ -33,12 +34,12 @@ class TestInstanceFormat:
     def test_round_trip(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (1, 2, -1.0), (2, 3, 2.5)])
         H = parse_instance(format_instance(G))
-        assert H.n == G.n and H.edges == G.edges
+        assert H.n == G.n and edge_list(H) == edge_list(G)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# generated\n\np maxqp 2 1\n# body\ne 1 2 -1\n"
         G = parse_instance(text)
-        assert G.edges == [(0, 1, -1.0)]
+        assert edge_list(G) == [(0, 1, -1.0)]
 
     def test_unit_weights_written_as_integers(self):
         G = WeightedGraph(2, [(0, 1, -1.0)])
@@ -57,7 +58,7 @@ class TestInstanceFormat:
         # integral weights as integers, past 2^63 too, and any other weight by repr
         weights = [-w if s else w for w, s in zip(weights, signs)]
         G = WeightedGraph(len(weights) + 1, [(0, i + 1, w) for i, w in enumerate(weights)])
-        lines = [f"e {u + 1} {v + 1} {maxqp.io.format_number(w)}\n" for u, v, w in G.edges]
+        lines = [f"e {u + 1} {v + 1} {maxqp.io.format_number(w)}\n" for u, v, w in edge_list(G)]
         assert format_instance(G, ["c"]) == "".join([f"# c\np maxqp {G.n} {G.m}\n", *lines])
 
     def test_missing_header(self):
@@ -93,7 +94,7 @@ class TestInstanceFormat:
 
     def test_asymmetric_duplicates_are_averaged(self):
         G = parse_instance("p maxqp 2 2\ne 1 2 3\ne 2 1 1\n")
-        assert G.edges == [(0, 1, 2.0)]
+        assert edge_list(G) == [(0, 1, 2.0)]
 
 
 def _edge_line(draw, body) -> int | None:
@@ -238,7 +239,7 @@ class TestInstanceColumns:
         if isinstance(want, WeightedGraph):
             assert isinstance(got, WeightedGraph), got
             assert_same_graph(got, want)
-            assert [w.hex() for _, _, w in got.edges] == [w.hex() for _, _, w in want.edges]
+            assert [w.hex() for _, _, w in edge_list(got)] == [w.hex() for _, _, w in edge_list(want)]
         else:
             assert got == want
 
@@ -320,3 +321,14 @@ class TestDecompositionFormat:
     def test_unknown_record(self):
         with pytest.raises(ParseError):
             parse_decomposition("q 1 2\n")
+
+    @pytest.mark.parametrize("record", ["t 1 2 junk", "t 1 2 3", "t 1"])
+    def test_tree_record_has_exactly_two_bag_ids(self, record):
+        with pytest.raises(ParseError, match="line 3: "):
+            parse_decomposition(f"b 1 1 2\nb 2 2 3\n{record}\n")
+
+    def test_tree_link_errors_name_their_line(self):
+        with pytest.raises(ParseError, match=r"line 3: tree link references unknown bag \(1, 7\)"):
+            parse_decomposition("b 1 1 2\nb 2 2 3\nt 1 7\nt 1 2\n")
+        with pytest.raises(ParseError, match="line 5: bag 3 has more than one parent link"):
+            parse_decomposition("b 1 1 2\nb 2 2 3\nb 3 3\nt 1 3\nt 2 3\nt 1 2\n")

@@ -17,6 +17,7 @@ from maxqp import (
 from maxqp.matching import _make_matching
 
 from util import (
+    edge_list,
     max_matching_size,
     random_graph,
     reference_greedy_matching,
@@ -31,7 +32,7 @@ def _check_disjoint(G, M):
     used = set()
     for u, v in M.edges:
         assert u < v
-        assert G.has_edge(u, v)
+        assert v in G.adjacency[u]
         assert u not in used and v not in used
         used.add(u)
         used.add(v)
@@ -43,7 +44,7 @@ def _check_disjoint(G, M):
 
 
 def _is_maximal(G, M):
-    return all(M.matched[u] is not None or M.matched[v] is not None for u, v, _ in G.edges)
+    return all(M.matched[u] is not None or M.matched[v] is not None for u, v, _ in edge_list(G))
 
 
 class TestMakeMatching:
@@ -109,7 +110,7 @@ class TestGreedy:
             rng = SplitMix64(s)
             G = random_graph(s, 3000, 6000)
             graphs.append(
-                WeightedGraph(G.n, [(u, v, w * (1 + rng.randrange(3))) for u, v, w in G.edges])
+                WeightedGraph(G.n, [(u, v, w * (1 + rng.randrange(3))) for u, v, w in edge_list(G)])
             )
         for G in graphs:
             M = greedy_sorted_matching(G)

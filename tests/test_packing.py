@@ -33,6 +33,7 @@ from maxqp.oracle import SplitMix64
 from util import (
     check_easy_packing,
     edge_is_good,
+    edge_list,
     random_graph,
     reference_easypack,
     reference_star_packing,
@@ -309,7 +310,7 @@ class TestDrivers:
             2 * k, [(2 * i, 2 * i + 1, (2 * rng.random() - 1) * 1e3 + 1e-3) for i in range(k)]
         )
         r = solve_bounded_degree(G)
-        assert r.value == pytest.approx(sum(abs(w) for _, _, w in G.edges), rel=1e-12)
+        assert r.value == pytest.approx(sum(abs(w) for _, _, w in edge_list(G)), rel=1e-12)
         assert r.value == pytest.approx(evaluate(G, r.assignment.values), rel=1e-12)
 
     def test_easypack_upper_bound_on_optimum(self):
@@ -370,7 +371,7 @@ class TestFactorsAgainstBruteForce:
         # relabel the non-isolated vertices 0..k-1: star-pack's bound needs none isolated
         alive = [v for v in range(G.n) if G.degree(v)]
         new_of = {v: i for i, v in enumerate(alive)}
-        H = WeightedGraph(len(alive), [(new_of[u], new_of[v], w) for u, v, w in G.edges])
+        H = WeightedGraph(len(alive), [(new_of[u], new_of[v], w) for u, v, w in edge_list(G)])
         if H.m == 0:
             return
         r = solve_dense(H)

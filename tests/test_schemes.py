@@ -15,7 +15,6 @@ from maxqp import (
     WeightedGraph,
     bfs_layers,
     brute_force,
-    heuristic_partition,
     load_partition,
     solve_baker,
     solve_exact,
@@ -24,7 +23,14 @@ from maxqp import (
 from maxqp.oracle import GeneratorSpec, generate
 from maxqp.schemes import residue_classes
 
-from util import layers_of, random_graph, reference_baker, reference_partition_scheme
+from util import (
+    edge_list,
+    heuristic_partition,
+    layers_of,
+    random_graph,
+    reference_baker,
+    reference_partition_scheme,
+)
 
 
 def _grid(rows, cols, seed=1):
@@ -52,7 +58,7 @@ class TestBfsLayers:
         for seed in range(40):
             # two copies of one random graph: components on both sides of the root
             H = random_graph(seed, 8, 4 + seed % 10)
-            G = WeightedGraph(16, H.edges + [(u + 8, v + 8, w) for u, v, w in H.edges])
+            G = WeightedGraph(16, edge_list(H) + [(u + 8, v + 8, w) for u, v, w in edge_list(H)])
             root = 8 + seed % 8
             dist = [-1] * G.n
             for start in [root, *range(G.n)]:
@@ -76,7 +82,7 @@ class TestBfsLayers:
         for seed in range(60):
             G = random_graph(seed, 10, 3 + seed % 15)
             layer_of = bfs_layers(G)
-            for u, v, _ in G.edges:
+            for u, v, _ in edge_list(G):
                 assert abs(layer_of[u] - layer_of[v]) <= 1
 
     def test_residue_classes_partition_vertices(self):

@@ -27,6 +27,7 @@ from maxqp.treewidth import MAX_DP_WIDTH
 from maxqp.oracle import GeneratorSpec, SplitMix64, generate
 
 from util import (
+    edge_list,
     elimination_decomposition,
     is_valid_decomposition,
     random_graph,
@@ -179,10 +180,22 @@ class TestValidateDecomposition:
     def test_rejects_a_bag_listing_a_vertex_twice(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         td = TreeDecomposition(((0, 1, 1), (1, 2)), (None, 0), 0)
-        with pytest.raises(ValidationError, match="bag 0 lists vertex 1 twice"):
+        with pytest.raises(ValidationError, match="a bag lists vertex 1 twice"):
             validate_decomposition(G, td)
         with pytest.raises(ValidationError, match="lists vertex 1 twice"):
             solve_treewidth(G, td)
+
+    def test_bag_naming_a_vertex_of_an_empty_graph_is_refused(self):
+        G = WeightedGraph(0, [])
+        bad = (TreeDecomposition(((0,),), (None,), 0), TreeDecomposition(((), (0,)), (None, 0), 0))
+        for td in bad:
+            with pytest.raises(ValidationError, match="mentions vertex 0"):
+                validate_decomposition(G, td)
+            with pytest.raises(ValidationError, match="mentions vertex 0"):
+                solve_treewidth(G, td)
+        empty = TreeDecomposition(((),), (None,), 0)
+        validate_decomposition(G, empty)
+        assert solve_treewidth(G, empty) == solve_treewidth(G, TreeDecomposition((), (), 0))
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_dp_rejects_unknown_vertex_without_validation(self, bad):
@@ -345,7 +358,7 @@ class TestSolveTreewidth:
             r = solve_exact(G)
             a, width = r.assignment, r.certificate["width"]
             assert width <= 1
-            assert a.value == sum(abs(w) for _, _, w in G.edges)
+            assert a.value == sum(abs(w) for _, _, w in edge_list(G))
 
     def test_edge_order_invariance(self):
         base = [(0, 1, 1.0), (1, 2, -1.0), (2, 3, 1.0), (0, 3, 1.0), (0, 2, -1.0)]
@@ -540,7 +553,7 @@ def _hung_under_a_wide_bag(G1, G2):
     vertices and a child: an empty separator, so G2's root sends a 0-d
     message that shifts every cell of that bag's table."""
     n1 = G1.n
-    edges = G1.edges + [(u + n1, v + n1, w) for u, v, w in G2.edges]
+    edges = edge_list(G1) + [(u + n1, v + n1, w) for u, v, w in edge_list(G2)]
     t1, t2 = build_decomposition(G1), build_decomposition(G2)
     at = next(i for i, b in enumerate(t1.bags) if len(b) >= 2 and i in t1.parent)
     k1 = len(t1.bags)

@@ -23,19 +23,20 @@ from maxqp import (
     SplitMix64,
     TreeDecomposition,
     ValidationError,
+    VertexPartition,
     WeightedGraph,
     bfs_layers,
     evaluate,
     extend_from_induced,
     generate,
     glue_blocks,
-    heuristic_partition,
     induced_subgraph,
     maximal_matching,
     solve_exact,
     to_nice,
     triangle_is_good,
 )
+from maxqp.schemes import residue_classes
 
 
 # One small instance of every generator kind (sparse-random with both weight types).
@@ -48,6 +49,27 @@ GENERATOR_SPECS = [
     ("clique-plus-matching", {"n": 18}),
     ("maxcut-subdivision", {"n": 7, "m": 9}),
 ]
+
+
+def edge_list(G: WeightedGraph) -> list[tuple[int, int, float]]:
+    """G's edges as (u, v, w) tuples, in the order of its columns."""
+    return list(zip(*(c.tolist() for c in G.edge_arrays())))
+
+
+def reference_evaluate(G: WeightedGraph, values) -> float:
+    """The objective as a plain running sum over the edges, from 0.0."""
+    total = 0.0
+    for u, v, w in edge_list(G):
+        total += w * values[u] * values[v]
+    return total
+
+
+def heuristic_partition(G: WeightedGraph, k: int) -> VertexPartition:
+    """Part i = vertices whose BFS layer index is congruent to i mod k, all
+    k parts listed (the partition scheme's default, padded with empty parts)."""
+    classes = residue_classes(bfs_layers(G), k)
+    classes += [[]] * (k - len(classes))
+    return VertexPartition(tuple(tuple(c) for c in classes), "bfs-layer-heuristic")
 
 
 def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph:
@@ -126,12 +148,12 @@ def unit_graphs(draw, max_n: int = 60, max_isolated: int = 0) -> WeightedGraph:
     m = draw(st.one_of(st.integers(0, min(2 * n, pairs)), st.integers(0, pairs)))
     G = random_graph(draw(st.integers(0, 2**32)), n, m)
     extra = draw(st.integers(0, max_isolated))
-    return WeightedGraph(n + extra, G.edges) if extra else G
+    return WeightedGraph(n + extra, edge_list(G)) if extra else G
 
 
 def assert_same_graph(G: WeightedGraph, H: WeightedGraph) -> None:
     """Every stored field of G equals H's, the numpy edge columns included."""
-    assert (G.n, G.edges, G.unit) == (H.n, H.edges, H.unit)
+    assert (G.n, edge_list(G), G.unit) == (H.n, edge_list(H), H.unit)
     # dict equality ignores key order, so compare the maps as item lists
     assert [list(a.items()) for a in G.adjacency] == [list(a.items()) for a in H.adjacency]
     for a, b in zip(G.edge_arrays(), H.edge_arrays()):
@@ -216,7 +238,7 @@ def exhaustive_opt(G: WeightedGraph) -> float:
     best = 0.0
     for mask in range(1 << G.n):
         x = [1 if mask >> i & 1 else -1 for i in range(G.n)]
-        val = sum(w * x[u] * x[v] for u, v, w in G.edges)
+        val = sum(w * x[u] * x[v] for u, v, w in edge_list(G))
         best = max(best, val)
     return best
 
@@ -260,7 +282,7 @@ def reference_brute_force(G: WeightedGraph) -> Assignment:
 
 def max_matching_size(G: WeightedGraph) -> int:
     """Maximum-cardinality matching size by bitmask DP over vertex subsets."""
-    pairs = [(u, v) for u, v, _ in G.edges]
+    pairs = [(u, v) for u, v, _ in edge_list(G)]
 
     @lru_cache(maxsize=None)
     def best(mask: int) -> int:
@@ -290,7 +312,7 @@ def tutte_matching_size(G: WeightedGraph, seed: int = 0) -> int:
     rng = SplitMix64(seed)
     n = G.n
     A = [[0] * n for _ in range(n)]
-    for u, v, _ in G.edges:
+    for u, v, _ in edge_list(G):
         x = 1 + rng.randrange(p - 1)
         A[u][v], A[v][u] = x, p - x
     rank = 0
@@ -400,7 +422,7 @@ def check_easy_packing(G: WeightedGraph, P: EasyPacking) -> None:
         seen |= pset
         if cu not in pset or cv not in pset:
             raise ValidationError("center endpoints not inside their part")
-        if not G.has_edge(cu, cv):
+        if cv not in G.adjacency[cu]:
             raise ValidationError(f"center pair ({cu}, {cv}) is not an edge")
         outside = pset - {cu, cv}
         for o in outside:
@@ -896,7 +918,7 @@ def reference_bucket_elimination(G: WeightedGraph, td: TreeDecomposition) -> Ass
                 forget_at[v] = i
                 forgets[i] += 1
     bucket: list[list[tuple[int, int, float]]] = [[] for _ in td.bags]
-    for u, v, w in G.edges:
+    for u, v, w in edge_list(G):
         bucket[forget_at[u] if v in bagsets[forget_at[u]] else forget_at[v]].append((u, v, w))
     rank = {v: r for r, v in enumerate(sorted(range(G.n), key=lambda v: (forget_at[v], -v)))}
     sign = np.array([1.0, -1.0])
@@ -994,7 +1016,7 @@ def is_valid_decomposition(G: WeightedGraph, td: TreeDecomposition) -> bool:
     sets = [set(bag) for bag in td.bags]
     if set().union(*sets) != set(range(G.n)):
         return False
-    if any(not any(u in b and v in b for b in sets) for u, v, _ in G.edges):
+    if any(not any(u in b and v in b for b in sets) for u, v, _ in edge_list(G)):
         return False
     nbrs: list[set[int]] = [set() for _ in range(k)]
     for i, p in enumerate(td.parent):
