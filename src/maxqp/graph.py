@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +29,19 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 
 MAX_VERTICES = 10**7  # a larger n is refused before anything is allocated per vertex
+ROW_BLOCK = 1 << 13  # entries converted to Python objects at a time by `rows`
+
+
+def rows(*columns: np.ndarray) -> Iterable[tuple]:
+    """`zip` of the columns' entries as Python scalars, for a scan loop.
+
+    The columns are converted ROW_BLOCK entries at a time, so the converted
+    lists stay small and in cache instead of holding every entry at once.
+    """
+    return chain.from_iterable(
+        zip(*(c[a : a + ROW_BLOCK].tolist() for c in columns))
+        for a in range(0, len(columns[0]), ROW_BLOCK)
+    )
 
 
 def check_vertex_count(n: int) -> None:
@@ -266,7 +280,8 @@ def glue_blocks(
     value on the subgraph induced by the included vertices.  O(n + m): numpy
     buckets the cross edges by their later block, with both inner signs
     folded into each coefficient, and one loop over those edges fixes the
-    flips.
+    flips.  The per-edge quantities are computed in edge order, and only two
+    are then permuted into bucket order.
     """
     if len(block_of) != G.n or len(inner) != G.n:
         raise ValidationError("block and sign vectors must have length n")
@@ -275,14 +290,19 @@ def glue_blocks(
     eu, ev, ew = G.edge_arrays()
     bu, bv = block[eu], block[ev]
     cross = np.flatnonzero((bu >= 0) & (bv >= 0) & (bu != bv))
-    later = np.maximum(bu[cross], bv[cross])
-    order = np.argsort(later, kind="stable")
-    cross, later = cross[order], later[order]
-    earlier = np.minimum(bu[cross], bv[cross])
+    bu, bv = bu[cross], bv[cross]
+    later, earlier = np.maximum(bu, bv), np.minimum(bu, bv)
     coeff = ew[cross] * sign[eu[cross]] * sign[ev[cross]]
     flip = [1] * (int(block.max(initial=0)) + 1)
+    # the keys later * k + position are distinct (and below len(flip) * m, far
+    # inside int64), so numpy's fast unstable sort of them is a stable sort by later
+    k = len(cross)
+    key = later * k + np.arange(k)
+    key.sort()
+    later, order = np.divmod(key, max(k, 1))
+    earlier, coeff = earlier[order], coeff[order]
     cur, c = -1, 0.0
-    for b, e, w in zip(later.tolist(), earlier.tolist(), coeff.tolist()):
+    for b, e, w in rows(later, earlier, coeff):
         if b != cur:  # every edge of block cur is summed: fix its sign
             if c < 0:
                 flip[cur] = -1
@@ -354,14 +374,24 @@ class InstanceStats:
 def degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
     """Degeneracy and a peeling order via repeated minimum-degree removal.
 
-    Bucket-queue implementation, O(n + m).
+    Bucket-queue implementation, O(n + m) (Batagelj & Zaversnik, *An O(m)
+    algorithm for cores decomposition of networks*, 2003).  Its neighbour
+    lists are cut from the edge columns, each in increasing id order, so it
+    does not build `G.adjacency`.
     """
     n = G.n
     if n == 0:
         return 0, []
-    deg = [G.degree(v) for v in range(n)]
-    maxdeg = max(deg)
-    buckets: list[list[int]] = [[] for _ in range(maxdeg + 1)]
+    eu, ev, _ = G.edge_arrays()
+    # both directions of every edge, smaller neighbours first: the columns are
+    # sorted by (u, v), so a stable sort by vertex puts each list in id order
+    src = np.concatenate((ev, eu))
+    by_vertex = np.argsort(src, kind="stable")
+    nbrs = np.concatenate((eu, ev))[by_vertex].tolist()
+    counts = np.bincount(src, minlength=n)
+    start = np.concatenate(([0], np.cumsum(counts))).tolist()
+    deg = counts.tolist()
+    buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
     for v in range(n):
         buckets[deg[v]].append(v)
     removed = [False] * n
@@ -369,27 +399,33 @@ def degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
     d = 0
     cur = 0
     while len(order) < n:
-        if not buckets[cur]:
+        bucket = buckets[cur]
+        if not bucket:
             cur += 1
             continue
-        v = buckets[cur].pop()
+        v = bucket.pop()
         # lazy deletion: skip entries that were re-bucketed at a lower degree
         if removed[v] or deg[v] != cur:
             continue
         removed[v] = True
         order.append(v)
-        d = max(d, cur)
-        for u in G.adjacency[v]:
+        if cur > d:
+            d = cur
+        for u in nbrs[start[v] : start[v + 1]]:
             if not removed[u]:
-                deg[u] -= 1
-                buckets[deg[u]].append(u)
-                if deg[u] < cur:
-                    cur = deg[u]
+                k = deg[u] = deg[u] - 1
+                buckets[k].append(u)
+                if k < cur:
+                    cur = k
     return d, order
 
 
 def stats(G: WeightedGraph) -> InstanceStats:
-    """Exact max degree, degeneracy, density m/n, and total absolute weight."""
+    """Exact max degree, degeneracy, density m/n, and total absolute weight.
+
+    No solver calls it; it is kept for callers outside the package: the tests,
+    and perfbench's span on `graph.stats`.
+    """
     eu, ev, ew = G.edge_arrays()
     abs_weight = float(np.abs(ew).sum())
     max_degree = int(np.bincount(np.concatenate((eu, ev))).max(initial=0))

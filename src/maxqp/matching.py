@@ -1,6 +1,10 @@
 """Matching algorithms: weight-greedy, maximal, and maximum cardinality.
 
 All tie-breaks are lexicographic by vertex id so every run is reproducible.
+Every matcher returns a `Matching` of numpy arrays: the pairs as a k x 2
+array sorted by their first vertex, and each vertex's partner.  The greedy
+and maximal scans record only the indices of the edges they accept; the
+arrays are built from those in numpy.
 """
 
 from __future__ import annotations
@@ -11,40 +15,55 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Matching:
     """A set of vertex-disjoint edges with total absolute weight.
 
-    `matched[v]` is v's partner, or None when v is unmatched.
+    `edges` is a k x 2 int64 array of the pairs, u < v in each row, rows
+    sorted by u.  `partner[v]` is v's partner, or -1 when v is unmatched (an
+    int64 array of length n).  `total_abs_weight` is the running sum of |w|
+    over the pairs, in the order the matcher accepted them.
     """
 
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
+    partner: np.ndarray
     total_abs_weight: float
-    matched: tuple[int | None, ...]
 
 
-def _make_matching(
-    G: WeightedGraph, pairs, total: float | None = None
-) -> Matching:
-    """Wrap vertex-disjoint (u, v) pairs, given in any order, as a Matching."""
-    p = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    if total is None:
-        total = sum(abs(G.weight(u, v)) for u, v in p.tolist())
-    p.sort(axis=1)
-    p = p[np.argsort(p[:, 0], kind="stable")]  # no vertex is in two pairs
+def _make_matching(G: WeightedGraph, accepted) -> Matching:
+    """The Matching of G's edges with these column indices, in acceptance order.
+
+    Raises InternalError when two of the edges share a vertex.
+    """
+    idx = np.asarray(accepted, dtype=np.int64)
+    eu, ev, ew = G.edge_arrays()
+    absw = np.abs(ew[idx])
+    total = float(np.add.accumulate(absw, out=absw)[-1]) if len(idx) else 0.0
+    # edge index order is (u, v) order, so disjoint pairs sort by u
+    idx = np.sort(idx)
+    edges = np.empty((len(idx), 2), dtype=np.int64)
+    edges[:, 0], edges[:, 1] = eu[idx], ev[idx]
     partner = np.full(G.n, -1, dtype=np.int64)
-    partner[p[:, 0]] = p[:, 1]
-    partner[p[:, 1]] = p[:, 0]
-    if np.count_nonzero(partner >= 0) != 2 * len(p):
+    partner[edges[:, 0]] = edges[:, 1]
+    partner[edges[:, 1]] = edges[:, 0]
+    if np.count_nonzero(partner >= 0) != 2 * len(idx):
         raise InternalError("matching pairs share a vertex")
-    matched = np.full(G.n, None, dtype=object)
-    hit = np.flatnonzero(partner >= 0)
-    matched[hit] = partner[hit].tolist()
-    edges = tuple(zip(p[:, 0].tolist(), p[:, 1].tolist()))
-    return Matching(edges, total, tuple(matched.tolist()))
+    return Matching(edges, partner, total)
+
+
+def _first_fit(n: int, us: np.ndarray, vs: np.ndarray) -> list[int]:
+    """The scan: the positions i, in order, of the pairs (us[i], vs[i]) whose
+    two vertices no earlier accepted pair holds."""
+    free = bytearray([1]) * n
+    accepted = []
+    for i, (u, v) in enumerate(rows(us, vs)):
+        if free[u] and free[v]:
+            free[u] = free[v] = 0
+            accepted.append(i)
+    return accepted
 
 
 def greedy_sorted_matching(G: WeightedGraph) -> Matching:
@@ -53,33 +72,16 @@ def greedy_sorted_matching(G: WeightedGraph) -> Matching:
     Equal weights are broken by (u, v) lexicographic order.  The result is
     maximal, and its weight is at least w(E) / (2 * max_degree).
     """
-    if G.m == 0:
-        return _make_matching(G, [], 0.0)
     eu, ev, ew = G.edge_arrays()
     # edges are stored in (u, v) order, so a stable sort keeps ties lexicographic
     order = np.argsort(-np.abs(ew), kind="stable")
-    us, vs, ws = eu[order].tolist(), ev[order].tolist(), ew[order].tolist()
-    free = bytearray([1]) * G.n
-    pairs = []
-    total = 0.0
-    for u, v, w in zip(us, vs, ws):
-        if free[u] and free[v]:
-            free[u] = free[v] = 0
-            pairs.append((u, v))
-            total += abs(w)
-    return _make_matching(G, pairs, total)
+    return _make_matching(G, order[_first_fit(G.n, eu[order], ev[order])])
 
 
 def maximal_matching(G: WeightedGraph) -> Matching:
     """Inclusion-wise maximal matching by a single scan in canonical edge order."""
     eu, ev, _ = G.edge_arrays()
-    free = [True] * G.n
-    pairs = []
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        if free[u] and free[v]:
-            free[u] = free[v] = False
-            pairs.append((u, v))
-    return _make_matching(G, pairs)
+    return _make_matching(G, _first_fit(G.n, eu, ev))
 
 
 def maximum_matching(G: WeightedGraph) -> Matching:
@@ -189,5 +191,8 @@ def maximum_matching(G: WeightedGraph) -> Matching:
             touched.clear()
             members.clear()
 
-    pairs = [(v, match[v]) for v in range(n) if match[v] > v]
-    return _make_matching(G, pairs)
+    mate = np.array(match, dtype=np.int64)
+    u = np.flatnonzero(mate > np.arange(n))
+    # (u, v) keys ascend with the column index, so a search finds each pair's edge
+    eu, ev, _ = G.edge_arrays()
+    return _make_matching(G, np.searchsorted(eu * n + ev, u * n + mate[u]))

@@ -20,10 +20,10 @@ from .graph import (
     ApproxResult,
     Assignment,
     WeightedGraph,
+    degeneracy_order,
     extend_from_induced,
     glue_blocks,
     induced_subgraph,
-    stats,
     value_tol,
 )
 from .matching import Matching, greedy_sorted_matching, maximal_matching, maximum_matching
@@ -50,9 +50,10 @@ class EasyPacking:
     covered: frozenset[int]
 
 
-def _part_edge_count(G: WeightedGraph, part) -> int:
-    inpart = set(part)
-    return sum(1 for u in part for v in G.adjacency[u] if u < v and v in inpart)
+def _degrees(G: WeightedGraph) -> np.ndarray:
+    """Each vertex's degree, counted from the edge columns."""
+    eu, ev, _ = G.edge_arrays()
+    return np.bincount(np.concatenate((eu, ev)), minlength=G.n)
 
 
 def _glue_with_rest(G: WeightedGraph, block_of, inner, k: int) -> Assignment:
@@ -68,17 +69,15 @@ def matching_to_solution(G: WeightedGraph, M: Matching) -> Assignment:
     """Solution with value >= w(M) in O(n + m).
 
     Each matched pair is a block oriented so its own edge contributes |a_uv|;
-    the pairs are glued on in `M.edges` order, then the unmatched vertices
-    one at a time in id order.
+    the pairs are glued on in the row order of `M.edges` (by first vertex),
+    then the unmatched vertices one at a time in id order.
     """
     k = len(M.edges)
     block_of = np.full(G.n, -1, dtype=np.int64)
-    if k:
-        me = np.array(M.edges, dtype=np.int64)
-        block_of[me[:, 0]] = block_of[me[:, 1]] = np.arange(k)
+    block_of[M.edges[:, 0]] = block_of[M.edges[:, 1]] = np.arange(k)
     # a pair's own edge is its only inner edge; its later endpoint copies the sign
     eu, ev, ew = G.edge_arrays()
-    own = np.flatnonzero((block_of[eu] >= 0) & (block_of[eu] == block_of[ev]))
+    own = np.flatnonzero(M.partner[eu] == ev)
     inner = np.ones(G.n, dtype=np.int64)
     inner[ev[own]] = np.sign(ew[own])
     return _glue_with_rest(G, block_of, inner, k)
@@ -130,19 +129,26 @@ def _attach(G: WeightedGraph, centers, vertices, fits) -> EasyPacking:
 
     Centers are disjoint edges, so each endpoint indexes one center; a center
     outside N(v) can never take v, so only the touching ones are tried, in
-    index order.
+    index order.  The packed edges are counted in one pass over the edge
+    columns, from each vertex's part id.
     """
     parts = [[x, y] for x, y in centers]
     center_of = [-1] * G.n
     for idx, (x, y) in enumerate(centers):
         center_of[x] = center_of[y] = idx
+    part_of = center_of[:]
+    adjacency = G.adjacency
     for v in vertices:
-        for idx in sorted({center_of[u] for u in G.adjacency[v] if center_of[u] >= 0}):
+        for idx in sorted({center_of[u] for u in adjacency[v] if center_of[u] >= 0}):
             if fits(idx, v):
                 parts[idx].append(v)
+                part_of[v] = idx
                 break
-    covered = frozenset(v for part in parts for v in part)
-    edge_count = sum(_part_edge_count(G, part) for part in parts)
+    part_of = np.array(part_of, dtype=np.int64)
+    eu, ev, _ = G.edge_arrays()
+    pu = part_of[eu]
+    edge_count = int(np.count_nonzero((pu >= 0) & (pu == part_of[ev])))
+    covered = frozenset(np.flatnonzero(part_of >= 0).tolist())
     return EasyPacking(tuple(tuple(sorted(p)) for p in parts), tuple(centers), edge_count, covered)
 
 
@@ -159,10 +165,11 @@ def easypack(G: WeightedGraph) -> EasyPacking:
     if not G.unit:
         raise ValidationError("easypack requires unit weights")
     M = maximal_matching(G)
-    istar = {v for v in range(G.n) if M.matched[v] is None and G.degree(v) > 0}
+    istar = set(np.flatnonzero((M.partner < 0) & (_degrees(G) > 0)).tolist())
+    adjacency = G.adjacency
     centers: list[tuple[int, int]] = []
-    for x, y in M.edges:
-        common = sorted(G.adjacency[x].keys() & G.adjacency[y].keys() & istar)
+    for x, y in M.edges.tolist():
+        common = sorted(adjacency[x].keys() & adjacency[y].keys() & istar)
         if len(common) >= 2:
             u, v = common[0], common[1]
             centers.append(tuple(sorted((u, x))))
@@ -174,7 +181,7 @@ def easypack(G: WeightedGraph) -> EasyPacking:
     def fits(idx: int, v: int) -> bool:
         # a touching center has an endpoint in N(v): a path unless both are
         cx, cy = centers[idx]
-        nbrs = G.adjacency[v]
+        nbrs = adjacency[v]
         return (cx in nbrs) != (cy in nbrs) or triangle_is_good(G, v, cx, cy)
 
     return _attach(G, centers, sorted(istar), fits)
@@ -192,17 +199,18 @@ def star_packing(G: WeightedGraph) -> EasyPacking:
     """
     if not G.unit:
         raise ValidationError("star_packing requires unit weights")
-    if any(G.degree(v) == 0 for v in range(G.n)):
+    if not _degrees(G).all():
         raise ValidationError("star_packing requires no isolated vertices")
     M = maximum_matching(G)
+    adjacency = G.adjacency
+    centers = [(x, y) for x, y in M.edges.tolist()]
 
     def fits(idx: int, v: int) -> bool:
-        x, y = M.edges[idx]
-        nbrs = G.adjacency[v]
+        x, y = centers[idx]
+        nbrs = adjacency[v]
         return not (x in nbrs and y in nbrs)
 
-    unmatched = [v for v in range(G.n) if M.matched[v] is None]
-    return _attach(G, M.edges, unmatched, fits)
+    return _attach(G, centers, np.flatnonzero(M.partner < 0).tolist(), fits)
 
 
 def _trivial_result(G: WeightedGraph, extra: dict) -> ApproxResult:
@@ -214,9 +222,8 @@ def solve_bounded_degree(G: WeightedGraph) -> ApproxResult:
     """Greedy-matching driver: 1/(2*max_degree) of the optimum, any weights."""
     if G.m == 0:
         return _trivial_result(G, {"abs_weight": 0.0})
-    eu, ev, ew = G.edge_arrays()
-    abs_weight = float(np.abs(ew).sum())
-    max_degree = int(np.bincount(np.concatenate((eu, ev))).max())
+    abs_weight = float(np.abs(G.edge_arrays()[2]).sum())
+    max_degree = int(_degrees(G).max())
     M = greedy_sorted_matching(G)
     out = matching_to_solution(G, M)
     guarantee = Fraction(1, 2 * max_degree)
@@ -237,18 +244,18 @@ def solve_degenerate(G: WeightedGraph) -> ApproxResult:
     """EasyPack driver: 1/(2*degeneracy) of the optimum on unit instances."""
     if not G.unit:
         raise ValidationError("solve_degenerate requires unit weights")
-    st = stats(G)
+    degeneracy, _ = degeneracy_order(G)
     if G.m == 0:
-        return _trivial_result(G, {"degeneracy": st.degeneracy})
+        return _trivial_result(G, {"degeneracy": degeneracy})
     P = easypack(G)
     out = packing_to_solution(G, P)
-    guarantee = Fraction(1, 2 * st.degeneracy)
+    guarantee = Fraction(1, 2 * degeneracy)
     if 2 * P.edge_count < len(P.covered):
         raise InternalError("easy packing fell below |V_F|/2 packed edges")
     cert = {
         "packed_edges": P.edge_count,
         "covered": len(P.covered),
-        "degeneracy": st.degeneracy,
+        "degeneracy": degeneracy,
     }
     return ApproxResult(out, guarantee, cert)
 
@@ -263,8 +270,7 @@ def solve_dense(G: WeightedGraph) -> ApproxResult:
         raise ValidationError("solve_dense requires unit weights")
     if G.m == 0:
         return _trivial_result(G, {"density": "0"})
-    alive = [v for v in range(G.n) if G.degree(v) > 0]
-    H, old_of = induced_subgraph(G, alive)
+    H, old_of = induced_subgraph(G, np.flatnonzero(_degrees(G)).tolist())
     P = star_packing(H)
     sol_h = packing_to_solution(H, P)
     signs = {old_of[i]: s for i, s in enumerate(sol_h.values)}

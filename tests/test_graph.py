@@ -28,7 +28,7 @@ from maxqp import (
     solve_bounded_degree,
     stats,
 )
-from maxqp.graph import MAX_VERTICES, degeneracy_order
+from maxqp.graph import MAX_VERTICES, ROW_BLOCK, degeneracy_order, rows
 from maxqp.io import format_instance, parse_instance
 from maxqp.oracle import SplitMix64
 
@@ -40,6 +40,7 @@ from util import (
     normalize_nonneg,
     random_graph,
     reference_combine,
+    reference_degeneracy_order,
     reference_evaluate,
     reference_extend,
     reference_scan,
@@ -500,7 +501,24 @@ class TestGlueBlocks:
         assert value >= inner_total - 1e-9
 
 
+class TestRows:
+    @pytest.mark.parametrize("k", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
+    def test_same_as_zip_of_lists(self, k):
+        a = np.arange(k, dtype=np.int64) * 3
+        b = np.linspace(-1.0, 1.0, k)
+        got = list(rows(a, b))
+        assert got == list(zip(a.tolist(), b.tolist()))
+        assert all(type(x) is int and type(y) is float for x, y in got)
+
+
 class TestSameSignsAsReferenceScan:
+    @pytest.mark.parametrize("real", [False, True])
+    def test_extend_from_induced_over_several_row_blocks(self, real):
+        # more than 2 * ROW_BLOCK cross edges, so the glue loop spans blocks
+        G = random_graph(31, 5000, 3 * ROW_BLOCK, real=real)
+        sub = {v: (-1) ** v for v in range(0, G.n, 7)}
+        assert extend_from_induced(G, sub).values == reference_extend(G, sub)
+
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_normalize_nonneg(self, seed):
@@ -567,6 +585,27 @@ class TestStats:
             st_ = stats(G)
             assert st_.degeneracy <= st_.max_degree
             assert st_.density <= st_.max_degree
+
+
+class TestDegeneracyOrder:
+    """degeneracy_order on neighbour lists cut from the columns, against the
+    bucket queue over `G.adjacency`."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_as_reference_with_isolated_vertices(self, seed):
+        n = 1 + seed % 45
+        H = random_graph(8000 + seed, n, [n // 3, n, 3 * n, n * n][seed % 4], real=seed % 2 == 1)
+        G = WeightedGraph(n + seed % 4, edge_list(H))  # up to 3 isolated vertices last
+        got = degeneracy_order(G)
+        assert G._adjacency is None
+        assert got == reference_degeneracy_order(G)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless(self, n):
+        G = WeightedGraph(n, [])
+        got = degeneracy_order(G)
+        assert G._adjacency is None
+        assert got == reference_degeneracy_order(G) == (0, list(range(n))[::-1])
 
 
 class TestOptimumBounds:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -14,11 +15,13 @@ from maxqp import (
     stats,
 )
 
+from maxqp.graph import ROW_BLOCK
 from maxqp.matching import _make_matching
 
 from util import (
     edge_list,
     max_matching_size,
+    pairs,
     random_graph,
     reference_greedy_matching,
     reference_maximum_matching,
@@ -30,40 +33,107 @@ from util import (
 
 def _check_disjoint(G, M):
     used = set()
-    for u, v in M.edges:
+    for u, v in pairs(M):
         assert u < v
         assert v in G.adjacency[u]
         assert u not in used and v not in used
         used.add(u)
         used.add(v)
     for v in range(G.n):
-        if M.matched[v] is None:
+        if M.partner[v] < 0:
             assert v not in used
         else:
-            assert (min(v, M.matched[v]), max(v, M.matched[v])) in M.edges
+            p = int(M.partner[v])
+            assert (min(v, p), max(v, p)) in pairs(M)
 
 
 def _is_maximal(G, M):
-    return all(M.matched[u] is not None or M.matched[v] is not None for u, v, _ in edge_list(G))
+    return all(M.partner[u] >= 0 or M.partner[v] >= 0 for u, v, _ in edge_list(G))
+
+
+def _check_arrays(G, M):
+    """The array fields: k x 2 int64 pairs u < v sorted by u, and a symmetric
+    int64 partner array that is -1 exactly on the unmatched vertices."""
+    k = len(M.edges)
+    assert M.edges.dtype == np.int64 and M.edges.shape == (k, 2)
+    u, v = M.edges[:, 0], M.edges[:, 1]
+    assert (u < v).all() and (np.diff(u) > 0).all()
+    assert M.partner.dtype == np.int64 and M.partner.shape == (G.n,)
+    assert (M.partner[u] == v).all() and (M.partner[v] == u).all()
+    matched = np.zeros(G.n, dtype=bool)
+    matched[u] = matched[v] = True
+    assert (M.partner[~matched] == -1).all() and (M.partner[matched] >= 0).all()
+
+
+def _running_abs_sum(ws) -> float:
+    total = 0.0
+    for w in ws:
+        total += abs(w)
+    return total
+
+
+def _scan_in_column_order(G):
+    """One scan in column order: the accepted (u, v, w), in acceptance order."""
+    free = [True] * G.n
+    accepted = []
+    for u, v, w in edge_list(G):
+        if free[u] and free[v]:
+            free[u] = free[v] = False
+            accepted.append((u, v, w))
+    return accepted
+
+
+class TestMatchingArrays:
+    """Every matcher's fields against a plain reference, on random real and
+    unit graphs, isolated vertices and edgeless graphs included."""
+
+    @staticmethod
+    def _check(G):
+        greedy = reference_greedy_matching(G)
+        first_fit = _scan_in_column_order(G)
+        maximum = reference_maximum_matching(G)
+        expected = {
+            greedy_sorted_matching: greedy,
+            maximal_matching: (
+                tuple((u, v) for u, v, _ in first_fit),
+                _running_abs_sum(w for _, _, w in first_fit),
+            ),
+            maximum_matching: (maximum, _running_abs_sum(G.weight(u, v) for u, v in maximum)),
+        }
+        for matcher, (want_pairs, want_total) in expected.items():
+            M = matcher(G)
+            _check_arrays(G, M)
+            assert pairs(M) == want_pairs
+            assert type(M.total_abs_weight) is float
+            assert M.total_abs_weight.hex() == want_total.hex()
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_fields_and_pairs(self, seed):
+        n = 1 + seed % 41
+        self._check(random_graph(7000 + seed, n, [0, n // 2, n, 3 * n][seed % 4], real=seed % 3 == 1))
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_scans_over_several_row_blocks(self, real):
+        self._check(random_graph(48, 6000, 3 * ROW_BLOCK, real=real))
 
 
 class TestMakeMatching:
     def test_pairs_sharing_a_vertex_raise(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(InternalError):
-            _make_matching(G, [(0, 1), (1, 2)])
+            _make_matching(G, [0, 1])  # edges (0, 1) and (1, 2)
 
     def test_repeated_pair_raises(self):
         G = WeightedGraph(2, [(0, 1, 1.0)])
         with pytest.raises(InternalError):
-            _make_matching(G, [(0, 1), (1, 0)])
+            _make_matching(G, [0, 0])  # edge (0, 1) twice
 
 
 class TestGreedy:
     def test_triangle_takes_heaviest_edge_only(self):
         G = WeightedGraph(3, [(0, 1, 3.0), (1, 2, 2.0), (0, 2, 1.0)])
         M = greedy_sorted_matching(G)
-        assert M.edges == ((0, 1),)
+        assert pairs(M) == ((0, 1),)
         assert M.total_abs_weight == 3.0
         assert M.total_abs_weight >= 6.0 / (2 * 2)
 
@@ -75,7 +145,7 @@ class TestGreedy:
 
     def test_equal_weights_break_ties_lexicographically(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        assert greedy_sorted_matching(G).edges == ((0, 1),)
+        assert pairs(greedy_sorted_matching(G)) == ((0, 1),)
 
     def test_weight_bound_on_random_bounded_degree_graphs(self):
         from maxqp import GeneratorSpec, generate
@@ -114,15 +184,15 @@ class TestGreedy:
             )
         for G in graphs:
             M = greedy_sorted_matching(G)
-            assert (M.edges, M.total_abs_weight) == reference_greedy_matching(G)
-            assert all(M.matched[M.matched[v]] == v for v in range(G.n) if M.matched[v] is not None)
-            assert sum(x is not None for x in M.matched) == 2 * len(M.edges)
+            assert (pairs(M), M.total_abs_weight) == reference_greedy_matching(G)
+            assert all(M.partner[M.partner[v]] == v for v in range(G.n) if M.partner[v] >= 0)
+            assert sum(x >= 0 for x in M.partner) == 2 * len(M.edges)
 
 
 class TestMaximal:
     def test_path_takes_first_scanned_edge(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert maximal_matching(G).edges == ((0, 1),)
+        assert pairs(maximal_matching(G)) == ((0, 1),)
 
     def test_empty_graph(self):
         assert len(maximal_matching(WeightedGraph(2, [])).edges) == 0
@@ -194,7 +264,7 @@ class TestMaximumDifferential:
         G = WeightedGraph(n, [(u, v, 1.0) for u, v in edges])
         M = maximum_matching(G)
         _check_disjoint(G, M)
-        assert M.edges == reference_maximum_matching(G)
+        assert pairs(M) == reference_maximum_matching(G)
         assert len(M.edges) == max_matching_size(G) == size
 
     @settings(max_examples=150, deadline=None)
@@ -202,7 +272,7 @@ class TestMaximumDifferential:
     def test_same_pairs_as_reference(self, G):
         M = maximum_matching(G)
         _check_disjoint(G, M)
-        assert M.edges == reference_maximum_matching(G)
+        assert pairs(M) == reference_maximum_matching(G)
         assert len(M.edges) == tutte_matching_size(G)
         if G.n <= 12:
             assert len(M.edges) == max_matching_size(G)
@@ -211,6 +281,6 @@ class TestMaximumDifferential:
         # several blossoms per search, over sparse through dense graphs
         for seed in range(300):
             n = 10 + seed % 51
-            pairs = n * (n - 1) // 2
-            G = random_graph(5000 + seed, n, [n, 2 * n, pairs // 3, pairs][seed % 4])
-            assert maximum_matching(G).edges == reference_maximum_matching(G)
+            full = n * (n - 1) // 2
+            G = random_graph(5000 + seed, n, [n, 2 * n, full // 3, full][seed % 4])
+            assert pairs(maximum_matching(G)) == reference_maximum_matching(G)

@@ -313,6 +313,11 @@ class TestDrivers:
         assert r.value == pytest.approx(sum(abs(w) for _, _, w in edge_list(G)), rel=1e-12)
         assert r.value == pytest.approx(evaluate(G, r.assignment.values), rel=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(G=unit_graphs(max_n=40, max_isolated=3))
+    def test_degenerate_certificate_is_the_degeneracy(self, G):
+        assert solve_degenerate(G).certificate["degeneracy"] == stats(G).degeneracy
+
     def test_easypack_upper_bound_on_optimum(self):
         # packed vertex count times degeneracy bounds the optimum from above
         for seed in range(60):

@@ -31,6 +31,7 @@ from maxqp import (
     generate,
     glue_blocks,
     induced_subgraph,
+    Matching,
     maximal_matching,
     solve_exact,
     to_nice,
@@ -54,6 +55,11 @@ GENERATOR_SPECS = [
 def edge_list(G: WeightedGraph) -> list[tuple[int, int, float]]:
     """G's edges as (u, v, w) tuples, in the order of its columns."""
     return list(zip(*(c.tolist() for c in G.edge_arrays())))
+
+
+def pairs(M: Matching) -> tuple[tuple[int, int], ...]:
+    """M's matched pairs as (u, v) tuples, in the row order of `M.edges`."""
+    return tuple(map(tuple, M.edges.tolist()))
 
 
 def reference_evaluate(G: WeightedGraph, values) -> float:
@@ -446,9 +452,9 @@ def reference_easypack(G: WeightedGraph):
     Returns (parts, centers) in EasyPacking's form; easypack must match both.
     """
     M = maximal_matching(G)
-    istar = {v for v in range(G.n) if M.matched[v] is None and G.degree(v) > 0}
+    istar = {v for v in range(G.n) if M.partner[v] < 0 and G.degree(v) > 0}
     mstar = []
-    for x, y in M.edges:
+    for x, y in pairs(M):
         common = sorted(G.adjacency[x].keys() & G.adjacency[y].keys() & istar)
         if len(common) >= 2:
             u, v = common[0], common[1]
@@ -679,6 +685,38 @@ def reference_extend(G: WeightedGraph, x) -> tuple[int, ...]:
     rest = reference_scan(G, [v for v in range(G.n) if v not in x])
     signs = reference_combine(G, x, rest)
     return tuple(signs[v] for v in range(G.n))
+
+
+def reference_degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
+    """Degeneracy and peeling order by a bucket queue over `G.adjacency`, as
+    a list of buckets with lazy deletion; degeneracy_order must match both."""
+    n = G.n
+    if n == 0:
+        return 0, []
+    deg = [G.degree(v) for v in range(n)]
+    buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
+    for v in range(n):
+        buckets[deg[v]].append(v)
+    removed = [False] * n
+    order = []
+    d = 0
+    cur = 0
+    while len(order) < n:
+        if not buckets[cur]:
+            cur += 1
+            continue
+        v = buckets[cur].pop()
+        if removed[v] or deg[v] != cur:  # re-bucketed at a lower degree since
+            continue
+        removed[v] = True
+        order.append(v)
+        d = max(d, cur)
+        for u in G.adjacency[v]:
+            if not removed[u]:
+                deg[u] -= 1
+                buckets[deg[u]].append(u)
+                cur = min(cur, deg[u])
+    return d, order
 
 
 def reference_greedy_matching(G: WeightedGraph) -> tuple[tuple[tuple[int, int], ...], float]:
