@@ -31,7 +31,6 @@ from .packing import (
     solve_degenerate,
     solve_dense,
     star_packing,
-    triangle_is_good,
 )
 from .schemes import (
     VertexPartition,

@@ -7,6 +7,10 @@ already placed sum below zero.  `combine_disjoint` and `extend_from_induced`
 are choices of blocks, as are the matching and packing drivers in
 :mod:`maxqp.packing`.
 
+A graph's one stored form is its (u, v, w) edge columns.  The walks that
+go vertex by vertex (peeling, min-fill, BFS, the blossom search, easypack's
+split step) read `neighbour_lists`, cut from the columns when they start.
+
 The objective used everywhere is the edge-based sum over stored undirected
 edges: val_x(G) = sum over {u,v} in E of a_uv * x_u * x_v.  This is half of
 the full symmetric double sum over the matrix A; one convention is used
@@ -69,12 +73,11 @@ class WeightedGraph:
     once with a nonzero weight.  `unit` is true iff every |w| == 1.  The stored
     form is three numpy columns (u, v, w): int64 ids with u < v and float64
     weights, sorted by (u, v), which `edge_arrays` returns: the one edge
-    list.  `adjacency` is built from it on first read: `adjacency[v]` maps
-    each neighbour of v to the edge weight, keys in increasing id order, so
-    `u in adjacency[v]` and `adjacency[v][u]` are O(1).
+    list.  No other view is kept: a walk by vertex reads `neighbour_lists(G)`,
+    cut from the columns on each call.
     """
 
-    __slots__ = ("n", "unit", "_arrays", "_adjacency")
+    __slots__ = ("n", "unit", "_arrays")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         canon = []
@@ -118,36 +121,14 @@ class WeightedGraph:
         self.n = n
         self.unit = bool((absw == 1.0).all())
         self._arrays = (u, v, w)
-        self._adjacency = None
 
     def edge_arrays(self):
         """The (u, v, w) numpy columns, the stored form, for bulk passes."""
         return self._arrays
 
     @property
-    def adjacency(self) -> list[dict[int, float]]:
-        """Neighbour -> weight map of each vertex, built on first read."""
-        if self._adjacency is None:
-            adjacency: list[dict[int, float]] = [{} for _ in range(self.n)]
-            for u, v, w in zip(*(c.tolist() for c in self._arrays)):
-                adjacency[u][v] = w
-                adjacency[v][u] = w
-            self._adjacency = adjacency
-        return self._adjacency
-
-    @property
     def m(self) -> int:
         return len(self._arrays[0])
-
-    def weight(self, u: int, v: int) -> float:
-        """Weight of edge {u, v}; raises if the edge is absent."""
-        w = self.adjacency[u].get(v)
-        if w is None:
-            raise ValidationError(f"no edge ({u}, {v})")
-        return w
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.n}, m={self.m}, unit={self.unit})"
@@ -371,26 +352,30 @@ class InstanceStats:
     density: Fraction = field(default_factory=lambda: Fraction(0))
 
 
+def neighbour_lists(G: WeightedGraph) -> list[list[int]]:
+    """Each vertex's neighbours, in increasing id order, cut from the edge columns.
+
+    Both directions of every edge, smaller neighbours first: the columns are
+    sorted by (u, v), so a stable sort by vertex puts each list in id order.
+    """
+    eu, ev, _ = G.edge_arrays()
+    src = np.concatenate((ev, eu))
+    nbrs = np.concatenate((eu, ev))[np.argsort(src, kind="stable")].tolist()
+    cut = np.cumsum(np.bincount(src, minlength=G.n)).tolist()
+    return [nbrs[a:b] for a, b in zip([0, *cut], cut)]
+
+
 def degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
     """Degeneracy and a peeling order via repeated minimum-degree removal.
 
-    Bucket-queue implementation, O(n + m) (Batagelj & Zaversnik, *An O(m)
-    algorithm for cores decomposition of networks*, 2003).  Its neighbour
-    lists are cut from the edge columns, each in increasing id order, so it
-    does not build `G.adjacency`.
+    Bucket-queue implementation over `neighbour_lists`, O(n + m) (Batagelj &
+    Zaversnik, *An O(m) algorithm for cores decomposition of networks*, 2003).
     """
     n = G.n
     if n == 0:
         return 0, []
-    eu, ev, _ = G.edge_arrays()
-    # both directions of every edge, smaller neighbours first: the columns are
-    # sorted by (u, v), so a stable sort by vertex puts each list in id order
-    src = np.concatenate((ev, eu))
-    by_vertex = np.argsort(src, kind="stable")
-    nbrs = np.concatenate((eu, ev))[by_vertex].tolist()
-    counts = np.bincount(src, minlength=n)
-    start = np.concatenate(([0], np.cumsum(counts))).tolist()
-    deg = counts.tolist()
+    nb = neighbour_lists(G)
+    deg = [len(a) for a in nb]
     buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
     for v in range(n):
         buckets[deg[v]].append(v)
@@ -411,7 +396,7 @@ def degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
         order.append(v)
         if cur > d:
             d = cur
-        for u in nbrs[start[v] : start[v + 1]]:
+        for u in nb[v]:
             if not removed[u]:
                 k = deg[u] = deg[u] - 1
                 buckets[k].append(u)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError
-from .graph import WeightedGraph, rows
+from .graph import WeightedGraph, neighbour_lists, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +98,7 @@ def maximum_matching(G: WeightedGraph) -> Matching:
     1980) needs phases of shortest augmenting paths, which this does not use.
     """
     n = G.n
+    nb = neighbour_lists(G)
     match: list[int] = [-1] * n
     parent = [-1] * n
     base = list(range(n))
@@ -143,7 +144,7 @@ def maximum_matching(G: WeightedGraph) -> Matching:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in G.adjacency[v]:
+            for to in nb[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):

@@ -1,11 +1,11 @@
-"""Local structures: good/bad predicates, easy packings, and the three
-matching/packing-based approximation drivers.
+"""Easy packings and the three matching/packing-based approximation drivers.
 
 An *easy* subgraph is a connected split graph whose clique side is a single
 center edge, whose remaining (outside) vertices form an independent set
-adjacent only to the center endpoints, and which contains no bad triangle.
-Packing disjoint easy subgraphs yields a solution worth one unit per packed
-edge on unit-weight instances.
+adjacent only to the center endpoints, and which contains no bad triangle
+(one whose three unit weights multiply to -1).  Packing disjoint easy
+subgraphs yields a solution worth one unit per packed edge on unit-weight
+instances.
 """
 
 from __future__ import annotations
@@ -24,30 +24,25 @@ from .graph import (
     extend_from_induced,
     glue_blocks,
     induced_subgraph,
+    neighbour_lists,
     value_tol,
 )
 from .matching import Matching, greedy_sorted_matching, maximal_matching, maximum_matching
 
 
-def triangle_is_good(G: WeightedGraph, u: int, v: int, w: int) -> bool:
-    """True iff the three (unit) weights of the triangle multiply to +1.
-
-    Exactly the triangles all of whose edges can be made good simultaneously.
-    """
-    if not G.unit:
-        raise ValidationError("triangle predicate requires unit weights")
-    p = G.weight(u, v) * G.weight(v, w) * G.weight(w, u)
-    return p > 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EasyPacking:
-    """Disjoint vertex sets each inducing an easy subgraph of G."""
+    """Disjoint vertex sets each inducing an easy subgraph of G, as arrays.
 
-    parts: tuple[tuple[int, ...], ...]
-    centers: tuple[tuple[int, int], ...]
+    `centers` is a k x 2 int64 array of the center edges in packing order.
+    `part_of[v]` is the index of v's part, or -1 when v is uncovered (an int64
+    array of length n); part i holds both endpoints of center i.
+    `edge_count` is the number of edges inside the parts.
+    """
+
+    centers: np.ndarray
+    part_of: np.ndarray
     edge_count: int
-    covered: frozenset[int]
 
 
 def _degrees(G: WeightedGraph) -> np.ndarray:
@@ -58,7 +53,7 @@ def _degrees(G: WeightedGraph) -> np.ndarray:
 
 def _glue_with_rest(G: WeightedGraph, block_of, inner, k: int) -> Assignment:
     """Glue blocks 0..k-1, then each vertex still at block -1 alone, in id order."""
-    block_of = np.asarray(block_of, dtype=np.int64)
+    block_of = np.array(block_of, dtype=np.int64)
     rest = np.flatnonzero(block_of < 0)
     block_of[rest] = k + np.arange(len(rest))
     signs, value = glue_blocks(G, block_of, inner)
@@ -86,70 +81,102 @@ def matching_to_solution(G: WeightedGraph, M: Matching) -> Assignment:
 def packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignment:
     """Solution with value >= m(F) for a valid easy packing of a unit instance.
 
-    Within each part the center edge is oriented first; every outside vertex
-    copies the sign forced by its center neighbor(s).  Good-triangle closure
-    makes each in-part edge contribute +1.  The parts are glued on in packing
-    order, then the leftover vertices one at a time in id order.
+    Within each part the center (cu, cv) is oriented cu -> +1, cv -> w(cu, cv);
+    every outside vertex copies the sign forced by its edges to the center
+    endpoints.  Good-triangle closure makes each in-part edge contribute +1.
+    The parts are glued on in packing order, then the leftover vertices one at
+    a time in id order.  Numpy passes over the edge columns find every sign.
+
+    Raises ValidationError when `part_of` is not of length n or a center's
+    endpoints are not in its own part, and then, first by part and within a
+    part by vertex, on a center that is no edge, a bad triangle or an outside
+    vertex with no center neighbour.
     """
     if not G.unit:
         raise ValidationError("packing_to_solution requires unit weights")
-    block_of = [-1] * G.n
-    inner = [1] * G.n
-    for b, (part, (cu, cv)) in enumerate(zip(P.parts, P.centers)):
-        local = {cu: 1, cv: 1 if G.weight(cu, cv) > 0 else -1}
-        for o in part:
-            if o in (cu, cv):
-                continue
-            nbrs = G.adjacency[o]
-            forced = None
-            for c in (cu, cv):
-                if c in nbrs:
-                    want = local[c] * (1 if nbrs[c] > 0 else -1)
-                    if forced is None:
-                        forced = want
-                    elif forced != want:
-                        raise ValidationError(
-                            f"bad triangle ({o}, {cu}, {cv}) inside a part"
-                        )
-            if forced is None:
-                raise ValidationError(f"part is disconnected at vertex {o}")
-            local[o] = forced
-        for v, s in local.items():
-            block_of[v] = b
-            inner[v] = s
-    out = _glue_with_rest(G, block_of, inner, len(P.parts))
+    n, k = G.n, len(P.centers)
+    part, (cu, cv) = P.part_of, P.centers.T
+    if len(part) != n:
+        raise ValidationError(f"part_of has length {len(part)}, not n = {n}")
+    if ((part < -1) | (part >= k)).any() or ((P.centers < 0) | (P.centers >= n)).any():
+        raise ValidationError("packing holds an out-of-range vertex or part id")
+    home = (part[cu] == np.arange(k)) & (part[cv] == np.arange(k))
+    if not home.all():
+        b = int(np.argmin(home))
+        raise ValidationError(f"center ({cu[b]}, {cv[b]}) is not inside its part {b}")
+    # each part holds exactly two center endpoints, its own: an edge inside a
+    # part joins them (the center edge) or an outside vertex to one of them
+    is_end = np.zeros(n, dtype=bool)
+    is_end[cu] = is_end[cv] = True
+    eu, ev, ew = G.edge_arrays()
+    pu = part[eu]
+    inside = (pu >= 0) & (pu == part[ev])
+    end_u, end_v = is_end[eu], is_end[ev]
+    center = inside & end_u & end_v
+    sign = np.ones(n, dtype=np.int64)
+    sign[cv] = 0  # stays 0 where the center is no edge
+    sign[cv[pu[center]]] = ew[center]
+    spoke = np.flatnonzero(inside & (end_u != end_v))
+    o = np.where(end_v[spoke], eu[spoke], ev[spoke])
+    forced = sign[eu[spoke] + ev[spoke] - o] * ew[spoke]
+    plus = np.bincount(o[forced > 0], minlength=n)
+    minus = np.bincount(o[forced < 0], minlength=n)
+    outside = (part >= 0) & ~is_end
+    bad_triangle = (plus > 0) & (minus > 0)
+    wrong = np.flatnonzero(outside & (bad_triangle | (plus + minus == 0)))
+    first = np.full(k, n, dtype=np.int64)  # each part's first wrong vertex
+    np.minimum.at(first, part[wrong], wrong)
+    failed = (sign[cv] == 0) | (first < n)
+    if failed.any():
+        b = int(np.argmax(failed))
+        if sign[cv[b]] == 0:
+            raise ValidationError(f"no edge ({cu[b]}, {cv[b]})")
+        x = int(first[b])
+        if bad_triangle[x]:
+            raise ValidationError(f"bad triangle ({x}, {cu[b]}, {cv[b]}) inside a part")
+        raise ValidationError(f"part is disconnected at vertex {x}")
+    inner = np.where(outside, np.where(plus > 0, 1, -1), sign)
+    out = _glue_with_rest(G, part, inner, k)
     if out.value + value_tol(G) < P.edge_count:
         raise InternalError("packing solution fell below its packed edge count")
     return out
 
 
-def _attach(G: WeightedGraph, centers, vertices, fits) -> EasyPacking:
-    """Seed one part per center edge, then give each vertex, in order, to the
-    first center with an endpoint in N(v) that `fits(idx, v)` accepts.
+def _attach(G: WeightedGraph, centers: np.ndarray, triangles: bool) -> EasyPacking:
+    """Seed part i with center edge i (a k x 2 array of disjoint edges), then
+    give every other vertex v the smallest idx that it fits: v touches
+    exactly one endpoint of center idx or, when `triangles` is set, both, and
+    the triangle is good (its three unit weights multiply to +1).
 
-    Centers are disjoint edges, so each endpoint indexes one center; a center
-    outside N(v) can never take v, so only the touching ones are tried, in
-    index order.  The packed edges are counted in one pass over the edge
-    columns, from each vertex's part id.
+    Whether v fits idx depends only on v and idx, never on the vertices placed
+    before, so every vertex is placed at once: the edges from each vertex
+    outside the centers to a center endpoint give its (v, idx) pairs, a pair
+    seen twice is a triangle, and the first fitting idx per v is kept.  The
+    packed edges are counted in one more pass over the edge columns.
     """
-    parts = [[x, y] for x, y in centers]
-    center_of = [-1] * G.n
-    for idx, (x, y) in enumerate(centers):
-        center_of[x] = center_of[y] = idx
-    part_of = center_of[:]
-    adjacency = G.adjacency
-    for v in vertices:
-        for idx in sorted({center_of[u] for u in adjacency[v] if center_of[u] >= 0}):
-            if fits(idx, v):
-                parts[idx].append(v)
-                part_of[v] = idx
-                break
-    part_of = np.array(part_of, dtype=np.int64)
-    eu, ev, _ = G.edge_arrays()
+    k = len(centers)
+    part_of = np.full(G.n, -1, dtype=np.int64)
+    part_of[centers[:, 0]] = part_of[centers[:, 1]] = np.arange(k)
+    eu, ev, ew = G.edge_arrays()
+    pu, pv = part_of[eu], part_of[ev]
+    center_w = np.zeros(k)
+    center = (pu >= 0) & (pu == pv)  # both ends in one center: the center edge
+    center_w[pu[center]] = ew[center]
+    to_v, to_u = (pu < 0) & (pv >= 0), (pu >= 0) & (pv < 0)
+    key = np.concatenate((eu[to_v] * k + pv[to_v], ev[to_u] * k + pu[to_u]))
+    w = np.concatenate((ew[to_v], ew[to_u]))
+    # a (v, idx) pair listed twice is v touching both endpoints: a triangle,
+    # good iff an odd number of its spokes is negative exactly when its center is
+    key, at, count = np.unique(key, return_inverse=True, return_counts=True)
+    odd = np.bincount(at, weights=w < 0, minlength=len(key)) % 2 == 1
+    v, idx = np.divmod(key, max(k, 1))
+    fits = (count == 1) | (triangles & (count == 2) & (odd == (center_w[idx] < 0)))
+    v, idx = v[fits], idx[fits]
+    first = np.unique(v, return_index=True)[1]  # sorted by (v, idx): the smallest idx
+    part_of[v[first]] = idx[first]
     pu = part_of[eu]
     edge_count = int(np.count_nonzero((pu >= 0) & (pu == part_of[ev])))
-    covered = frozenset(np.flatnonzero(part_of >= 0).tolist())
-    return EasyPacking(tuple(tuple(sorted(p)) for p in parts), tuple(centers), edge_count, covered)
+    return EasyPacking(centers, part_of, edge_count)
 
 
 def easypack(G: WeightedGraph) -> EasyPacking:
@@ -159,58 +186,41 @@ def easypack(G: WeightedGraph) -> EasyPacking:
     edge {x, y}, if two unmatched vertices each form a triangle with it, split
     it into the two center edges {u, x} and {v, y}; (4) seed parts from the
     resulting edges; (5) attach each remaining unmatched vertex v to the
-    first center it forms a path or a good triangle with.  All scans in
-    increasing id order, O(n + m) after the maximal matching.
+    first center it forms a path or a good triangle with.  Steps 1-3 scan in
+    increasing id order; O(n + m) plus a sort of the edge endpoints.
     """
     if not G.unit:
         raise ValidationError("easypack requires unit weights")
     M = maximal_matching(G)
-    istar = set(np.flatnonzero((M.partner < 0) & (_degrees(G) > 0)).tolist())
-    adjacency = G.adjacency
+    istar = set(np.flatnonzero(M.partner < 0).tolist())
+    nb = neighbour_lists(G)
     centers: list[tuple[int, int]] = []
     for x, y in M.edges.tolist():
-        common = sorted(adjacency[x].keys() & adjacency[y].keys() & istar)
+        common = sorted(istar.intersection(nb[x]).intersection(nb[y]))
         if len(common) >= 2:
             u, v = common[0], common[1]
-            centers.append(tuple(sorted((u, x))))
-            centers.append(tuple(sorted((v, y))))
+            centers += [(min(u, x), max(u, x)), (min(v, y), max(v, y))]
             istar -= {u, v}
         else:
             centers.append((x, y))
-
-    def fits(idx: int, v: int) -> bool:
-        # a touching center has an endpoint in N(v): a path unless both are
-        cx, cy = centers[idx]
-        nbrs = adjacency[v]
-        return (cx in nbrs) != (cy in nbrs) or triangle_is_good(G, v, cx, cy)
-
-    return _attach(G, centers, sorted(istar), fits)
+    return _attach(G, np.array(centers, dtype=np.int64).reshape(-1, 2), triangles=True)
 
 
 def star_packing(G: WeightedGraph) -> EasyPacking:
     """Star packing seeded from a maximum-cardinality matching.
 
-    Unmatched vertices are scanned in increasing id order and each is
-    attached to the first touching center it is adjacent to at exactly one
-    endpoint (both would close a triangle).  Each part is then a star around
-    one endpoint, its hub: if unmatched v and w hung off opposite endpoints
-    x, y of one center, v-x-y-w would be an augmenting path, and M is
-    maximum.  Requires a unit instance without isolated vertices.
+    Each unmatched vertex is attached to the first touching center it is
+    adjacent to at exactly one endpoint (both would close a triangle).  Each
+    part is then a star around one endpoint, its hub: if unmatched v and w
+    hung off opposite endpoints x, y of one center, v-x-y-w would be an
+    augmenting path, and M is maximum.  Requires a unit instance without
+    isolated vertices.
     """
     if not G.unit:
         raise ValidationError("star_packing requires unit weights")
     if not _degrees(G).all():
         raise ValidationError("star_packing requires no isolated vertices")
-    M = maximum_matching(G)
-    adjacency = G.adjacency
-    centers = [(x, y) for x, y in M.edges.tolist()]
-
-    def fits(idx: int, v: int) -> bool:
-        x, y = centers[idx]
-        nbrs = adjacency[v]
-        return not (x in nbrs and y in nbrs)
-
-    return _attach(G, centers, np.flatnonzero(M.partner < 0).tolist(), fits)
+    return _attach(G, maximum_matching(G).edges, triangles=False)
 
 
 def _trivial_result(G: WeightedGraph, extra: dict) -> ApproxResult:
@@ -250,11 +260,12 @@ def solve_degenerate(G: WeightedGraph) -> ApproxResult:
     P = easypack(G)
     out = packing_to_solution(G, P)
     guarantee = Fraction(1, 2 * degeneracy)
-    if 2 * P.edge_count < len(P.covered):
+    covered = int(np.count_nonzero(P.part_of >= 0))
+    if 2 * P.edge_count < covered:
         raise InternalError("easy packing fell below |V_F|/2 packed edges")
     cert = {
         "packed_edges": P.edge_count,
-        "covered": len(P.covered),
+        "covered": covered,
         "degeneracy": degeneracy,
     }
     return ApproxResult(out, guarantee, cert)

@@ -22,6 +22,7 @@ from .graph import (
     combine_disjoint,
     extend_from_induced,
     induced_subgraph,
+    neighbour_lists,
 )
 from .treewidth import DEFAULT_WIDTH_CAP, build_decomposition, check_dp_width, solve_treewidths
 
@@ -35,6 +36,7 @@ def bfs_layers(G: WeightedGraph, root: int | None = None) -> tuple[int, ...]:
     """
     if root is not None and not 0 <= root < G.n:
         raise ValidationError(f"root {root} out of range")
+    nb = neighbour_lists(G)
     layer_of = [-1] * G.n
     starts = range(G.n) if root is None else [root, *range(G.n)]
     for start in starts:
@@ -45,7 +47,7 @@ def bfs_layers(G: WeightedGraph, root: int | None = None) -> tuple[int, ...]:
         while dq:
             v = dq.popleft()
             d = layer_of[v] + 1
-            for u in G.adjacency[v]:
+            for u in nb[v]:
                 if layer_of[u] < 0:
                     layer_of[u] = d
                     dq.append(u)

@@ -55,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ParseError, ValidationError
-from .graph import ApproxResult, Assignment, WeightedGraph, evaluate
+from .graph import ApproxResult, Assignment, WeightedGraph, evaluate, neighbour_lists
 
 DEFAULT_WIDTH_CAP = 20
 MAX_DP_WIDTH = 27  # a bag of 28 vertices makes a 1 GiB half table
@@ -166,10 +166,10 @@ def build_decomposition(
     has more than `width_cap + 1` vertices; `achieved` is that bag's width,
     a lower bound on the width the full ordering would reach.
 
-    `adj[v]` holds v's alive neighbours only (built from the edge columns,
-    so G's adjacency maps are not built), and fill[u] (the number of
-    non-adjacent pairs in adj[u]) is counted once per vertex and then kept
-    exact by deltas.  Eliminating v with N = adj[v]:
+    `adj[v]` holds v's alive neighbours only (sets of `neighbour_lists(G)` at
+    the start), and fill[u] (the number of non-adjacent pairs in adj[u]) is
+    counted once per vertex and then kept exact by deltas.  Eliminating v
+    with N = adj[v]:
       - each u in N drops v from adj[u] and loses one missing pair (v, c) per
         c in adj[u] outside N: fill[u] -= |adj[u]| - |adj[u] & N|;
       - each fill edge ab (a, b in N, not adjacent), with C = adj[a] & adj[b]
@@ -181,11 +181,7 @@ def build_decomposition(
     n = G.n
     if n == 0:
         return TreeDecomposition((), (), 0)
-    eu, ev, _ = G.edge_arrays()
-    ends = np.concatenate((eu, ev))
-    nbr = np.concatenate((ev, eu))[np.argsort(ends, kind="stable")].tolist()
-    cut = np.cumsum(np.bincount(ends, minlength=n)).tolist()
-    adj: list[set[int]] = [set(nbr[a:b]) for a, b in zip([0] + cut, cut)]
+    adj: list[set[int]] = [set(a) for a in neighbour_lists(G)]
 
     def fill_count(v: int) -> int:
         nbrs = list(adj[v])

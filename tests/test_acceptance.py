@@ -45,14 +45,17 @@ from maxqp.graph import degeneracy_order
 from maxqp.schemes import residue_classes
 
 from util import (
+    adjacency,
     brute_force_maxcut,
     check_easy_packing,
+    covered,
     edge_list,
     evaluate_partial,
     heuristic_partition,
     is_bipartite,
     max_matching_size,
     normalize_nonneg,
+    parts,
     random_graph,
 )
 
@@ -153,7 +156,7 @@ def test_04_bounded_degree_driver(capsys):
             m = 30 + rng.randrange(46)
             G = random_graph(60_000 + trial, n, m, real=trial % 7 == 0)
             M = greedy_sorted_matching(G)
-            delta = max(G.degree(v) for v in range(n))
+            delta = max(len(nbrs) for nbrs in adjacency(G))
             w_all = sum(abs(w) for _, _, w in edge_list(G))
             assert M.total_abs_weight >= w_all / (2 * delta) - TOL
 
@@ -175,13 +178,14 @@ def test_05_degenerate_driver(capsys):
             opt = brute_force(G).value
             r = solve_degenerate(G)
             assert r.value >= opt / (2 * d) - TOL
-            assert 2 * P.edge_count >= len(P.covered)
-            assert opt <= d * len(P.covered) + TOL
+            assert 2 * P.edge_count >= len(covered(P))
+            assert opt <= d * len(covered(P)) + TOL
             # each center edge forms a triangle with at most one uncovered vertex
-            center_vs = {v for c in P.centers for v in c}
-            istar = {v for v in range(n) if v not in center_vs and G.degree(v) > 0}
-            for x, y in P.centers:
-                assert len(G.adjacency[x].keys() & G.adjacency[y].keys() & istar) <= 1
+            adj = adjacency(G)
+            center_vs = set(P.centers.ravel().tolist())
+            istar = {v for v in range(n) if v not in center_vs and adj[v]}
+            for x, y in P.centers.tolist():
+                assert len(adj[x].keys() & adj[y].keys() & istar) <= 1
             done += 1
 
 
@@ -195,7 +199,7 @@ def test_06_dense_driver(capsys):
             n = 4 + rng.randrange(11)
             m = max(1, n // 2) + rng.randrange(n)
             G = random_graph(80_000 + seed, n, min(m, n * (n - 1) // 2))
-            if any(G.degree(v) == 0 for v in range(G.n)):
+            if not all(adjacency(G)):
                 continue
             instances.append(G)
         instances.append(generate(GeneratorSpec("clique-plus-matching", 3, {"n": 16})))
@@ -209,12 +213,13 @@ def test_06_dense_driver(capsys):
             assert r.value >= bound - TOL
             assert r.value >= opt / (3 * float(delta)) - TOL
             assert P.edge_count >= bound - TOL
-            leftover = set(range(G.n)) - P.covered
-            for part in P.parts:
+            adj = adjacency(G)
+            leftover = set(range(G.n)) - covered(P)
+            for part in parts(P):
                 pset = set(part)
                 touching = {
                     v for v in leftover
-                    if any(u in pset for u in G.adjacency[v])
+                    if any(u in pset for u in adj[v])
                 }
                 assert len(touching) <= 1
 
@@ -254,12 +259,13 @@ def test_08_baker_scheme(capsys):
                 # residue-class accounting against the enumeration oracle
                 k = r.certificate["k"]
                 full = brute_force(G).value
+                adj = adjacency(G)
                 for cls in residue_classes(bfs_layers(G), k):
                     drop = set(cls)
                     keep = [v for v in range(G.n) if v not in drop]
                     hood = set(cls)
                     for v in cls:
-                        hood.update(G.adjacency[v])
+                        hood.update(adj[v])
                     gi, _ = induced_subgraph(G, keep)
                     hi, _ = induced_subgraph(G, sorted(hood))
                     assert (

@@ -28,12 +28,13 @@ from maxqp import (
     solve_bounded_degree,
     stats,
 )
-from maxqp.graph import MAX_VERTICES, ROW_BLOCK, degeneracy_order, rows
+from maxqp.graph import MAX_VERTICES, ROW_BLOCK, degeneracy_order, neighbour_lists, rows
 from maxqp.io import format_instance, parse_instance
 from maxqp.oracle import SplitMix64
 
 from util import (
     GENERATOR_SPECS,
+    adjacency,
     assert_same_graph,
     edge_list,
     evaluate_partial,
@@ -75,8 +76,7 @@ class TestConstruction:
     def test_edges_stored_canonically(self):
         G = WeightedGraph(3, [(2, 0, 1.0), (2, 1, -1.0)])
         assert edge_list(G) == [(0, 2, 1.0), (1, 2, -1.0)]
-        assert G.weight(2, 0) == 1.0
-        assert 2 in G.adjacency[1] and 1 not in G.adjacency[0]
+        assert neighbour_lists(G) == [[2], [2], [0, 1]]
 
     @pytest.mark.parametrize("w1, w2", [(1e308, 1e308), (9e307, -9e307), (8e307, -8e307)])
     def test_rejects_total_weight_whose_double_overflows(self, w1, w2):
@@ -238,28 +238,33 @@ def _graphs_from_every_builder(draw):
 
 
 class TestNeighbourMaps:
+    """`neighbour_lists` against the dict view `adjacency(G)` built from the edges."""
+
     @settings(max_examples=200, deadline=None)
     @given(G=_graphs_from_every_builder())
     def test_maps_hold_exactly_the_edges_in_ascending_key_order(self, G):
+        adj = adjacency(G)
         for u, v, w in edge_list(G):
-            assert G.adjacency[u][v] == G.adjacency[v][u] == w
-            assert G.weight(u, v) == G.weight(v, u) == w
-            assert v in G.adjacency[u] and u in G.adjacency[v]
-        assert sum(len(nbrs) for nbrs in G.adjacency) == 2 * G.m
-        for nbrs in G.adjacency:
-            assert list(nbrs) == sorted(nbrs)
-        present = {(u, v) for u, v, _ in edge_list(G)}
-        for u in range(G.n):
-            for v in range(G.n):
-                if (min(u, v), max(u, v)) in present:
-                    continue
-                assert v not in G.adjacency[u]
-                with pytest.raises(ValidationError, match="no edge"):
-                    G.weight(u, v)
+            assert adj[u][v] == adj[v][u] == w
+        assert sum(len(nbrs) for nbrs in adj) == 2 * G.m
+        assert neighbour_lists(G) == [sorted(nbrs) for nbrs in adj] == [list(nbrs) for nbrs in adj]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lists_with_isolated_vertices(self, seed):
+        n = 1 + seed % 30
+        H = random_graph(9000 + seed, n, [n // 2, n, 3 * n][seed % 3], real=seed % 2 == 1)
+        G = WeightedGraph(n + 1 + seed % 3, edge_list(H))  # isolated vertices last
+        nb = neighbour_lists(G)
+        assert nb == [sorted(nbrs) for nbrs in adjacency(G)]
+        assert nb[n:] == [[]] * (G.n - n)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless(self, n):
+        assert neighbour_lists(WeightedGraph(n, [])) == [[] for _ in range(n)]
 
 
 class TestColumnsFirst:
-    """Columns are the stored form and the one edge list; `adjacency` is built on first read."""
+    """Columns are the stored form and the one edge list; no other view is kept."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=_raw_entries())
@@ -272,20 +277,17 @@ class TestColumnsFirst:
         G = WeightedGraph._from_columns(n, u, v, w)
         assert (G.m, G.unit) == (len(edges), all(abs(x) == 1.0 for _, _, x in edges))
         assert all(a is b for a, b in zip(G.edge_arrays(), (u, v, w)))
-        assert G._adjacency is None  # m, unit and the columns do not build it
         assert_same_graph(G, WeightedGraph(n, edges[::-1]))
 
     @pytest.mark.parametrize("real", [False, True])
     def test_greedy_driver_builds_neither_edges_nor_adjacency(self, real):
         G = generate(GeneratorSpec("sparse-random", 5, {"n": 300, "m": 600, "real": real}))
         for H in (G, parse_instance(format_instance(G))):
+            before = [c.copy() for c in H.edge_arrays()]
             solve_bounded_degree(H)
-            assert H._adjacency is None
-
-    def test_adjacency_is_built_once(self):
-        G = random_graph(2, 20, 40)
-        assert G.adjacency is G.adjacency
-        assert not hasattr(G, "edges")  # the columns are the one edge list
+            # the columns are the one edge list, and the driver leaves them as they were
+            assert not hasattr(H, "edges") and not hasattr(H, "adjacency")
+            assert all(np.array_equal(a, b) for a, b in zip(H.edge_arrays(), before))
 
 
 class TestEvaluate:
@@ -336,7 +338,7 @@ class TestEvaluate:
         v %= G.n
         x = [1 if (seed >> i) & 1 else -1 for i in range(G.n)]
         before = evaluate(G, x)
-        delta = 2.0 * sum(w * x[u] * x[v] for u, w in G.adjacency[v].items())
+        delta = 2.0 * sum(w * x[u] * x[v] for u, w in adjacency(G)[v].items())
         x[v] = -x[v]
         assert evaluate(G, x) == pytest.approx(before - delta, abs=1e-9)
 
@@ -589,7 +591,7 @@ class TestStats:
 
 class TestDegeneracyOrder:
     """degeneracy_order on neighbour lists cut from the columns, against the
-    bucket queue over `G.adjacency`."""
+    bucket queue over the dict view `adjacency(G)`."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_same_as_reference_with_isolated_vertices(self, seed):
@@ -597,14 +599,12 @@ class TestDegeneracyOrder:
         H = random_graph(8000 + seed, n, [n // 3, n, 3 * n, n * n][seed % 4], real=seed % 2 == 1)
         G = WeightedGraph(n + seed % 4, edge_list(H))  # up to 3 isolated vertices last
         got = degeneracy_order(G)
-        assert G._adjacency is None
         assert got == reference_degeneracy_order(G)
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_edgeless(self, n):
         G = WeightedGraph(n, [])
         got = degeneracy_order(G)
-        assert G._adjacency is None
         assert got == reference_degeneracy_order(G) == (0, list(range(n))[::-1])
 
 
@@ -631,11 +631,12 @@ class TestInducedSubgraph:
         picked = data.draw(st.lists(st.integers(0, G.n - 1), max_size=2 * G.n))
         H, old_of = induced_subgraph(G, picked)
         assert old_of == sorted(set(picked))
+        adj = adjacency(G)
         edges = [
-            (j, i, G.weight(b, a))
+            (j, i, adj[a][b])
             for i, a in enumerate(old_of)
             for j, b in enumerate(old_of)
-            if j > i and b in G.adjacency[a]
+            if j > i and b in adj[a]
         ]
         assert_same_graph(H, WeightedGraph(len(old_of), edges[::-1]))
 

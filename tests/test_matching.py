@@ -19,6 +19,7 @@ from maxqp.graph import ROW_BLOCK
 from maxqp.matching import _make_matching
 
 from util import (
+    adjacency,
     edge_list,
     max_matching_size,
     pairs,
@@ -32,10 +33,11 @@ from util import (
 
 
 def _check_disjoint(G, M):
+    adj = adjacency(G)
     used = set()
     for u, v in pairs(M):
         assert u < v
-        assert v in G.adjacency[u]
+        assert v in adj[u]
         assert u not in used and v not in used
         used.add(u)
         used.add(v)
@@ -92,13 +94,14 @@ class TestMatchingArrays:
         greedy = reference_greedy_matching(G)
         first_fit = _scan_in_column_order(G)
         maximum = reference_maximum_matching(G)
+        adj = adjacency(G)
         expected = {
             greedy_sorted_matching: greedy,
             maximal_matching: (
                 tuple((u, v) for u, v, _ in first_fit),
                 _running_abs_sum(w for _, _, w in first_fit),
             ),
-            maximum_matching: (maximum, _running_abs_sum(G.weight(u, v) for u, v in maximum)),
+            maximum_matching: (maximum, _running_abs_sum(adj[u][v] for u, v in maximum)),
         }
         for matcher, (want_pairs, want_total) in expected.items():
             M = matcher(G)

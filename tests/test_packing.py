@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,19 +27,24 @@ from maxqp import (
     solve_dense,
     star_packing,
     stats,
-    triangle_is_good,
 )
 from maxqp.graph import value_tol
 from maxqp.oracle import SplitMix64
 
 from util import (
+    adjacency,
     check_easy_packing,
+    covered,
     edge_is_good,
     edge_list,
+    packing,
+    parts,
     random_graph,
     reference_easypack,
+    reference_packing_to_solution,
     reference_star_packing,
     sample_small,
+    triangle_is_good,
     tutte_matching_size,
     unit_graphs,
 )
@@ -45,6 +52,10 @@ from util import (
 
 def _unit_graph(seed, n, m):
     return random_graph(seed, n, m, real=False)
+
+
+def _centers(P) -> tuple[tuple[int, int], ...]:
+    return tuple(map(tuple, P.centers.tolist()))
 
 
 class TestPredicates:
@@ -89,55 +100,143 @@ class TestMatchingToSolution:
 class TestPackingToSolution:
     def test_star_all_positive(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
-        P = EasyPacking(
-            parts=((0, 1, 2, 3),),
-            centers=((0, 1),),
-            edge_count=3,
-            covered=frozenset({0, 1, 2, 3}),
-        )
+        P = packing(4, parts=((0, 1, 2, 3),), centers=((0, 1),), edge_count=3)
         check_easy_packing(G, P)
         assert packing_to_solution(G, P).value == 3.0
 
     def test_good_triangle_part(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        P = EasyPacking(
-            parts=((0, 1, 2),),
-            centers=((0, 1),),
-            edge_count=3,
-            covered=frozenset({0, 1, 2}),
-        )
+        P = packing(3, parts=((0, 1, 2),), centers=((0, 1),), edge_count=3)
         assert packing_to_solution(G, P).value == 3.0
 
     def test_rejects_non_unit_instance(self):
         G = WeightedGraph(2, [(0, 1, 2.0)])
-        P = EasyPacking(((0, 1),), ((0, 1),), 1, frozenset({0, 1}))
+        P = packing(2, ((0, 1),), ((0, 1),), 1)
         with pytest.raises(ValidationError):
             packing_to_solution(G, P)
+
+
+def _same_outcome(G, P):
+    """packing_to_solution and the per-part walk give the same signs and
+    value, or raise the same ValidationError text."""
+    try:
+        want = reference_packing_to_solution(G, P)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            packing_to_solution(G, P)
+        assert str(got.value) == str(exc)
+        return False
+    got = packing_to_solution(G, P)
+    assert got.values == want.values
+    assert got.value.hex() == want.value.hex()
+    return True
+
+
+class TestPackingToSolutionDifferential:
+    """The numpy passes against `reference_packing_to_solution`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(G=unit_graphs(max_isolated=4))
+    def test_same_as_reference_on_packer_outputs(self, G):
+        assert _same_outcome(G, easypack(G))
+        H, _ = induced_subgraph(G, [v for v, nbrs in enumerate(adjacency(G)) if nbrs])
+        if H.n:
+            assert _same_outcome(H, star_packing(H))
+
+    @pytest.mark.parametrize(
+        "edges, parts_, centers, text",
+        [
+            # the center is no edge
+            ([(0, 1, 1.0)], ((0, 2),), ((0, 2),), "no edge (0, 2)"),
+            # w(0,2) * w(1,2) * w(0,1) < 0
+            ([(0, 1, 1.0), (1, 2, 1.0), (0, 2, -1.0)], ((0, 1, 2),), ((0, 1),), "bad triangle (2, 0, 1)"),
+            # centers are oriented as given: (1, 0) has its own triangle text
+            ([(0, 1, 1.0), (1, 2, 1.0), (0, 2, -1.0)], ((0, 1, 2),), ((1, 0),), "bad triangle (2, 1, 0)"),
+            ([(0, 1, 1.0), (2, 3, 1.0)], ((0, 1, 2),), ((0, 1),), "disconnected at vertex 2"),
+            # part 1 fails at vertices 4 (triangle) and 5 (disconnected), part 2
+            # at its center: the first part's first vertex is reported
+            (
+                [(0, 1, 1.0), (2, 3, -1.0), (2, 4, 1.0), (3, 4, 1.0), (6, 7, 1.0)],
+                ((0, 1), (2, 3, 4, 5), (6, 8)),
+                ((0, 1), (2, 3), (6, 8)),
+                "bad triangle (4, 2, 3)",
+            ),
+            # within a part, a missing center edge comes before its vertices
+            ([(0, 2, 1.0), (1, 3, 1.0)], ((0, 1, 2, 4),), ((0, 1),), "no edge (0, 1)"),
+            (
+                [(0, 1, 1.0), (2, 3, 1.0), (2, 4, 1.0)],
+                ((0, 1, 5), (2, 3, 4, 6)),
+                ((0, 1), (2, 3)),
+                "disconnected at vertex 5",
+            ),
+        ],
+    )
+    def test_same_error_text_on_invalid_packings(self, edges, parts_, centers, text):
+        n = 1 + max([v for p in parts_ for v in p] + [v for e in edges for v in e[:2]])
+        G = WeightedGraph(n, edges)
+        P = packing(G.n, parts_, centers, 0)
+        assert not _same_outcome(G, P)
+        with pytest.raises(ValidationError, match=re.escape(text)):
+            packing_to_solution(G, P)
+
+    def test_same_outcome_on_random_packings(self):
+        # random disjoint vertex pairs as centers (edges or not) and random
+        # parts for the other vertices: valid and invalid packings alike
+        outcomes = set()
+        for seed in range(400):
+            rng = SplitMix64(seed)
+            n = 3 + rng.randrange(14)
+            G = _unit_graph(3000 + seed, n, rng.randrange(n * (n - 1) // 2 + 1))
+            order = list(range(n))
+            rng.shuffle(order)
+            k = 1 + rng.randrange(n // 2)
+            centers = [tuple(order[2 * i : 2 * i + 2]) for i in range(k)]
+            groups = [list(c) for c in centers]
+            for v in order[2 * k :]:
+                b = rng.randrange(k + 2) - 2  # a third of them or so uncovered
+                if b >= 0:
+                    groups[b].append(v)
+            outcomes.add(_same_outcome(G, packing(n, groups, centers, 0)))
+        assert outcomes == {False, True}
+
+    def test_rejects_malformed_arrays(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        P = packing(3, ((0, 1, 2),), ((0, 1),), 2)
+        with pytest.raises(ValidationError, match="length 2, not n = 3"):
+            packing_to_solution(G, EasyPacking(P.centers, P.part_of[:2], 2))
+        with pytest.raises(ValidationError, match=re.escape("center (1, 2) is not inside its part 0")):
+            packing_to_solution(G, packing(3, ((0, 1),), ((1, 2),), 1))
+        with pytest.raises(ValidationError, match="out-of-range"):
+            packing_to_solution(G, EasyPacking(P.centers, np.array([0, 0, 1]), 2))
 
 
 class TestValidator:
     def test_rejects_overlapping_parts(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        P = EasyPacking(((0, 1), (1, 2)), ((0, 1), (1, 2)), 2, frozenset({0, 1, 2}))
-        with pytest.raises(ValidationError):
+        # part_of holds one part per vertex: overlapping parts cannot be built
+        with pytest.raises(ValidationError, match="not disjoint"):
+            packing(3, ((0, 1), (1, 2)), ((0, 1), (1, 2)), 2)
+        # a center endpoint assigned to another part is caught by the validator
+        P = packing(3, ((0,), (1, 2)), ((0, 1), (1, 2)), 1)
+        with pytest.raises(ValidationError, match="center endpoints"):
             check_easy_packing(G, P)
 
     def test_rejects_outside_vertex_with_non_center_neighbor(self):
         # 0-1 center, 2 and 3 outside but adjacent to each other
         G = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (2, 3, 1.0)])
-        P = EasyPacking(((0, 1, 2, 3),), ((0, 1),), 4, frozenset({0, 1, 2, 3}))
+        P = packing(4, ((0, 1, 2, 3),), ((0, 1),), 4)
         with pytest.raises(ValidationError):
             check_easy_packing(G, P)
 
     def test_rejects_bad_triangle_inside_part(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -1.0)])
-        P = EasyPacking(((0, 1, 2),), ((0, 1),), 3, frozenset({0, 1, 2}))
+        P = packing(3, ((0, 1, 2),), ((0, 1),), 3)
         with pytest.raises(ValidationError):
             check_easy_packing(G, P)
 
     def test_rejects_missing_center_edge(self):
         G = WeightedGraph(3, [(0, 1, 1.0)])
-        P = EasyPacking(((0, 2),), ((0, 2),), 0, frozenset({0, 2}))
+        P = packing(3, ((0, 2),), ((0, 2),), 0)
         with pytest.raises(ValidationError):
             check_easy_packing(G, P)
 
@@ -146,15 +245,15 @@ class TestEasypack:
     def test_good_triangle_absorbed_into_one_part(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         P = easypack(G)
-        assert P.parts == ((0, 1, 2),)
+        assert parts(P) == ((0, 1, 2),)
         assert P.edge_count == 3
 
     def test_bad_triangle_third_vertex_left_over(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, -1.0)])
         P = easypack(G)
-        assert P.parts == ((0, 1),)
+        assert parts(P) == ((0, 1),)
         assert P.edge_count == 1
-        assert set(range(G.n)) - P.covered == {2}
+        assert set(range(G.n)) - covered(P) == {2}
 
     def test_requires_unit_weights(self):
         with pytest.raises(ValidationError):
@@ -165,33 +264,32 @@ class TestEasypack:
             G = _unit_graph(300 + seed, 4 + seed % 9, 2 + seed % 14)
             P = easypack(G)
             check_easy_packing(G, P)
-            assert 2 * P.edge_count >= len(P.covered)
+            assert 2 * P.edge_count >= len(covered(P))
 
     def test_each_center_meets_at_most_one_leftover_triangle(self):
         # leftover non-isolated vertices form at most one triangle per center
         for seed in range(120):
             G = _unit_graph(600 + seed, 5 + seed % 8, 3 + seed % 12)
             P = easypack(G)
-            center_vs = {v for c in P.centers for v in c}
-            istar = {
-                v for v in range(G.n) if v not in center_vs and G.degree(v) > 0
-            }
-            for x, y in P.centers:
-                assert len(G.adjacency[x].keys() & G.adjacency[y].keys() & istar) <= 1
+            adj = adjacency(G)
+            center_vs = set(P.centers.ravel().tolist())
+            istar = {v for v in range(G.n) if v not in center_vs and adj[v]}
+            for x, y in P.centers.tolist():
+                assert len(adj[x].keys() & adj[y].keys() & istar) <= 1
 
 
 class TestStarPacking:
     def test_path_third_vertex_attaches(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         P = star_packing(G)
-        assert P.parts == ((0, 1, 2),)
+        assert parts(P) == ((0, 1, 2),)
         assert P.edge_count == 2
 
     def test_perfect_matching_is_its_own_packing(self):
         G = WeightedGraph(6, [(0, 1, 1.0), (2, 3, -1.0), (4, 5, 1.0)])
         P = star_packing(G)
         assert P.edge_count == 3
-        assert P.covered == set(range(G.n))
+        assert covered(P) == set(range(G.n))
 
     def test_rejects_isolated_vertices(self):
         with pytest.raises(ValidationError):
@@ -203,16 +301,17 @@ class TestStarPacking:
         while checked < 100:
             seed += 1
             G = _unit_graph(900 + seed, 4 + seed % 8, 4 + seed % 12)
-            if any(G.degree(v) == 0 for v in range(G.n)):
+            adj = adjacency(G)
+            if not all(adj):
                 continue
             P = star_packing(G)
             check_easy_packing(G, P)
             st = stats(G)
             assert P.edge_count >= G.m / (3 * float(st.density)) - 1e-9
-            leftover = set(range(G.n)) - P.covered
-            for part in P.parts:
+            leftover = set(range(G.n)) - covered(P)
+            for part in parts(P):
                 # at most one leftover vertex touches each part
-                touching = {v for v in leftover if any(u in part for u in G.adjacency[v])}
+                touching = {v for v in leftover if any(u in part for u in adj[v])}
                 assert len(touching) <= 1
             checked += 1
 
@@ -225,15 +324,15 @@ class TestPackingDifferential:
     def test_easypack_same_as_reference(self, G):
         P = easypack(G)
         check_easy_packing(G, P)
-        assert (P.parts, P.centers) == reference_easypack(G)
+        assert (parts(P), _centers(P)) == reference_easypack(G)
 
     @settings(max_examples=150, deadline=None)
     @given(G=unit_graphs())
     def test_star_packing_same_as_reference(self, G):
-        H, _ = induced_subgraph(G, [v for v in range(G.n) if G.degree(v) > 0])
+        H, _ = induced_subgraph(G, [v for v, nbrs in enumerate(adjacency(G)) if nbrs])
         P = star_packing(H)
         check_easy_packing(H, P)
-        assert (P.parts, P.centers) == reference_star_packing(H)
+        assert (parts(P), _centers(P)) == reference_star_packing(H)
         assert len(P.centers) == tutte_matching_size(H)
 
     def test_same_as_reference_on_random_graphs(self):
@@ -242,10 +341,10 @@ class TestPackingDifferential:
             pairs = n * (n - 1) // 2
             G = _unit_graph(7000 + seed, n, [n, 2 * n, pairs // 3, pairs][seed % 4])
             P = easypack(G)
-            assert (P.parts, P.centers) == reference_easypack(G)
-            H, _ = induced_subgraph(G, [v for v in range(G.n) if G.degree(v) > 0])
+            assert (parts(P), _centers(P)) == reference_easypack(G)
+            H, _ = induced_subgraph(G, [v for v, nbrs in enumerate(adjacency(G)) if nbrs])
             P = star_packing(H)
-            assert (P.parts, P.centers) == reference_star_packing(H)
+            assert (parts(P), _centers(P)) == reference_star_packing(H)
 
 
 class TestDrivers:
@@ -295,7 +394,7 @@ class TestDrivers:
             assert r1.value >= float(r1.guarantee) * opt - 1e-9
             r2 = solve_degenerate(G)
             assert r2.value >= float(r2.guarantee) * opt - 1e-9
-            if all(G.degree(v) > 0 for v in range(G.n)):
+            if all(adjacency(G)):
                 r3 = solve_dense(G)
                 assert r3.value >= float(r3.guarantee) * opt - 1e-9
 
@@ -326,16 +425,17 @@ class TestDrivers:
                 continue
             P = easypack(G)
             d = stats(G).degeneracy
-            assert brute_force(G).value <= d * len(P.covered) + 1e-9
+            assert brute_force(G).value <= d * len(covered(P)) + 1e-9
 
 
 def _naive_degeneracy(G: WeightedGraph) -> int:
     """Largest degree at removal when a vertex of least remaining degree is
     removed each time, found by a full scan per step."""
+    adj = adjacency(G)
     alive = set(range(G.n))
     d = 0
     while alive:
-        deg = {v: sum(1 for u in G.adjacency[v] if u in alive) for v in alive}
+        deg = {v: sum(1 for u in adj[v] if u in alive) for v in alive}
         v = min(alive, key=deg.__getitem__)
         d = max(d, deg[v])
         alive.remove(v)
@@ -356,7 +456,7 @@ class TestFactorsAgainstBruteForce:
         r = solve_bounded_degree(G)
         assert _reports_true_value(G, r)
         if G.m:
-            delta = max(G.degree(v) for v in range(n))
+            delta = max(len(nbrs) for nbrs in adjacency(G))
             assert r.guarantee == Fraction(1, 2 * delta)
             assert r.value >= brute_force(G).value / (2 * delta) - value_tol(G)
 
@@ -374,7 +474,7 @@ class TestFactorsAgainstBruteForce:
     @given(G=unit_graphs(max_n=12))
     def test_star_pack_within_one_over_three_density(self, G):
         # relabel the non-isolated vertices 0..k-1: star-pack's bound needs none isolated
-        alive = [v for v in range(G.n) if G.degree(v)]
+        alive = [v for v, nbrs in enumerate(adjacency(G)) if nbrs]
         new_of = {v: i for i, v in enumerate(alive)}
         H = WeightedGraph(len(alive), [(new_of[u], new_of[v], w) for u, v, w in edge_list(G)])
         if H.m == 0:

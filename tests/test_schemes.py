@@ -24,6 +24,7 @@ from maxqp.oracle import GeneratorSpec, generate
 from maxqp.schemes import residue_classes
 
 from util import (
+    adjacency,
     edge_list,
     heuristic_partition,
     layers_of,
@@ -60,6 +61,7 @@ class TestBfsLayers:
             H = random_graph(seed, 8, 4 + seed % 10)
             G = WeightedGraph(16, edge_list(H) + [(u + 8, v + 8, w) for u, v, w in edge_list(H)])
             root = 8 + seed % 8
+            adj = adjacency(G)
             dist = [-1] * G.n
             for start in [root, *range(G.n)]:
                 if dist[start] >= 0:
@@ -68,7 +70,7 @@ class TestBfsLayers:
                 queue = deque([start])
                 while queue:
                     v = queue.popleft()
-                    for u in G.adjacency[v]:
+                    for u in adj[v]:
                         if dist[u] < 0:
                             dist[u] = dist[v] + 1
                             queue.append(u)

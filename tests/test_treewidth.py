@@ -406,11 +406,6 @@ class TestAgainstReferenceDP:
         assert new == ref
         assert new[1] == pytest.approx(brute_force(G).value, abs=1e-9)
 
-    def test_builds_no_adjacency_maps(self):
-        G = _grid(6, 6)
-        solve_exact(G)
-        assert G._adjacency is None
-
     def test_peak_memory_is_a_few_tables(self):
         # 13x13 grid: width 17, largest half table 8 * 2^17 bytes, so the
         # bound is four of them; keeping every full table (the reference DP)

@@ -35,7 +35,6 @@ from maxqp import (
     maximal_matching,
     solve_exact,
     to_nice,
-    triangle_is_good,
 )
 from maxqp.schemes import residue_classes
 
@@ -55,6 +54,29 @@ GENERATOR_SPECS = [
 def edge_list(G: WeightedGraph) -> list[tuple[int, int, float]]:
     """G's edges as (u, v, w) tuples, in the order of its columns."""
     return list(zip(*(c.tolist() for c in G.edge_arrays())))
+
+
+def adjacency(G: WeightedGraph) -> list[dict[int, float]]:
+    """Neighbour -> weight map of each vertex, keys in increasing id order:
+    the dict view of G, built from its edges in one loop.  A reference reads
+    it for membership and weight lookups; build it once per graph."""
+    adj: list[dict[int, float]] = [{} for _ in range(G.n)]
+    for u, v, w in edge_list(G):
+        adj[u][v] = w
+        adj[v][u] = w
+    return adj
+
+
+def triangle_is_good(G: WeightedGraph, u: int, v: int, w: int, adj=None) -> bool:
+    """True iff the three (unit) weights of the triangle multiply to +1.
+
+    Exactly the triangles all of whose edges can be made good simultaneously.
+    `adj` is `adjacency(G)`, built here when not given.
+    """
+    if not G.unit:
+        raise ValidationError("triangle predicate requires unit weights")
+    adj = adjacency(G) if adj is None else adj
+    return adj[u][v] * adj[v][w] * adj[w][u] > 0
 
 
 def pairs(M: Matching) -> tuple[tuple[int, int], ...]:
@@ -161,7 +183,7 @@ def assert_same_graph(G: WeightedGraph, H: WeightedGraph) -> None:
     """Every stored field of G equals H's, the numpy edge columns included."""
     assert (G.n, edge_list(G), G.unit) == (H.n, edge_list(H), H.unit)
     # dict equality ignores key order, so compare the maps as item lists
-    assert [list(a.items()) for a in G.adjacency] == [list(a.items()) for a in H.adjacency]
+    assert [list(a.items()) for a in adjacency(G)] == [list(a.items()) for a in adjacency(H)]
     for a, b in zip(G.edge_arrays(), H.edge_arrays()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -260,7 +282,7 @@ def reference_brute_force(G: WeightedGraph) -> Assignment:
     n = G.n
     if n == 0:
         return Assignment((), 0.0)
-    adj = [list(nbrs.items()) for nbrs in G.adjacency]
+    adj = [list(nbrs.items()) for nbrs in adjacency(G)]
     x = [1] * n
     val = evaluate(G, x)
     best_val = val
@@ -344,6 +366,7 @@ def reference_maximum_matching(G: WeightedGraph) -> tuple[tuple[int, int], ...]:
     O(n) per step by design.  maximum_matching must return the same pairs.
     """
     n = G.n
+    adj = adjacency(G)
     match = [-1] * n
     parent = [0] * n
     base = [0] * n
@@ -379,7 +402,7 @@ def reference_maximum_matching(G: WeightedGraph) -> tuple[tuple[int, int], ...]:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in G.adjacency[v]:
+            for to in adj[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
@@ -413,49 +436,111 @@ def reference_maximum_matching(G: WeightedGraph) -> tuple[tuple[int, int], ...]:
     return tuple((v, match[v]) for v in range(n) if match[v] > v)
 
 
-def _part_edge_count(G: WeightedGraph, part) -> int:
-    inpart = set(part)
-    return sum(1 for u in part for v in G.adjacency[u] if u < v and v in inpart)
+def parts(P: EasyPacking) -> tuple[tuple[int, ...], ...]:
+    """P's parts in packing order, each as its vertices in increasing id order."""
+    out: list[list[int]] = [[] for _ in range(len(P.centers))]
+    for v, b in enumerate(P.part_of.tolist()):
+        if b >= 0:
+            out[b].append(v)
+    return tuple(map(tuple, out))
+
+
+def covered(P: EasyPacking) -> frozenset[int]:
+    """The vertices in some part of P."""
+    return frozenset(np.flatnonzero(P.part_of >= 0).tolist())
+
+
+def packing(n: int, parts, centers, edge_count: int) -> EasyPacking:
+    """An EasyPacking on n vertices from its parts, given as vertex lists.
+
+    Raises ValidationError when two parts share a vertex, which `part_of`
+    cannot hold.
+    """
+    part_of = np.full(n, -1, dtype=np.int64)
+    for b, part in enumerate(parts):
+        if (part_of[list(part)] >= 0).any():
+            raise ValidationError("packing parts are not disjoint")
+        part_of[list(part)] = b
+    return EasyPacking(np.array(centers, dtype=np.int64).reshape(-1, 2), part_of, edge_count)
 
 
 def check_easy_packing(G: WeightedGraph, P: EasyPacking) -> None:
     """Structural validator of an easy packing; raises ValidationError on any breach."""
-    seen: set[int] = set()
-    for part, (cu, cv) in zip(P.parts, P.centers):
+    adj = adjacency(G)
+    if len(P.part_of) != G.n or not all(-1 <= b < len(P.centers) for b in P.part_of.tolist()):
+        raise ValidationError("part_of is not one part id or -1 per vertex")
+    expected = 0
+    for part, (cu, cv) in zip(parts(P), P.centers.tolist()):
         pset = set(part)
-        if pset & seen:
-            raise ValidationError("packing parts are not disjoint")
-        seen |= pset
         if cu not in pset or cv not in pset:
             raise ValidationError("center endpoints not inside their part")
-        if cv not in G.adjacency[cu]:
+        if cv not in adj[cu]:
             raise ValidationError(f"center pair ({cu}, {cv}) is not an edge")
         outside = pset - {cu, cv}
         for o in outside:
-            nbrs = G.adjacency[o].keys() & pset
+            nbrs = adj[o].keys() & pset
             if not nbrs:
                 raise ValidationError(f"part is disconnected at vertex {o}")
             if not nbrs <= {cu, cv}:
                 raise ValidationError(f"outside vertex {o} adjacent to a non-center vertex")
-            if nbrs == {cu, cv} and not triangle_is_good(G, o, cu, cv):
+            if nbrs == {cu, cv} and not triangle_is_good(G, o, cu, cv, adj):
                 raise ValidationError(f"bad triangle ({o}, {cu}, {cv}) inside a part")
-    if seen != set(P.covered):
-        raise ValidationError("covered set disagrees with parts")
-    expected = sum(_part_edge_count(G, part) for part in P.parts)
+        expected += sum(1 for u in part for v in adj[u] if u < v and v in pset)
     if expected != P.edge_count:
         raise ValidationError("edge_count disagrees with parts")
+
+
+def reference_packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignment:
+    """packing_to_solution as a walk over each part in Python, through the
+    dict view: the center is oriented cu -> +1, cv -> w(cu, cv), then each
+    outside vertex, in id order, copies the sign forced by its center
+    neighbours.  Raises what it would, at the first failing part and vertex.
+    """
+    if not G.unit:
+        raise ValidationError("packing_to_solution requires unit weights")
+    adj = adjacency(G)
+    block_of = [-1] * G.n
+    inner = [1] * G.n
+    for b, (part, (cu, cv)) in enumerate(zip(parts(P), P.centers.tolist())):
+        if cv not in adj[cu]:
+            raise ValidationError(f"no edge ({cu}, {cv})")
+        local = {cu: 1, cv: 1 if adj[cu][cv] > 0 else -1}
+        for o in part:
+            if o in (cu, cv):
+                continue
+            forced = None
+            for c in (cu, cv):
+                if c in adj[o]:
+                    want = local[c] * (1 if adj[o][c] > 0 else -1)
+                    if forced is None:
+                        forced = want
+                    elif forced != want:
+                        raise ValidationError(f"bad triangle ({o}, {cu}, {cv}) inside a part")
+            if forced is None:
+                raise ValidationError(f"part is disconnected at vertex {o}")
+            local[o] = forced
+        for v, s in local.items():
+            block_of[v] = b
+            inner[v] = s
+    rest = [v for v in range(G.n) if block_of[v] < 0]
+    for i, v in enumerate(rest):
+        block_of[v] = len(P.centers) + i
+    signs, value = glue_blocks(G, block_of, inner)
+    return Assignment(tuple(signs), value)
 
 
 def reference_easypack(G: WeightedGraph):
     """easypack with step 5 scanning every center from index 0 for each vertex.
 
-    Returns (parts, centers) in EasyPacking's form; easypack must match both.
+    Returns (parts, centers) in the form of `parts(P)` and `P.centers.tolist()`
+    as tuples; easypack must match both.
     """
+    adj = adjacency(G)
     M = maximal_matching(G)
-    istar = {v for v in range(G.n) if M.partner[v] < 0 and G.degree(v) > 0}
+    istar = {v for v in range(G.n) if M.partner[v] < 0 and adj[v]}
     mstar = []
     for x, y in pairs(M):
-        common = sorted(G.adjacency[x].keys() & G.adjacency[y].keys() & istar)
+        common = sorted(adj[x].keys() & adj[y].keys() & istar)
         if len(common) >= 2:
             u, v = common[0], common[1]
             mstar.append(tuple(sorted((u, x))))
@@ -465,10 +550,10 @@ def reference_easypack(G: WeightedGraph):
             mstar.append((x, y))
     parts = [[a, b] for a, b in mstar]
     for v in sorted(istar):
-        nbrs = G.adjacency[v]
+        nbrs = adj[v]
         for idx, (cx, cy) in enumerate(mstar):
             adj_x, adj_y = cx in nbrs, cy in nbrs
-            if adj_x != adj_y or (adj_x and adj_y and triangle_is_good(G, v, cx, cy)):
+            if adj_x != adj_y or (adj_x and adj_y and triangle_is_good(G, v, cx, cy, adj)):
                 parts[idx].append(v)
                 break
     return tuple(tuple(sorted(p)) for p in parts), tuple(mstar)
@@ -477,6 +562,7 @@ def reference_easypack(G: WeightedGraph):
 def reference_star_packing(G: WeightedGraph):
     """star_packing over reference_maximum_matching, scanning every part from
     index 0 for each unmatched vertex.  Returns (parts, centers)."""
+    adj = adjacency(G)
     centers = reference_maximum_matching(G)
     parts = [[x, y] for x, y in centers]
     hub = [None] * len(parts)
@@ -484,7 +570,7 @@ def reference_star_packing(G: WeightedGraph):
     for v in range(G.n):
         if v in matched:
             continue
-        nbrs = G.adjacency[v]
+        nbrs = adj[v]
         for idx, (x, y) in enumerate(centers):
             adj_x, adj_y = x in nbrs, y in nbrs
             if adj_x == adj_y:
@@ -500,6 +586,7 @@ def reference_star_packing(G: WeightedGraph):
 
 
 def is_bipartite(G: WeightedGraph) -> bool:
+    adj = adjacency(G)
     color = [0] * G.n
     for s in range(G.n):
         if color[s]:
@@ -508,7 +595,7 @@ def is_bipartite(G: WeightedGraph) -> bool:
         stack = [s]
         while stack:
             v = stack.pop()
-            for u in G.adjacency[v]:
+            for u in adj[v]:
                 if color[u] == 0:
                     color[u] = -color[v]
                     stack.append(u)
@@ -519,9 +606,10 @@ def is_bipartite(G: WeightedGraph) -> bool:
 
 def evaluate_partial(G: WeightedGraph, signs: Mapping[int, int]) -> float:
     """Objective restricted to edges with both endpoints in `signs`."""
+    adj = adjacency(G)
     total = 0.0
     for u, su in signs.items():
-        for v, w in G.adjacency[u].items():
+        for v, w in adj[u].items():
             if u < v and v in signs:
                 total += w * su * signs[v]
     return total
@@ -529,7 +617,7 @@ def evaluate_partial(G: WeightedGraph, signs: Mapping[int, int]) -> float:
 
 def edge_is_good(G: WeightedGraph, values, u: int, v: int) -> bool:
     """True iff a_uv * x_u * x_v > 0 for the given assignment."""
-    w = G.weight(u, v)
+    w = adjacency(G)[u][v]
     return w * values[u] * values[v] > 0
 
 
@@ -575,7 +663,7 @@ def elimination_decomposition(G: WeightedGraph, order) -> TreeDecomposition:
     """
     if G.n == 0:
         return TreeDecomposition((), (), 0)
-    adj = [set(G.adjacency[v]) for v in range(G.n)]
+    adj = [set(a) for a in adjacency(G)]
     alive = set(range(G.n))
     bags = []
     for v in order:
@@ -599,7 +687,7 @@ def reference_min_fill(G: WeightedGraph) -> TreeDecomposition:
     n = G.n
     if n == 0:
         return TreeDecomposition((), (), 0)
-    adj = [set(G.adjacency[v]) for v in range(n)]
+    adj = [set(a) for a in adjacency(G)]
     alive = set(range(n))
 
     def fill_count(v):
@@ -654,13 +742,14 @@ def reference_scan(G: WeightedGraph, vertices, start=None) -> dict[int, int]:
     edges to already-scanned vertices sum below zero, summed in adjacency
     order.  normalize_nonneg and extend_from_induced must match it.
     """
+    adj = adjacency(G)
     order = sorted(vertices)
     inset = set(order)
     signs: dict[int, int] = {}
     for i in order:
         s = start[i] if start is not None else 1
         z = 0.0
-        for j, w in G.adjacency[i].items():
+        for j, w in adj[i].items():
             if j < i and j in inset:
                 z += w * s * signs[j]
         signs[i] = -s if z < 0 else s
@@ -669,10 +758,11 @@ def reference_scan(G: WeightedGraph, vertices, start=None) -> dict[int, int]:
 
 def reference_combine(G: WeightedGraph, x1, x2) -> dict[int, int]:
     """x2 together with x1, x1 flipped iff its edges to x2 sum below zero."""
+    adj = adjacency(G)
     small, big = (x1, x2) if len(x1) <= len(x2) else (x2, x1)
     c = 0.0
     for u, su in small.items():
-        for v, w in G.adjacency[u].items():
+        for v, w in adj[u].items():
             if v in big:
                 c += w * su * big[v]
     out = dict(x2)
@@ -688,12 +778,13 @@ def reference_extend(G: WeightedGraph, x) -> tuple[int, ...]:
 
 
 def reference_degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
-    """Degeneracy and peeling order by a bucket queue over `G.adjacency`, as
+    """Degeneracy and peeling order by a bucket queue over `adjacency(G)`, as
     a list of buckets with lazy deletion; degeneracy_order must match both."""
     n = G.n
     if n == 0:
         return 0, []
-    deg = [G.degree(v) for v in range(n)]
+    adj = adjacency(G)
+    deg = [len(a) for a in adj]
     buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
     for v in range(n):
         buckets[deg[v]].append(v)
@@ -711,7 +802,7 @@ def reference_degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
         removed[v] = True
         order.append(v)
         d = max(d, cur)
-        for u in G.adjacency[v]:
+        for u in adj[v]:
             if not removed[u]:
                 deg[u] -= 1
                 buckets[deg[u]].append(u)
@@ -837,13 +928,13 @@ def _expand_index(size_child: int, pos: int) -> np.ndarray:
     return high | low
 
 
-def _bag_value(G: WeightedGraph, bag: tuple[int, ...]) -> np.ndarray:
-    """val_x(G[bag]) for every sign mask over the bag."""
+def _bag_value(adj, bag: tuple[int, ...]) -> np.ndarray:
+    """val_x(G[bag]) for every sign mask over the bag; `adj` is `adjacency(G)`."""
     size = 1 << len(bag)
     pos = {v: i for i, v in enumerate(bag)}
     out = np.zeros(size)
     for u in bag:
-        for v, w in G.adjacency[u].items():
+        for v, w in adj[u].items():
             if u < v and v in pos:
                 out += w * _sign_array(size, pos[u]) * _sign_array(size, pos[v])
     return out
@@ -863,6 +954,7 @@ def reference_nice_dp(G: WeightedGraph, ntd) -> Assignment:
     """
     if G.n == 0:
         return Assignment((), 0.0)
+    adj = adjacency(G)
     order = ntd.postorder()
     tables: dict[int, np.ndarray] = {}
     for node in order:
@@ -882,7 +974,7 @@ def reference_nice_dp(G: WeightedGraph, ntd) -> Assignment:
             table[base | (1 << p)] = child
             sv = _sign_array(size, p)
             pos = {u: i for i, u in enumerate(bag)}
-            for u, w in G.adjacency[v].items():
+            for u, w in adj[v].items():
                 if u in pos:
                     table += w * sv * _sign_array(size, pos[u])
             tables[node] = table
@@ -895,7 +987,7 @@ def reference_nice_dp(G: WeightedGraph, ntd) -> Assignment:
             tables[node] = np.maximum(child[idx0], child[idx0 | (1 << p)])
         else:  # join
             cy, cz = ntd.children[node]
-            tables[node] = tables[cy] + tables[cz] - _bag_value(G, bag)
+            tables[node] = tables[cy] + tables[cz] - _bag_value(adj, bag)
 
     root_table = tables[ntd.root]
     best_mask = int(np.argmax(root_table))  # first maximum: deterministic
