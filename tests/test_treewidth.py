@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from maxqp import (
     CapacityError,
+    InternalError,
     TreeDecomposition,
     ValidationError,
     WeightedGraph,
@@ -22,8 +24,9 @@ from maxqp import (
     to_nice,
     validate_decomposition,
 )
+from maxqp import treewidth
 from maxqp.graph import value_tol
-from maxqp.treewidth import MAX_DP_WIDTH
+from maxqp.treewidth import MAX_DP_WIDTH, cuthill_mckee_order, interval_decomposition
 from maxqp.oracle import GeneratorSpec, SplitMix64, generate
 
 from util import (
@@ -32,10 +35,12 @@ from util import (
     is_valid_decomposition,
     random_graph,
     reference_bucket_elimination,
+    reference_cuthill_mckee,
     reference_min_fill,
     reference_nice_dp,
     reference_to_nice,
     sample_small,
+    vertex_separation,
 )
 
 
@@ -572,6 +577,7 @@ class TestSolveTreewidths:
             order = list(range(G.n))
             SplitMix64(i).shuffle(order)
             pairs.append((G, elimination_decomposition(G, order)))
+            pairs.append((G, interval_decomposition(G, cuthill_mckee_order(G))))
         for s in range(4):
             small = random_graph(1000 + s, 12, 20, real=True)
             large = random_graph(1100 + s, 40, 70, real=True)
@@ -641,3 +647,132 @@ class TestSolveTreewidths:
             tracemalloc.stop()
         assert td.width == 20
         assert peak < 14.6 * 2**20
+
+    def test_backtracked_value_is_checked_against_the_dp_optimum(self, monkeypatch):
+        G = _grid(4, 4)
+        pairs = [(G, build_decomposition(G)), (G, interval_decomposition(G, range(G.n)))]
+        monkeypatch.setattr(treewidth, "evaluate", lambda G, x: evaluate(G, x) + 1.0)
+        for td in (pair[1] for pair in pairs):
+            with pytest.raises(InternalError, match="DP optimum"):
+                solve_treewidth(G, td)
+        with pytest.raises(InternalError, match="DP optimum"):
+            solve_treewidths(pairs)
+
+
+def _interval_cases():
+    """Random graphs, plus the builder's edge cases: n = 1, edgeless graphs,
+    isolated vertices and several components."""
+    graphs = [sample_small(seed) for seed in range(80)]
+    graphs += [WeightedGraph(1, []), WeightedGraph(6, [])]
+    graphs += [random_graph(300 + s, 14, 4 + 2 * s, real=s % 2 == 1) for s in range(8)]
+    graphs += [_grid(3, 4, seed=2), _grid(5, 2, seed=3)]
+    return graphs
+
+
+def _cells(td):
+    return sum(1 << max(len(b) - 1, 0) for b in td.bags)
+
+
+class TestIntervalDecomposition:
+    def test_cuthill_mckee_order_is_the_reference_permutation(self):
+        for G in _interval_cases():
+            order = cuthill_mckee_order(G)
+            assert sorted(order) == list(range(G.n))
+            assert order == reference_cuthill_mckee(G)
+
+    def test_valid_with_the_width_of_the_reversed_vertex_separation(self):
+        for seed, G in enumerate(_interval_cases()):
+            shuffled = list(range(G.n))
+            SplitMix64(seed).shuffle(shuffled)
+            for order in (shuffled, cuthill_mckee_order(G)):
+                td = interval_decomposition(G, order)
+                validate_decomposition(G, td)
+                assert is_valid_decomposition(G, td)
+                assert td.parent == (*range(1, G.n), None) and td.root == G.n - 1
+                assert all(v in bag for v, bag in zip(order, td.bags))
+                assert td.width == vertex_separation(G, order[::-1])
+
+    def test_edgeless_and_empty_graphs(self):
+        assert interval_decomposition(WeightedGraph(0, []), []) == TreeDecomposition((), (), 0)
+        with pytest.raises(ValidationError, match="each of the 0 vertices once"):
+            interval_decomposition(WeightedGraph(0, []), [0])
+        td = interval_decomposition(WeightedGraph(3, []), [2, 0, 1])
+        assert td.bags == ((2,), (0,), (1,)) and td.width == 0
+
+    @pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3], [0, 1, -1], [[0, 1, 2]]])
+    def test_an_order_that_is_not_a_permutation_is_refused(self, order):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValidationError, match="each of the 3 vertices once"):
+            interval_decomposition(G, order)
+
+    def test_every_builder_and_the_chooser_reach_the_optimum(self):
+        for seed in range(150):
+            G = sample_small(seed)
+            shuffled = list(range(G.n))
+            SplitMix64(seed).shuffle(shuffled)
+            opt = brute_force(G).value
+            tds = [build_decomposition(G, G.n), interval_decomposition(G, shuffled)]
+            tds.append(interval_decomposition(G, cuthill_mckee_order(G)))
+            for td in tds:
+                assert abs(solve_treewidth(G, td).value - opt) <= value_tol(G)
+            assert abs(solve_exact(G, G.n).value - opt) <= value_tol(G)
+
+    def test_the_chooser_runs_the_decomposition_with_fewer_cells(self):
+        graphs = [_grid(r, c, seed=r * c) for r, c in [(8, 8), (9, 12), (10, 11), (12, 12)]]
+        graphs += [sample_small(seed) for seed in range(60)]
+        graphs += [random_graph(400 + s, 40, 60) for s in range(4)]
+        picked_interval = 0
+        for G in graphs:
+            mf = build_decomposition(G)
+            iv = interval_decomposition(G, cuthill_mckee_order(G))
+            use = iv if _cells(iv) < _cells(mf) else mf  # ties keep min-fill
+            picked_interval += use is iv
+            r = solve_exact(G)
+            assert r.certificate == {"width": use.width}
+            assert r.assignment == solve_treewidth(G, use)
+        assert picked_interval >= 3
+
+    def test_a_star_keeps_min_fill(self):
+        G = WeightedGraph(41, [(0, v, 1.0 if v % 2 else -1.0) for v in range(1, 41)])
+        assert interval_decomposition(G, cuthill_mckee_order(G)).width == 39
+        r = solve_exact(G)
+        assert r.certificate == {"width": 1}
+        assert r.value == 40.0
+
+    def test_grid_width_is_at_most_the_short_side(self):
+        for rows in range(3, 13):
+            for cols in range(rows, 13):
+                G = _grid(rows, cols, seed=rows * 100 + cols)
+                assert interval_decomposition(G, cuthill_mckee_order(G)).width <= rows
+
+    def test_answers_where_only_the_interval_form_fits_the_cap(self):
+        G = _grid(8, 8, seed=3)
+        with pytest.raises(CapacityError):
+            build_decomposition(G, width_cap=8)
+        r = solve_exact(G, width_cap=8)
+        assert r.certificate == {"width": 8}
+        assert r.value == solve_exact(G, width_cap=20).value
+
+    def test_refusal_is_min_fills_when_neither_fits(self):
+        G = _grid(12, 12, seed=5)
+        with pytest.raises(CapacityError) as mf:
+            build_decomposition(G, width_cap=9)
+        with pytest.raises(CapacityError) as exc:
+            solve_exact(G, width_cap=9)
+        assert (str(exc.value), exc.value.achieved) == (str(mf.value), mf.value.achieved)
+
+    @pytest.mark.parametrize("cap", [8, 9])
+    def test_a_refused_min_fill_leaves_no_cycle(self, cap):
+        # A cycle through the error's traceback would keep min-fill's frame,
+        # its sets and heap, alive until the cyclic collector next runs.
+        G = _grid(12, 12, seed=5) if cap == 9 else _grid(8, 8, seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                solve_exact(G, width_cap=cap)
+            except CapacityError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

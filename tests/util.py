@@ -32,8 +32,9 @@ from maxqp import (
     glue_blocks,
     induced_subgraph,
     Matching,
+    build_decomposition,
     maximal_matching,
-    solve_exact,
+    solve_treewidth,
     to_nice,
 )
 from maxqp.schemes import residue_classes
@@ -720,6 +721,49 @@ def reference_min_fill(G: WeightedGraph) -> TreeDecomposition:
     return _clique_tree(order, bags)
 
 
+def vertex_separation(G: WeightedGraph, order) -> int:
+    """Vertex separation of a linear order, from its definition: over every
+    cut after position i, the number of vertices at or before the cut with a
+    neighbour after it, at most."""
+    pos = {v: i for i, v in enumerate(order)}
+    adj = adjacency(G)
+    return max(
+        (
+            sum(1 for v in order[: i + 1] if any(pos[u] > i for u in adj[v]))
+            for i in range(len(order))
+        ),
+        default=0,
+    )
+
+
+def reference_cuthill_mckee(G: WeightedGraph) -> list[int]:
+    """cuthill_mckee_order written plainly: each vertex's neighbours sorted
+    by (degree, id) one list at a time, and each BFS kept as its layers."""
+    adj = adjacency(G)
+    deg = [len(a) for a in adj]
+    nbrs = [sorted(a, key=lambda u: (deg[u], u)) for a in adj]
+
+    def bfs(start):
+        layers, seen = [[start]], {start}
+        while True:
+            nxt = []
+            for v in layers[-1]:
+                for u in nbrs[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            if not nxt:
+                return layers
+            layers.append(nxt)
+
+    order: list[int] = []
+    for s in range(G.n):
+        if s not in order:
+            last = bfs(s)[-1]
+            order += [v for layer in bfs(min(last, key=lambda v: (deg[v], v))) for v in layer]
+    return order
+
+
 def solution(G: WeightedGraph, values) -> Assignment:
     """Wrap a sign vector as an Assignment with its evaluated value."""
     return Assignment(tuple(values), evaluate(G, values))
@@ -1104,7 +1148,7 @@ def layers_of(layer_of) -> tuple[tuple[int, ...], ...]:
 
 def reference_baker(G: WeightedGraph, eps: float, width_cap: int = 20) -> ApproxResult:
     """solve_baker's loop over all k residue classes, empty ones included,
-    each solved on its own."""
+    each solved on its own over the scheme's min-fill decomposition."""
     k = math.ceil(4 / eps)
     classes: list[list[int]] = [[] for _ in range(k)]
     for v, li in enumerate(bfs_layers(G)):
@@ -1114,7 +1158,7 @@ def reference_baker(G: WeightedGraph, eps: float, width_cap: int = 20) -> Approx
         drop = set(classes[i])
         keep = [v for v in range(G.n) if v not in drop]
         sub, old_of = induced_subgraph(G, keep)
-        values = solve_exact(sub, width_cap).assignment.values
+        values = solve_treewidth(sub, build_decomposition(sub, width_cap)).values
         sol = extend_from_induced(G, {old_of[j]: s for j, s in enumerate(values)})
         if best is None or sol.value > best.value:
             best, best_i = sol, i
@@ -1169,7 +1213,8 @@ def is_valid_decomposition(G: WeightedGraph, td: TreeDecomposition) -> bool:
 
 def reference_partition_scheme(G: WeightedGraph, eps: float, partition=None) -> ApproxResult:
     """solve_partition_scheme's loop over every part of the (default
-    heuristic) partition, empty parts included, each solved on its own."""
+    heuristic) partition, empty parts included, each solved on its own over
+    the scheme's min-fill decomposition."""
     h = max(1, math.ceil(G.m / G.n))
     if partition is None:
         partition = heuristic_partition(G, math.ceil(6 * h / eps))
@@ -1179,7 +1224,7 @@ def reference_partition_scheme(G: WeightedGraph, eps: float, partition=None) -> 
         for vertices in (set(range(G.n)) - set(part), part):
             if vertices:
                 sub, old_of = induced_subgraph(G, vertices)
-                values = solve_exact(sub).assignment.values
+                values = solve_treewidth(sub, build_decomposition(sub)).values
                 x.update((old_of[j], s) for j, s in enumerate(values))
         # both sides glued as blocks in combine_disjoint's order: outside, then part
         inside = set(part)
