@@ -27,7 +27,6 @@ from .treewidth import (
     read_decomposition,
     solve_exact,
     solve_treewidth,
-    validate_decomposition,
 )
 
 
@@ -93,14 +92,8 @@ def cmd_solve(args) -> int:
     if args.decomposition:
         if args.algo not in ("exact-tw", "auto"):
             raise ValidationError("--decomposition only applies to exact-tw")
-        td = read_decomposition(args.decomposition)
-        validate_decomposition(G, td)
-        if td.width > args.width_cap:
-            raise CapacityError(
-                f"decomposition width {td.width} exceeds cap {args.width_cap}",
-                achieved=td.width,
-            )
-        sol = solve_treewidth(G, td)
+        td = read_decomposition(args.decomposition, G.n)
+        sol = solve_treewidth(G, td, args.width_cap)  # checks validity, then the cap
         algo, r = "exact-tw", ApproxResult(sol, Fraction(1), {"width": td.width})
     else:
         algo, r = _solve(G, args.algo, opts)

@@ -4,17 +4,17 @@ Pipeline: two decompositions, the clique tree of a min-fill elimination
 ordering and the interval form of a Cuthill–McKee order, of which
 `solve_exact` runs the one with fewer DP cells -> bucket elimination over
 the bags, one sign-mask table per bag, with backtracking reconstruction and
-a check of the backtracked value against the DP's optimum.  The DP takes any
-valid decomposition: it
-renumbers the bags children before parents itself (`to_nice`).  An external
-decomposition in the `b`/`t` text format is read by `read_decomposition` and
-solved as it is, empty bags included.  A decomposition wider than
-MAX_DP_WIDTH is refused before any table is allocated.
+a check of the backtracked value against the DP's optimum.  One form,
+`TreeDecomposition` (flat arrays, children before parents), runs from both
+builders to the DP with no renumbering.  `to_nice` is the one renumbering
+step; a decomposition in the `b`/`t` text format goes through it in
+`read_decomposition` and is then solved as it is, empty bags included.  A
+decomposition wider than MAX_DP_WIDTH is refused before any table exists.
 
 `solve_treewidths` solves a list of (graph, decomposition) pairs in one run;
 `solve_treewidth` is its one-pair case.  Each pair is checked and put in
-array form first (bag entries as flat arrays with per-bag offsets, each
-child message's axes in its parent, each bucket edge's +-1 pattern code),
+array form first (each child message's axes in its parent, each bucket
+edge's +-1 pattern code),
 with numpy passes rather than a Python loop per bag.  The bags of all pairs
 then run side by side: bags at the same step with the same size and
 number of vertices maxed out share one table with a row per bag, so a run of
@@ -45,8 +45,8 @@ vertex order, so its width is the order's vertex separation.  A
 Cuthill–McKee order (`cuthill_mckee_order`) sweeps a grid by its diagonals,
 for width at most the short side where min-fill reaches 19-20 on 14x14 and
 15x15 grids; on sparse random graphs it is far wider than min-fill.  Its
-sizes come from O(n + m) numpy passes, so it is only built as tuples when
-it fits the cap.
+sizes come from O(n + m) numpy passes, so its bags are only built when it
+fits the cap.
 
 The DP is exact for *any* valid decomposition; the heuristic only affects
 runtime.  Elimination stops at the first bag wider than the cap and raises a
@@ -59,7 +59,6 @@ fits the cap, and when neither does raises min-fill's CapacityError.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,26 +72,92 @@ DEFAULT_WIDTH_CAP = 20
 MAX_DP_WIDTH = 27  # a bag of 28 vertices makes a 1 GiB half table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeDecomposition:
-    bags: tuple[tuple[int, ...], ...]
-    parent: tuple[int | None, ...]  # parent[root] is None
-    root: int
+    """Int64 arrays: bag i is flat[off[i]:off[i+1]], sorted with no vertex
+    twice, and its parent is bag parent[i] > i; the root is the last bag,
+    with parent -1.  The DP runs the bags in this children-first order.  The
+    form with no bag is valid only for the graph with no vertex.  The
+    constructor checks these invariants and makes the arrays read-only."""
+
+    off: np.ndarray
+    flat: np.ndarray
+    parent: np.ndarray
+
+    def __post_init__(self):
+        for name in ("off", "flat", "parent"):
+            a = np.asarray(getattr(self, name), dtype=np.int64)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        off, flat, parent = self.off, self.flat, self.parent
+        k = len(parent)
+        size = np.diff(off)
+        if off.shape != (k + 1,) or off[0] != 0 or off[-1] != len(flat) or (size < 0).any():
+            raise ValidationError("bag offsets must rise from 0 to the entry count")
+        bad = (parent <= np.arange(k)) | (parent >= k)
+        bad[-1:] = parent[-1:] != -1
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"bag {i} of {k} has parent {parent[i]}: want a later bag, -1 last")
+        bag_of = np.repeat(np.arange(k), size)
+        bad = np.flatnonzero((flat[1:] <= flat[:-1]) & (bag_of[1:] == bag_of[:-1]))
+        if bad.size:
+            j = bad[0]
+            if flat[j] == flat[j + 1]:
+                raise ValidationError(f"a bag lists vertex {flat[j]} twice")
+            raise ValidationError(f"bag {bag_of[j]} is not sorted")
+
+    @property
+    def bags(self) -> tuple[tuple[int, ...], ...]:
+        flat, cut = self.flat.tolist(), self.off.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(cut, cut[1:]))
 
     @property
     def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
-
-    def children(self) -> list[list[int]]:
-        ch: list[list[int]] = [[] for _ in self.bags]
-        for i, p in enumerate(self.parent):
-            if p is not None:
-                ch[p].append(i)
-        return ch
+        return int(np.diff(self.off).max()) - 1 if len(self.parent) else 0
 
 
-def parse_decomposition(text: str) -> TreeDecomposition:
-    bags: dict[int, tuple[int, ...]] = {}
+def to_nice(bags, parent, root: int) -> TreeDecomposition:
+    """The one renumbering step: bags[i] with links parent[i] (None at
+    `root`), in any numbering and vertex order, as a `TreeDecomposition`
+    numbered by reversed preorder from `root`, each bag sorted.  Raises
+    `ValidationError` unless the links form one tree over all bags and each
+    bag lists its vertices once.  `parse_decomposition` reads a file through
+    it; the name is kept from the nice-form DP that this form replaced.
+    """
+    k = len(bags)
+    if k == 0:
+        return TreeDecomposition([0], [], [])
+    if len(parent) != k or not 0 <= root < k:
+        raise ValidationError(f"want a parent link per bag and a root among {k} bags")
+    children: list[list[int]] = [[] for _ in range(k)]
+    for i, p in enumerate(parent):
+        if (p is None) != (i == root) or p is not None and not 0 <= p < k:
+            raise ValidationError(f"bag {i} has parent {p}: want a bag, None only at the root")
+        if p is not None:
+            children[p].append(i)
+    order: list[int] = []
+    stack = [root]
+    while stack:  # preorder; reversed, every child precedes its parent
+        node = stack.pop()
+        order.append(node)
+        stack.extend(children[node])
+    if len(order) != k:
+        raise ValidationError("decomposition tree links contain a cycle")
+    order.reverse()
+    new = {old: i for i, old in enumerate(order)}
+    out = [sorted(bags[o]) for o in order]
+    return TreeDecomposition(
+        np.cumsum([0, *map(len, out)]),
+        [v for bag in out for v in bag],
+        [-1 if parent[o] is None else new[parent[o]] for o in order],
+    )
+
+
+def parse_decomposition(text: str, n: int) -> TreeDecomposition:
+    """A decomposition in the `b`/`t` text format for a graph of n vertices,
+    its 1-based vertex ids checked against 1..n, renumbered by `to_nice`."""
+    bags: dict[int, list[int]] = {}
     links: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -104,11 +169,14 @@ def parse_decomposition(text: str) -> TreeDecomposition:
                 bid = int(fields[1])
                 if bid in bags:
                     raise ParseError(f"duplicate bag id {bid}", line=lineno)
-                bag = tuple(sorted(int(t) - 1 for t in fields[2:]))
+                bag = sorted(int(t) for t in fields[2:])
+                if bag and not 1 <= bag[0] <= bag[-1] <= n:
+                    v = bag[0] if bag[0] < 1 else bag[-1]
+                    raise ParseError(f"bag {bid} mentions vertex {v}, outside 1..{n}", line=lineno)
                 twice = next((v for v, u in zip(bag, bag[1:]) if v == u), None)
                 if twice is not None:
-                    raise ParseError(f"bag {bid} lists vertex {twice + 1} twice", line=lineno)
-                bags[bid] = bag
+                    raise ParseError(f"bag {bid} lists vertex {twice} twice", line=lineno)
+                bags[bid] = [v - 1 for v in bag]
             elif fields[0] == "t":
                 if len(fields) != 3:
                     raise ParseError("a t record is 't <parent> <child>'", line=lineno)
@@ -130,42 +198,18 @@ def parse_decomposition(text: str) -> TreeDecomposition:
     roots = [i for i, p in enumerate(parent) if p is None]
     if len(roots) != 1:
         raise ParseError(f"decomposition must have exactly one root, found {len(roots)}")
-    ordered = [bags[bid] for bid in sorted(bags)]
-    return TreeDecomposition(tuple(ordered), tuple(parent), roots[0])
+    return to_nice([bags[bid] for bid in sorted(bags)], parent, roots[0])
 
 
-def read_decomposition(path: str) -> TreeDecomposition:
+def read_decomposition(path: str, n: int) -> TreeDecomposition:
     with open(path, encoding="utf-8") as fh:
-        return parse_decomposition(fh.read())
+        return parse_decomposition(fh.read(), n)
 
 
 def validate_decomposition(G: WeightedGraph, td: TreeDecomposition) -> None:
-    """Raise `ValidationError` unless `td` is a valid decomposition of G: the
+    """Raise `ValidationError` unless `td` is a decomposition of G: the
     checks `solve_treewidths` runs on every pair, without its width limit."""
     _check(G, td)
-
-
-def _preorder(td: TreeDecomposition) -> list[int]:
-    """The bags in depth-first preorder from td.root; raises unless the
-    parent links form one tree, rooted at td.root, over all bags."""
-    k = len(td.bags)
-    if len(td.parent) != k or not 0 <= td.root < k or td.parent[td.root] is not None:
-        raise ValidationError("decomposition root must be a bag without a parent")
-    for i, p in enumerate(td.parent):
-        if p is None and i != td.root:
-            raise ValidationError("decomposition has more than one root")
-        if p is not None and not 0 <= p < k:
-            raise ValidationError(f"bag {i} has unknown parent {p}")
-    ch_of = td.children()
-    order: list[int] = []
-    stack = [td.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(ch_of[node])
-    if len(order) != k:
-        raise ValidationError("decomposition tree links contain a cycle")
-    return order
 
 
 def build_decomposition(
@@ -191,8 +235,6 @@ def build_decomposition(
     A (fill, id) entry is pushed only for a vertex whose fill changed.
     """
     n = G.n
-    if n == 0:
-        return TreeDecomposition((), (), 0)
     adj: list[set[int]] = [set(a) for a in neighbour_lists(G)]
 
     def fill_count(v: int) -> int:
@@ -209,8 +251,8 @@ def build_decomposition(
     heap = [(f, v) for v, f in enumerate(fill)]
     heapq.heapify(heap)
 
-    order: list[int] = []
-    bags: list[tuple[int, ...]] = []
+    flat: list[int] = []  # the bags, in elimination order
+    size: list[int] = []
     elim_pos = [-1] * n  # -1 while alive
     for step in range(n):
         while True:
@@ -224,8 +266,8 @@ def build_decomposition(
                 f"elimination bag of width {len(nbrs)} exceeds cap {width_cap}",
                 achieved=len(nbrs),
             )
-        bags.append(tuple(sorted([v] + nbrs)))
-        order.append(v)
+        flat += sorted([v, *nbrs])
+        size.append(len(nbrs) + 1)
         elim_pos[v] = step
         before = {u: fill[u] for u in nbrs}  # fill at step start, per touched vertex
         for u in nbrs:
@@ -252,22 +294,17 @@ def build_decomposition(
             if fill[u] != f:
                 heapq.heappush(heap, (fill[u], u))
 
-    # parent of v's bag: the bag of the earliest-eliminated remaining member;
-    # isolated tails chain onto the last bag so the result is a single tree
-    parent: list[int | None] = [None] * n
-    last_rootless = None
-    for i, v in enumerate(order):
-        rest = [elim_pos[u] for u in bags[i] if u != v]
-        if rest:
-            parent[i] = min(rest)
-        elif last_rootless is not None:
-            parent[last_rootless] = i
-            last_rootless = i
-        else:
-            last_rootless = i
-    root = n - 1
-    td = TreeDecomposition(tuple(bags), tuple(parent), root)
-    return td
+    # parent of v's bag: the bag of the earliest-eliminated other member, a
+    # later bag; bags of v alone chain onto the next such bag, so the result
+    # is a single tree rooted at the last bag
+    off = np.cumsum([0, *size])
+    entries = np.asarray(flat, dtype=np.int64)
+    at = np.asarray(elim_pos, dtype=np.int64)[entries]
+    parent = np.minimum.reduceat(np.where(at > np.repeat(np.arange(n), size), at, n), off[:-1])
+    lone = np.flatnonzero(parent == n)
+    parent[lone[:-1]] = lone[1:]
+    parent[-1:] = -1
+    return TreeDecomposition(off, entries, parent)
 
 
 def cuthill_mckee_order(G: WeightedGraph) -> list[int]:
@@ -342,15 +379,13 @@ def _interval_bags(first: np.ndarray, pos: np.ndarray, size: np.ndarray) -> Tree
     """The interval decomposition of `_intervals`' arrays: bag i holds every
     v with first(v) <= i <= pos(v), in id order, and its parent is bag i + 1."""
     n = len(pos)
-    if n == 0:
-        return TreeDecomposition((), (), 0)
     span = pos - first + 1
     vertex = np.repeat(np.arange(n), span)
     bag = np.arange(len(vertex)) - np.repeat(np.cumsum(span) - span, span) + first[vertex]
-    flat = vertex[np.argsort(bag, kind="stable")].tolist()  # stable: each bag in id order
-    cut = np.cumsum(size).tolist()
-    bags = tuple(tuple(flat[a:b]) for a, b in zip([0, *cut], cut))
-    return TreeDecomposition(bags, (*range(1, n), None), n - 1)
+    flat = vertex[np.argsort(bag, kind="stable")]  # stable: each bag in id order
+    parent = np.arange(1, n + 1)
+    parent[-1:] = -1
+    return TreeDecomposition(np.concatenate(([0], np.cumsum(size))), flat, parent)
 
 
 def interval_decomposition(G: WeightedGraph, order) -> TreeDecomposition:
@@ -374,37 +409,18 @@ def _cells(sizes) -> int:
     return sum(c << d for d, c in enumerate(counts))
 
 
-def check_dp_width(td: TreeDecomposition) -> None:
-    """Refuse a decomposition wider than MAX_DP_WIDTH before any table exists."""
-    if td.width > MAX_DP_WIDTH:
-        raise CapacityError(
-            f"decomposition width {td.width} exceeds the DP limit {MAX_DP_WIDTH}",
-            achieved=td.width,
-        )
-
-
-def to_nice(td: TreeDecomposition) -> TreeDecomposition:
-    """The same bags, each sorted, renumbered so that children come before
-    their parent and the root is last: the order solve_treewidth works in.
-    Idempotent: a renumbered decomposition comes back unchanged.
-
-    The name is kept from the nice-form DP this replaced: span tracing wraps
-    `treewidth.to_nice` by name and reads `.bags` from its result.
-    """
-    if not td.bags:
-        return td
-    order = _preorder(td)[::-1]  # reversed preorder: every child precedes its parent
-    new = {old: i for i, old in enumerate(order)}
-    parent = tuple(None if td.parent[o] is None else new[td.parent[o]] for o in order)
-    bags = tuple(tuple(sorted(td.bags[o])) for o in order)
-    return TreeDecomposition(bags, parent, len(order) - 1)
+def check_dp_width(td: TreeDecomposition, width_cap: int = MAX_DP_WIDTH) -> None:
+    """Refuse a decomposition wider than min(width_cap, MAX_DP_WIDTH)."""
+    if td.width > min(width_cap, MAX_DP_WIDTH):
+        limit = f"cap {width_cap}" if width_cap < MAX_DP_WIDTH else f"the DP limit {MAX_DP_WIDTH}"
+        raise CapacityError(f"decomposition width {td.width} exceeds {limit}", achieved=td.width)
 
 
 @dataclass(frozen=True)
 class _Problem:
     """One (graph, decomposition) pair in the DP's array form.
 
-    Bags are numbered children before parents (`to_nice`); bag i runs at
+    Bags are numbered as in the `TreeDecomposition`; bag i runs at
     step wave[i].  Its vertices are ax[off[i]:off[i+1]] in rank order, its
     pin last; its table has d[i] = max(|bag| - 1, 0) axes and it maxes out
     gone[i] of them.  Axis a of a d-axis table is bit d - 1 - a of a flat
@@ -442,32 +458,20 @@ def _rank_within(keys: np.ndarray) -> np.ndarray:
 
 
 def _check(G: WeightedGraph, td: TreeDecomposition):
-    """Raise `ValidationError` unless `td` is a valid decomposition of G;
-    else its bags in flat form, numbered by `to_nice`.
+    """Raise `ValidationError` unless `td` is a valid decomposition of G.
 
-    Returns (size, off, flat, parent, bag_of, up, forget_at, bucket, iu, iv):
-    bag i holds flat[off[i]:off[i+1]], sorted, and has parent[i] (-1 at the
-    root); entry j is in bag bag_of[j], and up[j] is the same vertex's entry
-    in the parent bag, -1 where the parent lacks it.  Vertex v is forgotten
-    at bag forget_at[v]; edge e's bucket is bag bucket[e], holding its ends
-    at entries iu[e] and iv[e].
+    Returns (bag_of, up, forget_at, bucket, iu, iv): entry j of td.flat is
+    in bag bag_of[j], and up[j] is the same vertex's entry in the parent bag,
+    -1 where the parent lacks it.  Vertex v is forgotten at bag forget_at[v];
+    edge e's bucket is bag bucket[e], holding its ends at entries iu[e] and
+    iv[e].
     """
-    nice = to_nice(td)  # raises unless the links form one tree over all bags
-    n, k = G.n, len(nice.bags)
-    size = np.fromiter(map(len, nice.bags), dtype=np.int64, count=k)
-    off = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(size, out=off[1:])
-    flat = np.fromiter(itertools.chain.from_iterable(nice.bags), dtype=np.int64, count=off[-1])
-    parent = np.fromiter((-1 if p is None else p for p in nice.parent), dtype=np.int64, count=k)
-    del nice
+    n, k, flat, parent = G.n, len(td.parent), td.flat, td.parent
     outside = (flat < 0) | (flat >= n)
     if outside.any():
         v = flat[np.argmax(outside)]
         raise ValidationError(f"a bag mentions vertex {v}, outside 0..{n - 1}")
-    bag_of = np.repeat(np.arange(k), size)
-    twice = np.flatnonzero((flat[1:] == flat[:-1]) & (bag_of[1:] == bag_of[:-1]))
-    if twice.size:  # each bag is sorted
-        raise ValidationError(f"a bag lists vertex {flat[twice[0]]} twice")
+    bag_of = np.repeat(np.arange(k), np.diff(td.off))
     key = bag_of * n + flat  # strictly increasing: (bag, vertex) pairs in order
 
     def entry(bags: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -496,13 +500,16 @@ def _check(G: WeightedGraph, td: TreeDecomposition):
     if (iu < 0).any():  # with connected traces, the lower forget bag covers uv
         e = int(np.argmax(iu < 0))
         raise ValidationError(f"edge ({eu[e]}, {ev[e]}) covered by no bag")
-    return size, off, flat, parent, bag_of, up, forget_at, bucket, iu, iv
+    return bag_of, up, forget_at, bucket, iu, iv
 
 
-def _prepare(G: WeightedGraph, td: TreeDecomposition) -> _Problem | None:
-    """Check one pair and put it in array form; None when G has no vertex."""
-    size, off, flat, parent, bag_of, up, forget_at, bucket, iu, iv = _check(G, td)
-    n, k = G.n, len(size)
+def _prepare(G: WeightedGraph, td: TreeDecomposition, width_cap: int) -> _Problem | None:
+    """Check one pair, then its width, and put it in array form; None when G
+    has no vertex."""
+    bag_of, up, forget_at, bucket, iu, iv = _check(G, td)
+    check_dp_width(td, width_cap)
+    n, k, off, flat, parent = G.n, len(td.parent), td.off, td.flat, td.parent
+    size = np.diff(off)
     if n == 0:
         return None
     top = up < 0
@@ -576,28 +583,28 @@ def _waves(parent: np.ndarray, cut: np.ndarray) -> np.ndarray:
     return np.asarray(start, dtype=np.int64)[head] + pos
 
 
-def solve_treewidth(G: WeightedGraph, td: TreeDecomposition) -> Assignment:
+def solve_treewidth(
+    G: WeightedGraph, td: TreeDecomposition, width_cap: int = MAX_DP_WIDTH
+) -> Assignment:
     """Optimal assignment by bucket elimination over the bags of `td`: the
     one-pair case of `solve_treewidths`, which documents the DP."""
-    return solve_treewidths([(G, td)])[0]
+    return solve_treewidths([(G, td)], width_cap)[0]
 
 
 def solve_treewidths(
     pairs: Sequence[tuple[WeightedGraph, TreeDecomposition]],
+    width_cap: int = MAX_DP_WIDTH,
 ) -> list[Assignment]:
     """Optimal assignments of several (graph, decomposition) pairs, one per
     pair, from one run of bucket elimination over all their bags.
 
-    Each `td` is any valid decomposition of its G; its bags are first
-    renumbered children before parents, each sorted (`to_nice`).  A vertex's
-    bucket is its forget bag, the one bag holding it whose parent does not
-    (the root's parent counts as empty); edge uv goes to u's forget bag if
-    that bag holds v, else to v's.  Every pair is checked before any table is
-    allocated: a decomposition wider than MAX_DP_WIDTH raises CapacityError,
-    and then `validate_decomposition`'s checks run: links that do not form one
-    tree, a bag vertex outside 0..n-1, a bag listing a vertex twice, a vertex
-    in no bag, a vertex with two forget bags (its bags are not connected) and
-    an edge that neither bag holds each raise `ValidationError`.
+    The DP runs each `td`'s bags in its own children-first numbering.  A
+    vertex's bucket is its forget bag, the one bag holding it whose parent
+    does not (the root's parent counts as empty); edge uv goes to u's forget
+    bag if that bag holds v, else to v's.  Before any table is allocated,
+    each pair is checked by `validate_decomposition` (a `ValidationError`
+    names the vertex or edge, 0-based) and then by `check_dp_width` against
+    `width_cap` (a `CapacityError`).
 
     The vertices are ranked by (forget bag, -id), and a bag's last vertex in
     that order is its pin.  The objective is the same at x and -x, so a bag's
@@ -627,10 +634,7 @@ def solve_treewidths(
     its rows starts as that sub-batch's values instead of adding them to
     zeros: 0.0 + x is x up to the sign of zero, which no comparison sees.)
     """
-    problems = []
-    for G, td in pairs:
-        check_dp_width(td)
-        problems.append(_prepare(G, td))
+    problems = [_prepare(G, td, width_cap) for G, td in pairs]
     live = [p for p in problems if p is not None]
     group, row, bits, tops = _run(live) if live else (None, None, None, None)
     out, base = [], 0
@@ -862,7 +866,7 @@ def solve_exact(G: WeightedGraph, width_cap: int = DEFAULT_WIDTH_CAP) -> ApproxR
         if not fits:
             raise  # bare: a name bound to the error would keep its frames alive
         td = None
-    if fits and (td is None or _cells(size) < _cells([len(b) for b in td.bags])):
+    if fits and (td is None or _cells(size) < _cells(np.diff(td.off))):
         td = _interval_bags(first, pos, size)
     sol = solve_treewidth(G, td)
     return ApproxResult(sol, Fraction(1), {"width": td.width})

@@ -37,7 +37,6 @@ from maxqp import (
     star_packing,
     stats,
     subdivide_for_maxcut,
-    to_nice,
 )
 from maxqp.cli import main as cli_main
 from maxqp.errors import CapacityError, ValidationError
@@ -95,7 +94,7 @@ def test_01_dp_matches_enumeration_oracle(capsys):
                 td = build_decomposition(G, width_cap=6)
             except CapacityError:
                 continue
-            a = solve_treewidth(G, to_nice(td))
+            a = solve_treewidth(G, td)
             opt = brute_force(G).value
             if G.unit:
                 assert a.value == opt
@@ -337,9 +336,9 @@ def test_11_performance_scaling(capsys):
             (rng.randrange(v), v, float(rng.sign())) for v in range(1, 1000)
         ]
         T = WeightedGraph(1000, edges)
-        ntd = to_nice(build_decomposition(T))
+        td = build_decomposition(T)
         t0 = time.perf_counter()
-        a = solve_treewidth(T, ntd)
+        a = solve_treewidth(T, td)
         assert time.perf_counter() - t0 <= 1.0
         assert a.value == float(T.m)  # trees: every edge can be made good
 

@@ -198,6 +198,24 @@ class TestExitCodes:
         assert main(["solve", inst, "--decomposition", dec]) == 2
         assert "line 1: bag 1 lists vertex 1 twice" in capsys.readouterr().err
 
+    def test_decomposition_vertex_outside_the_instance_is_named_in_file_ids(self, tmp_path, capsys):
+        inst = _path3(tmp_path)
+        dec = _write(tmp_path, "t.td", "b 1 1 2\nb 2 2 5\nt 1 2\n")
+        assert main(["solve", inst, "--decomposition", dec]) == 2
+        captured = capsys.readouterr()
+        assert "line 2: bag 2 mentions vertex 5, outside 1..3" in captured.err
+        assert captured.out == ""
+
+    def test_broken_decomposition_exits_2_before_the_width_cap(self, tmp_path, capsys):
+        # over the cap, and no bag holds edge 2-3 (0-based (1, 2))
+        inst = _path3(tmp_path)
+        dec = _write(tmp_path, "t.td", "b 1 1 2\nb 2 3\nt 1 2\n")
+        assert main(["solve", inst, "--decomposition", dec, "--width-cap", "0"]) == 2
+        assert r"edge (1, 2) covered by no bag" in capsys.readouterr().err
+        dec = _write(tmp_path, "t.td", "b 1 1 2 3\n")
+        assert main(["solve", inst, "--decomposition", dec, "--width-cap", "1"]) == 3
+        assert "decomposition width 2 exceeds cap 1" in capsys.readouterr().err
+
     def test_width_cap_is_capacity_error(self, tmp_path, capsys):
         n = 26
         G = WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])

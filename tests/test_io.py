@@ -297,38 +297,43 @@ class TestPartitionFormat:
 
 class TestDecompositionFormat:
     def test_parse_small_tree(self):
-        td = parse_decomposition("b 1 1 2\nb 2 2 3\nt 1 2\n")
-        assert td.bags == ((0, 1), (1, 2))
-        assert td.parent == (None, 0)
+        td = parse_decomposition("b 1 1 2\nb 2 2 3\nt 1 2\n", 3)
+        assert td.bags == ((1, 2), (0, 1))  # renumbered: the child first, the root last
+        assert td.parent.tolist() == [1, -1]
         assert td.width == 1
 
     def test_requires_single_root(self):
         with pytest.raises(ParseError):
-            parse_decomposition("b 1 1\nb 2 2\n")
+            parse_decomposition("b 1 1\nb 2 2\n", 3)
 
     def test_rejects_duplicate_bag_id(self):
         with pytest.raises(ParseError, match="line 2: duplicate bag id 1"):
-            parse_decomposition("b 1 1 2\nb 1 2\n")
+            parse_decomposition("b 1 1 2\nb 1 2\n", 3)
 
     def test_rejects_a_vertex_listed_twice(self):
         with pytest.raises(ParseError, match="line 2: bag 2 lists vertex 2 twice"):
-            parse_decomposition("b 1 1 2\nb 2 2 3 2\nt 1 2\n")
+            parse_decomposition("b 1 1 2\nb 2 2 3 2\nt 1 2\n", 3)
+
+    @pytest.mark.parametrize("vertex", ["5", "0", "-1"])
+    def test_rejects_a_vertex_outside_1_to_n(self, vertex):
+        with pytest.raises(ParseError, match=f"line 2: bag 2 mentions vertex {vertex}, outside 1..3"):
+            parse_decomposition(f"b 1 1 2\nb 2 2 {vertex}\nt 1 2\n", 3)
 
     def test_rejects_second_parent_link(self):
         with pytest.raises(ParseError, match="bag 3 has more than one parent link"):
-            parse_decomposition("b 1 1 2\nb 2 2 3\nb 3 3\nt 1 3\nt 2 3\nt 1 2\n")
+            parse_decomposition("b 1 1 2\nb 2 2 3\nb 3 3\nt 1 3\nt 2 3\nt 1 2\n", 3)
 
     def test_unknown_record(self):
         with pytest.raises(ParseError):
-            parse_decomposition("q 1 2\n")
+            parse_decomposition("q 1 2\n", 3)
 
     @pytest.mark.parametrize("record", ["t 1 2 junk", "t 1 2 3", "t 1"])
     def test_tree_record_has_exactly_two_bag_ids(self, record):
         with pytest.raises(ParseError, match="line 3: "):
-            parse_decomposition(f"b 1 1 2\nb 2 2 3\n{record}\n")
+            parse_decomposition(f"b 1 1 2\nb 2 2 3\n{record}\n", 3)
 
     def test_tree_link_errors_name_their_line(self):
         with pytest.raises(ParseError, match=r"line 3: tree link references unknown bag \(1, 7\)"):
-            parse_decomposition("b 1 1 2\nb 2 2 3\nt 1 7\nt 1 2\n")
+            parse_decomposition("b 1 1 2\nb 2 2 3\nt 1 7\nt 1 2\n", 3)
         with pytest.raises(ParseError, match="line 5: bag 3 has more than one parent link"):
-            parse_decomposition("b 1 1 2\nb 2 2 3\nb 3 3\nt 1 3\nt 2 3\nt 1 2\n")
+            parse_decomposition("b 1 1 2\nb 2 2 3\nb 3 3\nt 1 3\nt 2 3\nt 1 2\n", 3)

@@ -1,4 +1,5 @@
-"""Decomposition construction, bag renumbering, and the exact DP."""
+"""Decomposition construction, the array form and its renumbering, and the
+exact DP."""
 
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ from maxqp import (
     brute_force,
     build_decomposition,
     evaluate,
+    solve_baker,
     solve_exact,
+    solve_partition_scheme,
     solve_treewidth,
     solve_treewidths,
     to_nice,
@@ -30,9 +33,11 @@ from maxqp.treewidth import MAX_DP_WIDTH, cuthill_mckee_order, interval_decompos
 from maxqp.oracle import GeneratorSpec, SplitMix64, generate
 
 from util import (
+    Links,
     edge_list,
     elimination_decomposition,
     is_valid_decomposition,
+    links,
     random_graph,
     reference_bucket_elimination,
     reference_cuthill_mckee,
@@ -81,10 +86,6 @@ class TestBuildDecomposition:
             validate_decomposition(G, td)
 
 
-def _as_tuple(td):
-    return td.bags, td.parent, td.root
-
-
 def _assert_matches_reference(G, ref, cap):
     """build_decomposition(G, cap) is `ref`, or refuses at the first bag of
     `ref` wider than `cap` (its bags are in elimination order)."""
@@ -93,32 +94,31 @@ def _assert_matches_reference(G, ref, cap):
             build_decomposition(G, width_cap=cap)
         assert exc.value.achieved == next(len(b) - 1 for b in ref.bags if len(b) - 1 > cap)
     else:
-        assert _as_tuple(build_decomposition(G, width_cap=cap)) == _as_tuple(ref)
+        assert links(build_decomposition(G, width_cap=cap)) == ref
 
 
 class TestAgainstReferenceMinFill:
-    """The heap-driven elimination must reproduce the full-scan min-fill."""
+    """The heap-driven elimination must reproduce the full-scan min-fill, bag
+    for bag in elimination order."""
 
     GRIDS = [(1, 1), (1, 7), (2, 9), (4, 4), (5, 11), (8, 8), (10, 10), (12, 15), (15, 15)]
 
     def test_small_random_graphs(self):
         for seed in range(60):
             G = sample_small(seed)
-            assert _as_tuple(build_decomposition(G, width_cap=G.n)) == _as_tuple(
-                reference_min_fill(G)
-            )
+            assert links(build_decomposition(G, width_cap=G.n)) == reference_min_fill(G)
 
     def test_grids(self):
         for rows, cols in self.GRIDS:
             G = _grid(rows, cols, seed=rows * 100 + cols)
             ref = reference_min_fill(G)
-            assert _as_tuple(build_decomposition(G, width_cap=ref.width)) == _as_tuple(ref)
+            assert links(build_decomposition(G, width_cap=ref.width)) == ref
 
     def test_sparse_random_graphs(self):
         for seed, (n, m) in enumerate([(200, 200), (200, 260), (190, 300), (210, 420)]):
             G = random_graph(500 + seed, n, m, real=seed % 2 == 1)
             ref = reference_min_fill(G)
-            assert _as_tuple(build_decomposition(G, width_cap=ref.width)) == _as_tuple(ref)
+            assert links(build_decomposition(G, width_cap=ref.width)) == ref
 
     def test_refuses_exactly_when_reference_width_exceeds_cap(self):
         graphs = [_grid(r, c, seed=7) for r, c in [(6, 6), (10, 12), (15, 15)]]
@@ -144,26 +144,25 @@ class TestAgainstReferenceMinFill:
 class TestValidateDecomposition:
     def test_rejects_uncovered_edge(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        td = TreeDecomposition(((0, 1), (2,)), (None, 0), 0)
+        td = to_nice(((0, 1), (2,)), (None, 0), 0)
         with pytest.raises(ValidationError):
             validate_decomposition(G, td)
 
     def test_rejects_cyclic_tree_links(self):
         # bags 2 and 3 point at each other; bag 0 is the only root
         G = WeightedGraph(2, [(0, 1, -1.0)])
-        td = TreeDecomposition(((0,), (1,), (0, 1), (0, 1)), (None, 0, 3, 2), 0)
         with pytest.raises(ValidationError, match="cycle"):
-            validate_decomposition(G, td)
+            to_nice(((0,), (1,), (0, 1), (0, 1)), (None, 0, 3, 2), 0)
 
     def test_rejects_second_root_and_unknown_parent(self):
         G = WeightedGraph(2, [(0, 1, 1.0)])
         for parent in [(None, None), (None, 5), (1, 0)]:
             with pytest.raises(ValidationError):
-                validate_decomposition(G, TreeDecomposition(((0, 1), (1,)), parent, 0))
+                to_nice(((0, 1), (1,)), parent, 0)
 
     def test_rejects_disconnected_vertex_trace(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        td = TreeDecomposition(((0, 1), (1,), (1, 2), (0,)), (None, 0, 1, 2), 0)
+        td = to_nice(((0, 1), (1,), (1, 2), (0,)), (None, 0, 1, 2), 0)
         with pytest.raises(ValidationError):
             validate_decomposition(G, td)
 
@@ -172,40 +171,39 @@ class TestValidateDecomposition:
         # every vertex and edge is covered, but vertex 0 is in bags 0 and 2 only
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         parent = (None, 0, 1) if root == 0 else (1, 2, None)
-        td = TreeDecomposition(((0, 1), (1, 2), (0, 2)), parent, root)
+        td = to_nice(((0, 1), (1, 2), (0, 2)), parent, root)
         with pytest.raises(ValidationError, match="vertex 0 are not connected"):
             solve_treewidth(G, td)
 
     def test_dp_rejects_uncovered_edge_without_validation(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        td = TreeDecomposition(((0, 1), (1, 2)), (None, 0), 0)
+        td = to_nice(((0, 1), (1, 2)), (None, 0), 0)
         with pytest.raises(ValidationError, match=r"edge \(0, 2\) covered by no bag"):
             solve_treewidth(G, td)
 
     def test_rejects_a_bag_listing_a_vertex_twice(self):
-        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        td = TreeDecomposition(((0, 1, 1), (1, 2)), (None, 0), 0)
+        # refused when the array form is built, before any graph is seen
         with pytest.raises(ValidationError, match="a bag lists vertex 1 twice"):
-            validate_decomposition(G, td)
+            to_nice(((0, 1, 1), (1, 2)), (None, 0), 0)
         with pytest.raises(ValidationError, match="lists vertex 1 twice"):
-            solve_treewidth(G, td)
+            TreeDecomposition([0, 3, 5], [0, 1, 1, 1, 2], [1, -1])
 
     def test_bag_naming_a_vertex_of_an_empty_graph_is_refused(self):
         G = WeightedGraph(0, [])
-        bad = (TreeDecomposition(((0,),), (None,), 0), TreeDecomposition(((), (0,)), (None, 0), 0))
+        bad = (to_nice(((0,),), (None,), 0), to_nice(((), (0,)), (None, 0), 0))
         for td in bad:
             with pytest.raises(ValidationError, match="mentions vertex 0"):
                 validate_decomposition(G, td)
             with pytest.raises(ValidationError, match="mentions vertex 0"):
                 solve_treewidth(G, td)
-        empty = TreeDecomposition(((),), (None,), 0)
+        empty = to_nice(((),), (None,), 0)
         validate_decomposition(G, empty)
-        assert solve_treewidth(G, empty) == solve_treewidth(G, TreeDecomposition((), (), 0))
+        assert solve_treewidth(G, empty) == solve_treewidth(G, to_nice((), (), 0))
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_dp_rejects_unknown_vertex_without_validation(self, bad):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        td = TreeDecomposition(((0, 1, 2), (2, bad)), (None, 0), 0)
+        td = to_nice(((0, 1, 2), (2, bad)), (None, 0), 0)
         with pytest.raises(ValidationError, match=r"outside 0\.\.2"):
             solve_treewidth(G, td)
 
@@ -215,7 +213,7 @@ class TestValidateDecomposition:
         G = sample_small(seed)
         order = list(range(G.n))
         SplitMix64(seed).shuffle(order)
-        td = elimination_decomposition(G, order)
+        td = links(elimination_decomposition(G, order))
         bags = [list(b) for b in td.bags]
         parent, root = list(td.parent), td.root
         k = len(bags)
@@ -232,38 +230,39 @@ class TestValidateDecomposition:
                 parent[i] = data.draw(st.one_of(st.none(), st.integers(-1, k)))
             else:
                 root = data.draw(st.integers(0, k - 1))
-        td = TreeDecomposition(tuple(map(tuple, bags)), tuple(parent), root)
+        td = Links(tuple(map(tuple, bags)), tuple(parent), root)
         if is_valid_decomposition(G, td):
-            validate_decomposition(G, td)
-        else:
+            validate_decomposition(G, to_nice(*td))
+        else:  # refused by to_nice's tree checks or by the DP's own
             with pytest.raises(ValidationError):
-                validate_decomposition(G, td)
-            with pytest.raises(ValidationError):  # the DP's own checks
-                solve_treewidth(G, td)
+                validate_decomposition(G, to_nice(*td))
+            with pytest.raises(ValidationError):
+                solve_treewidth(G, to_nice(*td))
 
 
 def _check_postorder(td, out):
     """to_nice keeps the bags and width, numbers children first, root last."""
-    assert sorted(map(sorted, out.bags)) == sorted(map(sorted, td.bags))
+    td, lk = links(td), links(out)
+    assert sorted(map(sorted, lk.bags)) == sorted(map(sorted, td.bags))
     assert out.width == td.width
-    assert out.root == len(out.bags) - 1 and out.parent[out.root] is None
-    assert all(p > i for i, p in enumerate(out.parent) if p is not None)
-    assert all(list(bag) == sorted(bag) for bag in out.bags)
+    assert lk.root == len(lk.bags) - 1 and lk.parent[lk.root] is None
+    assert all(p > i for i, p in enumerate(lk.parent) if p is not None)
+    assert all(list(bag) == sorted(bag) for bag in lk.bags)
 
 
 class TestToNice:
     def test_single_edge_root_is_last(self):
         G = WeightedGraph(2, [(0, 1, 1.0)])
-        td = TreeDecomposition(((1, 0), (1,)), (None, 0), 0)
-        validate_decomposition(G, td)
-        out = to_nice(td)
+        td = Links(((1, 0), (1,)), (None, 0), 0)
+        out = to_nice(*td)
+        validate_decomposition(G, out)
         _check_postorder(td, out)
         assert out.bags == ((1,), (0, 1))
 
     def test_star_keeps_width(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
         td = build_decomposition(G)
-        _check_postorder(td, to_nice(td))
+        _check_postorder(td, to_nice(*links(td)))
         assert td.width == 1
 
     def test_idempotent(self):
@@ -272,8 +271,8 @@ class TestToNice:
             order = list(range(G.n))
             SplitMix64(seed).shuffle(order)
             for td in (build_decomposition(G), elimination_decomposition(G, order)):
-                once = to_nice(td)
-                assert to_nice(once) == once
+                once = links(to_nice(*links(td)))
+                assert links(to_nice(*once)) == once
 
     def test_random_conversions_keep_bags_and_number_children_first(self):
         for seed in range(60):
@@ -281,9 +280,40 @@ class TestToNice:
             order = list(range(G.n))
             SplitMix64(seed).shuffle(order)
             for td in (build_decomposition(G), elimination_decomposition(G, order)):
-                out = to_nice(td)
+                out = to_nice(*links(td))
                 _check_postorder(td, out)
                 validate_decomposition(G, out)
+
+
+class TestArrayForm:
+    """The constructor refuses every broken invariant of the array form."""
+
+    @pytest.mark.parametrize(
+        "off, flat, parent, match",
+        [
+            ([0, 1, 2], [0, 1], [0, -1], "bag 0 of 2 has parent 0: want a later bag"),
+            ([0, 1, 2, 3], [0, 1, 2], [2, 0, -1], "bag 1 of 3 has parent 0"),
+            ([0, 1, 2, 3], [0, 1, 2], [2, -1, 1], "bag 1 of 3 has parent -1"),  # root not last
+            ([0, 1, 2], [0, 1], [1, 0], "bag 1 of 2 has parent 0"),  # no root
+            ([0, 1, 2], [0, 1], [-1, -1], "bag 0 of 2 has parent -1"),
+            ([0, 1, 2], [0, 1], [5, -1], "bag 0 of 2 has parent 5"),
+            ([0, 2, 3], [1, 0, 2], [1, -1], "bag 0 is not sorted"),
+            ([0, 2, 3], [1, 1, 2], [1, -1], "a bag lists vertex 1 twice"),
+            ([0, 2], [0, 1], [1, -1], "bag offsets"),
+            ([1, 2], [0, 1], [-1], "bag offsets"),
+            ([0, 2, 1], [0], [1, -1], "bag offsets"),
+        ],
+    )
+    def test_broken_invariants_are_refused(self, off, flat, parent, match):
+        with pytest.raises(ValidationError, match=match):
+            TreeDecomposition(off, flat, parent)
+
+    def test_empty_bags_and_the_form_with_no_bag_are_accepted(self):
+        td = TreeDecomposition([0, 2, 2, 4], [0, 1, 1, 2], [2, 2, -1])
+        assert td.bags == ((0, 1), (), (1, 2)) and td.width == 1
+        assert not td.flat.flags.writeable
+        empty = TreeDecomposition([0], [], [])
+        assert empty.bags == () and empty.width == 0
 
 
 class TestSolveTreewidth:
@@ -306,7 +336,7 @@ class TestSolveTreewidth:
         G = sample_small(seed)
         order = list(range(G.n))
         SplitMix64(seed).shuffle(order)
-        td = elimination_decomposition(G, order)
+        td = links(elimination_decomposition(G, order))
         k = len(td.bags)
         parent = list(td.parent)
         node, above = data.draw(st.integers(0, k - 1)), None
@@ -314,7 +344,7 @@ class TestSolveTreewidth:
             parent[node], above, node = above, node, parent[node]
         perm = data.draw(st.permutations(range(k)))
         new_of = {old: new for new, old in enumerate(perm)}
-        shuffled = TreeDecomposition(
+        shuffled = to_nice(
             tuple(tuple(data.draw(st.permutations(td.bags[old]))) for old in perm),
             tuple(None if parent[old] is None else new_of[parent[old]] for old in perm),
             new_of[parent.index(None)],
@@ -322,13 +352,13 @@ class TestSolveTreewidth:
         validate_decomposition(G, shuffled)
         a = solve_treewidth(G, shuffled)
         assert abs(a.value - brute_force(G).value) <= value_tol(G)
-        b = solve_treewidth(G, to_nice(shuffled))
+        b = solve_treewidth(G, to_nice(*links(shuffled)))
         assert (a.values, a.value) == (b.values, b.value)
 
     def test_wider_than_the_dp_limit_is_refused_before_any_table(self):
         n = MAX_DP_WIDTH + 2
         G = WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
-        td = TreeDecomposition((tuple(range(n)),), (None,), 0)
+        td = to_nice((tuple(range(n)),), (None,), 0)
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="DP limit"):
@@ -382,7 +412,7 @@ class TestSolveTreewidth:
 
 
 def _dp_pair(G, td):
-    new, ref = solve_treewidth(G, to_nice(td)), reference_nice_dp(G, reference_to_nice(td))
+    new, ref = solve_treewidth(G, td), reference_nice_dp(G, reference_to_nice(td))
     return (new.values, new.value), (ref.values, ref.value)
 
 
@@ -416,7 +446,7 @@ class TestAgainstReferenceDP:
         # bound is four of them; keeping every full table (the reference DP)
         # peaks near 40
         G = _grid(13, 13)
-        td = to_nice(build_decomposition(G))
+        td = build_decomposition(G)
         largest = 8 << td.width
         tracemalloc.start()
         try:
@@ -435,7 +465,7 @@ def _merge_into_parents(td, merge):
     bag that forgets several vertices at once.  The result is numbered in
     reverse, so to_nice has to renumber it.
     """
-    td = to_nice(td)
+    td = links(td)
     bags = [set(b) for b in td.bags]
     parent = list(td.parent)
     alive = [True] * len(bags)
@@ -447,7 +477,7 @@ def _merge_into_parents(td, merge):
             alive[i] = False
     kept = [i for i in reversed(range(len(bags))) if alive[i]]
     new = {old: j for j, old in enumerate(kept)}
-    return TreeDecomposition(
+    return to_nice(
         tuple(tuple(bags[i]) for i in kept),
         tuple(None if parent[i] is None else new[parent[i]] for i in kept),
         new[td.root],
@@ -456,8 +486,9 @@ def _merge_into_parents(td, merge):
 
 def _add_empty_leaves(td, attach):
     """One empty bag below each bag index in `attach` (taken modulo the count)."""
+    td = links(td)
     k = len(td.bags)
-    return TreeDecomposition(
+    return to_nice(
         td.bags + ((),) * len(attach),
         td.parent + tuple(a % k for a in attach),
         td.root,
@@ -466,7 +497,8 @@ def _add_empty_leaves(td, attach):
 
 def _shuffled(td, seed):
     """The same tree, its bags renumbered by a random permutation and each
-    bag's vertices shuffled."""
+    bag's vertices shuffled, put back in the array form by to_nice."""
+    td = links(td)
     rng = SplitMix64(seed)
     perm = list(range(len(td.bags)))
     rng.shuffle(perm)
@@ -477,14 +509,14 @@ def _shuffled(td, seed):
         rng.shuffle(bag)
         bags.append(tuple(bag))
     parent = tuple(None if td.parent[old] is None else new[td.parent[old]] for old in perm)
-    return TreeDecomposition(tuple(bags), parent, new[td.root])
+    return to_nice(tuple(bags), parent, new[td.root])
 
 
 def _pinned_elsewhere(td):
     """How many bags send a message pinned at a vertex other than their
     parent's pin, by the rule solve_treewidth documents: vertices ranked by
     (forget bag, -id), a bag's pin is its last vertex in that order."""
-    td = to_nice(td)
+    td = links(td)
     forget_at = {}
     for i, bag in enumerate(td.bags):
         for v in bag:
@@ -514,7 +546,7 @@ class TestUnusualDecompositions:
     ):
         G = sample_small(seed)
         if single_bag:
-            td = TreeDecomposition((tuple(range(G.n)),), (None,), 0)
+            td = to_nice((tuple(range(G.n)),), (None,), 0)
         else:
             order = list(range(G.n))
             SplitMix64(seed).shuffle(order)
@@ -554,12 +586,12 @@ def _hung_under_a_wide_bag(G1, G2):
     message that shifts every cell of that bag's table."""
     n1 = G1.n
     edges = edge_list(G1) + [(u + n1, v + n1, w) for u, v, w in edge_list(G2)]
-    t1, t2 = build_decomposition(G1), build_decomposition(G2)
+    t1, t2 = links(build_decomposition(G1)), links(build_decomposition(G2))
     at = next(i for i, b in enumerate(t1.bags) if len(b) >= 2 and i in t1.parent)
     k1 = len(t1.bags)
     bags = t1.bags + tuple(tuple(v + n1 for v in b) for b in t2.bags)
     parent = t1.parent + tuple(at if p is None else p + k1 for p in t2.parent)
-    return WeightedGraph(n1 + G2.n, edges), TreeDecomposition(bags, parent, t1.root)
+    return WeightedGraph(n1 + G2.n, edges), to_nice(bags, parent, t1.root)
 
 
 class TestSolveTreewidths:
@@ -567,7 +599,7 @@ class TestSolveTreewidths:
     and of the nice-form reference DP."""
 
     def _pairs(self):
-        pairs = [(WeightedGraph(0, []), TreeDecomposition((), (), 0))]
+        pairs = [(WeightedGraph(0, []), to_nice((), (), 0))]
         graphs = [_grid(r, c, seed=r * c) for r, c in [(1, 1), (3, 3), (4, 7), (6, 6), (2, 12)]]
         graphs += [random_graph(800 + s, 40, 45 + 5 * s, real=True) for s in range(6)]
         graphs += [random_graph(900 + s, 30, 12, real=True) for s in range(3)]  # many components
@@ -621,7 +653,7 @@ class TestSolveTreewidths:
     def test_an_invalid_pair_is_refused_before_any_table(self):
         # the 13x13 grid alone would allocate tables of 8 * 2^17 bytes
         G = _grid(13, 13)
-        bad = TreeDecomposition(((0, 1), (1, 2)), (None, 0), 0)
+        bad = to_nice(((0, 1), (1, 2)), (None, 0), 0)
         triangle = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         pairs = [(G, build_decomposition(G)), (triangle, bad), (G, build_decomposition(G))]
         tracemalloc.start()
@@ -659,6 +691,33 @@ class TestSolveTreewidths:
             solve_treewidths(pairs)
 
 
+class TestNoSolvePathRenumbers:
+    """The builders number their bags as the DP runs them, so no solver
+    calls the renumbering step."""
+
+    def test_every_solver_answers_with_to_nice_refused(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("to_nice called on a solve path")
+
+        graphs = [_grid(4, 5, seed=3), _grid(2, 9, seed=4)]  # grids
+        graphs += [random_graph(1200 + s, 16, 24, real=s == 1) for s in range(3)]  # sparse
+        graphs += [random_graph(1300 + s, 18, 8) for s in range(2)]  # several components
+        graphs += [WeightedGraph(0, []), WeightedGraph(1, []), WeightedGraph(6, [])]
+        monkeypatch.setattr(treewidth, "to_nice", refuse)
+        pairs = []
+        for G in graphs:
+            opt = brute_force(G).value
+            assert abs(solve_exact(G, G.n).value - opt) <= value_tol(G)
+            schemes = [solve_baker(G, 0.5)]
+            if G.unit:
+                schemes.append(solve_partition_scheme(G, 0.5))
+            for r in schemes:
+                assert r.value == evaluate(G, r.assignment.values) <= opt + value_tol(G)
+            pairs += [(G, build_decomposition(G, G.n)), (G, interval_decomposition(G, range(G.n)))]
+        for (G, _), a in zip(pairs, solve_treewidths(pairs)):
+            assert abs(a.value - brute_force(G).value) <= value_tol(G)
+
+
 def _interval_cases():
     """Random graphs, plus the builder's edge cases: n = 1, edgeless graphs,
     isolated vertices and several components."""
@@ -688,12 +747,12 @@ class TestIntervalDecomposition:
                 td = interval_decomposition(G, order)
                 validate_decomposition(G, td)
                 assert is_valid_decomposition(G, td)
-                assert td.parent == (*range(1, G.n), None) and td.root == G.n - 1
+                assert td.parent.tolist() == [*range(1, G.n), -1]
                 assert all(v in bag for v, bag in zip(order, td.bags))
                 assert td.width == vertex_separation(G, order[::-1])
 
     def test_edgeless_and_empty_graphs(self):
-        assert interval_decomposition(WeightedGraph(0, []), []) == TreeDecomposition((), (), 0)
+        assert links(interval_decomposition(WeightedGraph(0, []), [])) == Links((), (), 0)
         with pytest.raises(ValidationError, match="each of the 0 vertices once"):
             interval_decomposition(WeightedGraph(0, []), [0])
         td = interval_decomposition(WeightedGraph(3, []), [2, 0, 1])

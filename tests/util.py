@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -637,9 +637,32 @@ def brute_force_maxcut(n: int, edges) -> int:
     return best
 
 
-def _clique_tree(order, bags) -> TreeDecomposition:
+class Links(NamedTuple):
+    """A tree of bags as plain tuples: bag i, the parent of bag i (None at
+    the root), and the root, in any numbering."""
+
+    bags: tuple[tuple[int, ...], ...]
+    parent: tuple[int | None, ...]
+    root: int
+
+    @property
+    def width(self) -> int:
+        return max((len(b) for b in self.bags), default=1) - 1
+
+
+def links(td) -> Links:
+    """A `TreeDecomposition` as Links in its own numbering (root last), or
+    `td` itself when it is Links already."""
+    if isinstance(td, Links):
+        return td
+    parent = tuple(None if p < 0 else p for p in td.parent.tolist())
+    return Links(td.bags, parent, max(len(parent) - 1, 0))
+
+
+def _clique_tree(order, bags) -> Links:
     """Parent of v's bag: the bag of the earliest-eliminated remaining member;
-    bags without one chain onto the next such bag, so the result is one tree."""
+    bags without one chain onto the next such bag, so the result is one tree.
+    Bags are numbered in elimination order, so the root is the last."""
     elim_pos = {v: i for i, v in enumerate(order)}
     parent = [None] * len(order)
     last_rootless = None
@@ -652,7 +675,7 @@ def _clique_tree(order, bags) -> TreeDecomposition:
             last_rootless = i
         else:
             last_rootless = i
-    return TreeDecomposition(tuple(bags), tuple(parent), len(order) - 1)
+    return Links(tuple(bags), tuple(parent), max(len(order) - 1, 0))
 
 
 def elimination_decomposition(G: WeightedGraph, order) -> TreeDecomposition:
@@ -663,7 +686,7 @@ def elimination_decomposition(G: WeightedGraph, order) -> TreeDecomposition:
     the empty bag.
     """
     if G.n == 0:
-        return TreeDecomposition((), (), 0)
+        return to_nice((), (), 0)
     adj = [set(a) for a in adjacency(G)]
     alive = set(range(G.n))
     bags = []
@@ -675,19 +698,19 @@ def elimination_decomposition(G: WeightedGraph, order) -> TreeDecomposition:
             for b in nbrs[i + 1 :]:
                 adj[a].add(b)
                 adj[b].add(a)
-    return _clique_tree(order, bags)
+    return to_nice(*_clique_tree(order, bags))
 
 
-def reference_min_fill(G: WeightedGraph) -> TreeDecomposition:
+def reference_min_fill(G: WeightedGraph) -> Links:
     """Min-fill clique tree by a full scan of the alive vertices per step.
 
     Quadratic on purpose: it picks min (fill, id) with `min` over every alive
     vertex and applies no width cap, so build_decomposition can be checked
-    against it bag for bag.
+    against it bag for bag, in elimination order.
     """
     n = G.n
     if n == 0:
-        return TreeDecomposition((), (), 0)
+        return Links((), (), 0)
     adj = [set(a) for a in adjacency(G)]
     alive = set(range(n))
 
@@ -901,7 +924,7 @@ class NiceTreeDecomposition:
         return out
 
 
-def reference_to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
+def reference_to_nice(td) -> NiceTreeDecomposition:
     """Convert a valid decomposition to nice form with the same width.
 
     A leaf bag starts from its lowest vertex (an empty one from the empty
@@ -910,6 +933,7 @@ def reference_to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
     so the backtrack decides a bag's forgotten vertices lowest id first with
     ties kept at +1: the order in which solve_treewidth maxes them out.
     """
+    td = links(td)
     if not td.bags:
         return NiceTreeDecomposition((), (), (), (), 0)
     bags: list[tuple[int, ...]] = []
@@ -936,7 +960,10 @@ def reference_to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             top = add(cur, "introduce", [top], v)
         return top
 
-    ch_of = td.children()
+    ch_of: list[list[int]] = [[] for _ in td.bags]
+    for i, p in enumerate(td.parent):
+        if p is not None:
+            ch_of[p].append(i)
     done: dict[int, int] = {}
     stack = [(td.root, False)]
     while stack:
@@ -1077,9 +1104,10 @@ def reference_bucket_elimination(G: WeightedGraph, td: TreeDecomposition) -> Ass
     Each table cell receives the same additions in the same order as in the
     batched DP (children in numbering order, then bucket edges in edge
     order), so the two must agree bit for bit even where the order of
-    additions changes a rounding.
+    additions changes a rounding.  Like the DP, it runs the bags of the
+    `TreeDecomposition` in their own children-first numbering.
     """
-    td = to_nice(td)
+    td = links(td)
     if G.n == 0:
         return Assignment((), 0.0)
     bagsets = [set(bag) for bag in td.bags]
@@ -1166,10 +1194,12 @@ def reference_baker(G: WeightedGraph, eps: float, width_cap: int = 20) -> Approx
     return ApproxResult(best, Fraction(max(k - 4, 0), k), cert)
 
 
-def is_valid_decomposition(G: WeightedGraph, td: TreeDecomposition) -> bool:
-    """The definition checked directly: the parent links form one tree rooted
-    at td.root, every vertex and every edge lies in some bag, and the bags
-    holding each vertex are connected in that tree."""
+def is_valid_decomposition(G: WeightedGraph, td) -> bool:
+    """The definition checked directly on a `TreeDecomposition` or on Links:
+    the parent links form one tree rooted at td.root, every vertex and every
+    edge lies in some bag, and the bags holding each vertex are connected in
+    that tree."""
+    td = links(td)
     k = len(td.bags)
     if k == 0:
         return G.n == 0
