@@ -6,7 +6,6 @@ from .graph import (
     Assignment,
     InstanceStats,
     WeightedGraph,
-    combine_disjoint,
     evaluate,
     extend_from_induced,
     glue_blocks,

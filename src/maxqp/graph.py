@@ -3,9 +3,12 @@
 Every way of putting local solutions together without losing value goes
 through `glue_blocks`: blocks of vertices with fixed inner signs are placed
 one after another, and a block is flipped when its edges to the blocks
-already placed sum below zero.  `combine_disjoint` and `extend_from_induced`
-are choices of blocks, as are the matching and packing drivers in
-:mod:`maxqp.packing`.
+already placed sum below zero.  `extend_from_induced`, the schemes' two-block
+glue and the matching and packing drivers in :mod:`maxqp.packing` are
+choices of blocks.
+
+A partial assignment has one form: n signs on G's ids, with 0 for a vertex
+left out, as `glue_blocks` returns it.
 
 A graph's one stored form is its (u, v, w) edge columns.  The walks that
 go vertex by vertex (peeling, min-fill, BFS, the blossom search, easypack's
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -295,52 +298,23 @@ def glue_blocks(
     return signs.tolist(), evaluate(G, signs)
 
 
-def _check_vertices(G: WeightedGraph, x: Mapping[int, int]) -> None:
-    for v in x:
-        if not 0 <= v < G.n:
-            raise ValidationError(f"vertex id out of range: {v}")
-
-
-def combine_disjoint(
-    G: WeightedGraph, x1: Mapping[int, int], x2: Mapping[int, int]
-) -> tuple[dict[int, int], float]:
-    """Merge solutions of two disjoint induced subgraphs without losing value.
-
-    x2 is placed first and x1 second, so the result is whichever of x1 u x2
-    and (-x1) u x2 has value on the union >= the sum of the values of x1 and
-    x2 on their own subgraphs (the unflipped one when both qualify), together
-    with that value.
-    """
-    if any(v in x2 for v in x1):
-        raise ValidationError("vertex sets of the two solutions overlap")
-    _check_vertices(G, x1)
-    _check_vertices(G, x2)
-    block_of = [-1] * G.n
-    inner = [1] * G.n
-    for b, x in enumerate((x2, x1)):
-        for v, s in x.items():
-            block_of[v] = b
-            inner[v] = s
-    signs, value = glue_blocks(G, block_of, inner)
-    return {v: signs[v] for part in (x2, x1) for v in part}, value
-
-
-def extend_from_induced(G: WeightedGraph, x: Mapping[int, int]) -> Assignment:
+def extend_from_induced(G: WeightedGraph, x: Sequence[int]) -> Assignment:
     """Complete a solution on an induced subgraph to all of G.
 
-    The other vertices are glued on one at a time in id order, then x as one
-    last block, so the result has value >= the value of x on the induced
-    subgraph.
+    `x` is a partial assignment: n signs on G's ids, 0 for a vertex outside
+    the subgraph, the form `glue_blocks` returns.  The 0 entries are glued on
+    one at a time in id order, then the rest as one last block, so the result
+    has value >= the value of x on the induced subgraph.
     """
-    _check_vertices(G, x)
-    keys = np.fromiter(x.keys(), dtype=np.int64, count=len(x))
-    inner = np.ones(G.n, dtype=np.int64)
-    inner[keys] = np.fromiter(x.values(), dtype=np.int64, count=len(x))
-    rest = np.ones(G.n, dtype=bool)
-    rest[keys] = False
+    x = np.asarray(x)
+    if x.shape != (G.n,):
+        raise ValidationError(f"partial assignment of shape {x.shape}, not ({G.n},)")
+    if not np.isin(x, (-1, 0, 1)).all():
+        raise ValidationError("partial assignment entries must be -1, 0 or +1")
+    rest = x == 0
     block_of = np.cumsum(rest) - 1
-    block_of[keys] = G.n - len(x)
-    signs, value = glue_blocks(G, block_of, inner)
+    block_of[~rest] = np.count_nonzero(rest)
+    signs, value = glue_blocks(G, block_of, np.where(rest, 1, x))
     return Assignment(tuple(signs), value)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 from .graph import Assignment, WeightedGraph, check_vertex_count, evaluate, value_tol
 
-DEFAULT_BRUTE_CAP = 28
+BRUTE_CAP = 28  # the largest n brute_force enumerates
 LOW_BITS = 14  # the low block: 2^14 sign rows of 14 vertices, 1.75 MiB
 CHUNK_CELLS = 1 << 20  # values per chunk table: 8 MiB of float64
 
@@ -95,7 +95,7 @@ def _mask_values(G: WeightedGraph, masks: np.ndarray) -> np.ndarray:
     return total
 
 
-def brute_force(G: WeightedGraph, cap: int = DEFAULT_BRUTE_CAP) -> Assignment:
+def brute_force(G: WeightedGraph) -> Assignment:
     """True optimum over all 2^(n-1) assignments with vertex 0 pinned to +1.
 
     An assignment is a mask of n bits, vertex v on bit n-1-v and a set bit
@@ -111,8 +111,8 @@ def brute_force(G: WeightedGraph, cap: int = DEFAULT_BRUTE_CAP) -> Assignment:
     assignment; the reported value is `evaluate(G, x)`.
     """
     n = G.n
-    if n > cap:
-        raise CapacityError(f"brute force capped at n <= {cap}, got {n}", achieved=n)
+    if n > BRUTE_CAP:
+        raise CapacityError(f"brute force capped at n <= {BRUTE_CAP}, got {n}", achieved=n)
     if n == 0:
         return Assignment((), 0.0)
     b = min(n - 1, LOW_BITS)

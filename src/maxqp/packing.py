@@ -224,7 +224,7 @@ def star_packing(G: WeightedGraph) -> EasyPacking:
 
 
 def _trivial_result(G: WeightedGraph, extra: dict) -> ApproxResult:
-    out = extend_from_induced(G, {})
+    out = extend_from_induced(G, np.zeros(G.n, dtype=np.int64))
     return ApproxResult(out, Fraction(1), {"trivial": True, **extra})
 
 
@@ -284,8 +284,9 @@ def solve_dense(G: WeightedGraph) -> ApproxResult:
     H, old_of = induced_subgraph(G, np.flatnonzero(_degrees(G)).tolist())
     P = star_packing(H)
     sol_h = packing_to_solution(H, P)
-    signs = {old_of[i]: s for i, s in enumerate(sol_h.values)}
-    out = extend_from_induced(G, signs)
+    x = np.zeros(G.n, dtype=np.int64)
+    x[old_of] = sol_h.values
+    out = extend_from_induced(G, x)
     density = Fraction(H.m, H.n)
     guarantee = Fraction(1, 1) / (3 * density)
     if out.value + value_tol(G) < float(Fraction(H.m, 1) / (3 * density)):

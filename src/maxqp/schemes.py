@@ -3,8 +3,11 @@ text format of externally supplied partitions.
 
 Both schemes delete a small residue class of the instance, solve the
 remainder exactly with the treewidth engine, and lift the solution back.
-Neither verifies minor-freeness; they verify the consequence they actually
-need (the achieved decomposition widths) and fail loudly otherwise.
+A class or part is a mask over G's ids, and a subproblem's solution is lifted
+as a partial assignment: n signs, 0 off the subproblem, glued by
+`glue_blocks`.  Neither scheme verifies minor-freeness; they verify the
+consequence they actually need (the achieved decomposition widths) and fail
+loudly otherwise.
 """
 
 from __future__ import annotations
@@ -13,33 +16,32 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from .errors import CapacityError, ParseError, ValidationError
 from .graph import (
     ApproxResult,
     Assignment,
     WeightedGraph,
-    combine_disjoint,
     extend_from_induced,
+    glue_blocks,
     induced_subgraph,
     neighbour_lists,
 )
 from .treewidth import DEFAULT_WIDTH_CAP, build_decomposition, check_dp_width, solve_treewidths
 
 
-def bfs_layers(G: WeightedGraph, root: int | None = None) -> tuple[int, ...]:
+def bfs_layers(G: WeightedGraph) -> tuple[int, ...]:
     """Exact BFS distance layers: the layer index of each vertex.
 
-    One BFS per component: the first from `root` when it is given, then one
-    from each vertex not yet reached, in increasing id order.  The layer
-    indices of all components are shared.
+    One BFS per component, from each vertex not yet reached in increasing id
+    order.  The layer indices of all components are shared.
     """
-    if root is not None and not 0 <= root < G.n:
-        raise ValidationError(f"root {root} out of range")
     nb = neighbour_lists(G)
     layer_of = [-1] * G.n
-    starts = range(G.n) if root is None else [root, *range(G.n)]
-    for start in starts:
+    for start in range(G.n):
         if layer_of[start] >= 0:
             continue
         layer_of[start] = 0
@@ -54,23 +56,24 @@ def bfs_layers(G: WeightedGraph, root: int | None = None) -> tuple[int, ...]:
     return tuple(layer_of)
 
 
-def residue_classes(layer_of, k: int) -> list[list[int]]:
-    """Class i = vertices whose layer index is congruent to i mod k, in id order.
+def layer_residues(G: WeightedGraph, k: int) -> tuple[np.ndarray, int]:
+    """Each vertex's BFS layer index mod k, and the number of classes to solve.
 
-    Only the classes that occur are built: with L layers, classes 0..min(k, L)-1,
-    plus class L, empty, when k > L.  Every class from L on is empty, so that
-    one stands for all of them.
+    With L layers that number is min(k, L + 1): classes 0..min(k, L)-1, plus
+    class L, empty, when k > L.  Every class from L on is empty, so that one
+    stands for all of them.  Every layer index is below that number, so
+    reducing mod it equals reducing mod k, however large k is.
     """
-    classes: list[list[int]] = [[] for _ in range(min(k, max(layer_of, default=-1) + 2))]
-    for v, li in enumerate(layer_of):
-        classes[li % k].append(v)
-    return classes
+    layer_of = np.array(bfs_layers(G), dtype=np.int64)
+    classes = min(k, int(layer_of.max(initial=-1)) + 2)
+    return layer_of % classes, classes
 
 
-def _decompose_induced(G, vertices, width_cap, label):
-    """G[vertices], its decomposition and its ids in G, or a CapacityError
-    that names the subproblem."""
-    sub, old_of = induced_subgraph(G, vertices)
+def _decompose_induced(G, mask, width_cap, label):
+    """G[mask], its decomposition and its ids in G as an int64 array, or a
+    CapacityError that names the subproblem."""
+    old_of = np.flatnonzero(mask)
+    sub, _ = induced_subgraph(G, old_of.tolist())
     try:
         td = build_decomposition(sub, width_cap)
         check_dp_width(td)
@@ -82,11 +85,19 @@ def _decompose_induced(G, vertices, width_cap, label):
     return sub, td, old_of
 
 
-def _solve_all(subproblems) -> list[dict[int, int]]:
-    """Exact signs of every decomposed subproblem, from one DP run, each as a
-    dict on the ids of G."""
+def _solve_all(subproblems) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact signs of every decomposed subproblem, from one DP run: each
+    subproblem's ids in G and its signs, as int64 arrays."""
     sols = solve_treewidths([(sub, td) for sub, td, _ in subproblems])
-    return [dict(zip(old_of, a.values)) for (_, _, old_of), a in zip(subproblems, sols)]
+    return [(old_of, np.array(a.values)) for (_, _, old_of), a in zip(subproblems, sols)]
+
+
+def _lift(n: int, solved) -> np.ndarray:
+    """The partial assignment on G's n ids made of the solved subproblems."""
+    x = np.zeros(n, dtype=np.int64)
+    for old_of, signs in solved:
+        x[old_of] = signs
+    return x
 
 
 def solve_baker(
@@ -102,16 +113,15 @@ def solve_baker(
     if not 0 < eps <= 1:
         raise ValidationError("epsilon must be in (0, 1]")
     k = math.ceil(4 / eps)
-    subproblems = []
-    # the classes past the last one built are empty, like the last: the first wins ties
-    for i, cls in enumerate(residue_classes(bfs_layers(G), k)):
-        drop = set(cls)
-        keep = [v for v in range(G.n) if v not in drop]
-        subproblems.append(_decompose_induced(G, keep, width_cap, f"G_{i}"))
+    residue, classes = layer_residues(G, k)
+    # the classes past the last one solved are empty, like the last: the first wins ties
+    subproblems = [
+        _decompose_induced(G, residue != i, width_cap, f"G_{i}") for i in range(classes)
+    ]
     best = None
     best_i = -1
-    for i, signs in enumerate(_solve_all(subproblems)):
-        sol = extend_from_induced(G, signs)
+    for i, solved in enumerate(_solve_all(subproblems)):
+        sol = extend_from_induced(G, _lift(G.n, [solved]))
         if best is None or sol.value > best.value:
             best, best_i = sol, i
     guarantee = Fraction(max(k - 4, 0), k)
@@ -124,19 +134,21 @@ class VertexPartition:
     """Disjoint cover of V used by the partition scheme."""
 
     parts: tuple[tuple[int, ...], ...]
-    source: str  # "external-file" | "bfs-layer-heuristic"
 
     @property
     def k(self) -> int:
         return len(self.parts)
 
 
-def load_partition(n: int, raw_parts, source: str = "external-file") -> VertexPartition:
-    """Validate an externally supplied partition: disjoint cover of V."""
+def load_partition(n: int, raw_parts) -> VertexPartition:
+    """Validate an externally supplied partition: disjoint cover of V, no
+    vertex listed twice in one part."""
     seen: set[int] = set()
     parts = []
     for part in raw_parts:
         pset = set(part)
+        if len(pset) != len(part):
+            raise ValidationError("a partition part lists a vertex twice")
         if any(not 0 <= v < n for v in pset):
             raise ValidationError("partition mentions an out-of-range vertex")
         if pset & seen:
@@ -147,7 +159,7 @@ def load_partition(n: int, raw_parts, source: str = "external-file") -> VertexPa
         raise ValidationError("partition does not cover every vertex")
     if not parts:
         raise ValidationError("partition must have at least one part")
-    return VertexPartition(tuple(parts), source)
+    return VertexPartition(tuple(parts))
 
 
 def parse_partition(text: str, n: int) -> VertexPartition:
@@ -162,6 +174,10 @@ def parse_partition(text: str, n: int) -> VertexPartition:
             raise ParseError("partition line must be vertex ids", line=lineno) from None
         if any(not 1 <= v <= n for v in ids):
             raise ParseError(f"vertex id out of range 1..{n}", line=lineno)
+        ids.sort()
+        twice = next((v for v, u in zip(ids, ids[1:]) if v == u), None)
+        if twice is not None:
+            raise ParseError(f"part lists vertex {twice} twice", line=lineno)
         parts.append([v - 1 for v in ids])
     return load_partition(n, parts)
 
@@ -180,8 +196,9 @@ def solve_partition_scheme(
     """Partition scheme for unit instances: drop each part's boundary edges.
 
     For every part V_i, G[V_i] and G[V \\ V_i] are solved exactly and glued
-    with the lossless disjoint-union composition; the best of the k results
-    is returned.  With h = max(1, ceil(m/n)) witnessing the instance's edge
+    with `glue_blocks`, G[V \\ V_i] as block 0 and G[V_i] as block 1; the
+    best of the k results is returned.  A given partition must cover exactly
+    G's vertices.  With h = max(1, ceil(m/n)) witnessing the instance's edge
     density, the default k = ceil(6h/eps) makes the best solution
     (1 - eps)-approximate whenever every subproblem fits the width cap.
     """
@@ -189,47 +206,48 @@ def solve_partition_scheme(
         raise ValidationError("partition scheme requires unit weights")
     if not 0 < eps <= 1:
         raise ValidationError("epsilon must be in (0, 1]")
+    if partition is not None:
+        ids = np.fromiter(chain.from_iterable(partition.parts), dtype=np.int64)
+        if not np.array_equal(np.sort(ids), np.arange(G.n)):
+            raise ValidationError(f"partition does not cover exactly the {G.n} vertices of G")
     if G.n == 0:
-        return ApproxResult(extend_from_induced(G, {}), Fraction(1), {"k": 0})
+        return ApproxResult(extend_from_induced(G, ()), Fraction(1), {"k": 0})
     h = max(1, math.ceil(G.m / G.n))
     if partition is None:
         # the residue classes mod k of the BFS layers: the parts past the
-        # last class built are empty, like that class
+        # last class solved are empty, like that class
         k = math.ceil(6 * h / eps)
-        parts = residue_classes(bfs_layers(G), k)
-        source = "bfs-layer-heuristic"
+        part_of, count = layer_residues(G, k)
     else:
-        k, parts, source = partition.k, partition.parts, partition.source
-    first_empty = next((i for i, part in enumerate(parts) if not part), None)
-    # per part solved: its index and the subproblem indices of G[V_i] and
-    # G[V \ V_i], None for an empty one
+        k = count = partition.k
+        part_of = np.empty(G.n, dtype=np.int64)
+        part_of[ids] = np.repeat(np.arange(k), [len(part) for part in partition.parts])
+    empty = np.bincount(part_of, minlength=count) == 0
+    empty[np.argmax(empty)] = False  # the first empty part stands for all: it wins ties
+    # per part solved: its index and the subproblem indices of G[V_i] and G[V \ V_i]
     runs, subproblems = [], []
-    for i, part in enumerate(parts):
-        if not part and i != first_empty:
-            continue  # the same subproblems as the first empty part, which wins ties
-        part_set = set(part)
-        outside = [v for v in range(G.n) if v not in part_set]
+    for i in np.flatnonzero(~empty).tolist():
+        in_part = part_of == i
         at = []
-        for vertices, label in ((list(part), f"G[V_{i}]"), (outside, f"G[V \\ V_{i}]")):
-            if vertices:
-                subproblems.append(_decompose_induced(G, vertices, width_cap, label))
-            at.append(len(subproblems) - 1 if vertices else None)
+        for mask, label in ((in_part, f"G[V_{i}]"), (~in_part, f"G[V \\ V_{i}]")):
+            if mask.any():
+                at.append(len(subproblems))
+                subproblems.append(_decompose_induced(G, mask, width_cap, label))
         runs.append((i, at))
-    signs_of = _solve_all(subproblems)
+    solved = _solve_all(subproblems)
     best = None
     best_i = -1
     for i, at in runs:
-        x1, x2 = ({} if j is None else signs_of[j] for j in at)
-        signs, value = combine_disjoint(G, x1, x2)
-        sol = Assignment(tuple(signs[v] for v in range(G.n)), value)
-        if best is None or sol.value > best.value:
-            best, best_i = sol, i
+        # G[V \ V_i] is block 0, and G[V_i], block 1, flips when its edges to it sum below 0
+        signs, value = glue_blocks(G, part_of == i, _lift(G.n, [solved[j] for j in at]))
+        if best is None or value > best.value:
+            best, best_i = Assignment(tuple(signs), value), i
     guarantee = Fraction(max(k - 6 * h, 0), k)
     cert = {
         "epsilon": eps,
         "k": k,
         "h": h,
-        "partition_source": source,
+        "partition_source": "bfs-layer-heuristic" if partition is None else "external-file",
         "chosen_part": best_i,
     }
     return ApproxResult(best, guarantee, cert)

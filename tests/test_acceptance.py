@@ -19,10 +19,10 @@ from maxqp import (
     bfs_layers,
     brute_force,
     build_decomposition,
-    combine_disjoint,
     easypack,
     extend_from_induced,
     generate,
+    glue_blocks,
     greedy_sorted_matching,
     induced_subgraph,
     load_partition,
@@ -41,7 +41,6 @@ from maxqp import (
 from maxqp.cli import main as cli_main
 from maxqp.errors import CapacityError, ValidationError
 from maxqp.graph import degeneracy_order
-from maxqp.schemes import residue_classes
 
 from util import (
     adjacency,
@@ -56,6 +55,7 @@ from util import (
     normalize_nonneg,
     parts,
     random_graph,
+    residue_classes,
 )
 
 TOL = 1e-9
@@ -119,12 +119,14 @@ def test_03_lossless_composition(capsys):
         for seed in range(500):
             G = _small_instance(rng, seed)
             bits = rng.next_u64()
-            left = {v: 1 if bits >> (2 * v) & 1 else -1
-                    for v in range(G.n) if bits >> (2 * v + 1) & 1}
-            right = {v: 1 for v in range(G.n) if v not in left}
+            # left (block 1) glued onto right (block 0), as partial assignments
+            block_of = [bits >> (2 * v + 1) & 1 for v in range(G.n)]
+            left = [(1 if bits >> (2 * v) & 1 else -1) if block_of[v] else 0
+                    for v in range(G.n)]
+            right = [0 if block_of[v] else 1 for v in range(G.n)]
             z1 = evaluate_partial(G, left)
             z2 = evaluate_partial(G, right)
-            _, val = combine_disjoint(G, left, right)
+            _, val = glue_blocks(G, block_of, [a + b for a, b in zip(left, right)])
             assert val >= z1 + z2 - TOL
             assert extend_from_induced(G, left).value >= z1 - TOL
 

@@ -146,6 +146,13 @@ class TestSolve:
         assert main(args) == 0
         assert "partition_source=external-file" in capsys.readouterr().out
 
+    def test_partition_file_listing_a_vertex_twice_exits_2(self, tmp_path, capsys):
+        inst = _path3(tmp_path)
+        part = _write(tmp_path, "p3.part", "1 1 2\n3\n")
+        args = ["solve", inst, "--algo", "partition", "--epsilon", "0.5", "--partition", part]
+        assert main(args) == 2
+        assert "line 1: part lists vertex 1 twice" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):

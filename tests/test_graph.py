@@ -18,7 +18,6 @@ from maxqp import (
     ValidationError,
     WeightedGraph,
     brute_force,
-    combine_disjoint,
     evaluate,
     extend_from_induced,
     generate,
@@ -389,59 +388,69 @@ class TestNormalizeNonneg:
 
 
 class TestCombineDisjoint:
+    """The disjoint-union composition: two partial assignments on disjoint
+    vertex sets glued by `glue_blocks` as block 0 and block 1."""
+
     def test_no_cross_edges_adds_values(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        _, val = combine_disjoint(G, {0: 1, 1: 1}, {2: 1, 3: 1})
+        _, val = glue_blocks(G, [1, 1, 0, 0], [1, 1, 1, 1])
         assert val == 2.0
 
     def test_positive_cross_edge_kept_unflipped(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)])
-        signs, val = combine_disjoint(G, {0: 1, 1: 1}, {2: 1, 3: 1})
+        signs, val = glue_blocks(G, [1, 1, 0, 0], [1, 1, 1, 1])
         assert val == 3.0
-        assert signs == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert signs == [1, 1, 1, 1]
 
     def test_negative_cross_contribution_flips_first(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, -1.0)])
-        signs, val = combine_disjoint(G, {0: 1, 1: 1}, {2: 1, 3: 1})
+        signs, val = glue_blocks(G, [1, 1, 0, 0], [1, 1, 1, 1])
         assert val == 3.0
         assert signs[0] == signs[1] == -1
-
-    def test_overlap_rejected(self):
-        G = WeightedGraph(2, [(0, 1, 1.0)])
-        with pytest.raises(ValidationError):
-            combine_disjoint(G, {0: 1}, {0: 1, 1: 1})
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_never_loses_value_on_random_splits(self, seed):
         G = sample_small(seed)
-        left = {v: 1 for v in range(G.n) if (seed >> v) & 1}
-        right = {v: -1 if v % 2 else 1 for v in range(G.n) if v not in left}
+        left = [1 if (seed >> v) & 1 else 0 for v in range(G.n)]
+        right = [0 if left[v] else -1 if v % 2 else 1 for v in range(G.n)]
         z1 = evaluate_partial(G, left)
         z2 = evaluate_partial(G, right)
-        _, val = combine_disjoint(G, left, right)
+        _, val = glue_blocks(G, left, [a + b for a, b in zip(left, right)])
         assert val >= z1 + z2 - 1e-9
 
 
 class TestExtendFromInduced:
     def test_full_vertex_set_is_identity(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, -1.0)])
-        a = extend_from_induced(G, {0: 1, 1: 1, 2: -1})
+        a = extend_from_induced(G, [1, 1, -1])
         assert a.values == (1, 1, -1)
 
     def test_path_completion_keeps_edge_value(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        a = extend_from_induced(G, {0: 1, 1: 1})
+        a = extend_from_induced(G, [1, 1, 0])
         assert a.value >= 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_never_below_induced_value(self, seed):
         G = sample_small(seed)
-        sub = {v: -1 if (seed >> v) & 2 else 1 for v in range(G.n) if (seed >> v) & 1}
+        sub = [(-1 if (seed >> v) & 2 else 1) if (seed >> v) & 1 else 0 for v in range(G.n)]
         sub_val = evaluate_partial(G, sub)
         a = extend_from_induced(G, sub)
         assert a.value >= sub_val - 1e-9
+
+    def test_wrong_length_rejected(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        for x in ([1, 1], [1, 1, 0, 0], [[1, 1, 1]]):
+            with pytest.raises(ValidationError, match="shape"):
+                extend_from_induced(G, x)
+
+    def test_entry_outside_signs_rejected(self):
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        for x in ([1, 2, 0], [1, -2, 0], [0.5, 1, 1], [float("nan"), 1, 1]):
+            with pytest.raises(ValidationError, match="-1, 0 or"):
+                extend_from_induced(G, x)
 
 
 def _random_blocks(seed: int, n: int, k: int):
@@ -498,8 +507,7 @@ class TestGlueBlocks:
             assert c >= -1e-9
             if flip[b] == -1:  # flipped only when unflipped would lose value
                 assert c > 0
-        included = {v: s for v, s in enumerate(signs) if s}
-        assert value == pytest.approx(evaluate_partial(G, included), abs=1e-9)
+        assert value == pytest.approx(evaluate_partial(G, signs), abs=1e-9)
         assert value >= inner_total - 1e-9
 
 
@@ -518,7 +526,7 @@ class TestSameSignsAsReferenceScan:
     def test_extend_from_induced_over_several_row_blocks(self, real):
         # more than 2 * ROW_BLOCK cross edges, so the glue loop spans blocks
         G = random_graph(31, 5000, 3 * ROW_BLOCK, real=real)
-        sub = {v: (-1) ** v for v in range(0, G.n, 7)}
+        sub = [0 if v % 7 else (-1) ** v for v in range(G.n)]
         assert extend_from_induced(G, sub).values == reference_extend(G, sub)
 
     @settings(max_examples=100, deadline=None)
@@ -537,7 +545,7 @@ class TestSameSignsAsReferenceScan:
     def test_extend_from_induced(self, seed):
         G = sample_small(seed)
         block_of, inner = _random_blocks(seed, G.n, 1)
-        sub = {v: inner[v] for v in range(G.n) if block_of[v] == 0}
+        sub = [s if b == 0 else 0 for b, s in zip(block_of, inner)]
         assert extend_from_induced(G, sub).values == reference_extend(G, sub)
 
     @settings(max_examples=100, deadline=None)
@@ -545,9 +553,10 @@ class TestSameSignsAsReferenceScan:
     def test_combine_disjoint(self, seed):
         G = sample_small(seed)
         block_of, inner = _random_blocks(seed, G.n, 2)
-        x1 = {v: inner[v] for v in range(G.n) if block_of[v] == 0}
-        x2 = {v: inner[v] for v in range(G.n) if block_of[v] == 1}
-        signs, val = combine_disjoint(G, x1, x2)
+        # x1 is block 1, glued onto block 0, x2; the vertices at -1 are left out
+        x1 = [s if b == 1 else 0 for b, s in zip(block_of, inner)]
+        x2 = [s if b == 0 else 0 for b, s in zip(block_of, inner)]
+        signs, val = glue_blocks(G, block_of, inner)
         assert signs == reference_combine(G, x1, x2)
         assert val == pytest.approx(evaluate_partial(G, signs), abs=1e-9)
 

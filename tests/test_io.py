@@ -294,6 +294,10 @@ class TestPartitionFormat:
         with pytest.raises(ParseError):
             parse_partition("1 4\n2 3\n", 3)
 
+    def test_rejects_a_vertex_listed_twice(self):
+        with pytest.raises(ParseError, match="line 2: part lists vertex 3 twice"):
+            parse_partition("# parts\n3 1 3\n2\n", 3)
+
 
 class TestDecompositionFormat:
     def test_parse_small_tree(self):

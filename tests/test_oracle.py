@@ -177,7 +177,7 @@ class TestBruteForce:
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
-            brute_force(WeightedGraph(30, []), cap=28)
+            brute_force(WeightedGraph(30, []))
         with pytest.raises(CapacityError):
             brute_force(WeightedGraph(29, []))
 

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import time
-from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import maxqp.schemes
 from maxqp import (
     CapacityError,
     ValidationError,
+    VertexPartition,
     WeightedGraph,
     bfs_layers,
     brute_force,
@@ -21,16 +22,16 @@ from maxqp import (
     solve_partition_scheme,
 )
 from maxqp.oracle import GeneratorSpec, generate
-from maxqp.schemes import residue_classes
+from maxqp.schemes import layer_residues
 
 from util import (
-    adjacency,
     edge_list,
     heuristic_partition,
     layers_of,
     random_graph,
     reference_baker,
     reference_partition_scheme,
+    residue_classes,
 )
 
 
@@ -38,47 +39,27 @@ def _grid(rows, cols, seed=1):
     return generate(GeneratorSpec("grid-spin-glass", seed, {"rows": rows, "cols": cols}))
 
 
+def _classes(residue, classes):
+    """The vertices of each residue class, in id order."""
+    return [np.flatnonzero(residue == i).tolist() for i in range(classes)]
+
+
 class TestBfsLayers:
     def test_star_from_center(self):
         G = WeightedGraph(5, [(0, i, 1.0) for i in range(1, 5)])
-        assert layers_of(bfs_layers(G, root=0)) == ((0,), (1, 2, 3, 4))
+        assert layers_of(bfs_layers(G)) == ((0,), (1, 2, 3, 4))
 
     def test_path_from_end(self):
         G = WeightedGraph(5, [(i, i + 1, 1.0) for i in range(4)])
-        assert layers_of(bfs_layers(G, root=0)) == ((0,), (1,), (2,), (3,), (4,))
+        assert layers_of(bfs_layers(G)) == ((0,), (1,), (2,), (3,), (4,))
 
     def test_grid_from_corner_layer_sizes(self):
-        layers = layers_of(bfs_layers(_grid(4, 4), root=0))
+        layers = layers_of(bfs_layers(_grid(4, 4)))
         assert [len(layer) for layer in layers] == [1, 2, 3, 4, 3, 2, 1]
 
     def test_disconnected_components_all_layered(self):
         G = WeightedGraph(5, [(0, 1, 1.0), (3, 4, 1.0)])
         assert all(li >= 0 for li in bfs_layers(G))
-
-    def test_root_outside_first_component(self):
-        for seed in range(40):
-            # two copies of one random graph: components on both sides of the root
-            H = random_graph(seed, 8, 4 + seed % 10)
-            G = WeightedGraph(16, edge_list(H) + [(u + 8, v + 8, w) for u, v, w in edge_list(H)])
-            root = 8 + seed % 8
-            adj = adjacency(G)
-            dist = [-1] * G.n
-            for start in [root, *range(G.n)]:
-                if dist[start] >= 0:
-                    continue
-                dist[start] = 0
-                queue = deque([start])
-                while queue:
-                    v = queue.popleft()
-                    for u in adj[v]:
-                        if dist[u] < 0:
-                            dist[u] = dist[v] + 1
-                            queue.append(u)
-            layer_of = bfs_layers(G, root=root)
-            assert layer_of == tuple(dist)
-            assert layers_of(layer_of) == tuple(
-                tuple(v for v in range(G.n) if dist[v] == d) for d in range(max(dist) + 1)
-            )
 
     def test_edges_stay_within_adjacent_layers(self):
         for seed in range(60):
@@ -89,18 +70,22 @@ class TestBfsLayers:
 
     def test_residue_classes_partition_vertices(self):
         G = _grid(3, 5)
-        classes = residue_classes(bfs_layers(G), 3)
-        assert sorted(v for c in classes for v in c) == list(range(G.n))
+        residue, classes = layer_residues(G, 3)
+        assert classes == 3
+        assert ((0 <= residue) & (residue < classes)).all()
+        assert _classes(residue, classes) == residue_classes(bfs_layers(G), 3)
 
     def test_residue_classes_past_the_layers_are_one_empty_class(self):
         G = _grid(3, 5)  # 7 layers from vertex 0
         layer_of = bfs_layers(G)
-        for k in (1, 3, 7, 8, 9, 400, 10**12):
-            classes = residue_classes(layer_of, k)
-            assert len(classes) == min(k, 8)
-            for i, cls in enumerate(classes):
-                assert cls == [v for v in range(G.n) if layer_of[v] % k == i]
+        for k in (1, 3, 7, 8, 9, 400, 10**12, 10**30):
+            residue, classes = layer_residues(G, k)
+            ref = residue_classes(layer_of, k)
+            assert classes == len(ref) == min(k, 8)
+            assert _classes(residue, classes) == ref
         assert residue_classes((), 5) == [[]]
+        residue, classes = layer_residues(WeightedGraph(0, []), 5)
+        assert (residue.tolist(), classes) == ([], 1)
 
 
 class TestBaker:
@@ -169,11 +154,14 @@ class TestPartitions:
         with pytest.raises(ValidationError):
             load_partition(3, [[0, 1], [1, 2]])
 
+    def test_vertex_listed_twice_in_one_part_refused(self):
+        with pytest.raises(ValidationError, match="twice"):
+            load_partition(3, [[0, 0, 1], [2]])
+
     def test_heuristic_on_path_alternates_layers(self):
         G = WeightedGraph(6, [(i, i + 1, 1.0) for i in range(5)])
         P = heuristic_partition(G, 2)
         assert P.parts == ((0, 2, 4), (1, 3, 5))
-        assert P.source == "bfs-layer-heuristic"
 
     def test_heuristic_on_grid_forms_bands(self):
         G = _grid(5, 5)
@@ -233,6 +221,19 @@ class TestPartitionScheme:
         ref = reference_partition_scheme(G, 0.05)  # k = 240: the same classes occur
         assert r.assignment == ref.assignment
         assert r.certificate["chosen_part"] == ref.certificate["chosen_part"]
+
+    def test_partition_of_fewer_vertices_refused(self):
+        # vertices 5..7 of the 2 x 4 grid lie in no part
+        G = generate(GeneratorSpec("grid-spin-glass", 3, {"rows": 2, "cols": 4}))
+        with pytest.raises(ValidationError, match="does not cover exactly the 8 vertices"):
+            solve_partition_scheme(G, 0.5, load_partition(5, [[0, 1], [2, 3, 4]]))
+
+    def test_partition_of_more_vertices_refused(self):
+        G = generate(GeneratorSpec("grid-spin-glass", 3, {"rows": 2, "cols": 4}))
+        P = load_partition(10, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]])
+        for bad in (P, VertexPartition(((0, 1, 2, 3), (3, 4, 5, 6, 7)))):
+            with pytest.raises(ValidationError, match="does not cover exactly the 8 vertices"):
+                solve_partition_scheme(G, 0.5, bad)
 
     def test_rejects_real_weights(self):
         with pytest.raises(ValidationError):

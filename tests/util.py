@@ -8,7 +8,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -37,7 +37,6 @@ from maxqp import (
     solve_treewidth,
     to_nice,
 )
-from maxqp.schemes import residue_classes
 
 
 # One small instance of every generator kind (sparse-random with both weight types).
@@ -93,12 +92,25 @@ def reference_evaluate(G: WeightedGraph, values) -> float:
     return total
 
 
+def residue_classes(layer_of, k: int) -> list[list[int]]:
+    """Class i = vertices whose layer index is congruent to i mod k, in id order.
+
+    Only the classes that occur are built: with L layers, classes 0..min(k, L)-1,
+    plus class L, empty, when k > L.  Every class from L on is empty, so that
+    one stands for all of them: the classes `layer_residues` numbers.
+    """
+    classes: list[list[int]] = [[] for _ in range(min(k, max(layer_of, default=-1) + 2))]
+    for v, li in enumerate(layer_of):
+        classes[li % k].append(v)
+    return classes
+
+
 def heuristic_partition(G: WeightedGraph, k: int) -> VertexPartition:
     """Part i = vertices whose BFS layer index is congruent to i mod k, all
     k parts listed (the partition scheme's default, padded with empty parts)."""
     classes = residue_classes(bfs_layers(G), k)
     classes += [[]] * (k - len(classes))
-    return VertexPartition(tuple(tuple(c) for c in classes), "bfs-layer-heuristic")
+    return VertexPartition(tuple(tuple(c) for c in classes))
 
 
 def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph:
@@ -605,14 +617,13 @@ def is_bipartite(G: WeightedGraph) -> bool:
     return True
 
 
-def evaluate_partial(G: WeightedGraph, signs: Mapping[int, int]) -> float:
-    """Objective restricted to edges with both endpoints in `signs`."""
-    adj = adjacency(G)
+def evaluate_partial(G: WeightedGraph, x) -> float:
+    """Objective restricted to the edges with both endpoints where the
+    partial assignment x (n signs, 0 off its subgraph) is nonzero."""
     total = 0.0
-    for u, su in signs.items():
-        for v, w in adj[u].items():
-            if u < v and v in signs:
-                total += w * su * signs[v]
+    for u, v, w in edge_list(G):
+        if x[u] and x[v]:
+            total += w * x[u] * x[v]
     return total
 
 
@@ -823,25 +834,23 @@ def reference_scan(G: WeightedGraph, vertices, start=None) -> dict[int, int]:
     return signs
 
 
-def reference_combine(G: WeightedGraph, x1, x2) -> dict[int, int]:
-    """x2 together with x1, x1 flipped iff its edges to x2 sum below zero."""
-    adj = adjacency(G)
-    small, big = (x1, x2) if len(x1) <= len(x2) else (x2, x1)
+def reference_combine(G: WeightedGraph, x1, x2) -> list[int]:
+    """x2 together with x1, two partial assignments (n signs, 0 off their
+    disjoint subgraphs): x1 flipped iff its edges to x2 sum below zero."""
     c = 0.0
-    for u, su in small.items():
-        for v, w in adj[u].items():
-            if v in big:
-                c += w * su * big[v]
-    out = dict(x2)
-    out.update((v, s if c >= 0 else -s) for v, s in x1.items())
-    return out
+    for u, v, w in edge_list(G):
+        if x1[u] and x2[v]:
+            c += w * x1[u] * x2[v]
+        elif x2[u] and x1[v]:
+            c += w * x2[u] * x1[v]
+    s = 1 if c >= 0 else -1
+    return [s * a + b for a, b in zip(x1, x2)]
 
 
 def reference_extend(G: WeightedGraph, x) -> tuple[int, ...]:
-    """Scan the vertices outside x, then combine x onto them."""
-    rest = reference_scan(G, [v for v in range(G.n) if v not in x])
-    signs = reference_combine(G, x, rest)
-    return tuple(signs[v] for v in range(G.n))
+    """Scan the vertices where x is 0, then combine x onto them."""
+    rest = reference_scan(G, [v for v in range(G.n) if not x[v]])
+    return tuple(reference_combine(G, x, [rest.get(v, 0) for v in range(G.n)]))
 
 
 def reference_degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
@@ -1187,7 +1196,10 @@ def reference_baker(G: WeightedGraph, eps: float, width_cap: int = 20) -> Approx
         keep = [v for v in range(G.n) if v not in drop]
         sub, old_of = induced_subgraph(G, keep)
         values = solve_treewidth(sub, build_decomposition(sub, width_cap)).values
-        sol = extend_from_induced(G, {old_of[j]: s for j, s in enumerate(values)})
+        x = [0] * G.n
+        for j, s in enumerate(values):
+            x[old_of[j]] = s
+        sol = extend_from_induced(G, x)
         if best is None or sol.value > best.value:
             best, best_i = sol, i
     cert = {"epsilon": eps, "k": k, "chosen_class": best_i}
@@ -1246,6 +1258,7 @@ def reference_partition_scheme(G: WeightedGraph, eps: float, partition=None) -> 
     heuristic) partition, empty parts included, each solved on its own over
     the scheme's min-fill decomposition."""
     h = max(1, math.ceil(G.m / G.n))
+    source = "bfs-layer-heuristic" if partition is None else "external-file"
     if partition is None:
         partition = heuristic_partition(G, math.ceil(6 * h / eps))
     best, best_i = None, -1
@@ -1256,7 +1269,7 @@ def reference_partition_scheme(G: WeightedGraph, eps: float, partition=None) -> 
                 sub, old_of = induced_subgraph(G, vertices)
                 values = solve_treewidth(sub, build_decomposition(sub)).values
                 x.update((old_of[j], s) for j, s in enumerate(values))
-        # both sides glued as blocks in combine_disjoint's order: outside, then part
+        # both sides glued as two blocks: outside, then part
         inside = set(part)
         block_of = [1 if v in inside else 0 for v in range(G.n)]
         signs, value = glue_blocks(G, block_of, [x[v] for v in range(G.n)])
@@ -1266,7 +1279,7 @@ def reference_partition_scheme(G: WeightedGraph, eps: float, partition=None) -> 
         "epsilon": eps,
         "k": partition.k,
         "h": h,
-        "partition_source": partition.source,
+        "partition_source": source,
         "chosen_part": best_i,
     }
     return ApproxResult(best, Fraction(max(partition.k - 6 * h, 0), partition.k), cert)
