@@ -161,25 +161,23 @@ def write_instance(G: WeightedGraph, path: str, comments=None) -> None:
         fh.write(format_instance(G, comments))
 
 
-def parse_assignment(text: str, n: int) -> list[int]:
-    tokens = text.split()
+def parse_assignment(text: str, n: int) -> np.ndarray:
+    """The n signs of an assignment text ("+1" or "1", and "-1") as int8."""
+    tokens = np.array(text.split(), dtype=object)
     if len(tokens) != n:
         raise ParseError(f"expected {n} signs, found {len(tokens)}")
-    values = []
-    for t in tokens:
-        if t in ("+1", "1"):
-            values.append(1)
-        elif t == "-1":
-            values.append(-1)
-        else:
-            raise ParseError(f"assignment token must be +1 or -1, got {t!r}")
-    return values
+    plus = (tokens == "+1") | (tokens == "1")
+    bad = ~plus & (tokens != "-1")
+    if bad.any():
+        raise ParseError(f"assignment token must be +1 or -1, got {tokens[np.argmax(bad)]!r}")
+    return np.where(plus, 1, -1).astype(np.int8)
 
 
-def read_assignment(path: str, n: int) -> list[int]:
+def read_assignment(path: str, n: int) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         return parse_assignment(fh.read(), n)
 
 
 def format_assignment(x: Assignment) -> str:
-    return " ".join("+1" if s == 1 else "-1" for s in x.values) + "\n"
+    # each sign as three ASCII bytes "+1 " or "-1 ": the line, but its last space
+    return np.where(x.values == 1, b"+1 ", b"-1 ").tobytes().decode()[:-1] + "\n"

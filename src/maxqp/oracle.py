@@ -140,7 +140,7 @@ def brute_force(G: WeightedGraph) -> Assignment:
                 best_mask, best_val = int(near[i]), float(values[i])
             del values
         del near
-    x = tuple(-1 if best_mask >> (n - 1 - v) & 1 else 1 for v in range(n))
+    x = _signs(best_mask, best_mask + 1, n)[0]
     return Assignment(x, evaluate(G, x))
 
 

@@ -56,8 +56,7 @@ def _glue_with_rest(G: WeightedGraph, block_of, inner, k: int) -> Assignment:
     block_of = np.array(block_of, dtype=np.int64)
     rest = np.flatnonzero(block_of < 0)
     block_of[rest] = k + np.arange(len(rest))
-    signs, value = glue_blocks(G, block_of, inner)
-    return Assignment(tuple(signs), value)
+    return glue_blocks(G, block_of, inner)
 
 
 def matching_to_solution(G: WeightedGraph, M: Matching) -> Assignment:
@@ -281,11 +280,10 @@ def solve_dense(G: WeightedGraph) -> ApproxResult:
         raise ValidationError("solve_dense requires unit weights")
     if G.m == 0:
         return _trivial_result(G, {"density": "0"})
-    H, old_of = induced_subgraph(G, np.flatnonzero(_degrees(G)).tolist())
+    H, old_of = induced_subgraph(G, np.flatnonzero(_degrees(G)))
     P = star_packing(H)
-    sol_h = packing_to_solution(H, P)
-    x = np.zeros(G.n, dtype=np.int64)
-    x[old_of] = sol_h.values
+    x = np.zeros(G.n, dtype=np.int8)
+    x[old_of] = packing_to_solution(H, P).values
     out = extend_from_induced(G, x)
     density = Fraction(H.m, H.n)
     guarantee = Fraction(1, 1) / (3 * density)

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import CapacityError, ParseError, ValidationError
 from .graph import (
     ApproxResult,
-    Assignment,
     WeightedGraph,
     extend_from_induced,
     glue_blocks,
@@ -33,8 +32,8 @@ from .graph import (
 from .treewidth import DEFAULT_WIDTH_CAP, build_decomposition, check_dp_width, solve_treewidths
 
 
-def bfs_layers(G: WeightedGraph) -> tuple[int, ...]:
-    """Exact BFS distance layers: the layer index of each vertex.
+def bfs_layers(G: WeightedGraph) -> np.ndarray:
+    """Exact BFS distance layers: the layer index of each vertex, as int64.
 
     One BFS per component, from each vertex not yet reached in increasing id
     order.  The layer indices of all components are shared.
@@ -53,7 +52,7 @@ def bfs_layers(G: WeightedGraph) -> tuple[int, ...]:
                 if layer_of[u] < 0:
                     layer_of[u] = d
                     dq.append(u)
-    return tuple(layer_of)
+    return np.array(layer_of, dtype=np.int64)
 
 
 def layer_residues(G: WeightedGraph, k: int) -> tuple[np.ndarray, int]:
@@ -64,7 +63,7 @@ def layer_residues(G: WeightedGraph, k: int) -> tuple[np.ndarray, int]:
     stands for all of them.  Every layer index is below that number, so
     reducing mod it equals reducing mod k, however large k is.
     """
-    layer_of = np.array(bfs_layers(G), dtype=np.int64)
+    layer_of = bfs_layers(G)
     classes = min(k, int(layer_of.max(initial=-1)) + 2)
     return layer_of % classes, classes
 
@@ -72,8 +71,7 @@ def layer_residues(G: WeightedGraph, k: int) -> tuple[np.ndarray, int]:
 def _decompose_induced(G, mask, width_cap, label):
     """G[mask], its decomposition and its ids in G as an int64 array, or a
     CapacityError that names the subproblem."""
-    old_of = np.flatnonzero(mask)
-    sub, _ = induced_subgraph(G, old_of.tolist())
+    sub, old_of = induced_subgraph(G, np.flatnonzero(mask))
     try:
         td = build_decomposition(sub, width_cap)
         check_dp_width(td)
@@ -87,14 +85,14 @@ def _decompose_induced(G, mask, width_cap, label):
 
 def _solve_all(subproblems) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact signs of every decomposed subproblem, from one DP run: each
-    subproblem's ids in G and its signs, as int64 arrays."""
+    subproblem's ids in G and its signs, int64 and int8 arrays."""
     sols = solve_treewidths([(sub, td) for sub, td, _ in subproblems])
-    return [(old_of, np.array(a.values)) for (_, _, old_of), a in zip(subproblems, sols)]
+    return [(old_of, a.values) for (_, _, old_of), a in zip(subproblems, sols)]
 
 
 def _lift(n: int, solved) -> np.ndarray:
-    """The partial assignment on G's n ids made of the solved subproblems."""
-    x = np.zeros(n, dtype=np.int64)
+    """The partial assignment on G's n ids made of the solved subproblems, 0 off them."""
+    x = np.zeros(n, dtype=np.int8)
     for old_of, signs in solved:
         x[old_of] = signs
     return x
@@ -239,9 +237,9 @@ def solve_partition_scheme(
     best_i = -1
     for i, at in runs:
         # G[V \ V_i] is block 0, and G[V_i], block 1, flips when its edges to it sum below 0
-        signs, value = glue_blocks(G, part_of == i, _lift(G.n, [solved[j] for j in at]))
-        if best is None or value > best.value:
-            best, best_i = Assignment(tuple(signs), value), i
+        sol = glue_blocks(G, part_of == i, _lift(G.n, [solved[j] for j in at]))
+        if best is None or sol.value > best.value:
+            best, best_i = sol, i
     guarantee = Fraction(max(k - 6 * h, 0), k)
     cert = {
         "epsilon": eps,

@@ -844,7 +844,7 @@ def _backtrack(p: _Problem, group: np.ndarray, row: np.ndarray, bits: list) -> A
         # t1 > t0 at these signs when the pin is +1, else t0 > t1 at the flipped ones
         if bits[gi][jj][r, (s + 1) >> 1, rest >> 3] >> (7 - (rest & 7)) & 1:
             signs[ax[e]] = -1
-    return Assignment(tuple(signs), evaluate(p.G, signs))
+    return Assignment(signs, evaluate(p.G, signs))
 
 
 def solve_exact(G: WeightedGraph, width_cap: int = DEFAULT_WIDTH_CAP) -> ApproxResult:

@@ -126,8 +126,8 @@ def test_03_lossless_composition(capsys):
             right = [0 if block_of[v] else 1 for v in range(G.n)]
             z1 = evaluate_partial(G, left)
             z2 = evaluate_partial(G, right)
-            _, val = glue_blocks(G, block_of, [a + b for a, b in zip(left, right)])
-            assert val >= z1 + z2 - TOL
+            glued = glue_blocks(G, block_of, [a + b for a, b in zip(left, right)])
+            assert glued.value >= z1 + z2 - TOL
             assert extend_from_induced(G, left).value >= z1 - TOL
 
 
@@ -319,17 +319,18 @@ def test_10_subdivision_reduction(capsys):
 
 def test_11_performance_scaling(capsys):
     with criterion(capsys, 11, "performance", 600):
-        def timed_solve(n):
-            G = generate(GeneratorSpec("sparse-random", 42, {"n": n, "m": 2 * n}))
-            best = float("inf")
-            for _ in range(2):
+        sizes = (10**5, 10**6)
+        specs = [GeneratorSpec("sparse-random", 42, {"n": n, "m": 2 * n}) for n in sizes]
+        graphs = [generate(spec) for spec in specs]
+        best = [float("inf")] * len(sizes)
+        # best of 3 per size, the sizes alternating, so that a slow stretch
+        # of the host slows both sizes rather than one
+        for _ in range(3):
+            for i, G in enumerate(graphs):
                 t0 = time.perf_counter()
                 solve_bounded_degree(G)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        t5 = timed_solve(10**5)
-        t6 = timed_solve(10**6)
+                best[i] = min(best[i], time.perf_counter() - t0)
+        t5, t6 = best
         assert t6 <= 10.0, f"large run took {t6:.2f}s"
         assert t6 / t5 <= 15.0, f"scaling ratio {t6 / t5:.1f}"
 

@@ -349,13 +349,28 @@ class TestAssignment:
 
     @pytest.mark.parametrize("bad", [0, 2, -2, 0.5, -1.5, float("nan")])
     def test_any_non_sign_entry_is_rejected(self, bad):
-        with pytest.raises(ValidationError):
-            Assignment((1, -1, bad, 1), 0.0)
+        for given in ((1, -1, bad, 1), np.array([1, -1, bad, 1])):
+            with pytest.raises(ValidationError):
+                Assignment(given, 0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), ()])
+    def test_only_a_vector_is_accepted(self, shape):
+        with pytest.raises(ValidationError, match="one vector"):
+            Assignment(np.ones(shape, dtype=np.int8), 0.0)
 
     def test_entries_equal_to_a_sign_are_accepted(self):
         # the check compares by value, so True and 1.0 count as +1
-        assert Assignment((True, 1.0, -1.0, -1), 0.0).values == (True, 1.0, -1.0, -1)
-        assert Assignment((), 0.0).values == ()
+        assert Assignment((True, 1.0, -1.0, -1), 0.0).values.tolist() == [1, 1, -1, -1]
+        assert Assignment((), 0.0).values.tolist() == []
+
+    def test_values_are_a_read_only_int8_copy(self):
+        given = np.array([1, -1, 1])
+        a = Assignment(given, 1.0)
+        assert a.values.dtype == np.int8 and a.values.tolist() == [1, -1, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            a.values[0] = -1
+        given[0] = -1  # the caller's array stays its own, and writable
+        assert a.values.tolist() == [1, -1, 1]
 
     def test_solution_caches_value(self):
         G = WeightedGraph(2, [(0, 1, -2.0)])
@@ -367,7 +382,7 @@ class TestNormalizeNonneg:
     def test_single_negative_edge_flips_second_vertex(self):
         G = WeightedGraph(2, [(0, 1, -1.0)])
         a = normalize_nonneg(G)
-        assert a.values == (1, -1)
+        assert a.values.tolist() == [1, -1]
         assert a.value == 1.0
 
     def test_empty_graph(self):
@@ -393,20 +408,19 @@ class TestCombineDisjoint:
 
     def test_no_cross_edges_adds_values(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        _, val = glue_blocks(G, [1, 1, 0, 0], [1, 1, 1, 1])
-        assert val == 2.0
+        assert glue_blocks(G, [1, 1, 0, 0], [1, 1, 1, 1]).value == 2.0
 
     def test_positive_cross_edge_kept_unflipped(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)])
-        signs, val = glue_blocks(G, [1, 1, 0, 0], [1, 1, 1, 1])
-        assert val == 3.0
-        assert signs == [1, 1, 1, 1]
+        a = glue_blocks(G, [1, 1, 0, 0], [1, 1, 1, 1])
+        assert a.value == 3.0
+        assert a.values.tolist() == [1, 1, 1, 1]
 
     def test_negative_cross_contribution_flips_first(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, -1.0)])
-        signs, val = glue_blocks(G, [1, 1, 0, 0], [1, 1, 1, 1])
-        assert val == 3.0
-        assert signs[0] == signs[1] == -1
+        a = glue_blocks(G, [1, 1, 0, 0], [1, 1, 1, 1])
+        assert a.value == 3.0
+        assert a.values[0] == a.values[1] == -1
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -416,15 +430,15 @@ class TestCombineDisjoint:
         right = [0 if left[v] else -1 if v % 2 else 1 for v in range(G.n)]
         z1 = evaluate_partial(G, left)
         z2 = evaluate_partial(G, right)
-        _, val = glue_blocks(G, left, [a + b for a, b in zip(left, right)])
-        assert val >= z1 + z2 - 1e-9
+        glued = glue_blocks(G, left, [a + b for a, b in zip(left, right)])
+        assert glued.value >= z1 + z2 - 1e-9
 
 
 class TestExtendFromInduced:
     def test_full_vertex_set_is_identity(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, -1.0)])
         a = extend_from_induced(G, [1, 1, -1])
-        assert a.values == (1, 1, -1)
+        assert a.values.tolist() == [1, 1, -1]
 
     def test_path_completion_keeps_edge_value(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -454,11 +468,11 @@ class TestExtendFromInduced:
 
 
 def _random_blocks(seed: int, n: int, k: int):
-    """Random block ids (dense, -1 for left out) and inner signs."""
+    """Random block ids (dense from 0, at most k + 1 blocks) and inner signs."""
     rng = SplitMix64(seed)
-    raw = [rng.randrange(k + 1) - 1 for _ in range(n)]
-    dense = {b: i for i, b in enumerate(sorted(set(raw) - {-1}))}
-    block_of = [dense.get(b, -1) for b in raw]
+    raw = [rng.randrange(k + 1) for _ in range(n)]
+    dense = {b: i for i, b in enumerate(sorted(set(raw)))}
+    block_of = [dense[b] for b in raw]
     inner = [rng.sign() for _ in range(n)]
     return block_of, inner
 
@@ -466,15 +480,32 @@ def _random_blocks(seed: int, n: int, k: int):
 class TestGlueBlocks:
     def test_two_singletons_negative_edge_flips_later(self):
         G = WeightedGraph(2, [(0, 1, -2.0)])
-        assert glue_blocks(G, [1, 0], [1, 1]) == ([-1, 1], 2.0)
+        a = glue_blocks(G, [1, 0], [1, 1])
+        assert (a.values.tolist(), a.value) == ([-1, 1], 2.0)
 
     def test_tie_keeps_block_unflipped(self):
         G = WeightedGraph(3, [(0, 2, 1.0), (1, 2, -1.0)])
-        assert glue_blocks(G, [0, 0, 1], [1, 1, 1]) == ([1, 1, 1], 0.0)
+        a = glue_blocks(G, [0, 0, 1], [1, 1, 1])
+        assert (a.values.tolist(), a.value) == ([1, 1, 1], 0.0)
 
-    def test_left_out_vertices_get_zero_and_no_value(self):
+    def test_returns_an_assignment_of_read_only_int8_signs(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 5.0)])
-        assert glue_blocks(G, [0, 1, -1], [1, 1, -1]) == ([1, 1, 0], 1.0)
+        a = glue_blocks(G, np.array([0, 1, 1]), np.array([1, 1, -1]))
+        assert isinstance(a, Assignment)
+        assert (a.values.dtype, a.values.flags.writeable) == (np.int8, False)
+        assert (a.values.tolist(), a.value) == ([1, 1, -1], -4.0)
+
+    def test_negative_block_id_rejected(self):
+        # a -1 must not be read as the last block
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 5.0)])
+        for block_of in ([0, 1, -1], np.array([-2, 0, 0])):
+            with pytest.raises(ValidationError, match="negative"):
+                glue_blocks(G, block_of, [1, 1, -1])
+
+    def test_an_inner_sign_outside_the_signs_rejected(self):
+        G = WeightedGraph(2, [(0, 1, 1.0)])
+        with pytest.raises(ValidationError, match="-1 or \\+1"):
+            glue_blocks(G, [0, 1], [1, 0])
 
     def test_length_mismatch_rejected(self):
         G = WeightedGraph(2, [(0, 1, 1.0)])
@@ -486,19 +517,15 @@ class TestGlueBlocks:
     def test_every_block_gains_against_earlier_blocks(self, seed, k):
         G = sample_small(seed)
         block_of, inner = _random_blocks(seed, G.n, k)
-        signs, value = glue_blocks(G, block_of, inner)
+        a = glue_blocks(G, block_of, inner)
+        signs, value = a.values.tolist(), a.value
         flip = {}
         for v, b in enumerate(block_of):
-            if b < 0:
-                assert signs[v] == 0
-            else:
-                assert flip.setdefault(b, signs[v] * inner[v]) == signs[v] * inner[v]
+            assert flip.setdefault(b, signs[v] * inner[v]) == signs[v] * inner[v]
         inner_total = 0.0
         back = dict.fromkeys(flip, 0.0)
         for u, v, w in edge_list(G):
             bu, bv = block_of[u], block_of[v]
-            if bu < 0 or bv < 0:
-                continue
             if bu == bv:
                 inner_total += w * inner[u] * inner[v]
             else:
@@ -507,7 +534,7 @@ class TestGlueBlocks:
             assert c >= -1e-9
             if flip[b] == -1:  # flipped only when unflipped would lose value
                 assert c > 0
-        assert value == pytest.approx(evaluate_partial(G, signs), abs=1e-9)
+        assert value == reference_evaluate(G, signs)
         assert value >= inner_total - 1e-9
 
 
@@ -527,18 +554,17 @@ class TestSameSignsAsReferenceScan:
         # more than 2 * ROW_BLOCK cross edges, so the glue loop spans blocks
         G = random_graph(31, 5000, 3 * ROW_BLOCK, real=real)
         sub = [0 if v % 7 else (-1) ** v for v in range(G.n)]
-        assert extend_from_induced(G, sub).values == reference_extend(G, sub)
+        assert tuple(extend_from_induced(G, sub).values.tolist()) == reference_extend(G, sub)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_normalize_nonneg(self, seed):
         G = sample_small(seed)
-        assert normalize_nonneg(G).values == tuple(
-            reference_scan(G, range(G.n))[v] for v in range(G.n)
-        )
+        ref = reference_scan(G, range(G.n))
+        assert normalize_nonneg(G).values.tolist() == [ref[v] for v in range(G.n)]
         start = solution(G, _random_blocks(seed, G.n, 1)[1])
-        ref = reference_scan(G, range(G.n), dict(enumerate(start.values)))
-        assert normalize_nonneg(G, start).values == tuple(ref[v] for v in range(G.n))
+        ref = reference_scan(G, range(G.n), dict(enumerate(start.values.tolist())))
+        assert normalize_nonneg(G, start).values.tolist() == [ref[v] for v in range(G.n)]
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -546,19 +572,19 @@ class TestSameSignsAsReferenceScan:
         G = sample_small(seed)
         block_of, inner = _random_blocks(seed, G.n, 1)
         sub = [s if b == 0 else 0 for b, s in zip(block_of, inner)]
-        assert extend_from_induced(G, sub).values == reference_extend(G, sub)
+        assert tuple(extend_from_induced(G, sub).values.tolist()) == reference_extend(G, sub)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_combine_disjoint(self, seed):
         G = sample_small(seed)
-        block_of, inner = _random_blocks(seed, G.n, 2)
-        # x1 is block 1, glued onto block 0, x2; the vertices at -1 are left out
+        block_of, inner = _random_blocks(seed, G.n, 1)
+        # x1 is block 1, glued onto block 0, x2
         x1 = [s if b == 1 else 0 for b, s in zip(block_of, inner)]
         x2 = [s if b == 0 else 0 for b, s in zip(block_of, inner)]
-        signs, val = glue_blocks(G, block_of, inner)
-        assert signs == reference_combine(G, x1, x2)
-        assert val == pytest.approx(evaluate_partial(G, signs), abs=1e-9)
+        a = glue_blocks(G, block_of, inner)
+        assert a.values.tolist() == reference_combine(G, x1, x2)
+        assert a.value == reference_evaluate(G, a.values.tolist())
 
 
 class TestStats:
@@ -630,7 +656,7 @@ class TestInducedSubgraph:
     def test_relabeling_round_trip(self):
         G = WeightedGraph(5, [(0, 2, 1.0), (2, 4, -2.0), (1, 3, 1.0)])
         H, old_of = induced_subgraph(G, [0, 2, 4])
-        assert old_of == [0, 2, 4]
+        assert old_of.tolist() == [0, 2, 4]
         assert edge_list(H) == [(0, 1, 1.0), (1, 2, -2.0)]
 
     @settings(max_examples=100, deadline=None)
@@ -639,12 +665,12 @@ class TestInducedSubgraph:
         G = sample_small(seed)
         picked = data.draw(st.lists(st.integers(0, G.n - 1), max_size=2 * G.n))
         H, old_of = induced_subgraph(G, picked)
-        assert old_of == sorted(set(picked))
+        assert old_of.dtype == np.int64 and old_of.tolist() == sorted(set(picked))
         adj = adjacency(G)
         edges = [
             (j, i, adj[a][b])
-            for i, a in enumerate(old_of)
-            for j, b in enumerate(old_of)
+            for i, a in enumerate(old_of.tolist())
+            for j, b in enumerate(old_of.tolist())
             if j > i and b in adj[a]
         ]
         assert_same_graph(H, WeightedGraph(len(old_of), edges[::-1]))
@@ -665,6 +691,18 @@ class TestInducedSubgraph:
         assert eu.tolist() == [u for u, _, _ in want]
         assert ev.tolist() == [v for _, v, _ in want]
         assert [w.hex() for w in ew.tolist()] == [w.hex() for _, _, w in want]
+
+    def test_an_array_a_set_and_a_list_with_repeats_give_one_old_of(self):
+        G = random_graph(5, 12, 30)
+        ids = [7, 3, 11, 3, 0, 7]
+        want_H, want = induced_subgraph(G, [0, 3, 7, 11])
+        for given in (np.array(ids), np.array(ids, dtype=np.int32), set(ids), ids, iter(ids)):
+            H, old_of = induced_subgraph(G, given)
+            assert old_of.dtype == np.int64 and old_of.tolist() == [0, 3, 7, 11]
+            assert_same_graph(H, want_H)
+        for empty in ([], set(), np.array([], dtype=np.int64)):
+            H, old_of = induced_subgraph(G, empty)
+            assert (H.n, H.m, old_of.dtype, old_of.tolist()) == (0, 0, np.int64, [])
 
     def test_rejects_vertex_out_of_range(self):
         G = WeightedGraph(3, [(0, 1, 1.0)])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,15 +277,23 @@ class TestAssignmentFormat:
     def test_round_trip(self):
         G = WeightedGraph(3, [(0, 1, 1.0)])
         a = solution(G, [1, -1, 1])
-        assert parse_assignment(format_assignment(a), 3) == [1, -1, 1]
+        assert format_assignment(a) == "+1 -1 +1\n"
+        x = parse_assignment(format_assignment(a), 3)
+        assert x.dtype == np.int8 and x.tolist() == [1, -1, 1]
+        assert parse_assignment("1 -1\n+1", 3).tolist() == [1, -1, 1]
+        assert format_assignment(solution(WeightedGraph(0, []), [])) == "\n"
+        assert parse_assignment("", 0).tolist() == []
 
     def test_wrong_length(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="expected 3 signs, found 2"):
             parse_assignment("+1 -1", 3)
 
     def test_bad_token(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="got '0'"):
             parse_assignment("+1 0 -1", 3)
+        # the first bad token is named, a NUL byte kept
+        with pytest.raises(ParseError, match=re.escape("got '-1\\x00'")):
+            parse_assignment("+1 -1\x00 +2", 3)
 
 
 class TestPartitionFormat:

@@ -127,7 +127,7 @@ def _same_outcome(G, P):
         assert str(got.value) == str(exc)
         return False
     got = packing_to_solution(G, P)
-    assert got.values == want.values
+    assert got.values.tolist() == want.values.tolist()
     assert got.value.hex() == want.value.hex()
     return True
 

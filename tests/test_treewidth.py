@@ -45,6 +45,7 @@ from util import (
     reference_nice_dp,
     reference_to_nice,
     sample_small,
+    signs_and_value,
     vertex_separation,
 )
 
@@ -198,7 +199,8 @@ class TestValidateDecomposition:
                 solve_treewidth(G, td)
         empty = to_nice(((),), (None,), 0)
         validate_decomposition(G, empty)
-        assert solve_treewidth(G, empty) == solve_treewidth(G, to_nice((), (), 0))
+        assert signs_and_value(solve_treewidth(G, empty)) == ([], 0.0)
+        assert signs_and_value(solve_treewidth(G, to_nice((), (), 0))) == ([], 0.0)
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_dp_rejects_unknown_vertex_without_validation(self, bad):
@@ -353,7 +355,7 @@ class TestSolveTreewidth:
         a = solve_treewidth(G, shuffled)
         assert abs(a.value - brute_force(G).value) <= value_tol(G)
         b = solve_treewidth(G, to_nice(*links(shuffled)))
-        assert (a.values, a.value) == (b.values, b.value)
+        assert signs_and_value(a) == signs_and_value(b)
 
     def test_wider_than_the_dp_limit_is_refused_before_any_table(self):
         n = MAX_DP_WIDTH + 2
@@ -401,7 +403,7 @@ class TestSolveTreewidth:
         G2 = WeightedGraph(4, list(reversed(base)))
         a1 = solve_exact(G1).assignment
         a2 = solve_exact(G2).assignment
-        assert a1.values == a2.values
+        assert a1.values.tolist() == a2.values.tolist()
         assert a1.value == a2.value
 
     def test_grid_spin_glass_matches_brute_force(self):
@@ -413,7 +415,7 @@ class TestSolveTreewidth:
 
 def _dp_pair(G, td):
     new, ref = solve_treewidth(G, td), reference_nice_dp(G, reference_to_nice(td))
-    return (new.values, new.value), (ref.values, ref.value)
+    return signs_and_value(new), signs_and_value(ref)
 
 
 class TestAgainstReferenceDP:
@@ -559,7 +561,7 @@ class TestUnusualDecompositions:
         assert abs(a.value - brute_force(G).value) <= value_tol(G)
         assert evaluate(G, a.values) == a.value
         new, ref = _dp_pair(G, td)
-        assert new == ref == (a.values, a.value)
+        assert new == ref == signs_and_value(a)
 
     def test_messages_pinned_elsewhere_match_the_reference(self):
         # a random elimination order often leaves a child whose kept vertices
@@ -625,8 +627,8 @@ class TestSolveTreewidths:
             validate_decomposition(G, td)
             alone = solve_treewidth(G, td)
             ref = reference_nice_dp(G, reference_to_nice(td))
-            assert (a.values, a.value) == (alone.values, alone.value) == (ref.values, ref.value)
-            assert a == reference_bucket_elimination(G, td)
+            assert signs_and_value(a) == signs_and_value(alone) == signs_and_value(ref)
+            assert signs_and_value(a) == signs_and_value(reference_bucket_elimination(G, td))
 
     def test_same_roundings_as_the_per_bag_loop(self):
         # weights 1e16 apart make a sum depend on its order, so a cell that
@@ -648,7 +650,7 @@ class TestSolveTreewidths:
         graphs = [G for G, _ in pairs]
         pairs += [_hung_under_a_wide_bag(G1, G2) for G1, G2 in zip(graphs[:20], graphs[20:40])]
         for (G, td), a in zip(pairs, solve_treewidths(pairs)):
-            assert a == reference_bucket_elimination(G, td)
+            assert signs_and_value(a) == signs_and_value(reference_bucket_elimination(G, td))
 
     def test_an_invalid_pair_is_refused_before_any_table(self):
         # the 13x13 grid alone would allocate tables of 8 * 2^17 bytes
@@ -788,7 +790,7 @@ class TestIntervalDecomposition:
             picked_interval += use is iv
             r = solve_exact(G)
             assert r.certificate == {"width": use.width}
-            assert r.assignment == solve_treewidth(G, use)
+            assert signs_and_value(r.assignment) == signs_and_value(solve_treewidth(G, use))
         assert picked_interval >= 3
 
     def test_a_star_keeps_min_fill(self):

@@ -108,7 +108,7 @@ def residue_classes(layer_of, k: int) -> list[list[int]]:
 def heuristic_partition(G: WeightedGraph, k: int) -> VertexPartition:
     """Part i = vertices whose BFS layer index is congruent to i mod k, all
     k parts listed (the partition scheme's default, padded with empty parts)."""
-    classes = residue_classes(bfs_layers(G), k)
+    classes = residue_classes(bfs_layers(G).tolist(), k)
     classes += [[]] * (k - len(classes))
     return VertexPartition(tuple(tuple(c) for c in classes))
 
@@ -538,8 +538,7 @@ def reference_packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignmen
     rest = [v for v in range(G.n) if block_of[v] < 0]
     for i, v in enumerate(rest):
         block_of[v] = len(P.centers) + i
-    signs, value = glue_blocks(G, block_of, inner)
-    return Assignment(tuple(signs), value)
+    return glue_blocks(G, block_of, inner)
 
 
 def reference_easypack(G: WeightedGraph):
@@ -798,6 +797,12 @@ def reference_cuthill_mckee(G: WeightedGraph) -> list[int]:
     return order
 
 
+def signs_and_value(a: Assignment) -> tuple[list[int], float]:
+    """An assignment's signs as a list, and its value: what two equal
+    assignments share."""
+    return a.values.tolist(), a.value
+
+
 def solution(G: WeightedGraph, values) -> Assignment:
     """Wrap a sign vector as an Assignment with its evaluated value."""
     return Assignment(tuple(values), evaluate(G, values))
@@ -809,8 +814,7 @@ def normalize_nonneg(G: WeightedGraph, start: Assignment | None = None) -> Assig
     if start is not None and len(start.values) != G.n:
         raise ValidationError("start assignment length mismatch")
     inner = start.values if start is not None else [1] * G.n
-    signs, value = glue_blocks(G, range(G.n), inner)
-    return Assignment(tuple(signs), value)
+    return glue_blocks(G, range(G.n), inner)
 
 
 def reference_scan(G: WeightedGraph, vertices, start=None) -> dict[int, int]:
@@ -1188,14 +1192,14 @@ def reference_baker(G: WeightedGraph, eps: float, width_cap: int = 20) -> Approx
     each solved on its own over the scheme's min-fill decomposition."""
     k = math.ceil(4 / eps)
     classes: list[list[int]] = [[] for _ in range(k)]
-    for v, li in enumerate(bfs_layers(G)):
+    for v, li in enumerate(bfs_layers(G).tolist()):
         classes[li % k].append(v)
     best, best_i = None, -1
     for i in range(k):
         drop = set(classes[i])
         keep = [v for v in range(G.n) if v not in drop]
         sub, old_of = induced_subgraph(G, keep)
-        values = solve_treewidth(sub, build_decomposition(sub, width_cap)).values
+        values = solve_treewidth(sub, build_decomposition(sub, width_cap)).values.tolist()
         x = [0] * G.n
         for j, s in enumerate(values):
             x[old_of[j]] = s
@@ -1268,13 +1272,13 @@ def reference_partition_scheme(G: WeightedGraph, eps: float, partition=None) -> 
             if vertices:
                 sub, old_of = induced_subgraph(G, vertices)
                 values = solve_treewidth(sub, build_decomposition(sub)).values
-                x.update((old_of[j], s) for j, s in enumerate(values))
+                x.update(zip(old_of.tolist(), values.tolist()))
         # both sides glued as two blocks: outside, then part
         inside = set(part)
         block_of = [1 if v in inside else 0 for v in range(G.n)]
-        signs, value = glue_blocks(G, block_of, [x[v] for v in range(G.n)])
-        if best is None or value > best.value:
-            best, best_i = Assignment(tuple(signs), value), i
+        sol = glue_blocks(G, block_of, [x[v] for v in range(G.n)])
+        if best is None or sol.value > best.value:
+            best, best_i = sol, i
     cert = {
         "epsilon": eps,
         "k": partition.k,
