@@ -34,7 +34,6 @@ from .packing import (
 from .schemes import (
     VertexPartition,
     bfs_layers,
-    load_partition,
     solve_baker,
     solve_partition_scheme,
 )

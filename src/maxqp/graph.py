@@ -147,28 +147,25 @@ def load_graph(n: int, entries: Iterable[tuple[int, int, float]]) -> WeightedGra
     average is zero are dropped.  Self-loops are rejected, and so is a pair
     whose finite entries overflow to a non-finite average.
     """
-    us, vs, ws = [], [], []
-    for u, v, w in entries:
-        _check_entry(n, u, v, w)
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-    return merge_columns(n, us, vs, ws)
+    return merge_columns(n, *(tuple(zip(*entries)) or ((), (), ())))
 
 
 def merge_columns(n: int, u, v, w) -> WeightedGraph:
     """`load_graph` on entries given as columns: u, v 0-based ids, w weights.
 
-    The first entry (in column order) with an out-of-range id, a self-loop or
-    a non-finite weight raises `_check_entry`'s error.  Each pair's entries
-    are summed in entry order from 0.0, as a running float sum would: a stable
-    sort keeps that order within a pair, and `np.add.at` adds unbuffered, one
-    entry after another.  The first non-finite average in pair order raises.
+    The first entry (in column order) with an out-of-range id (NaN and ids
+    past int64 included), a self-loop or a non-finite weight raises
+    `_check_entry`'s error.  Each pair's entries are summed in entry order
+    from 0.0, as a running float sum would: a stable sort keeps that order
+    within a pair, and `np.add.at` adds unbuffered, one entry after another.
+    The first non-finite average in pair order raises.
     """
     try:
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-    except OverflowError:  # an id past 2^63 - 1, so n is far over the cap
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    except (OverflowError, ValueError):  # an id past 2^63 - 1, or NaN
+        for entry in zip(u, v, w):
+            _check_entry(n, *entry)
+        # every id is in 0..n-1, and one is past 2^63 - 1: n is far over the cap
         raise CapacityError(f"vertex count {n} exceeds cap {MAX_VERTICES}", achieved=n) from None
     w = np.asarray(w, dtype=np.float64)
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | ~np.isfinite(w)

@@ -171,7 +171,8 @@ def _attach(G: WeightedGraph, centers: np.ndarray, triangles: bool) -> EasyPacki
     v, idx = np.divmod(key, max(k, 1))
     fits = (count == 1) | (triangles & (count == 2) & (odd == (center_w[idx] < 0)))
     v, idx = v[fits], idx[fits]
-    first = np.unique(v, return_index=True)[1]  # sorted by (v, idx): the smallest idx
+    first = np.ones(len(v), dtype=bool)  # sorted by (v, idx): each v's head, its smallest idx
+    first[1:] = v[1:] != v[:-1]
     part_of[v[first]] = idx[first]
     pu = part_of[eu]
     edge_count = int(np.count_nonzero((pu >= 0) & (pu == part_of[ev])))

@@ -3,11 +3,12 @@ text format of externally supplied partitions.
 
 Both schemes delete a small residue class of the instance, solve the
 remainder exactly with the treewidth engine, and lift the solution back.
-A class or part is a mask over G's ids, and a subproblem's solution is lifted
-as a partial assignment: n signs, 0 off the subproblem, glued by
-`glue_blocks`.  Neither scheme verifies minor-freeness; they verify the
-consequence they actually need (the achieved decomposition widths) and fail
-loudly otherwise.
+A partition is one int64 array, each vertex's part index (`VertexPartition`
+for a given one, `layer_residues` for the default), and a class or part is a
+mask over G's ids.  A subproblem's solution is lifted as a partial
+assignment: n signs, 0 off the subproblem, glued by `glue_blocks`.  Neither
+scheme verifies minor-freeness; they verify the consequence they actually
+need (the achieved decomposition widths) and fail loudly otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -127,57 +127,56 @@ def solve_baker(
     return ApproxResult(best, guarantee, cert)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexPartition:
-    """Disjoint cover of V used by the partition scheme."""
+    """A partition of the vertices into k parts, some possibly empty:
+    `part_of[v]` is v's part, kept as a checked read-only int64 copy."""
 
-    parts: tuple[tuple[int, ...], ...]
+    part_of: np.ndarray
+    k: int
 
-    @property
-    def k(self) -> int:
-        return len(self.parts)
-
-
-def load_partition(n: int, raw_parts) -> VertexPartition:
-    """Validate an externally supplied partition: disjoint cover of V, no
-    vertex listed twice in one part."""
-    seen: set[int] = set()
-    parts = []
-    for part in raw_parts:
-        pset = set(part)
-        if len(pset) != len(part):
-            raise ValidationError("a partition part lists a vertex twice")
-        if any(not 0 <= v < n for v in pset):
-            raise ValidationError("partition mentions an out-of-range vertex")
-        if pset & seen:
-            raise ValidationError("partition parts overlap")
-        seen |= pset
-        parts.append(tuple(sorted(pset)))
-    if seen != set(range(n)):
-        raise ValidationError("partition does not cover every vertex")
-    if not parts:
-        raise ValidationError("partition must have at least one part")
-    return VertexPartition(tuple(parts))
+    def __post_init__(self):
+        p = np.asarray(self.part_of)
+        if p.ndim != 1 or p.dtype.kind not in "iu" or self.k < 1 or ((p < 0) | (p >= self.k)).any():
+            raise ValidationError("partition needs k >= 1 and one integer vector of parts in 0..k-1")
+        p = p.astype(np.int64)
+        p.flags.writeable = False
+        object.__setattr__(self, "part_of", p)
 
 
 def parse_partition(text: str, n: int) -> VertexPartition:
-    parts = []
+    """One part per line as 1-based vertex ids, numbered in file order; blank
+    and `#` lines are skipped.  The parts must cover the n vertices once each."""
+    ids, part_at = [], []
+    k = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            ids = [int(t) for t in line.split()]
+            vs = [int(t) for t in line.split()]
         except ValueError:
             raise ParseError("partition line must be vertex ids", line=lineno) from None
-        if any(not 1 <= v <= n for v in ids):
+        if any(not 1 <= v <= n for v in vs):
             raise ParseError(f"vertex id out of range 1..{n}", line=lineno)
-        ids.sort()
-        twice = next((v for v, u in zip(ids, ids[1:]) if v == u), None)
+        vs.sort()
+        twice = next((v for v, u in zip(vs, vs[1:]) if v == u), None)
         if twice is not None:
             raise ParseError(f"part lists vertex {twice} twice", line=lineno)
-        parts.append([v - 1 for v in ids])
-    return load_partition(n, parts)
+        ids += vs
+        part_at += [k] * len(vs)
+        k += 1
+    at = np.array(ids, dtype=np.int64) - 1
+    count = np.bincount(at, minlength=n)
+    if (count > 1).any():
+        raise ValidationError("partition parts overlap")
+    if (count == 0).any():
+        raise ValidationError("partition does not cover every vertex")
+    if not k:
+        raise ValidationError("partition must have at least one part")
+    part_of = np.empty(n, dtype=np.int64)
+    part_of[at] = part_at
+    return VertexPartition(part_of, k)
 
 
 def read_partition(path: str, n: int) -> VertexPartition:
@@ -204,10 +203,8 @@ def solve_partition_scheme(
         raise ValidationError("partition scheme requires unit weights")
     if not 0 < eps <= 1:
         raise ValidationError("epsilon must be in (0, 1]")
-    if partition is not None:
-        ids = np.fromiter(chain.from_iterable(partition.parts), dtype=np.int64)
-        if not np.array_equal(np.sort(ids), np.arange(G.n)):
-            raise ValidationError(f"partition does not cover exactly the {G.n} vertices of G")
+    if partition is not None and len(partition.part_of) != G.n:
+        raise ValidationError(f"partition does not cover exactly the {G.n} vertices of G")
     if G.n == 0:
         return ApproxResult(extend_from_induced(G, ()), Fraction(1), {"k": 0})
     h = max(1, math.ceil(G.m / G.n))
@@ -217,9 +214,9 @@ def solve_partition_scheme(
         k = math.ceil(6 * h / eps)
         part_of, count = layer_residues(G, k)
     else:
-        k = count = partition.k
-        part_of = np.empty(G.n, dtype=np.int64)
-        part_of[ids] = np.repeat(np.arange(k), [len(part) for part in partition.parts])
+        part_of, k = partition.part_of, partition.k
+        # the parts past the last one used are empty, like the first of them
+        count = min(k, int(part_of.max()) + 2)
     empty = np.bincount(part_of, minlength=count) == 0
     empty[np.argmax(empty)] = False  # the first empty part stands for all: it wins ties
     # per part solved: its index and the subproblem indices of G[V_i] and G[V \ V_i]

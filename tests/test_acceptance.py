@@ -25,7 +25,6 @@ from maxqp import (
     glue_blocks,
     greedy_sorted_matching,
     induced_subgraph,
-    load_partition,
     maximum_matching,
     solve_baker,
     solve_bounded_degree,
@@ -53,6 +52,7 @@ from util import (
     is_bipartite,
     max_matching_size,
     normalize_nonneg,
+    partition_of,
     parts,
     random_graph,
     residue_classes,
@@ -285,15 +285,12 @@ def test_09_partition_scheme(capsys):
                 assert r.value >= (1 - eps) * opt.value - TOL
             else:
                 k = max(2, min(G.n, 8))
-                part = load_partition(
-                    G.n, [list(c) for c in residue_classes(bfs_layers(G), k) if c]
-                )
+                part = partition_of(G.n, [c for c in residue_classes(bfs_layers(G), k) if c])
                 r = solve_partition_scheme(G, eps, partition=part)
                 assert r.value >= float(r.guarantee) * opt.value - TOL
             if G.n <= 14:
-                parts = heuristic_partition(G, 4).parts
                 full = brute_force(G).value
-                for part in parts:
+                for part in parts(heuristic_partition(G, 4)):
                     pset = set(part)
                     m_i = sum(1 for u, v, _ in edge_list(G) if (u in pset) != (v in pset))
                     inside, _ = induced_subgraph(G, pset)

@@ -153,6 +153,17 @@ class TestSolve:
         assert main(args) == 2
         assert "line 1: part lists vertex 1 twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1 2\n2 3\n", "partition parts overlap"), ("1 3\n", "does not cover every vertex")],
+    )
+    def test_partition_file_not_covering_once_exits_2(self, tmp_path, capsys, text, message):
+        inst = _path3(tmp_path)
+        part = _write(tmp_path, "p3.part", text)
+        args = ["solve", inst, "--algo", "partition", "--epsilon", "0.5", "--partition", part]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):

@@ -27,7 +27,14 @@ from maxqp import (
     solve_bounded_degree,
     stats,
 )
-from maxqp.graph import MAX_VERTICES, ROW_BLOCK, degeneracy_order, neighbour_lists, rows
+from maxqp.graph import (
+    MAX_VERTICES,
+    ROW_BLOCK,
+    degeneracy_order,
+    merge_columns,
+    neighbour_lists,
+    rows,
+)
 from maxqp.io import format_instance, parse_instance
 from maxqp.oracle import SplitMix64
 
@@ -108,6 +115,27 @@ class TestConstruction:
             load_graph(2**40, [(0, far, 1.0), (far, 0, 1.0)])
         with pytest.raises(ValidationError, match=rf"non-finite weight on edge \(0, {far}\)"):
             load_graph(2**40, [(far, 0, 1e308), (0, far, 1e308)])
+
+    @pytest.mark.parametrize("bad", [10**30, -(10**30), math.nan])
+    def test_id_that_is_no_int64_is_out_of_range(self, bad):
+        for entry in ((bad, 1, 1.0), (1, bad, 1.0)):
+            message = re.escape(f"vertex id out of range: {entry[:2]}")
+            entries = [(0, 1, 1.0), entry, (2, 2, 1.0)]
+            with pytest.raises(ValidationError, match=message):
+                merge_columns(3, *zip(*entries))
+            with pytest.raises(ValidationError, match=message):
+                load_graph(3, entries)
+
+    def test_first_refused_entry_named_when_an_id_is_no_int64(self):
+        # the self-loop comes before the id past int64, in entry order
+        entries = [(0, 1, 1.0), (2, 2, 1.0), (10**30, 1, 1.0)]
+        for build in (lambda: merge_columns(3, *zip(*entries)), lambda: load_graph(3, entries)):
+            with pytest.raises(ValidationError, match="self-loop on vertex 2"):
+                build()
+
+    def test_ids_past_int64_in_range_are_over_the_vertex_cap(self):
+        with pytest.raises(CapacityError, match=f"vertex count {2**70} exceeds cap"):
+            merge_columns(2**70, [0], [2**65], [1.0])
 
     def test_total_weight_just_inside_the_bound_solves(self):
         G = WeightedGraph(3, [(0, 1, 4e307), (1, 2, -4e307)])

@@ -299,7 +299,25 @@ class TestAssignmentFormat:
 class TestPartitionFormat:
     def test_parse(self):
         P = parse_partition("1 2\n3\n", 3)
-        assert P.parts == ((0, 1), (2,))
+        assert P.part_of.tolist() == [0, 0, 1]
+        assert P.k == 2
+
+    def test_parts_numbered_in_file_order(self):
+        P = parse_partition("# parts\n4 3\n\n1\n2\n", 4)
+        assert P.part_of.tolist() == [1, 2, 0, 0]
+        assert P.k == 3
+
+    @pytest.mark.parametrize("text", ["", "# no parts\n"])
+    def test_text_without_parts_refused(self, text):
+        with pytest.raises(ValidationError, match="partition does not cover every vertex"):
+            parse_partition(text, 3)
+        with pytest.raises(ValidationError, match="partition must have at least one part"):
+            parse_partition(text, 0)
+
+    def test_parse_errors_before_overlap_and_cover(self):
+        # line 2 overlaps line 1 and vertex 4 is in no part, but line 3 is malformed
+        with pytest.raises(ParseError, match="line 3"):
+            parse_partition("1 2\n2 3\n5\n", 4)
 
     def test_out_of_range(self):
         with pytest.raises(ParseError):

@@ -16,18 +16,19 @@ from maxqp import (
     WeightedGraph,
     bfs_layers,
     brute_force,
-    load_partition,
     solve_baker,
     solve_exact,
     solve_partition_scheme,
 )
 from maxqp.oracle import GeneratorSpec, generate
-from maxqp.schemes import layer_residues
+from maxqp.schemes import layer_residues, parse_partition
 
 from util import (
     edge_list,
     heuristic_partition,
     layers_of,
+    partition_of,
+    parts,
     random_graph,
     reference_baker,
     reference_partition_scheme,
@@ -145,37 +146,51 @@ class TestBaker:
 
 class TestPartitions:
     def test_external_partition_accepted(self):
-        P = load_partition(3, [[0, 1], [2]])
-        assert P.parts == ((0, 1), (2,))
+        source = np.array([0, 0, 1], dtype=np.int32)
+        P = VertexPartition(source, 2)
+        source[0] = 1
+        assert P.part_of.tolist() == [0, 0, 1]
+        assert P.part_of.dtype == np.int64 and not P.part_of.flags.writeable
         assert P.k == 2
 
+    @pytest.mark.parametrize(
+        "part_of, k",
+        [
+            (np.zeros((2, 2), dtype=np.int64), 2),  # not one vector
+            (np.array([0.0, 1.0]), 2),  # not integers
+            (np.array([True, False]), 2),
+            (np.array([0, -1, 1]), 2),  # an entry below 0
+            (np.array([0, 2, 1]), 2),  # an entry at k
+            (np.array([0, 0]), 0),  # no part
+        ],
+    )
+    def test_form_outside_0_to_k_refused(self, part_of, k):
+        with pytest.raises(ValidationError, match=r"parts in 0\.\.k-1"):
+            VertexPartition(part_of, k)
+
     def test_external_partition_must_cover(self):
-        with pytest.raises(ValidationError):
-            load_partition(3, [[0, 1]])
+        with pytest.raises(ValidationError, match="partition does not cover every vertex"):
+            parse_partition("1 2\n", 3)
 
     def test_external_partition_must_be_disjoint(self):
-        with pytest.raises(ValidationError):
-            load_partition(3, [[0, 1], [1, 2]])
-
-    def test_vertex_listed_twice_in_one_part_refused(self):
-        with pytest.raises(ValidationError, match="twice"):
-            load_partition(3, [[0, 0, 1], [2]])
+        with pytest.raises(ValidationError, match="partition parts overlap"):
+            parse_partition("1 2\n2 3\n", 3)
 
     def test_heuristic_on_path_alternates_layers(self):
         G = WeightedGraph(6, [(i, i + 1, 1.0) for i in range(5)])
         P = heuristic_partition(G, 2)
-        assert P.parts == ((0, 2, 4), (1, 3, 5))
+        assert parts(P) == ((0, 2, 4), (1, 3, 5))
 
     def test_heuristic_on_grid_forms_bands(self):
         G = _grid(5, 5)
         P = heuristic_partition(G, 3)
         layer_of = bfs_layers(G)
-        for i, part in enumerate(P.parts):
+        for i, part in enumerate(parts(P)):
             assert all(layer_of[v] % 3 == i for v in part)
 
     def test_heuristic_keeps_k_parts_past_the_layers(self):
         G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert heuristic_partition(G, 5).parts == ((0,), (1,), (2,), (), ())
+        assert parts(heuristic_partition(G, 5)) == ((0,), (1,), (2,), (), ())
 
 
 class TestPartitionScheme:
@@ -193,7 +208,7 @@ class TestPartitionScheme:
 
     def test_external_partition_used_as_given(self):
         G = _grid(3, 4, seed=8)
-        P = load_partition(G.n, [[v] for v in range(G.n)])
+        P = VertexPartition(np.arange(G.n), G.n)
         r = solve_partition_scheme(G, 1.0, partition=P)
         assert r.certificate["k"] == G.n
         assert r.certificate["partition_source"] == "external-file"
@@ -208,12 +223,22 @@ class TestPartitionScheme:
 
     def test_repeated_empty_parts_of_an_external_partition(self):
         G = _grid(3, 4, seed=8)
-        P = load_partition(G.n, [[], list(range(6)), [], list(range(6, 12)), []])
+        P = partition_of(G.n, [[], range(6), [], range(6, 12), []])
         r = solve_partition_scheme(G, 1.0, partition=P)
         ref = reference_partition_scheme(G, 1.0, partition=P)
         assert signs_and_value(r.assignment) == signs_and_value(ref.assignment)
         assert r.certificate == ref.certificate
         assert r.certificate["k"] == 5
+
+    def test_external_partition_with_far_more_parts_than_vertices(self):
+        # parts 2..10^30 - 1 are empty, so part 2 stands for all of them
+        G = _grid(3, 4, seed=8)
+        part_of = np.repeat([1, 0], 6)
+        r = solve_partition_scheme(G, 1.0, VertexPartition(part_of, 10**30))
+        ref = reference_partition_scheme(G, 1.0, partition=VertexPartition(part_of, 3))
+        assert signs_and_value(r.assignment) == signs_and_value(ref.assignment)
+        assert r.certificate["chosen_part"] == ref.certificate["chosen_part"]
+        assert r.certificate["k"] == 10**30
 
     def test_tiny_epsilon_builds_only_the_classes_that_occur(self):
         # k = 1.2e10 parts, of which the 11 BFS layers and one empty class occur
@@ -230,14 +255,13 @@ class TestPartitionScheme:
         # vertices 5..7 of the 2 x 4 grid lie in no part
         G = generate(GeneratorSpec("grid-spin-glass", 3, {"rows": 2, "cols": 4}))
         with pytest.raises(ValidationError, match="does not cover exactly the 8 vertices"):
-            solve_partition_scheme(G, 0.5, load_partition(5, [[0, 1], [2, 3, 4]]))
+            solve_partition_scheme(G, 0.5, VertexPartition(np.array([0, 0, 1, 1, 1]), 2))
 
     def test_partition_of_more_vertices_refused(self):
         G = generate(GeneratorSpec("grid-spin-glass", 3, {"rows": 2, "cols": 4}))
-        P = load_partition(10, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]])
-        for bad in (P, VertexPartition(((0, 1, 2, 3), (3, 4, 5, 6, 7)))):
-            with pytest.raises(ValidationError, match="does not cover exactly the 8 vertices"):
-                solve_partition_scheme(G, 0.5, bad)
+        P = VertexPartition(np.repeat([0, 1], 5), 2)
+        with pytest.raises(ValidationError, match="does not cover exactly the 8 vertices"):
+            solve_partition_scheme(G, 0.5, P)
 
     def test_rejects_real_weights(self):
         with pytest.raises(ValidationError):

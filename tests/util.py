@@ -107,10 +107,16 @@ def residue_classes(layer_of, k: int) -> list[list[int]]:
 
 def heuristic_partition(G: WeightedGraph, k: int) -> VertexPartition:
     """Part i = vertices whose BFS layer index is congruent to i mod k, all
-    k parts listed (the partition scheme's default, padded with empty parts)."""
-    classes = residue_classes(bfs_layers(G).tolist(), k)
-    classes += [[]] * (k - len(classes))
-    return VertexPartition(tuple(tuple(c) for c in classes))
+    k parts kept (the partition scheme's default, with its empty parts)."""
+    return VertexPartition(bfs_layers(G) % k, k)
+
+
+def partition_of(n: int, part_list) -> VertexPartition:
+    """The partition of n vertices whose part i is part_list[i]."""
+    part_of = np.full(n, -1, dtype=np.int64)
+    for i, part in enumerate(part_list):
+        part_of[list(part)] = i
+    return VertexPartition(part_of, len(part_list))
 
 
 def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph:
@@ -449,9 +455,11 @@ def reference_maximum_matching(G: WeightedGraph) -> tuple[tuple[int, int], ...]:
     return tuple((v, match[v]) for v in range(n) if match[v] > v)
 
 
-def parts(P: EasyPacking) -> tuple[tuple[int, ...], ...]:
-    """P's parts in packing order, each as its vertices in increasing id order."""
-    out: list[list[int]] = [[] for _ in range(len(P.centers))]
+def parts(P: EasyPacking | VertexPartition) -> tuple[tuple[int, ...], ...]:
+    """P's parts in packing or partition order, each as its vertices in
+    increasing id order."""
+    k = P.k if isinstance(P, VertexPartition) else len(P.centers)
+    out: list[list[int]] = [[] for _ in range(k)]
     for v, b in enumerate(P.part_of.tolist()):
         if b >= 0:
             out[b].append(v)
@@ -1266,7 +1274,7 @@ def reference_partition_scheme(G: WeightedGraph, eps: float, partition=None) -> 
     if partition is None:
         partition = heuristic_partition(G, math.ceil(6 * h / eps))
     best, best_i = None, -1
-    for i, part in enumerate(partition.parts):
+    for i, part in enumerate(parts(partition)):
         x = {}
         for vertices in (set(range(G.n)) - set(part), part):
             if vertices:
