@@ -62,9 +62,12 @@ def check_vertex_count(n: int) -> None:
 
 
 def _check_entry(n: int, u: int, v: int, w: float) -> None:
-    """Reject an out-of-range vertex id, a self-loop or a non-finite weight."""
+    """Reject an out-of-range or non-integral vertex id, a self-loop or a
+    non-finite weight."""
     if not (0 <= u < n and 0 <= v < n):
         raise ValidationError(f"vertex id out of range: ({u}, {v})")
+    if u != int(u) or v != int(v):
+        raise ValidationError(f"vertex id is not an integer: ({u}, {v})")
     if u == v:
         raise ValidationError(f"self-loop on vertex {u} is not allowed")
     if not math.isfinite(w):
@@ -150,22 +153,33 @@ def load_graph(n: int, entries: Iterable[tuple[int, int, float]]) -> WeightedGra
     return merge_columns(n, *(tuple(zip(*entries)) or ((), (), ())))
 
 
+def _int64_ids(ids) -> np.ndarray:
+    """An id column as int64, with no pass over an integer column; ValueError
+    or OverflowError unless every id is an integer that int64 holds."""
+    a = np.asarray(ids)
+    if a.dtype.kind != "i" and any(x != int(x) for x in a.tolist()):  # int() refuses NaN, inf
+        raise ValueError("vertex id is not an integer")
+    return a.astype(np.int64, copy=False)
+
+
 def merge_columns(n: int, u, v, w) -> WeightedGraph:
     """`load_graph` on entries given as columns: u, v 0-based ids, w weights.
 
-    The first entry (in column order) with an out-of-range id (NaN and ids
-    past int64 included), a self-loop or a non-finite weight raises
-    `_check_entry`'s error.  Each pair's entries are summed in entry order
-    from 0.0, as a running float sum would: a stable sort keeps that order
-    within a pair, and `np.add.at` adds unbuffered, one entry after another.
-    The first non-finite average in pair order raises.
+    The first entry (in column order) with an out-of-range id (NaN, inf and
+    ids past int64 included), an id that is not an integer (1.5), a
+    self-loop or a non-finite weight raises `_check_entry`'s error, which
+    names the ids as given; an integral float id (2.0) is that integer.
+    Each pair's entries are summed in entry order from 0.0, as a running
+    float sum would: a stable sort keeps that order within a pair, and
+    `np.add.at` adds unbuffered, one entry after another.  The first
+    non-finite average in pair order raises.
     """
     try:
-        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    except (OverflowError, ValueError):  # an id past 2^63 - 1, or NaN
+        u, v = _int64_ids(u), _int64_ids(v)
+    except (OverflowError, ValueError):  # an id past 2^63 - 1, NaN, inf or not integral
         for entry in zip(u, v, w):
             _check_entry(n, *entry)
-        # every id is in 0..n-1, and one is past 2^63 - 1: n is far over the cap
+        # every id is an integer in 0..n-1, and one is past 2^63 - 1: n is far over the cap
         raise CapacityError(f"vertex count {n} exceeds cap {MAX_VERTICES}", achieved=n) from None
     w = np.asarray(w, dtype=np.float64)
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | ~np.isfinite(w)

@@ -34,11 +34,16 @@ forgotten vertex rather than every table of the decomposition (Dechter,
 
 The elimination ordering is min-fill with ties broken by vertex id
 (Bodlaender & Koster, "Treewidth computations I. Upper bounds", Inf. Comput.
-2010).  The next vertex comes from a heap of (fill, id) entries with lazy
-invalidation.  Adjacency sets hold alive neighbours only, and each fill value
-is counted once and then updated by exact deltas (see `build_decomposition`),
-so one elimination costs set operations over its neighbourhood and the common
-neighbours of its fill edges rather than a scan over every alive vertex.
+2010).  The next vertex comes from a heap of int keys fill * n + id with lazy
+invalidation.  Adjacency sets hold alive neighbours only.  The first fill of
+a vertex is C(deg, 2) less its triangles, counted with one set intersection
+per edge and no list of neighbour pairs; later fills are updated by exact
+deltas (see `build_decomposition`), and a simplicial step (fill 0) adds no
+fill edge, so it skips the pair loop.  One elimination thus costs set
+operations over its neighbourhood and the common neighbours of its fill
+edges rather than a scan over every alive vertex.  Each bag is kept as the
+neighbour set it was eliminated with, and all bags are sorted once, by one
+numpy sort, at the end.
 
 The interval form (`interval_decomposition`) has one bag per position of a
 vertex order, so its width is the order's vertex separation.  A
@@ -59,6 +64,7 @@ fits the cap, and when neither does raises min-fill's CapacityError.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,90 +223,100 @@ def build_decomposition(
 ) -> TreeDecomposition:
     """Clique-tree decomposition from a min-fill elimination ordering.
 
-    The next vertex is the alive one with the smallest (fill, id), taken from
-    a heap with lazy invalidation.  Raises CapacityError as soon as one bag
-    has more than `width_cap + 1` vertices; `achieved` is that bag's width,
-    a lower bound on the width the full ordering would reach.
+    The next vertex is the alive one with the smallest (fill, id), popped
+    from a heap of int keys fill * n + id, which sort as the pairs do.  A key
+    counts while it matches its vertex's fill, and an eliminated vertex has
+    fill -1.  Raises CapacityError as soon as one bag has more than
+    `width_cap + 1` vertices; `achieved` is that bag's width, a lower bound
+    on the width the full ordering would reach.
 
     `adj[v]` holds v's alive neighbours only (sets of `neighbour_lists(G)` at
-    the start), and fill[u] (the number of non-adjacent pairs in adj[u]) is
-    counted once per vertex and then kept exact by deltas.  Eliminating v
-    with N = adj[v]:
-      - each u in N drops v from adj[u] and loses one missing pair (v, c) per
-        c in adj[u] outside N: fill[u] -= |adj[u]| - |adj[u] & N|;
-      - each fill edge ab (a, b in N, not adjacent), with C = adj[a] & adj[b]
-        taken before it is added, gives fill[x] -= 1 for x in C, and
-        fill[a] += |adj[a]| - |C| for the new missing pairs (b, c), likewise
-        for b.
-    A (fill, id) entry is pushed only for a vertex whose fill changed.
+    the start), and fill[u] is the number of non-adjacent pairs in adj[u]:
+    first C(deg u, 2) less the triangles at u, counted with one set
+    intersection per edge, then kept exact by deltas.  Eliminating v with
+    N = adj[v], d = |N|:
+      - each u in N drops v from adj[u], and with it the missing pairs (v, c)
+        for c in adj[u] outside N: fill[u] -= |adj[u]| - (d - 1), as if N
+        were a clique, which it is when fill[v] = 0 (a simplicial step);
+      - otherwise each fill edge ab (a, b in N, not adjacent), with
+        C = adj[a] & adj[b] taken before it is added, gives fill[x] -= 1 for
+        x in C, and fill[a] += |adj[a]| - |C| - 1 for the new missing pairs
+        (b, c) less the clique pair ab counted above, likewise for b.
+    Every vertex so touched gets a new key.  adj[v] is not changed once v is
+    eliminated, so it is kept as v's bag, and all bags are sorted together by
+    one numpy sort at the end.
     """
     n = G.n
     adj: list[set[int]] = [set(a) for a in neighbour_lists(G)]
-
-    def fill_count(v: int) -> int:
-        nbrs = list(adj[v])
-        missing = 0
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                if nbrs[j] not in adj[nbrs[i]]:
-                    missing += 1
-        return missing
-
-    fill = [fill_count(v) for v in range(n)]
-    # (fill, v) is valid while v is alive and fill[v] is unchanged
-    heap = [(f, v) for v, f in enumerate(fill)]
+    eu, ev, _ = G.edge_arrays()
+    get = adj.__getitem__
+    # triangles through each edge, a triangle at u lying on two of u's edges;
+    # no name keeps the iterators, so the id lists are freed after the count
+    tri = np.fromiter(
+        map(len, map(set.intersection, map(get, eu.tolist()), map(get, ev.tolist()))),
+        dtype=np.int64,
+        count=len(eu),
+    )
+    deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+    twice = np.bincount(eu, tri, n) + np.bincount(ev, tri, n)  # float64, exact below 2^53
+    fill = (deg * (deg - 1) // 2 - twice.astype(np.int64) // 2).tolist()
+    heap = [f * n + v for v, f in enumerate(fill)]
     heapq.heapify(heap)
 
-    flat: list[int] = []  # the bags, in elimination order
-    size: list[int] = []
-    elim_pos = [-1] * n  # -1 while alive
-    for step in range(n):
+    order: list[int] = []  # the eliminated vertices, one bag each
+    for _ in range(n):
         while True:
-            f, v = heapq.heappop(heap)
-            if elim_pos[v] < 0 and f == fill[v]:
+            f, v = divmod(heapq.heappop(heap), n)
+            if fill[v] == f:
                 break
         N = adj[v]
-        nbrs = sorted(N)
-        if len(nbrs) > width_cap:
-            raise CapacityError(
-                f"elimination bag of width {len(nbrs)} exceeds cap {width_cap}",
-                achieved=len(nbrs),
-            )
-        flat += sorted([v, *nbrs])
-        size.append(len(nbrs) + 1)
-        elim_pos[v] = step
-        before = {u: fill[u] for u in nbrs}  # fill at step start, per touched vertex
-        for u in nbrs:
+        d = len(N)
+        if d > width_cap:
+            raise CapacityError(f"elimination bag of width {d} exceeds cap {width_cap}", achieved=d)
+        order.append(v)
+        fill[v] = -1
+        for u in N:
             adj_u = adj[u]
             adj_u.discard(v)
-            fill[u] -= len(adj_u) - len(adj_u & N)
-        for i in range(len(nbrs)):
-            a = nbrs[i]
-            adj_a = adj[a]
-            for j in range(i + 1, len(nbrs)):
-                b = nbrs[j]
-                if b not in adj_a:
+            fill[u] -= len(adj_u) - d + 1
+        touched = N
+        if f:
+            touched = set(N)
+            later = set(N)
+            for a in N:
+                later.discard(a)
+                adj_a = adj[a]
+                for b in later - adj_a:
                     adj_b = adj[b]
                     common = adj_a & adj_b
                     for x in common:
-                        if x not in before:
-                            before[x] = fill[x]
                         fill[x] -= 1
-                    fill[a] += len(adj_a) - len(common)
-                    fill[b] += len(adj_b) - len(common)
+                    touched |= common
+                    fill[a] += len(adj_a) - len(common) - 1
+                    fill[b] += len(adj_b) - len(common) - 1
                     adj_a.add(b)
                     adj_b.add(a)
-        for u, f in before.items():
-            if fill[u] != f:
-                heapq.heappush(heap, (fill[u], u))
+        for u in touched:
+            heapq.heappush(heap, fill[u] * n + u)
 
-    # parent of v's bag: the bag of the earliest-eliminated other member, a
-    # later bag; bags of v alone chain onto the next such bag, so the result
-    # is a single tree rooted at the last bag
-    off = np.cumsum([0, *size])
-    entries = np.asarray(flat, dtype=np.int64)
-    at = np.asarray(elim_pos, dtype=np.int64)[entries]
-    parent = np.minimum.reduceat(np.where(at > np.repeat(np.arange(n), size), at, n), off[:-1])
+    # bag i is v = order[i] with adj[v], its neighbours when eliminated; one
+    # sort of the keys bag * n + vertex sorts every bag.  Parent of v's bag:
+    # the bag of the earliest-eliminated other member, a later bag; bags of
+    # v alone chain onto the next such bag, so the result is a single tree
+    # rooted at the last bag
+    bag = np.arange(n)
+    width = np.fromiter(map(len, map(adj.__getitem__, order)), dtype=np.int64, count=n)
+    nbrs = itertools.chain.from_iterable(map(adj.__getitem__, order))
+    members = np.fromiter(itertools.chain(order, nbrs), dtype=np.int64, count=n + int(width.sum()))
+    key = np.concatenate((bag, np.repeat(bag, width))) * n + members
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(width + 1, out=off[1:])
+    bag_of = np.repeat(bag, width + 1)
+    entries = np.sort(key) - bag_of * n
+    pos = np.empty(n, dtype=np.int64)  # the bag of each vertex
+    pos[members[:n]] = bag
+    at = pos[entries]
+    parent = np.minimum.reduceat(np.where(at > bag_of, at, n), off[:-1])
     lone = np.flatnonzero(parent == n)
     parent[lone[:-1]] = lone[1:]
     parent[-1:] = -1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,34 @@ class TestConstruction:
                 merge_columns(3, *zip(*entries))
             with pytest.raises(ValidationError, match=message):
                 load_graph(3, entries)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (1.5, "vertex id is not an integer: (1.5, 0)"),
+            (-0.5, "vertex id out of range: (-0.5, 0)"),
+            (math.nan, "vertex id out of range: (nan, 0)"),
+            (math.inf, "vertex id out of range: (inf, 0)"),
+        ],
+    )
+    def test_float_id_that_is_no_vertex_is_refused_as_given(self, bad, message):
+        # a float column, as a list of entries or as numpy, never casts the id
+        builds = [
+            lambda: load_graph(3, [(0, 1, 1.0), (bad, 0, 1.0)]),
+            lambda: merge_columns(3, np.array([0.0, bad]), np.array([1, 0]), np.array([1.0, 1.0])),
+            lambda: WeightedGraph(3, [(0, 1, 1.0), (bad, 0, 1.0)]),
+        ]
+        for build in builds:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=re.escape(message)):
+                    build()
+
+    def test_integral_float_id_is_that_vertex(self):
+        G = load_graph(3, [(0, 1, 1.0), (2, 0, -1.0)])
+        assert_same_graph(load_graph(3, [(0.0, 1, 1.0), (2.0, 0, -1.0)]), G)
+        ids = np.array([0.0, 2.0]), np.array([1.0, 0.0])
+        assert_same_graph(merge_columns(3, *ids, np.array([1.0, -1.0])), G)
 
     def test_first_refused_entry_named_when_an_id_is_no_int64(self):
         # the self-loop comes before the id past int64, in entry order

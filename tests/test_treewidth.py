@@ -54,6 +54,28 @@ def _grid(rows, cols, seed=1):
     return generate(GeneratorSpec("grid-spin-glass", seed, {"rows": rows, "cols": cols}))
 
 
+def _graph(n, pairs, seed):
+    """G on n vertices with edges `pairs` and seeded weights in {-2, -1, 1, 2}."""
+    w = SplitMix64(seed).draw(len(pairs)) % 4
+    return WeightedGraph(n, [(u, v, (-2.0, -1.0, 1.0, 2.0)[int(x)]) for (u, v), x in zip(pairs, w)])
+
+
+def _k_tree(n, k, seed):
+    """A random k-tree on n > k vertices with shuffled ids: a (k+1)-clique,
+    then each new vertex joined to a random k-clique of the graph so far."""
+    rng = SplitMix64(seed)
+    cliques = [tuple(range(k + 1))]
+    pairs = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
+    for v in range(k + 1, n):
+        base = cliques[rng.randrange(len(cliques))]
+        drop = rng.randrange(k + 1)
+        face = base[:drop] + base[drop + 1 :]
+        pairs += [(u, v) for u in face]
+        cliques.append((*face, v))
+    perm = [int(i) for i in rng.draw(n).argsort()]
+    return _graph(n, [(perm[u], perm[v]) for u, v in pairs], seed)
+
+
 class TestBuildDecomposition:
     def test_path_has_width_one(self):
         G = WeightedGraph(5, [(i, i + 1, 1.0) for i in range(4)])
@@ -140,6 +162,75 @@ class TestAgainstReferenceMinFill:
         cap = data.draw(st.integers(1, n), label="cap")
         G = random_graph(seed, n, m)
         _assert_matches_reference(G, reference_min_fill(G), cap)
+
+    def test_trees_and_k_trees_eliminate_simplicial_vertices(self):
+        # every step of a chordal graph is simplicial, so the width is the
+        # largest clique's: 1 on a tree, k on a k-tree
+        for k in range(1, 6):
+            for seed in range(4):
+                G = _k_tree(60 + 20 * seed, k, seed)
+                ref = reference_min_fill(G)
+                assert ref.width == k
+                for cap in range(k + 1):
+                    _assert_matches_reference(G, ref, cap)
+
+    def test_cliques_and_dense_triangle_heavy_graphs(self):
+        # first fills far below C(deg, 2): many triangles at every vertex
+        def clique(n):
+            return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+        graphs = [_graph(n, clique(n), n) for n in (2, 3, 9, 24)]
+        # K20 less a perfect matching; a hub in 15 triangles that share only the hub
+        graphs.append(_graph(20, [(u, v) for u, v in clique(20) if v != u + 10], 1))
+        hub = [(0, v) for v in range(1, 31)] + [(v, v + 1) for v in range(1, 31, 2)]
+        graphs.append(_graph(31, hub, 2))
+        graphs += [random_graph(700 + seed, 30, 300 + 20 * seed) for seed in range(4)]
+        for G in graphs:
+            ref = reference_min_fill(G)
+            for cap in range(ref.width + 1):
+                _assert_matches_reference(G, ref, cap)
+
+    def test_many_components_and_isolated_vertices(self):
+        # lone bags of isolated vertices and of each component's last vertex
+        # chain into one tree
+        rng = SplitMix64(5)
+        for seed in range(3):
+            pairs, n = [], 0
+            for part in range(25):
+                size = 1 + rng.randrange(7)
+                H = random_graph(800 + 100 * seed + part, size, rng.randrange(2 * size))
+                pairs += [(n + u, n + v) for u, v, _ in edge_list(H)]
+                n += size
+            n += 15  # isolated vertices
+            perm = [int(i) for i in rng.draw(n).argsort()]
+            G = _graph(n, [(perm[u], perm[v]) for u, v in pairs], seed)
+            ref = reference_min_fill(G)
+            for cap in range(ref.width + 1):
+                _assert_matches_reference(G, ref, cap)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_graphs_with_no_edge_to_eliminate(self, n):
+        G = WeightedGraph(n, [])
+        td = build_decomposition(G, width_cap=0)
+        assert links(td) == reference_min_fill(G) == Links(((0,),) * n, (None,) * n, 0)
+        assert td.off.tolist() == list(range(n + 1))
+
+    def test_star_builds_without_a_pair_per_hub_wedge(self):
+        # the hub has C(20000, 2) = 2e8 neighbour pairs, 1.6 GB as an int64
+        # array; counting triangles per edge keeps the peak near the 11 MiB
+        # of the adjacency sets
+        leaves = 20000
+        hub = leaves // 2
+        G = WeightedGraph(leaves + 1, [(hub, v, 1.0) for v in range(leaves + 1) if v != hub])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            td = build_decomposition(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert links(td).width == 1 and len(td.off) == leaves + 2  # a bag per vertex
 
 
 class TestValidateDecomposition:

@@ -32,7 +32,6 @@ from maxqp import (
     glue_blocks,
     induced_subgraph,
     Matching,
-    build_decomposition,
     maximal_matching,
     solve_treewidth,
     to_nice,
@@ -1195,9 +1194,19 @@ def layers_of(layer_of) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(layer) for layer in layers)
 
 
+def reference_decomposition(G: WeightedGraph, width_cap: int = 20) -> TreeDecomposition:
+    """`reference_min_fill`'s decomposition of G through `to_nice`, refused
+    as build_decomposition refuses it: at its first bag wider than the cap."""
+    ref = reference_min_fill(G)
+    for bag in ref.bags:
+        if len(bag) - 1 > width_cap:
+            raise CapacityError(f"reference bag of width {len(bag) - 1}", achieved=len(bag) - 1)
+    return to_nice(*ref)
+
+
 def reference_baker(G: WeightedGraph, eps: float, width_cap: int = 20) -> ApproxResult:
     """solve_baker's loop over all k residue classes, empty ones included,
-    each solved on its own over the scheme's min-fill decomposition."""
+    each solved on its own over the reference min-fill decomposition."""
     k = math.ceil(4 / eps)
     classes: list[list[int]] = [[] for _ in range(k)]
     for v, li in enumerate(bfs_layers(G).tolist()):
@@ -1207,7 +1216,7 @@ def reference_baker(G: WeightedGraph, eps: float, width_cap: int = 20) -> Approx
         drop = set(classes[i])
         keep = [v for v in range(G.n) if v not in drop]
         sub, old_of = induced_subgraph(G, keep)
-        values = solve_treewidth(sub, build_decomposition(sub, width_cap)).values.tolist()
+        values = solve_treewidth(sub, reference_decomposition(sub, width_cap)).values.tolist()
         x = [0] * G.n
         for j, s in enumerate(values):
             x[old_of[j]] = s
@@ -1268,7 +1277,7 @@ def is_valid_decomposition(G: WeightedGraph, td) -> bool:
 def reference_partition_scheme(G: WeightedGraph, eps: float, partition=None) -> ApproxResult:
     """solve_partition_scheme's loop over every part of the (default
     heuristic) partition, empty parts included, each solved on its own over
-    the scheme's min-fill decomposition."""
+    the reference min-fill decomposition."""
     h = max(1, math.ceil(G.m / G.n))
     source = "bfs-layer-heuristic" if partition is None else "external-file"
     if partition is None:
@@ -1279,7 +1288,7 @@ def reference_partition_scheme(G: WeightedGraph, eps: float, partition=None) -> 
         for vertices in (set(range(G.n)) - set(part), part):
             if vertices:
                 sub, old_of = induced_subgraph(G, vertices)
-                values = solve_treewidth(sub, build_decomposition(sub)).values
+                values = solve_treewidth(sub, reference_decomposition(sub)).values
                 x.update(zip(old_of.tolist(), values.tolist()))
         # both sides glued as two blocks: outside, then part
         inside = set(part)
