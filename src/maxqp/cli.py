@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import io as mio
 from .errors import CapacityError, MaxQPError, ValidationError
 from .graph import ApproxResult, WeightedGraph, evaluate
-from .oracle import GeneratorSpec, brute_force, generate
+from .oracle import KIND_PARAMS, GeneratorSpec, brute_force, generate
 from .packing import solve_bounded_degree, solve_degenerate, solve_dense
 from .schemes import VertexPartition, read_partition, solve_baker, solve_partition_scheme
 from .treewidth import (
@@ -121,13 +121,8 @@ def cmd_solve(args) -> int:
 
 
 def _spec_from_args(args) -> GeneratorSpec:
-    params = {}
-    for key in ("rows", "cols", "n", "m", "degree"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if getattr(args, "real", False):
-        params["real"] = True
+    keys = ("rows", "cols", "n", "m", "degree", "real")  # each None unless given
+    params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     return GeneratorSpec(kind=args.kind, seed=args.seed, params=params)
 
 
@@ -270,25 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("gen", help="generate a reproducible instance")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=(
-            "grid-spin-glass",
-            "sparse-random",
-            "d-regular",
-            "perfect-matching",
-            "clique-plus-matching",
-            "maxcut-subdivision",
-        ),
-    )
+    p.add_argument("--kind", required=True, choices=tuple(KIND_PARAMS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--degree", type=int)
-    p.add_argument("--real", action="store_true", help="uniform real weights instead of +-1")
+    p.add_argument("--real", action="store_const", const=True, help="uniform real weights, not +-1")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 

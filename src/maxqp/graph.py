@@ -12,9 +12,12 @@ value, as `glue_blocks` returns it.  A partial assignment (n signs, 0 off a
 subgraph) is only an input: the schemes' `_lift` builds one, and
 `extend_from_induced` completes it.
 
-A graph's one stored form is its (u, v, w) edge columns.  The walks that
-go vertex by vertex (peeling, min-fill, BFS, the blossom search, easypack's
-split step) read `neighbour_lists`, cut from the columns when they start.
+A graph's one stored form is its (u, v, w) edge columns; `degrees` counts
+from them.  The walks that go vertex by vertex (peeling, min-fill, BFS, the
+blossom search, easypack's split step) read `neighbour_lists`, cut from the
+columns when they start.  `bfs_sweep` is the one plain BFS loop: `bfs_layers`
+runs it, and so does `cuthill_mckee_order`, over lists it cuts in (degree,
+id) order.
 
 The objective used everywhere is the edge-based sum over stored undirected
 edges: val_x(G) = sum over {u,v} in E of a_uv * x_u * x_v.  This is half of
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -341,6 +344,12 @@ class InstanceStats:
     density: Fraction = field(default_factory=lambda: Fraction(0))
 
 
+def degrees(G: WeightedGraph) -> np.ndarray:
+    """Each vertex's degree, counted from the edge columns, as int64."""
+    eu, ev, _ = G.edge_arrays()
+    return np.bincount(eu, minlength=G.n) + np.bincount(ev, minlength=G.n)
+
+
 def neighbour_lists(G: WeightedGraph) -> list[list[int]]:
     """Each vertex's neighbours, in increasing id order, cut from the edge columns.
 
@@ -350,8 +359,26 @@ def neighbour_lists(G: WeightedGraph) -> list[list[int]]:
     eu, ev, _ = G.edge_arrays()
     src = np.concatenate((ev, eu))
     nbrs = np.concatenate((eu, ev))[np.argsort(src, kind="stable")].tolist()
-    cut = np.cumsum(np.bincount(src, minlength=G.n)).tolist()
+    cut = np.cumsum(degrees(G)).tolist()
     return [nbrs[a:b] for a, b in zip([0, *cut], cut)]
+
+
+def bfs_sweep(nb: list[list[int]], s: int, seen: bytearray) -> Iterator[list[int]]:
+    """The BFS layers from s over the vertices not marked in `seen`, each
+    vertex marked as it is reached.  A layer lists its vertices in the order
+    a FIFO queue reaches them: the layer before in order, each vertex's
+    neighbours in `nb`'s order."""
+    seen[s] = 1
+    layer = [s]
+    while layer:
+        yield layer
+        nxt = []
+        for v in layer:
+            for u in nb[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    nxt.append(u)
+        layer = nxt
 
 
 def degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
@@ -400,9 +427,8 @@ def stats(G: WeightedGraph) -> InstanceStats:
     No solver calls it; it is kept for callers outside the package: the tests,
     and perfbench's span on `graph.stats`.
     """
-    eu, ev, ew = G.edge_arrays()
-    abs_weight = float(np.abs(ew).sum())
-    max_degree = int(np.bincount(np.concatenate((eu, ev))).max(initial=0))
+    abs_weight = float(np.abs(G.edge_arrays()[2]).sum())
+    max_degree = int(degrees(G).max(initial=0))
     d, _ = degeneracy_order(G)
     density = Fraction(G.m, G.n) if G.n else Fraction(0)
     return InstanceStats(abs_weight, max_degree, d, density)

@@ -236,6 +236,17 @@ def _count(params: dict, key: str) -> int:
     return int(v)
 
 
+# The parameters each generator kind reads; `generate` refuses any other.
+KIND_PARAMS = {
+    "grid-spin-glass": ("rows", "cols"),
+    "sparse-random": ("n", "m", "real"),
+    "d-regular": ("n", "degree"),
+    "perfect-matching": ("n",),
+    "clique-plus-matching": ("n",),
+    "maxcut-subdivision": ("n", "m"),
+}
+
+
 def generate(spec: GeneratorSpec) -> WeightedGraph:
     """Build the instance described by `spec`, reproducibly from its seed.
 
@@ -246,11 +257,21 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
     draws its weight: a sign from one draw's low bit, or a real 2r - 1 drawn
     again while it is 0.0.  grid-spin-glass draws a sign per edge in row-major
     order, right edge before down edge; d-regular shuffles its stubs one draw
-    at a time.  The graph is built from its columns.
+    at a time.  The graph is built from its columns.  A kind not in
+    KIND_PARAMS, a parameter the kind does not read, or a `real` that is
+    not a bool raises ValidationError.
     """
     rng = SplitMix64(spec.seed)
     p = spec.params
     kind = spec.kind
+    if not isinstance(kind, str) or kind not in KIND_PARAMS:
+        raise ValidationError(f"unknown generator kind: {kind!r}")
+    extra = [key for key in p if key not in KIND_PARAMS[kind]]
+    if extra:
+        raise ValidationError(f"generator kind {kind!r} reads no parameter {extra[0]!r}")
+    real = p.get("real", False)
+    if not isinstance(real, bool):
+        raise ValidationError(f"generator parameter 'real' must be true or false, got {real!r}")
     if kind == "grid-spin-glass":
         rows, cols = _count(p, "rows"), _count(p, "cols")
         if rows < 1 or cols < 1:
@@ -263,7 +284,6 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
         return _signed(rng, rows * cols, np.repeat(v, has.sum(axis=1)), ends[has])
     if kind == "sparse-random":
         n, m = _count(p, "n"), _count(p, "m")
-        real = bool(p.get("real", False))
         u, v = _sample_pairs(rng, n, m)
         w = _real_weights(rng, m) if real else _sign_weights(rng, m)
         return WeightedGraph._from_columns(n, u, v, w)
@@ -310,8 +330,6 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
         iu, ju = np.triu_indices(c, 1)  # the clique's pairs in (i, j) order
         mu = np.arange(c, n, 2, dtype=np.int64)
         return _signed(rng, n, np.concatenate((iu, mu)), np.concatenate((ju, mu + 1)))
-    if kind == "maxcut-subdivision":
-        n, m = _count(p, "n"), _count(p, "m")
-        u, v = _sample_pairs(rng, n, m)
-        return subdivide_for_maxcut(WeightedGraph._from_columns(n, u, v, np.ones(m)))
-    raise ValidationError(f"unknown generator kind: {kind!r}")
+    n, m = _count(p, "n"), _count(p, "m")  # maxcut-subdivision
+    u, v = _sample_pairs(rng, n, m)
+    return subdivide_for_maxcut(WeightedGraph._from_columns(n, u, v, np.ones(m)))

@@ -21,6 +21,7 @@ from .graph import (
     Assignment,
     WeightedGraph,
     degeneracy_order,
+    degrees,
     extend_from_induced,
     glue_blocks,
     induced_subgraph,
@@ -43,12 +44,6 @@ class EasyPacking:
     centers: np.ndarray
     part_of: np.ndarray
     edge_count: int
-
-
-def _degrees(G: WeightedGraph) -> np.ndarray:
-    """Each vertex's degree, counted from the edge columns."""
-    eu, ev, _ = G.edge_arrays()
-    return np.bincount(np.concatenate((eu, ev)), minlength=G.n)
 
 
 def _glue_with_rest(G: WeightedGraph, block_of, inner, k: int) -> Assignment:
@@ -218,7 +213,7 @@ def star_packing(G: WeightedGraph) -> EasyPacking:
     """
     if not G.unit:
         raise ValidationError("star_packing requires unit weights")
-    if not _degrees(G).all():
+    if not degrees(G).all():
         raise ValidationError("star_packing requires no isolated vertices")
     return _attach(G, maximum_matching(G).edges, triangles=False)
 
@@ -233,7 +228,7 @@ def solve_bounded_degree(G: WeightedGraph) -> ApproxResult:
     if G.m == 0:
         return _trivial_result(G, {"abs_weight": 0.0})
     abs_weight = float(np.abs(G.edge_arrays()[2]).sum())
-    max_degree = int(_degrees(G).max())
+    max_degree = int(degrees(G).max())
     M = greedy_sorted_matching(G)
     out = matching_to_solution(G, M)
     guarantee = Fraction(1, 2 * max_degree)
@@ -281,7 +276,7 @@ def solve_dense(G: WeightedGraph) -> ApproxResult:
         raise ValidationError("solve_dense requires unit weights")
     if G.m == 0:
         return _trivial_result(G, {"density": "0"})
-    H, old_of = induced_subgraph(G, np.flatnonzero(_degrees(G)))
+    H, old_of = induced_subgraph(G, np.flatnonzero(degrees(G)))
     P = star_packing(H)
     x = np.zeros(G.n, dtype=np.int8)
     x[old_of] = packing_to_solution(H, P).values

@@ -14,7 +14,6 @@ need (the achieved decomposition widths) and fail loudly otherwise.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from .errors import CapacityError, ParseError, ValidationError
 from .graph import (
     ApproxResult,
     WeightedGraph,
+    bfs_sweep,
     extend_from_induced,
     glue_blocks,
     induced_subgraph,
@@ -35,23 +35,17 @@ from .treewidth import DEFAULT_WIDTH_CAP, build_decomposition, check_dp_width, s
 def bfs_layers(G: WeightedGraph) -> np.ndarray:
     """Exact BFS distance layers: the layer index of each vertex, as int64.
 
-    One BFS per component, from each vertex not yet reached in increasing id
-    order.  The layer indices of all components are shared.
+    One `bfs_sweep` per component, from each vertex not yet reached in
+    increasing id order.  The layer indices of all components are shared.
     """
     nb = neighbour_lists(G)
-    layer_of = [-1] * G.n
-    for start in range(G.n):
-        if layer_of[start] >= 0:
-            continue
-        layer_of[start] = 0
-        dq = deque([start])
-        while dq:
-            v = dq.popleft()
-            d = layer_of[v] + 1
-            for u in nb[v]:
-                if layer_of[u] < 0:
-                    layer_of[u] = d
-                    dq.append(u)
+    seen = bytearray(G.n)
+    layer_of = [0] * G.n
+    for s in range(G.n):
+        if not seen[s]:
+            for d, layer in enumerate(bfs_sweep(nb, s, seen)):
+                for v in layer:
+                    layer_of[v] = d
     return np.array(layer_of, dtype=np.int64)
 
 

@@ -45,13 +45,13 @@ edges rather than a scan over every alive vertex.  Each bag is kept as the
 neighbour set it was eliminated with, and all bags are sorted once, by one
 numpy sort, at the end.
 
-The interval form (`interval_decomposition`) has one bag per position of a
-vertex order, so its width is the order's vertex separation.  A
-Cuthill–McKee order (`cuthill_mckee_order`) sweeps a grid by its diagonals,
-for width at most the short side where min-fill reaches 19-20 on 14x14 and
-15x15 grids; on sparse random graphs it is far wider than min-fill.  Its
-sizes come from O(n + m) numpy passes, so its bags are only built when it
-fits the cap.
+The interval form has one bag per position of a vertex order, so its width
+is the order's vertex separation.  `solve_exact` takes a Cuthill–McKee
+order (`cuthill_mckee_order`, two `bfs_sweep`s per component), which sweeps
+a grid by its diagonals: width at most the short side, where min-fill
+reaches 19-20 on 14x14 and 15x15 grids; on sparse random graphs it is far
+wider than min-fill.  `_intervals` gives the bag sizes by O(n + m) numpy
+passes, and `_interval_bags` builds the bags only when they fit the cap.
 
 The DP is exact for *any* valid decomposition; the heuristic only affects
 runtime.  Elimination stops at the first bag wider than the cap and raises a
@@ -72,7 +72,16 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, InternalError, ParseError, ValidationError
-from .graph import ApproxResult, Assignment, WeightedGraph, evaluate, neighbour_lists, value_tol
+from .graph import (
+    ApproxResult,
+    Assignment,
+    WeightedGraph,
+    bfs_sweep,
+    degrees,
+    evaluate,
+    neighbour_lists,
+    value_tol,
+)
 
 DEFAULT_WIDTH_CAP = 20
 MAX_DP_WIDTH = 27  # a bag of 28 vertices makes a 1 GiB half table
@@ -257,7 +266,7 @@ def build_decomposition(
         dtype=np.int64,
         count=len(eu),
     )
-    deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+    deg = degrees(G)
     twice = np.bincount(eu, tri, n) + np.bincount(ev, tri, n)  # float64, exact below 2^53
     fill = (deg * (deg - 1) // 2 - twice.astype(np.int64) // 2).tolist()
     heap = [f * n + v for v, f in enumerate(fill)]
@@ -324,50 +333,32 @@ def build_decomposition(
 
 
 def cuthill_mckee_order(G: WeightedGraph) -> list[int]:
-    """A Cuthill–McKee order: one BFS per component, neighbours by (degree, id).
+    """A Cuthill–McKee order: two `bfs_sweep`s per component, over neighbour
+    lists cut here by one `np.lexsort`, each in (degree, id) order.
 
-    The components are taken in order of their smallest id.  A first BFS from
-    that smallest id finds the last layer; the BFS from its vertex with the
-    smallest (degree, id), a pseudo-peripheral start, is the component's part
-    of the order (Cuthill & McKee, "Reducing the bandwidth of sparse symmetric
-    matrices", ACM 1969).
+    The components are taken in order of their smallest id.  A first sweep
+    from that smallest id finds the last layer; the sweep from its vertex
+    with the smallest (degree, id), a pseudo-peripheral start, is the
+    component's part of the order, layer after layer (Cuthill & McKee,
+    "Reducing the bandwidth of sparse symmetric matrices", ACM 1969).
     """
     n = G.n
     eu, ev, _ = G.edge_arrays()
-    deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+    deg = degrees(G)
     src, dst = np.concatenate((eu, ev)), np.concatenate((ev, eu))
     nbrs = dst[np.lexsort((dst, deg[dst], src))].tolist()
     cut = np.cumsum(deg).tolist()
     nb = [nbrs[a:b] for a, b in zip([0, *cut], cut)]
     deg = deg.tolist()
-    swept = bytearray(n)  # reached by a first BFS
+    swept = bytearray(n)  # reached by a first sweep
     placed = bytearray(n)
     order: list[int] = []
     for s in range(n):
-        if placed[s]:
-            continue
-        swept[s] = 1
-        layer = [s]
-        while True:
-            nxt = []
-            for v in layer:
-                for u in nb[v]:
-                    if not swept[u]:
-                        swept[u] = 1
-                        nxt.append(u)
-            if not nxt:
-                break
-            layer = nxt
-        start = min((deg[v], v) for v in layer)[1]
-        placed[start] = 1
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            for u in nb[order[head]]:
-                if not placed[u]:
-                    placed[u] = 1
-                    order.append(u)
-            head += 1
+        if not placed[s]:
+            *_, last = bfs_sweep(nb, s, swept)
+            start = min(last, key=lambda v: (deg[v], v))
+            for layer in bfs_sweep(nb, start, placed):
+                order += layer
     return order
 
 

@@ -13,6 +13,7 @@ import maxqp.cli
 from maxqp import GeneratorSpec, WeightedGraph, evaluate, generate
 from maxqp.cli import ALGOS, SOLVERS, Options, main
 from maxqp.io import format_instance, format_number, parse_instance, read_instance
+from maxqp.oracle import KIND_PARAMS
 
 from util import random_graph
 
@@ -431,6 +432,7 @@ class TestBench:
         assert captured.out == ""
 
     GRID = {"kind": "grid-spin-glass", "rows": 2, "cols": 2}
+    SPARSE = {"kind": "sparse-random", "n": 5, "m": 2}
     BAD = {
         "seed-not-int": {"gen": {**GRID, "seed": "x"}, "algos": ["greedy-matching"]},
         "width-cap-not-int": {"gen": GRID, "algos": ["exact-tw"], "width_cap": "x"},
@@ -442,6 +444,10 @@ class TestBench:
         "oracle-not-a-solver": {"gen": GRID, "algos": ["greedy-matching"], "oracle": "auto"},
         "gen-without-m": ["gen", "--kind", "sparse-random", "--n", "5"],
         "gen-negative-n": ["gen", "--kind", "sparse-random", "--n", "-5", "--m", "2"],
+        "real-not-a-bool": {"gen": {**SPARSE, "real": "yes"}, "algos": ["greedy-matching"]},
+        "n-on-a-grid": {"gen": {**GRID, "n": 7}, "algos": ["greedy-matching"]},
+        "kind-not-a-string": {"gen": {**GRID, "kind": ["grid-spin-glass"]}, "algos": ["easypack"]},
+        "gen-grid-with-real": ["gen", "--kind", "grid-spin-glass", "--rows", "2", "--cols", "2", "--real"],
     }
 
     @pytest.mark.parametrize("given", BAD.values(), ids=BAD.keys())
@@ -452,6 +458,10 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    def test_gen_takes_every_kind_of_the_generator_table(self):
+        for kind in KIND_PARAMS:
+            assert maxqp.cli.build_parser().parse_args(["gen", "--kind", kind]).kind == kind
 
     def test_cell_without_gen_exits_2(self, tmp_path, capsys):
         cell = {"algos": ["greedy-matching"], "oracle": "brute-force"}

@@ -31,7 +31,9 @@ from maxqp import (
 from maxqp.graph import (
     MAX_VERTICES,
     ROW_BLOCK,
+    bfs_sweep,
     degeneracy_order,
+    degrees,
     merge_columns,
     neighbour_lists,
     rows,
@@ -317,6 +319,52 @@ class TestNeighbourMaps:
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_edgeless(self, n):
         assert neighbour_lists(WeightedGraph(n, [])) == [[] for _ in range(n)]
+
+
+class TestDegrees:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_length_of_each_neighbour_list(self, seed):
+        G = random_graph(8000 + seed, 1 + 3 * seed, 4 * seed, real=seed % 2 == 1)
+        deg = degrees(G)
+        assert deg.dtype == np.int64 and deg.tolist() == [len(a) for a in adjacency(G)]
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless(self, n):
+        deg = degrees(WeightedGraph(n, []))
+        assert deg.dtype == np.int64 and deg.tolist() == [0] * n
+
+
+class TestBfsSweep:
+    def test_a_seen_vertex_stops_the_sweep(self):
+        nb = neighbour_lists(WeightedGraph(5, [(i, i + 1, 1.0) for i in range(4)]))
+        seen = bytearray(5)
+        seen[2] = 1
+        assert list(bfs_sweep(nb, 0, seen)) == [[0], [1]]
+        assert list(seen) == [1, 1, 1, 0, 0]
+        assert list(bfs_sweep(nb, 4, seen)) == [[4], [3]]
+        assert list(seen) == [1] * 5
+        assert list(bfs_sweep([[]], 0, bytearray(1))) == [[0]]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_layers_partition_the_reached_vertices(self, seed):
+        G = random_graph(4000 + seed, 25, 10 + seed)
+        adj = adjacency(G)
+        pre = set(np.random.default_rng(seed).choice(G.n, size=seed % 8, replace=False).tolist())
+        pre.discard(0)
+        seen = bytearray(G.n)
+        for v in pre:
+            seen[v] = 1
+        layers = list(bfs_sweep(neighbour_lists(G), 0, seen))
+        # distances from 0 in G less the vertices seen before, by frontier sets
+        dist, frontier, d = {}, {0}, 0
+        while frontier:
+            dist.update(dict.fromkeys(frontier, d))
+            frontier = {u for v in frontier for u in adj[v] if u not in dist and u not in pre}
+            d += 1
+        reached = [v for layer in layers for v in layer]
+        assert len(reached) == len(set(reached)) == len(dist)
+        assert all(dist[v] == i for i, layer in enumerate(layers) for v in layer)
+        assert {v for v in range(G.n) if seen[v]} == pre | set(dist)
 
 
 class TestColumnsFirst:

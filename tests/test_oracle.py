@@ -400,3 +400,32 @@ class TestGenerators:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             generate(GeneratorSpec("moebius", 0, {}))
+
+    @pytest.mark.parametrize("kind", [["grid-spin-glass"], None])
+    def test_a_kind_that_is_not_a_string_is_unknown(self, kind):
+        with pytest.raises(ValidationError, match="unknown generator kind"):
+            generate(GeneratorSpec(kind, 0, {}))
+
+    def test_the_kinds_and_their_parameters_are_the_table(self):
+        assert set(oracle.KIND_PARAMS) == {kind for kind, _ in GENERATOR_SPECS}
+        for kind, params in GENERATOR_SPECS:
+            assert set(params) <= set(oracle.KIND_PARAMS[kind])
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("grid-spin-glass", {"rows": 2, "cols": 2, "real": True}),
+            ("grid-spin-glass", {"rows": 2, "cols": 2, "n": 7}),
+            ("d-regular", {"n": 6, "degree": 3, "m": 9}),
+            ("perfect-matching", {"n": 4, "real": False}),
+            ("maxcut-subdivision", {"n": 4, "m": 2, "real": True}),
+        ],
+    )
+    def test_a_parameter_the_kind_does_not_read_is_refused(self, kind, params):
+        with pytest.raises(ValidationError, match="reads no parameter"):
+            generate(GeneratorSpec(kind, 0, params))
+
+    @pytest.mark.parametrize("real", ["yes", 1, 0, None, 1.0])
+    def test_real_must_be_a_bool(self, real):
+        with pytest.raises(ValidationError, match="'real' must be true or false"):
+            generate(GeneratorSpec("sparse-random", 0, {"n": 5, "m": 2, "real": real}))

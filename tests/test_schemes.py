@@ -20,6 +20,7 @@ from maxqp import (
     solve_exact,
     solve_partition_scheme,
 )
+from maxqp.graph import degrees
 from maxqp.oracle import GeneratorSpec, generate
 from maxqp.schemes import layer_residues, parse_partition
 
@@ -31,6 +32,7 @@ from util import (
     parts,
     random_graph,
     reference_baker,
+    reference_bfs_layers,
     reference_partition_scheme,
     residue_classes,
     signs_and_value,
@@ -71,6 +73,18 @@ class TestBfsLayers:
             layer_of = bfs_layers(G)
             for u, v, _ in edge_list(G):
                 assert abs(layer_of[u] - layer_of[v]) <= 1
+
+    def test_matches_the_frontier_set_reference(self):
+        graphs = [WeightedGraph(0, []), WeightedGraph(1, []), WeightedGraph(6, [])]
+        graphs += [random_graph(700 + s, 2 + s % 40, s % 50, real=s % 3 == 0) for s in range(120)]
+        several = isolated = 0
+        for G in graphs:
+            ref = reference_bfs_layers(G)
+            layer_of = bfs_layers(G)
+            assert layer_of.dtype == np.int64 and layer_of.tolist() == ref
+            several += ref.count(0) > 1  # one 0 per component
+            isolated += (degrees(G) == 0).any()
+        assert several > 60 and isolated > 60
 
     def test_residue_classes_partition_vertices(self):
         G = _grid(3, 5)

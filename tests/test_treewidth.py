@@ -813,11 +813,18 @@ class TestNoSolvePathRenumbers:
 
 def _interval_cases():
     """Random graphs, plus the builder's edge cases: n = 1, edgeless graphs,
-    isolated vertices and several components."""
+    isolated vertices and several components, also with degree ties."""
     graphs = [sample_small(seed) for seed in range(80)]
     graphs += [WeightedGraph(1, []), WeightedGraph(6, [])]
     graphs += [random_graph(300 + s, 14, 4 + 2 * s, real=s % 2 == 1) for s in range(8)]
     graphs += [_grid(3, 4, seed=2), _grid(5, 2, seed=3)]
+    # several components with degree ties, their ids interleaved: a triangle
+    # and a 4-cycle with two isolated vertices, and two grids
+    ring = [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (5, 7), (1, 7)]
+    graphs.append(WeightedGraph(9, [(u, v, 1.0) for u, v in ring]))
+    a, b = edge_list(_grid(3, 3, seed=4)), edge_list(_grid(2, 4, seed=5))
+    evens = [(2 * u, 2 * v, w) for u, v, w in a]
+    graphs.append(WeightedGraph(17, evens + [(2 * u + 1, 2 * v + 1, w) for u, v, w in b]))
     return graphs
 
 

@@ -1186,6 +1186,21 @@ def reference_bucket_elimination(G: WeightedGraph, td: TreeDecomposition) -> Ass
     return Assignment(tuple(signs), evaluate(G, signs))
 
 
+def reference_bfs_layers(G: WeightedGraph) -> list[int]:
+    """bfs_layers written plainly: from each vertex not yet reached, in id
+    order, its component's distances by frontier sets."""
+    adj = adjacency(G)
+    layer_of = [-1] * G.n
+    for s in range(G.n):
+        frontier, d = ({s} if layer_of[s] < 0 else set()), 0
+        while frontier:
+            for v in frontier:
+                layer_of[v] = d
+            frontier = {u for v in frontier for u in adj[v] if layer_of[u] < 0}
+            d += 1
+    return layer_of
+
+
 def layers_of(layer_of) -> tuple[tuple[int, ...], ...]:
     """The BFS layers, each in id order, from each vertex's layer index."""
     layers = [[] for _ in range(max(layer_of, default=-1) + 1)]
