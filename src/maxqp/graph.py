@@ -13,11 +13,11 @@ subgraph) is only an input: the schemes' `_lift` builds one, and
 `extend_from_induced` completes it.
 
 A graph's one stored form is its (u, v, w) edge columns; `degrees` counts
-from them.  The walks that go vertex by vertex (peeling, min-fill, BFS, the
-blossom search, easypack's split step) read `neighbour_lists`, cut from the
-columns when they start.  `bfs_sweep` is the one plain BFS loop: `bfs_layers`
-runs it, and so does `cuthill_mckee_order`, over lists it cuts in (degree,
-id) order.
+from them.  The walks that go vertex by vertex (min-fill, BFS, the blossom
+search) read `neighbour_lists`, cut from the columns when they start;
+`degeneracy` peels in numpy rounds over neighbour ranges it sorts itself.
+`bfs_sweep` is the one plain BFS loop: `bfs_layers` runs it, and so does
+`cuthill_mckee_order`, over lists it cuts in (degree, id) order.
 
 The objective used everywhere is the edge-based sum over stored undirected
 edges: val_x(G) = sum over {u,v} in E of a_uv * x_u * x_v.  This is half of
@@ -42,6 +42,12 @@ from .errors import CapacityError, ValidationError
 
 MAX_VERTICES = 10**7  # a larger n is refused before anything is allocated per vertex
 ROW_BLOCK = 1 << 13  # entries converted to Python objects at a time by `rows`
+# `degeneracy` hands the rest of the graph to its bucket queue once r rounds
+# have removed fewer than PEEL_MIN * (r - PEEL_SLACK) vertices.  On long grids
+# w wide, which peel about 2w vertices a round, the rounds and the queue cost
+# the same at 2w = 15-20; the slack lets a grid's first, growing rounds pass.
+PEEL_MIN = 16
+PEEL_SLACK = 16
 
 
 def rows(*columns: np.ndarray) -> Iterable[tuple]:
@@ -381,25 +387,24 @@ def bfs_sweep(nb: list[list[int]], s: int, seen: bytearray) -> Iterator[list[int
         layer = nxt
 
 
-def degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
-    """Degeneracy and a peeling order via repeated minimum-degree removal.
+def _ranges(start: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The index ranges start[i] .. start[i] + lens[i] - 1, concatenated."""
+    ends = np.cumsum(lens)
+    return np.repeat(start - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
 
-    Bucket-queue implementation over `neighbour_lists`, O(n + m) (Batagelj &
-    Zaversnik, *An O(m) algorithm for cores decomposition of networks*, 2003).
-    """
-    n = G.n
-    if n == 0:
-        return 0, []
-    nb = neighbour_lists(G)
-    deg = [len(a) for a in nb]
+
+def _bucket_peel(nbl: list[int], start: list[int], deg: list[int]) -> int:
+    """The degeneracy of the nonempty graph whose vertex v has the neighbours
+    nbl[start[v]:start[v + 1]], by repeated minimum-degree removal from a
+    bucket queue with lazy deletion (Batagelj & Zaversnik, *An O(m)
+    algorithm for cores decomposition of networks*, 2003)."""
+    n = len(deg)
     buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
     for v in range(n):
         buckets[deg[v]].append(v)
     removed = [False] * n
-    order = []
-    d = 0
-    cur = 0
-    while len(order) < n:
+    d = cur = 0
+    while n:
         bucket = buckets[cur]
         if not bucket:
             cur += 1
@@ -409,16 +414,69 @@ def degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
         if removed[v] or deg[v] != cur:
             continue
         removed[v] = True
-        order.append(v)
+        n -= 1
         if cur > d:
             d = cur
-        for u in nb[v]:
+        for u in nbl[start[v] : start[v + 1]]:
             if not removed[u]:
                 k = deg[u] = deg[u] - 1
                 buckets[k].append(u)
                 if k < cur:
                     cur = k
-    return d, order
+    return d
+
+
+def degeneracy(G: WeightedGraph) -> int:
+    """The degeneracy: the largest k for which G has a nonempty k-core.
+
+    Level-synchronous core peeling in numpy passes (Dasari, Desh & Zubair,
+    *ParK*, IEEE BigData 2014).  At level k every alive vertex of degree
+    <= k is removed at once, and one pass over their neighbour ranges lowers
+    the degrees of the rest; the vertices that fall to k or below form the
+    next round.  When none is left, k rises to the least alive degree.  The
+    k-core does not depend on the removal order, so the last level is the
+    degeneracy.  Paths, trees and grids peel a few vertices per round; once
+    r rounds have removed fewer than PEEL_MIN * (r - PEEL_SLACK) vertices,
+    the remaining graph goes to the bucket queue, and the degeneracy is the
+    larger of k and its answer.
+    O(n + m) plus one sort of the 2m endpoints.
+    """
+    n = G.n
+    eu, ev, _ = G.edge_arrays()
+    full = degrees(G)
+    deg = full.copy()  # each vertex's alive neighbours
+    nbr = np.concatenate((ev, eu))[np.argsort(np.concatenate((eu, ev)))]
+    start = np.cumsum(full) - full  # v's neighbours are nbr[start[v]:start[v] + full[v]]
+    alive = np.ones(n, dtype=bool)
+    stamp = np.empty(n, dtype=np.int64)
+    rest = np.arange(n)
+    k = rounds = peeled = 0
+    peel = rest[:0]
+    while True:
+        if not len(peel):
+            rest = rest[alive[rest]]
+            if not len(rest):
+                return k
+            k = int(deg[rest].min())
+            peel = rest[deg[rest] <= k]
+        rounds += 1
+        peeled += len(peel)
+        if (rounds - PEEL_SLACK) * PEEL_MIN > peeled:
+            break
+        alive[peel] = False
+        nb = nbr[_ranges(start[peel], full[peel])]
+        nb = nb[alive[nb]]
+        np.subtract.at(deg, nb, 1)
+        low = nb[deg[nb] <= k]
+        # each vertex once: the one entry at the position its stamp holds
+        stamp[low] = np.arange(len(low))
+        peel = low[stamp[low] == np.arange(len(low))]
+    rest = np.flatnonzero(alive)
+    nb = nbr[_ranges(start[rest], full[rest])]
+    nb = (np.cumsum(alive) - 1)[nb[alive[nb]]]  # renumbered in id order
+    deg = deg[rest]
+    cut = np.concatenate(([0], np.cumsum(deg)))
+    return max(k, _bucket_peel(nb.tolist(), cut.tolist(), deg.tolist()))
 
 
 def stats(G: WeightedGraph) -> InstanceStats:
@@ -429,7 +487,7 @@ def stats(G: WeightedGraph) -> InstanceStats:
     """
     abs_weight = float(np.abs(G.edge_arrays()[2]).sum())
     max_degree = int(degrees(G).max(initial=0))
-    d, _ = degeneracy_order(G)
+    d = degeneracy(G)
     density = Fraction(G.m, G.n) if G.n else Fraction(0)
     return InstanceStats(abs_weight, max_degree, d, density)
 

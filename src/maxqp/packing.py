@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,12 +22,11 @@ from .graph import (
     ApproxResult,
     Assignment,
     WeightedGraph,
-    degeneracy_order,
+    degeneracy,
     degrees,
     extend_from_induced,
     glue_blocks,
     induced_subgraph,
-    neighbour_lists,
     value_tol,
 )
 from .matching import Matching, greedy_sorted_matching, maximal_matching, maximum_matching
@@ -178,27 +179,52 @@ def easypack(G: WeightedGraph) -> EasyPacking:
     """Greedy easy packing seeded from a maximal matching.
 
     Steps: (1) maximal matching M, unmatched set I; (2-3) for each matched
-    edge {x, y}, if two unmatched vertices each form a triangle with it, split
-    it into the two center edges {u, x} and {v, y}; (4) seed parts from the
-    resulting edges; (5) attach each remaining unmatched vertex v to the
-    first center it forms a path or a good triangle with.  Steps 1-3 scan in
-    increasing id order; O(n + m) plus a sort of the edge endpoints.
+    edge {x, y} in increasing order, if two vertices of I each form a
+    triangle with it, split it into the two center edges {u, x} and {v, y}
+    for the two smallest, which leave I; (4) seed parts from the resulting
+    edges; (5) attach each remaining unmatched vertex v to the first center
+    it forms a path or a good triangle with.
+
+    The split step runs on keys, as `_attach` does: each edge from an
+    unmatched w to pair p gives the key (p, w), and a key seen twice is w
+    touching both ends of p.  Only pairs with two such w can split, and only
+    they go through the loop; I shrinks in pair order, so the rule over
+    them alone splits the same pairs.  After the matching's O(m) scan this
+    is O(n + m) numpy passes, plus a sort of the keys here and in `_attach`
+    (one per edge from an unmatched to a matched vertex) and a Python loop
+    over the pairs that have two candidates.
     """
     if not G.unit:
         raise ValidationError("easypack requires unit weights")
-    M = maximal_matching(G)
-    istar = set(np.flatnonzero(M.partner < 0).tolist())
-    nb = neighbour_lists(G)
-    centers: list[tuple[int, int]] = []
-    for x, y in M.edges.tolist():
-        common = sorted(istar.intersection(nb[x]).intersection(nb[y]))
-        if len(common) >= 2:
-            u, v = common[0], common[1]
-            centers += [(min(u, x), max(u, x)), (min(v, y), max(v, y))]
-            istar -= {u, v}
-        else:
-            centers.append((x, y))
-    return _attach(G, np.array(centers, dtype=np.int64).reshape(-1, 2), triangles=True)
+    n = G.n
+    centers = maximal_matching(G).edges
+    pair_of = np.full(n, -1, dtype=np.int64)
+    pair_of[centers[:, 0]] = pair_of[centers[:, 1]] = np.arange(len(centers))
+    eu, ev, _ = G.edge_arrays()
+    pu, pv = pair_of[eu], pair_of[ev]
+    to_v, to_u = (pu < 0) & (pv >= 0), (pu >= 0) & (pv < 0)
+    key = np.concatenate((pv[to_v] * n + eu[to_v], pu[to_u] * n + ev[to_u]))
+    key, count = np.unique(key, return_counts=True)
+    p, w = np.divmod(key[count == 2], max(n, 1))  # sorted by (p, w)
+    same = p[1:] == p[:-1]
+    two = np.zeros(len(p), dtype=bool)  # p holds two or more of these w
+    two[1:] |= same
+    two[:-1] |= same
+    taken: set[int] = set()
+    split: list[tuple[int, int, int]] = []
+    for q, group in groupby(zip(p[two].tolist(), w[two].tolist()), itemgetter(0)):
+        free = [x for _, x in group if x not in taken][:2]
+        if len(free) == 2:
+            taken.update(free)
+            split.append((q, *free))
+    if split:
+        q, a, b = np.array(split, dtype=np.int64).T
+        row = q + np.arange(len(q))  # pair q's first row, after the splits before it
+        centers = np.insert(centers, q + 1, 0, axis=0)
+        x, y = centers[row, 0], centers[row, 1]
+        centers[row] = np.stack((np.minimum(a, x), np.maximum(a, x)), axis=1)
+        centers[row + 1] = np.stack((np.minimum(b, y), np.maximum(b, y)), axis=1)
+    return _attach(G, centers, triangles=True)
 
 
 def star_packing(G: WeightedGraph) -> EasyPacking:
@@ -249,19 +275,19 @@ def solve_degenerate(G: WeightedGraph) -> ApproxResult:
     """EasyPack driver: 1/(2*degeneracy) of the optimum on unit instances."""
     if not G.unit:
         raise ValidationError("solve_degenerate requires unit weights")
-    degeneracy, _ = degeneracy_order(G)
+    d = degeneracy(G)
     if G.m == 0:
-        return _trivial_result(G, {"degeneracy": degeneracy})
+        return _trivial_result(G, {"degeneracy": d})
     P = easypack(G)
     out = packing_to_solution(G, P)
-    guarantee = Fraction(1, 2 * degeneracy)
+    guarantee = Fraction(1, 2 * d)
     covered = int(np.count_nonzero(P.part_of >= 0))
     if 2 * P.edge_count < covered:
         raise InternalError("easy packing fell below |V_F|/2 packed edges")
     cert = {
         "packed_edges": P.edge_count,
         "covered": covered,
-        "degeneracy": degeneracy,
+        "degeneracy": d,
     }
     return ApproxResult(out, guarantee, cert)
 

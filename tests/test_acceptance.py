@@ -39,7 +39,7 @@ from maxqp import (
 )
 from maxqp.cli import main as cli_main
 from maxqp.errors import CapacityError, ValidationError
-from maxqp.graph import degeneracy_order
+from maxqp.graph import degeneracy
 
 from util import (
     adjacency,
@@ -171,7 +171,7 @@ def test_05_degenerate_driver(capsys):
             n = 4 + rng.randrange(11)
             m = 1 + rng.randrange(int(1.5 * n))
             G = random_graph(70_000 + seed, n, min(m, n * (n - 1) // 2))
-            d, _ = degeneracy_order(G)
+            d = degeneracy(G)
             if not 1 <= d <= 3:
                 continue
             P = easypack(G)
@@ -308,7 +308,7 @@ def test_10_subdivision_reduction(capsys):
             G = random_graph(95_000 + trial, n, m)
             H = subdivide_for_maxcut(G)
             assert is_bipartite(H)
-            d, _ = degeneracy_order(H)
+            d = degeneracy(H)
             assert d <= 2
             cut = brute_force_maxcut(G.n, [(u, v) for u, v, _ in edge_list(G)])
             assert brute_force(H).value == 2 * cut

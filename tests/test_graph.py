@@ -31,13 +31,16 @@ from maxqp import (
 from maxqp.graph import (
     MAX_VERTICES,
     ROW_BLOCK,
+    PEEL_MIN,
+    PEEL_SLACK,
     bfs_sweep,
-    degeneracy_order,
+    degeneracy,
     degrees,
     merge_columns,
     neighbour_lists,
     rows,
 )
+from maxqp import graph as graph_module
 from maxqp.io import format_instance, parse_instance
 from maxqp.oracle import SplitMix64
 
@@ -717,8 +720,9 @@ class TestStats:
                     edges.append((v, v + 1, 1.0))
                 if r < 3:
                     edges.append((v, v + 4, 1.0))
-        d, order = degeneracy_order(WeightedGraph(16, edges))
-        assert d == 2
+        G = WeightedGraph(16, edges)
+        d, order = reference_degeneracy_order(G)
+        assert degeneracy(G) == d == 2
         assert sorted(order) == list(range(16))
 
     def test_bounds_between_quantities(self):
@@ -729,23 +733,127 @@ class TestStats:
             assert st_.density <= st_.max_degree
 
 
+def _unit(n: int, edges) -> WeightedGraph:
+    return WeightedGraph(n, [(u, v, 1.0) for u, v in edges])
+
+
+def _k_tree(seed: int, k: int, n: int) -> WeightedGraph:
+    """A random k-tree on n > k vertices: a (k+1)-clique, then each new vertex
+    joined to a k-clique already present."""
+    rng = SplitMix64(seed)
+    cliques = [tuple(range(k + 1))]
+    edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
+    for v in range(k + 1, n):
+        base = cliques[rng.randrange(len(cliques))]
+        drop = rng.randrange(k + 1)
+        face = base[:drop] + base[drop + 1 :]
+        edges += [(u, v) for u in face]
+        cliques.append(face + (v,))
+    return _unit(n, edges)
+
+
+def _random_tree(seed: int, n: int) -> WeightedGraph:
+    rng = SplitMix64(seed)
+    return _unit(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def _handoff_round() -> int:
+    """The round at which `degeneracy` hands over when every round peels two
+    vertices: the first r with (r - PEEL_SLACK) * PEEL_MIN > 2r."""
+    r = 1
+    while (r - PEEL_SLACK) * PEEL_MIN <= 2 * r:
+        r += 1
+    return r
+
+
+def _path_square(first: int, length: int) -> list[tuple[int, int]]:
+    """The square of a path on first..first+length-1: degeneracy 2, and at
+    level 2 each round peels one vertex from each end."""
+    ids = range(first, first + length)
+    return [(u, u + 1) for u in ids[:-1]] + [(u, u + 2) for u in ids[:-2]]
+
+
 class TestDegeneracyOrder:
-    """degeneracy_order on neighbour lists cut from the columns, against the
-    bucket queue over the dict view `adjacency(G)`."""
+    """`degeneracy`, core peeling in numpy rounds with a bucket-queue
+    finisher, against the number of the bucket queue over the dict view
+    `adjacency(G)`."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_same_as_reference_with_isolated_vertices(self, seed):
         n = 1 + seed % 45
         H = random_graph(8000 + seed, n, [n // 3, n, 3 * n, n * n][seed % 4], real=seed % 2 == 1)
         G = WeightedGraph(n + seed % 4, edge_list(H))  # up to 3 isolated vertices last
-        got = degeneracy_order(G)
-        assert got == reference_degeneracy_order(G)
+        assert degeneracy(G) == reference_degeneracy_order(G)[0]
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_edgeless(self, n):
         G = WeightedGraph(n, [])
-        got = degeneracy_order(G)
-        assert got == reference_degeneracy_order(G) == (0, list(range(n))[::-1])
+        assert degeneracy(G) == 0
+        assert reference_degeneracy_order(G) == (0, list(range(n))[::-1])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_k_trees_and_cliques(self, seed):
+        k = 1 + seed % 6
+        G = _k_tree(8100 + seed, k, k + 1 + 7 * seed)
+        assert degeneracy(G) == reference_degeneracy_order(G)[0] == k
+        K = _unit(seed + 1, [(u, v) for u in range(seed + 1) for v in range(u + 1, seed + 1)])
+        assert degeneracy(K) == reference_degeneracy_order(K)[0] == seed
+
+    @pytest.mark.parametrize("n", [2, 3, 34, 35, 200, 1001])
+    def test_paths_and_random_trees(self, n):
+        P = _unit(n, [(v, v + 1) for v in range(n - 1)])
+        assert degeneracy(P) == reference_degeneracy_order(P)[0] == 1
+        for seed in range(3):
+            T = _random_tree(8200 + 10 * n + seed, n)
+            assert degeneracy(T) == reference_degeneracy_order(T)[0] == 1
+
+    @pytest.mark.parametrize("rows, cols", [(1, 5), (2, 2), (2, 40), (3, 3), (7, 11), (30, 30), (60, 4)])
+    def test_grids(self, rows, cols):
+        G = generate(GeneratorSpec("grid-spin-glass", 8250, {"rows": rows, "cols": cols}))
+        assert degeneracy(G) == reference_degeneracy_order(G)[0] == min(rows - 1, cols - 1, 1) + 1
+
+    @pytest.mark.parametrize(
+        "extra_rounds, handed, k",
+        [
+            (5, 12 + 40, 1),  # mid-level 1: five rounds of the path left
+            (0, 2 + 40, 1),  # the last round of level 1
+            (-1, 40, 2),  # the first round of level 2
+            (-2, 38, 2),  # the second round of level 2
+        ],
+    )
+    def test_handoff_around_a_level_boundary(self, monkeypatch, extra_rounds, handed, k):
+        # a path whose level-1 rounds end `extra_rounds` after the hand-off,
+        # beside a 40-vertex path square that level 2 peels two per round
+        r = _handoff_round()
+        j = r + extra_rounds
+        path = [(v, v + 1) for v in range(2 * j - 1)]
+        G = _unit(2 * j + 40, path + _path_square(2 * j, 40))
+        seen = []
+        finish = graph_module._bucket_peel
+        monkeypatch.setattr(graph_module, "_bucket_peel", lambda *a: seen.append([*map(list, a)]) or finish(*a))
+        assert degeneracy(G) == reference_degeneracy_order(G)[0] == 2
+        (nbl, cut, deg), = seen
+        assert len(deg) == handed and len(nbl) == sum(deg) and cut[-1] == len(nbl)
+        assert min(deg) <= k
+
+    def test_handoff_where_the_level_decides(self, monkeypatch):
+        # an odd path: the hand-off round peels its middle vertex alone, and
+        # the finisher sees one isolated vertex (degeneracy 0 < level 1)
+        r = _handoff_round()
+        G = _unit(2 * r - 1, [(v, v + 1) for v in range(2 * r - 2)])
+        seen = []
+        finish = graph_module._bucket_peel
+        monkeypatch.setattr(graph_module, "_bucket_peel", lambda *a: seen.append(finish(*a)) or seen[-1])
+        assert degeneracy(G) == reference_degeneracy_order(G)[0] == 1
+        assert seen == [0]
+
+    def test_no_handoff_when_rounds_peel_enough(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_bucket_peel", None)  # never called
+        r = _handoff_round()
+        G = _unit(2 * (r - 1), [(v, v + 1) for v in range(2 * r - 3)])
+        assert degeneracy(G) == 1
+        G = random_graph(8300, 3000, 6000)
+        assert degeneracy(G) == reference_degeneracy_order(G)[0]
 
 
 class TestOptimumBounds:

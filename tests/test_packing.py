@@ -58,6 +58,28 @@ def _centers(P) -> tuple[tuple[int, int], ...]:
     return tuple(map(tuple, P.centers.tolist()))
 
 
+def _shared_triangles(k: int, t: int, how, sign, perm) -> WeightedGraph:
+    """Pairs (2i, 2i+1) for i < k, then t vertices w, each joined to both ends
+    of pair i (how(w, i) == 1), to one end (2 or 3) or to none (0); unit
+    weights sign(), ids relabelled by perm.  With the identity the maximal
+    matching is the pairs, and many unmatched w share the same pairs."""
+    edges = [(2 * i, 2 * i + 1) for i in range(k)]
+    for w in range(2 * k, 2 * k + t):
+        for i in range(k):
+            h = how(w, i)
+            edges += [(2 * i, w)] * (h in (1, 2)) + [(2 * i + 1, w)] * (h in (1, 3))
+    return WeightedGraph(2 * k + t, [(perm[u], perm[v], sign()) for u, v in edges])
+
+
+@st.composite
+def _triangle_rich_graphs(draw) -> WeightedGraph:
+    k, t = draw(st.integers(1, 8)), draw(st.integers(0, 12))
+    hows = draw(st.lists(st.sampled_from([0, 1, 1, 2, 3]), min_size=k * t, max_size=k * t))
+    signs = iter(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=2 * k * t + k, max_size=2 * k * t + k)))
+    perm = draw(st.one_of(st.just(range(2 * k + t)), st.permutations(range(2 * k + t))))
+    return _shared_triangles(k, t, lambda w, i: hows[(w - 2 * k) * k + i], lambda: next(signs), perm)
+
+
 class TestPredicates:
     def test_positive_edge_equal_signs_is_good(self):
         G = WeightedGraph(2, [(0, 1, 1.0)])
@@ -334,6 +356,48 @@ class TestPackingDifferential:
         check_easy_packing(H, P)
         assert (parts(P), _centers(P)) == reference_star_packing(H)
         assert len(P.centers) == tutte_matching_size(H)
+
+    @settings(max_examples=200, deadline=None)
+    @given(G=_triangle_rich_graphs())
+    def test_easypack_same_as_reference_on_shared_triangles(self, G):
+        P = easypack(G)
+        check_easy_packing(G, P)
+        assert (parts(P), _centers(P)) == reference_easypack(G)
+
+    def test_shared_triangles_split_and_refuse_splits(self):
+        # seeded: the same reference check, and both outcomes of a pair with
+        # two or more free common neighbours occur: split, and refused because
+        # an earlier pair took them
+        split = refused = 0
+        for seed in range(150):
+            rng = SplitMix64(7500 + seed)
+            k, t = 1 + rng.randrange(6), rng.randrange(10)
+            G = _shared_triangles(k, t, lambda w, i: rng.randrange(3), lambda: rng.sign(), range(2 * k + t))
+            P = easypack(G)
+            assert (parts(P), _centers(P)) == reference_easypack(G)
+            adj = adjacency(G)
+            free = set(range(2 * k, 2 * k + t))
+            for i in range(k):
+                if len(adj[2 * i].keys() & adj[2 * i + 1].keys() & free) >= 2:
+                    if (2 * i, 2 * i + 1) in _centers(P):
+                        refused += 1
+                    else:
+                        split += 1
+        assert split >= 50 and refused >= 50
+
+    def test_later_pair_sharing_both_free_neighbours_does_not_split(self):
+        # pairs (0, 1) and (2, 3); 4 and 5 touch all four: the first pair
+        # takes both, so the second has no free common neighbour left
+        G = WeightedGraph(6, [(0, 1, 1.0), (2, 3, 1.0)] + [(x, w, 1.0) for x in range(4) for w in (4, 5)])
+        P = easypack(G)
+        assert _centers(P) == ((0, 4), (1, 5), (2, 3))
+        assert (parts(P), _centers(P)) == reference_easypack(G)
+
+    def test_three_common_neighbours_two_smallest_taken(self):
+        G = WeightedGraph(5, [(0, 1, 1.0)] + [(x, w, 1.0) for x in (0, 1) for w in (2, 3, 4)])
+        P = easypack(G)
+        assert _centers(P) == ((0, 2), (1, 3))
+        assert (parts(P), _centers(P)) == reference_easypack(G)
 
     def test_same_as_reference_on_random_graphs(self):
         for seed in range(300):

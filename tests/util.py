@@ -36,6 +36,7 @@ from maxqp import (
     solve_treewidth,
     to_nice,
 )
+from maxqp.graph import neighbour_lists
 
 
 # One small instance of every generator kind (sparse-random with both weight types).
@@ -549,33 +550,35 @@ def reference_packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignmen
 
 
 def reference_easypack(G: WeightedGraph):
-    """easypack with step 5 scanning every center from index 0 for each vertex.
+    """easypack's split step as a loop over the matched pairs, intersecting
+    each pair's neighbour lists with the unmatched set, then step 5 scanning
+    every center from index 0 for each vertex.
 
     Returns (parts, centers) in the form of `parts(P)` and `P.centers.tolist()`
     as tuples; easypack must match both.
     """
     adj = adjacency(G)
     M = maximal_matching(G)
-    istar = {v for v in range(G.n) if M.partner[v] < 0 and adj[v]}
-    mstar = []
-    for x, y in pairs(M):
-        common = sorted(adj[x].keys() & adj[y].keys() & istar)
+    istar = set(np.flatnonzero(M.partner < 0).tolist())
+    nb = neighbour_lists(G)
+    centers: list[tuple[int, int]] = []
+    for x, y in M.edges.tolist():
+        common = sorted(istar.intersection(nb[x]).intersection(nb[y]))
         if len(common) >= 2:
             u, v = common[0], common[1]
-            mstar.append(tuple(sorted((u, x))))
-            mstar.append(tuple(sorted((v, y))))
+            centers += [(min(u, x), max(u, x)), (min(v, y), max(v, y))]
             istar -= {u, v}
         else:
-            mstar.append((x, y))
-    parts = [[a, b] for a, b in mstar]
+            centers.append((x, y))
+    parts = [[a, b] for a, b in centers]
     for v in sorted(istar):
         nbrs = adj[v]
-        for idx, (cx, cy) in enumerate(mstar):
+        for idx, (cx, cy) in enumerate(centers):
             adj_x, adj_y = cx in nbrs, cy in nbrs
             if adj_x != adj_y or (adj_x and adj_y and triangle_is_good(G, v, cx, cy, adj)):
                 parts[idx].append(v)
                 break
-    return tuple(tuple(sorted(p)) for p in parts), tuple(mstar)
+    return tuple(tuple(sorted(p)) for p in parts), tuple(centers)
 
 
 def reference_star_packing(G: WeightedGraph):
@@ -866,7 +869,7 @@ def reference_extend(G: WeightedGraph, x) -> tuple[int, ...]:
 
 def reference_degeneracy_order(G: WeightedGraph) -> tuple[int, list[int]]:
     """Degeneracy and peeling order by a bucket queue over `adjacency(G)`, as
-    a list of buckets with lazy deletion; degeneracy_order must match both."""
+    a list of buckets with lazy deletion; `degeneracy` must match the first."""
     n = G.n
     if n == 0:
         return 0, []
