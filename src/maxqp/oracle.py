@@ -205,6 +205,69 @@ def _sample_pairs(rng: SplitMix64, n: int, m: int) -> tuple[np.ndarray, np.ndarr
     return found // n, found % n
 
 
+def _regular_pairs(rng: SplitMix64, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges u < v of a simple d-regular graph on n vertices, 2d < n,
+    as int64 columns sorted by (u, v).
+
+    Configuration model: the n*d stubs, vertex by vertex, are shuffled and
+    paired in order.  A pairing with loops or repeated pairs is repaired by
+    switchings rather than drawn again (McKay & Wormald, "Uniform generation
+    of random regular graphs of moderate degree", J. Algorithms 1990), so a
+    pairing that is already simple draws nothing more.  The bad pairs, each
+    loop and each copy of a repeated pair, are taken in pair order; a
+    switching of bad pair (a, b) with partner (c, e) makes them (a, c) and
+    (b, e), one draw choosing the partner and which of its ends is c.  It is
+    kept only when it lowers the number of loops plus surplus copies, and a
+    pair it leaves bad is taken again.  With 2d < n such a switching always
+    exists: a partner with both ends off a and a's neighbours removes a loop
+    at a, and for a copy of (a, b) at least 2d + 2 stubs of vertices off a
+    and its neighbours are paired with vertices off b and its neighbours.
+    """
+
+    def key(a: int, b: int) -> int:
+        return min(a, b) * n + max(a, b)
+
+    def surplus(k: int) -> int:
+        """Loops plus surplus copies among the copies of pair k."""
+        c = count.get(k, 0)
+        return c if k // n == k % n else max(c - 1, 0)
+
+    stubs = [v for v in range(n) for _ in range(d)]
+    rng.shuffle(stubs)
+    A, B = stubs[0::2], stubs[1::2]
+    count: dict[int, int] = {}
+    for a, b in zip(A, B):
+        count[key(a, b)] = count.get(key(a, b), 0) + 1
+    pairs = len(A)
+    todo = [i for i in range(pairs) if surplus(key(A[i], B[i]))]
+    for i in todo:  # grows when a kept switching leaves its partner bad
+        while surplus(key(A[i], B[i])):
+            r = rng.randrange(2 * pairs)
+            j = r >> 1
+            if j == i:
+                continue
+            a, b = A[i], B[i]
+            c, e = (A[j], B[j]) if r & 1 else (B[j], A[j])
+            old, new = (key(a, b), key(c, e)), (key(a, c), key(b, e))
+            touched = set(old + new)
+            before = sum(map(surplus, touched))
+            for k in old:
+                count[k] -= 1
+            for k in new:
+                count[k] = count.get(k, 0) + 1
+            if sum(map(surplus, touched)) < before:
+                A[i], B[i], A[j], B[j] = a, c, b, e
+                if surplus(new[1]):
+                    todo.append(j)
+            else:
+                for k in new:
+                    count[k] -= 1
+                for k in old:
+                    count[k] += 1
+    edges = np.array(sorted(k for k, c in count.items() if c), dtype=np.int64)
+    return edges // n, edges % n
+
+
 def _sign_weights(rng: SplitMix64, k: int) -> np.ndarray:
     """k weights of +-1, one `sign()` draw each."""
     return np.where(rng.draw(k) & 1, 1.0, -1.0)
@@ -257,9 +320,11 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
     draws its weight: a sign from one draw's low bit, or a real 2r - 1 drawn
     again while it is 0.0.  grid-spin-glass draws a sign per edge in row-major
     order, right edge before down edge; d-regular shuffles its stubs one draw
-    at a time.  The graph is built from its columns.  A kind not in
-    KIND_PARAMS, a parameter the kind does not read, or a `real` that is
-    not a bool raises ValidationError.
+    at a time and repairs the pairing by switchings (`_regular_pairs`), or,
+    when 2d >= n > 0, builds the complement of an (n - 1 - d)-regular graph
+    that way, then draws a sign per edge in (u, v) order.  The graph is built
+    from its columns.  A kind not in KIND_PARAMS, a parameter the kind does
+    not read, or a `real` that is not a bool raises ValidationError.
     """
     rng = SplitMix64(spec.seed)
     p = spec.params
@@ -289,29 +354,17 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
         return WeightedGraph._from_columns(n, u, v, w)
     if kind == "d-regular":
         n, d = _count(p, "n"), _count(p, "degree")
-        if n * d % 2 or d >= n:
+        if n * d % 2 or d > max(n - 1, 0):
             raise ValidationError(f"no simple {d}-regular graph on {n} vertices")
         check_vertex_count(n)
-        for _ in range(1000):
-            stubs = [v for v in range(n) for _ in range(d)]
-            rng.shuffle(stubs)
-            pairs = set()
-            ok = True
-            for i in range(0, len(stubs), 2):
-                u, v = stubs[i], stubs[i + 1]
-                if u == v:
-                    ok = False
-                    break
-                if u > v:
-                    u, v = v, u
-                if (u, v) in pairs:
-                    ok = False
-                    break
-                pairs.add((u, v))
-            if ok:
-                cols = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-                return _signed(rng, n, cols[:, 0].copy(), cols[:, 1].copy())
-        raise ValidationError("configuration model failed to produce a simple graph")
+        if 2 * d < n or n == 0:
+            u, v = _regular_pairs(rng, n, d)
+        else:  # the complement of an (n - 1 - d)-regular graph
+            u, v = _regular_pairs(rng, n, n - 1 - d)
+            keep = np.ones((n, n), dtype=bool)
+            keep[u, v] = False
+            u, v = (a.astype(np.int64) for a in np.nonzero(np.triu(keep, 1)))
+        return _signed(rng, n, u, v)
     if kind == "perfect-matching":
         n = _count(p, "n")
         if n % 2:

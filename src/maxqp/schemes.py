@@ -190,7 +190,7 @@ def solve_partition_scheme(
     with `glue_blocks`, G[V \\ V_i] as block 0 and G[V_i] as block 1; the
     best of the k results is returned.  A given partition must cover exactly
     G's vertices.  With h = max(1, ceil(m/n)) witnessing the instance's edge
-    density, the default k = ceil(6h/eps) makes the best solution
+    density (h = 1 when n = 0), the default k = ceil(6h/eps) makes the best solution
     (1 - eps)-approximate whenever every subproblem fits the width cap.
     """
     if not G.unit:
@@ -199,9 +199,7 @@ def solve_partition_scheme(
         raise ValidationError("epsilon must be in (0, 1]")
     if partition is not None and len(partition.part_of) != G.n:
         raise ValidationError(f"partition does not cover exactly the {G.n} vertices of G")
-    if G.n == 0:
-        return ApproxResult(extend_from_induced(G, ()), Fraction(1), {"k": 0})
-    h = max(1, math.ceil(G.m / G.n))
+    h = max(1, math.ceil(G.m / G.n)) if G.n else 1
     if partition is None:
         # the residue classes mod k of the BFS layers: the parts past the
         # last class solved are empty, like that class
@@ -210,7 +208,7 @@ def solve_partition_scheme(
     else:
         part_of, k = partition.part_of, partition.k
         # the parts past the last one used are empty, like the first of them
-        count = min(k, int(part_of.max()) + 2)
+        count = min(k, int(part_of.max(initial=-1)) + 2)
     empty = np.bincount(part_of, minlength=count) == 0
     empty[np.argmax(empty)] = False  # the first empty part stands for all: it wins ties
     # per part solved: its index and the subproblem indices of G[V_i] and G[V \ V_i]

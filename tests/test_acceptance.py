@@ -38,7 +38,7 @@ from maxqp import (
     subdivide_for_maxcut,
 )
 from maxqp.cli import main as cli_main
-from maxqp.errors import CapacityError, ValidationError
+from maxqp.errors import CapacityError
 from maxqp.graph import degeneracy
 
 from util import (
@@ -137,14 +137,7 @@ def test_04_bounded_degree_driver(capsys):
         combos = [(8, 2), (10, 3), (12, 4), (14, 5)]
         for trial in range(300):
             n, d = combos[trial % 4]
-            seed = 500 + trial
-            while True:
-                try:
-                    spec = GeneratorSpec("d-regular", seed, {"n": n, "degree": d})
-                    G = generate(spec)
-                    break
-                except ValidationError:  # stub pairing produced a multigraph
-                    seed += 1000
+            G = generate(GeneratorSpec("d-regular", 500 + trial, {"n": n, "degree": d}))
             st = stats(G)
             r = solve_bounded_degree(G)
             bound = 1.0 / (2 * st.max_degree)

@@ -137,6 +137,19 @@ class TestSolve:
         assert main(["eval", inst, _write(tmp_path, "g.sol", assignment + "\n")]) == 0
         assert capsys.readouterr().out.strip() == fields["value"]
 
+    @pytest.mark.parametrize("algo", ["partition", "baker"])
+    def test_empty_graph_gets_the_certificate_of_any_other(self, tmp_path, capsys, algo):
+        empty = _write(tmp_path, "empty.mq", "p maxqp 0 0\n")
+        records = []
+        for inst in (empty, _path3(tmp_path)):
+            assert main(["solve", inst, "--algo", algo, "--epsilon", "0.5"]) == 0
+            records.append(dict(kv.split("=", 1) for kv in capsys.readouterr().out.split()))
+        assert list(records[0]) == list(records[1])
+        assert records[0]["n"] == "0" and records[0]["value"] == "0"
+        if algo == "partition":
+            assert {"epsilon", "k", "h", "partition_source", "chosen_part"} <= set(records[0])
+            assert records[0]["h"] == "1"
+
     def test_partition_file_needs_partition_algo(self, tmp_path, capsys):
         inst = _path3(tmp_path)
         part = _write(tmp_path, "p3.part", "1 2\n3\n")

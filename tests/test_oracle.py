@@ -359,6 +359,47 @@ class TestGenerators:
         with pytest.raises(ValidationError):
             generate(GeneratorSpec("d-regular", 5, {"n": 5, "degree": 3}))
 
+    @pytest.mark.parametrize("n, d", [(0, 1), (1, 1), (4, 4), (7, 9)])
+    def test_d_regular_rejects_a_degree_past_n_minus_1(self, n, d):
+        with pytest.raises(ValidationError, match=f"no simple {d}-regular graph on {n} vertices"):
+            generate(GeneratorSpec("d-regular", 0, {"n": n, "degree": d}))
+
+    @pytest.mark.parametrize(
+        "n, d, seeds",
+        [(0, 0, 1), (1, 0, 1), (5, 0, 2), (2, 1, 3), (3, 2, 3), (4, 3, 3), (7, 6, 3), (5, 2, 20)]
+        + [(6, 2, 20), (6, 3, 20), (8, 4, 20), (9, 4, 20), (10, 5, 20), (11, 6, 20), (12, 5, 20)]
+        + [(14, 7, 10), (20, 9, 10), (30, 6, 10), (40, 21, 5), (1000, 6, 5), (1000, 7, 5)],
+    )
+    def test_d_regular_is_simple_regular_and_reproducible(self, n, d, seeds):
+        for seed in range(seeds):
+            spec = GeneratorSpec("d-regular", seed, {"n": n, "degree": d})
+            G = generate(spec)
+            eu, ev, ew = G.edge_arrays()
+            key = eu * n + ev
+            # no loop and no pair twice: the (u, v) keys rise strictly
+            assert G.n == n and (eu < ev).all() and (np.diff(key) > 0).all()
+            assert (np.bincount(np.concatenate((eu, ev)), minlength=n) == d).all()
+            assert set(ew.tolist()) <= {-1.0, 1.0}
+            again = generate(spec)
+            assert edge_list(again) == edge_list(G)
+
+    def test_d_regular_keeps_a_simple_first_pairing(self):
+        # a pairing with no loop and no repeated pair draws nothing more,
+        # so the graph is the pairing of the one shuffle
+        kept = 0
+        for seed in range(40):
+            rng = SplitMix64(seed)
+            stubs = [v for v in range(12) for _ in range(3)]
+            rng.shuffle(stubs)
+            pairs = {(min(a, b), max(a, b)) for a, b in zip(stubs[0::2], stubs[1::2])}
+            if len(pairs) < 18 or any(a == b for a, b in pairs):
+                continue
+            G = generate(GeneratorSpec("d-regular", seed, {"n": 12, "degree": 3}))
+            signs = [float(rng.sign()) for _ in pairs]
+            assert edge_list(G) == [(u, v, w) for (u, v), w in zip(sorted(pairs), signs)]
+            kept += 1
+        assert kept >= 3
+
     def test_perfect_matching(self):
         G = generate(GeneratorSpec("perfect-matching", 1, {"n": 8}))
         assert G.m == 4

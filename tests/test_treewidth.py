@@ -743,6 +743,42 @@ class TestSolveTreewidths:
         for (G, td), a in zip(pairs, solve_treewidths(pairs)):
             assert signs_and_value(a) == signs_and_value(reference_bucket_elimination(G, td))
 
+    @staticmethod
+    def _wide_pairs():
+        """Tables of 10 to 16 axes, weights from an order-sensitive set: the
+        interval form of grids and min-fill decompositions of random graphs."""
+        weights = [1e16, -1e16, 1.0, -1.0, 3.0, -3.0, 0.5]
+
+        def reweighted(G, seed):
+            draw = SplitMix64(seed).draw(G.m) % len(weights)
+            edges = [(u, v, weights[int(x)]) for (u, v, _), x in zip(edge_list(G), draw)]
+            return WeightedGraph(G.n, edges)
+
+        pairs = []
+        for r, c in [(12, 12), (13, 13), (14, 14), (12, 20), (14, 20)]:
+            G = reweighted(_grid(r, c), r * c)
+            pairs.append((G, interval_decomposition(G, cuthill_mckee_order(G))))
+        for n, m in [(34, 85), (40, 100), (44, 120), (46, 130)]:
+            for s in range(4):
+                G = reweighted(random_graph(3000 + s, n, m), n + s)
+                pairs.append((G, build_decomposition(G)))
+        assert {td.width for _, td in pairs} == set(range(10, 17))
+        return pairs
+
+    @pytest.mark.parametrize(
+        "long_from", [treewidth.LONG_TERM_TABLE, treewidth.LONG_TERM_AXES, 10**9]
+    )
+    def test_wide_tables_round_as_the_per_bag_loop(self, monkeypatch, long_from):
+        # edge terms written out over a wide table's last axes, on every
+        # table of LONG_TERM_AXES axes or more, or never: each cell must get
+        # the same additions in the same order as in the per-bag loop
+        monkeypatch.setattr(treewidth, "LONG_TERM_TABLE", long_from)
+        pairs = self._wide_pairs()
+        together = solve_treewidths(pairs)
+        for (G, td), a in zip(pairs, together):
+            ref = signs_and_value(reference_bucket_elimination(G, td))
+            assert signs_and_value(a) == signs_and_value(solve_treewidth(G, td)) == ref
+
     def test_an_invalid_pair_is_refused_before_any_table(self):
         # the 13x13 grid alone would allocate tables of 8 * 2^17 bytes
         G = _grid(13, 13)
