@@ -24,17 +24,15 @@ per bag.
 An edge's term +-w varies on one or two axes of its bag's table and is
 added by broadcasting, so numpy's inner loop covers only the axes after the
 term's last varying one: a term that varies on a table's last axis is added
-in 2-cell strips.  On a table of at least LONG_TERM_TABLE = 10 axes, a term
-that varies on one of the last LONG_TERM_AXES = 6 axes is first written out
-over them (at most 2^8 cells a row), so that its add runs an inner loop of
-64 cells or more.  The values added and their order are the same, so the
-tables are bit-identical.  On the 14x30 strip's tables of 12 or more axes
-such an add took about a quarter of its old time (277 of them, each
-replayed alone: 49 us before, 14 us after), while the other adds stayed at
-7 us.  The exact-grid DP took the same time with the rule on from 8 to 12
-axes and with 5 to 7 axes written out; baker and partition groups on the
-benchmark grids have no edge term on a table of 10 axes, so they run as
-before.
+in 2-cell strips.  A term that varies on some but not all of a table's
+last LONG_TERM_AXES = 6 axes is first written out over them (over all of a
+narrower table; at most 2^7 cells a row, as a term varies on two axes at
+most), so that its add runs an inner loop of 64 cells or more, or over the
+whole row.  The values added and their order are the same, so the tables
+are bit-identical.  On the 14x30 strip's tables of 12 or more axes such an
+add took about a quarter of its old time (277 of them, each replayed alone:
+49 us before, 14 us after), while the other adds stayed at 7 us.  The
+exact-grid DP took the same time with 5 to 7 axes written out.
 
 The objective is the same at x and -x, and so is every table of the
 elimination, so each bag's table covers only the cells where one vertex of
@@ -100,8 +98,7 @@ from .graph import (
 
 DEFAULT_WIDTH_CAP = 20
 MAX_DP_WIDTH = 27  # a bag of 28 vertices makes a 1 GiB half table
-LONG_TERM_AXES = 6  # an edge term on a wide table is written out over this many last axes
-LONG_TERM_TABLE = 10  # tables with at least this many axes are wide
+LONG_TERM_AXES = 6  # an edge term is written out over this many last axes of its table
 
 
 @dataclass(frozen=True, eq=False)
@@ -654,7 +651,7 @@ def solve_treewidths(
     same size and the same number of vertices maxed out share one
     (bags, 2^(|bag|-1)) table.  Each cell still receives the same additions
     in the same order as in a run of its pair alone, so every pair gets the
-    same assignment either way, and an edge term written out over a wide
+    same assignment either way, and an edge term written out over its
     table's last axes (see the module docstring) adds the same values in the
     same order as its broadcast.  (A table whose first sub-batch covers all
     its rows starts as that sub-batch's values instead of adding them to
@@ -789,9 +786,9 @@ def _table(g, d, ops, runtab, msgs, sr, lr, er, terms, freed, layouts) -> np.nda
     """The (g, 2^d) table of a group: its child messages, one inbox slot
     after the other, then its bucket edges, one bucket slot after the other,
     each sub-batch added to its rows.  An edge sub-batch whose terms vary on
-    one of the last LONG_TERM_AXES axes of a table of LONG_TERM_TABLE axes
-    or more is first written out over those axes (the `wide` shape of
-    `_layout`), so that its add runs an inner loop of 2^LONG_TERM_AXES cells
+    some but not all of the table's last LONG_TERM_AXES axes is first
+    written out over those axes (the `wide` shape of `_layout`), so that
+    its add runs an inner loop of 2^LONG_TERM_AXES cells (or the whole row)
     rather than 2-cell strips.  The messages read here for the last time
     (`freed`) are dropped before the edges are added.  When the first
     sub-batch covers every row, it writes the table instead of adding to
@@ -849,14 +846,16 @@ def _layout(d: int, mask: int, flip: int, term: bool):
     a d-axis table, and, when it is read reversed where bit `flip` is set,
     the index of each half and of the reversed message.
 
-    An edge term (`term`, never read reversed) on a table of LONG_TERM_TABLE
-    axes or more that varies on one of its last LONG_TERM_AXES axes also
-    gets the shape it is written out to, 2 on those axes, in the last slot;
-    left as it is, the add's inner loop would run over 2-cell strips."""
+    An edge term (`term`, never read reversed) that varies on some but not
+    all of the table's last LONG_TERM_AXES axes also gets the shape it is
+    written out to, 2 on those axes, in the last slot; left as it is, the
+    add's inner loop would run over short strips."""
     axes = [2 if mask >> (d - 1 - a) & 1 else 1 for a in range(d)]
     wide = None
-    if term and d >= LONG_TERM_TABLE and mask & ((1 << LONG_TERM_AXES) - 1):
-        wide = (*axes[: d - LONG_TERM_AXES], *(2,) * LONG_TERM_AXES)
+    if term and mask & ((1 << LONG_TERM_AXES) - 1):
+        wide = (*axes[: max(d - LONG_TERM_AXES, 0)], *(2,) * min(d, LONG_TERM_AXES))
+        if wide == tuple(axes):  # it varies on all of them already
+            wide = None
     if flip < 0:
         return tuple(axes), None, None, None, wide
     a = d - 1 - flip

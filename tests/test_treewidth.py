@@ -765,14 +765,12 @@ class TestSolveTreewidths:
         assert {td.width for _, td in pairs} == set(range(10, 17))
         return pairs
 
-    @pytest.mark.parametrize(
-        "long_from", [treewidth.LONG_TERM_TABLE, treewidth.LONG_TERM_AXES, 10**9]
-    )
-    def test_wide_tables_round_as_the_per_bag_loop(self, monkeypatch, long_from):
-        # edge terms written out over a wide table's last axes, on every
-        # table of LONG_TERM_AXES axes or more, or never: each cell must get
-        # the same additions in the same order as in the per-bag loop
-        monkeypatch.setattr(treewidth, "LONG_TERM_TABLE", long_from)
+    @pytest.mark.parametrize("long_axes", [treewidth.LONG_TERM_AXES, 64, 0])
+    def test_wide_tables_round_as_the_per_bag_loop(self, monkeypatch, long_axes):
+        # edge terms written out over a table's last axes, over the whole
+        # table, or never: each cell must get the same additions in the same
+        # order as in the per-bag loop
+        monkeypatch.setattr(treewidth, "LONG_TERM_AXES", long_axes)
         pairs = self._wide_pairs()
         together = solve_treewidths(pairs)
         for (G, td), a in zip(pairs, together):
