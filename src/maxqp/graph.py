@@ -13,11 +13,13 @@ subgraph) is only an input: the schemes' `_lift` builds one, and
 `extend_from_induced` completes it.
 
 A graph's one stored form is its (u, v, w) edge columns; `degrees` counts
-from them.  The walks that go vertex by vertex (min-fill, BFS, the blossom
-search) read `neighbour_lists`, cut from the columns when they start;
-`degeneracy` peels in numpy rounds over neighbour ranges it sorts itself.
-`bfs_sweep` is the one plain BFS loop: `bfs_layers` runs it, and so does
-`cuthill_mckee_order`, over lists it cuts in (degree, id) order.
+from them.  `csr` is the one neighbour form, cut from the columns by each
+caller that needs it: offsets `start` and a flat `nbr`, v's neighbours
+nbr[start[v]:start[v + 1]] in id order.  Every walk by vertex reads it:
+min-fill, BFS, the blossom search, and `degeneracy`'s numpy rounds.
+`bfs_sweep` is the one plain BFS loop over its flat lists: `bfs_layers`
+runs it, and so does `cuthill_mckee_order`, over ranges it reorders by
+(degree, id).
 
 The objective used everywhere is the edge-based sum over stored undirected
 edges: val_x(G) = sum over {u,v} in E of a_uv * x_u * x_v.  This is half of
@@ -90,8 +92,8 @@ class WeightedGraph:
     once with a nonzero weight.  `unit` is true iff every |w| == 1.  The stored
     form is three numpy columns (u, v, w): int64 ids with u < v and float64
     weights, sorted by (u, v), which `edge_arrays` returns: the one edge
-    list.  No other view is kept: a walk by vertex reads `neighbour_lists(G)`,
-    cut from the columns on each call.
+    list.  No other view is kept: a walk by vertex reads `csr(G)`, cut from
+    the columns on each call.
     """
 
     __slots__ = ("n", "unit", "_arrays")
@@ -356,31 +358,37 @@ def degrees(G: WeightedGraph) -> np.ndarray:
     return np.bincount(eu, minlength=G.n) + np.bincount(ev, minlength=G.n)
 
 
-def neighbour_lists(G: WeightedGraph) -> list[list[int]]:
-    """Each vertex's neighbours, in increasing id order, cut from the edge columns.
+def csr(G: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour ranges: int64 offsets `start` of length n + 1 and int64
+    `nbr`, v's neighbours nbr[start[v]:start[v + 1]] in increasing id order.
 
-    Both directions of every edge, smaller neighbours first: the columns are
-    sorted by (u, v), so a stable sort by vertex puts each list in id order.
+    One sort of the keys src * n + dst of the 2m endpoints, then % n: the
+    keys are distinct and below n^2 <= 10^14 (MAX_VERTICES squared), so
+    numpy's fast unstable sort of them is the sort by (src, dst).
     """
+    n = G.n
     eu, ev, _ = G.edge_arrays()
-    src = np.concatenate((ev, eu))
-    nbrs = np.concatenate((eu, ev))[np.argsort(src, kind="stable")].tolist()
-    cut = np.cumsum(degrees(G)).tolist()
-    return [nbrs[a:b] for a, b in zip([0, *cut], cut)]
+    nbr = np.concatenate((eu * n + ev, ev * n + eu))
+    nbr.sort()
+    nbr %= n  # with n = 0 there is no key
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees(G), out=start[1:])
+    return start, nbr
 
 
-def bfs_sweep(nb: list[list[int]], s: int, seen: bytearray) -> Iterator[list[int]]:
+def bfs_sweep(nbl: list[int], start: list[int], s: int, seen: bytearray) -> Iterator[list[int]]:
     """The BFS layers from s over the vertices not marked in `seen`, each
-    vertex marked as it is reached.  A layer lists its vertices in the order
-    a FIFO queue reaches them: the layer before in order, each vertex's
-    neighbours in `nb`'s order."""
+    vertex marked as it is reached, where v's neighbours are
+    nbl[start[v]:start[v + 1]] (`csr`'s arrays as lists).  A layer lists its
+    vertices in the order a FIFO queue reaches them: the layer before in
+    order, each vertex's neighbours in their range's order."""
     seen[s] = 1
     layer = [s]
     while layer:
         yield layer
         nxt = []
         for v in layer:
-            for u in nb[v]:
+            for u in nbl[start[v] : start[v + 1]]:
                 if not seen[u]:
                     seen[u] = 1
                     nxt.append(u)
@@ -439,14 +447,12 @@ def degeneracy(G: WeightedGraph) -> int:
     r rounds have removed fewer than PEEL_MIN * (r - PEEL_SLACK) vertices,
     the remaining graph goes to the bucket queue, and the degeneracy is the
     larger of k and its answer.
-    O(n + m) plus one sort of the 2m endpoints.
+    O(n + m) plus `csr`'s sort of the 2m endpoints.
     """
     n = G.n
-    eu, ev, _ = G.edge_arrays()
-    full = degrees(G)
+    start, nbr = csr(G)
+    full = np.diff(start)
     deg = full.copy()  # each vertex's alive neighbours
-    nbr = np.concatenate((ev, eu))[np.argsort(np.concatenate((eu, ev)))]
-    start = np.cumsum(full) - full  # v's neighbours are nbr[start[v]:start[v] + full[v]]
     alive = np.ones(n, dtype=bool)
     stamp = np.empty(n, dtype=np.int64)
     rest = np.arange(n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError
-from .graph import WeightedGraph, neighbour_lists, rows
+from .graph import WeightedGraph, csr, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,17 +88,20 @@ def maximum_matching(G: WeightedGraph) -> Matching:
     """Maximum-cardinality matching via blossom (odd cycle) contraction.
 
     One alternating-tree search per unmatched root, in id order (Edmonds,
-    *Paths, trees, and flowers*, 1965).  The search state is allocated once;
-    each search, LCA walk and contraction resets only the entries it set, and
-    a contraction relabels only the k vertices of the new blossom, found from
-    per-base member lists and taken in id order (O(k log k)).  So a search
-    costs O(m) for its edge scans plus its contractions, and never reads the
-    vertices outside its tree.  One search per root makes it O(n * m) plus
-    the contractions; the O(m * sqrt(n)) bound of Micali & Vazirani (FOCS
-    1980) needs phases of shortest augmenting paths, which this does not use.
+    *Paths, trees, and flowers*, 1965), which scans a vertex's neighbours in
+    id order in the flat lists of `csr(G)`.  The search state is allocated
+    once; each search, LCA walk and contraction resets only the entries it
+    set, and a contraction relabels only the k vertices of the new blossom,
+    found from per-base member lists and taken in id order (O(k log k)).  So
+    a search costs O(m) for its edge scans plus its contractions, and never
+    reads the vertices outside its tree.  One search per root makes it
+    O(n * m) plus the contractions; the O(m * sqrt(n)) bound of Micali &
+    Vazirani (FOCS 1980) needs phases of shortest augmenting paths, which
+    this does not use.
     """
     n = G.n
-    nb = neighbour_lists(G)
+    start, nbr = csr(G)
+    nbl, start = nbr.tolist(), start.tolist()
     match: list[int] = [-1] * n
     parent = [-1] * n
     base = list(range(n))
@@ -144,7 +147,7 @@ def maximum_matching(G: WeightedGraph) -> Matching:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in nb[v]:
+            for to in nbl[start[v] : start[v + 1]]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):

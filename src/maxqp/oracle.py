@@ -57,14 +57,8 @@ class SplitMix64:
         z ^= z >> 31
         return z
 
-    def random(self) -> float:
-        return (self.next_u64() >> 11) / float(1 << 53)
-
     def randrange(self, k: int) -> int:
         return self.next_u64() % k
-
-    def sign(self) -> int:
-        return 1 if self.next_u64() & 1 else -1
 
     def shuffle(self, xs: list) -> None:
         for i in range(len(xs) - 1, 0, -1):

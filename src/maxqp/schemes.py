@@ -24,10 +24,10 @@ from .graph import (
     ApproxResult,
     WeightedGraph,
     bfs_sweep,
+    csr,
     extend_from_induced,
     glue_blocks,
     induced_subgraph,
-    neighbour_lists,
 )
 from .treewidth import DEFAULT_WIDTH_CAP, build_decomposition, check_dp_width, solve_treewidths
 
@@ -35,15 +35,17 @@ from .treewidth import DEFAULT_WIDTH_CAP, build_decomposition, check_dp_width, s
 def bfs_layers(G: WeightedGraph) -> np.ndarray:
     """Exact BFS distance layers: the layer index of each vertex, as int64.
 
-    One `bfs_sweep` per component, from each vertex not yet reached in
-    increasing id order.  The layer indices of all components are shared.
+    One `bfs_sweep` over `csr(G)` per component, from each vertex not yet
+    reached in increasing id order.  The layer indices of all components are
+    shared.
     """
-    nb = neighbour_lists(G)
+    start, nbr = csr(G)
+    nbl, start = nbr.tolist(), start.tolist()
     seen = bytearray(G.n)
     layer_of = [0] * G.n
     for s in range(G.n):
         if not seen[s]:
-            for d, layer in enumerate(bfs_sweep(nb, s, seen)):
+            for d, layer in enumerate(bfs_sweep(nbl, start, s, seen)):
                 for v in layer:
                     layer_of[v] = d
     return np.array(layer_of, dtype=np.int64)

@@ -90,9 +90,8 @@ from .graph import (
     Assignment,
     WeightedGraph,
     bfs_sweep,
-    degrees,
+    csr,
     evaluate,
-    neighbour_lists,
     value_tol,
 )
 
@@ -253,7 +252,7 @@ def build_decomposition(
     `width_cap + 1` vertices; `achieved` is that bag's width, a lower bound
     on the width the full ordering would reach.
 
-    `adj[v]` holds v's alive neighbours only (sets of `neighbour_lists(G)` at
+    `adj[v]` holds v's alive neighbours only (sets of its `csr(G)` range at
     the start), and fill[u] is the number of non-adjacent pairs in adj[u]:
     first C(deg u, 2) less the triangles at u, counted with one set
     intersection per edge, then kept exact by deltas.  Eliminating v with
@@ -270,7 +269,10 @@ def build_decomposition(
     one numpy sort at the end.
     """
     n = G.n
-    adj: list[set[int]] = [set(a) for a in neighbour_lists(G)]
+    start, nbr = csr(G)
+    nbl, cut = nbr.tolist(), start.tolist()
+    adj: list[set[int]] = [set(nbl[a:b]) for a, b in zip(cut, cut[1:])]
+    del nbr, nbl, cut  # the sets hold the neighbours now
     eu, ev, _ = G.edge_arrays()
     get = adj.__getitem__
     # triangles through each edge, a triangle at u lying on two of u's edges;
@@ -280,7 +282,7 @@ def build_decomposition(
         dtype=np.int64,
         count=len(eu),
     )
-    deg = degrees(G)
+    deg = np.diff(start)
     twice = np.bincount(eu, tri, n) + np.bincount(ev, tri, n)  # float64, exact below 2^53
     fill = (deg * (deg - 1) // 2 - twice.astype(np.int64) // 2).tolist()
     heap = [f * n + v for v, f in enumerate(fill)]
@@ -347,8 +349,8 @@ def build_decomposition(
 
 
 def cuthill_mckee_order(G: WeightedGraph) -> list[int]:
-    """A Cuthill–McKee order: two `bfs_sweep`s per component, over neighbour
-    lists cut here by one `np.lexsort`, each in (degree, id) order.
+    """A Cuthill–McKee order: two `bfs_sweep`s per component over the
+    `csr(G)` ranges, each reordered by (degree, id) with one stable sort.
 
     The components are taken in order of their smallest id.  A first sweep
     from that smallest id finds the last layer; the sweep from its vertex
@@ -357,28 +359,26 @@ def cuthill_mckee_order(G: WeightedGraph) -> list[int]:
     "Reducing the bandwidth of sparse symmetric matrices", ACM 1969).
     """
     n = G.n
-    eu, ev, _ = G.edge_arrays()
-    deg = degrees(G)
-    src, dst = np.concatenate((eu, ev)), np.concatenate((ev, eu))
-    nbrs = dst[np.lexsort((dst, deg[dst], src))].tolist()
-    cut = np.cumsum(deg).tolist()
-    nb = [nbrs[a:b] for a, b in zip([0, *cut], cut)]
-    deg = deg.tolist()
+    start, nbr = csr(G)
+    deg = np.diff(start)
+    # one stable sort by (owner, degree): ties stay in id order
+    nbr = nbr[np.lexsort((deg[nbr], np.repeat(np.arange(n), deg)))]
+    nbl, start, deg = nbr.tolist(), start.tolist(), deg.tolist()
     swept = bytearray(n)  # reached by a first sweep
     placed = bytearray(n)
     order: list[int] = []
     for s in range(n):
         if not placed[s]:
-            *_, last = bfs_sweep(nb, s, swept)
-            start = min(last, key=lambda v: (deg[v], v))
-            for layer in bfs_sweep(nb, start, placed):
+            *_, last = bfs_sweep(nbl, start, s, swept)
+            first = min(last, key=lambda v: (deg[v], v))
+            for layer in bfs_sweep(nbl, start, first, placed):
                 order += layer
     return order
 
 
 def _intervals(G: WeightedGraph, order) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """first(v), pos(v) and each bag's size for `interval_decomposition`,
-    in O(n + m) without building any bag."""
+    """first(v), pos(v) and each bag's size for `_interval_bags`, in O(n + m)
+    without building any bag."""
     n = G.n
     order = np.asarray(order, dtype=np.int64)
     pos = np.full(n, -1, dtype=np.int64)
@@ -397,8 +397,16 @@ def _intervals(G: WeightedGraph, order) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _interval_bags(first: np.ndarray, pos: np.ndarray, size: np.ndarray) -> TreeDecomposition:
-    """The interval decomposition of `_intervals`' arrays: bag i holds every
-    v with first(v) <= i <= pos(v), in id order, and its parent is bag i + 1."""
+    """The path decomposition of a vertex order from `_intervals`' arrays.
+
+    With pos(v) the position of v in the order and first(v) the smallest
+    position among v and its neighbours, bag i is {v : first(v) <= i <=
+    pos(v)}, in id order, and its parent is bag i + 1.  Each vertex's bags
+    are an interval, and edge uv with pos(u) < pos(v) lies in bag pos(u), so
+    this is a decomposition whose width is the order's vertex separation
+    read from its end (Kinnersley, "The vertex separation number of a graph
+    equals its path-width", IPL 1992).
+    """
     n = len(pos)
     span = pos - first + 1
     vertex = np.repeat(np.arange(n), span)
@@ -407,21 +415,6 @@ def _interval_bags(first: np.ndarray, pos: np.ndarray, size: np.ndarray) -> Tree
     parent = np.arange(1, n + 1)
     parent[-1:] = -1
     return TreeDecomposition(np.concatenate(([0], np.cumsum(size))), flat, parent)
-
-
-def interval_decomposition(G: WeightedGraph, order) -> TreeDecomposition:
-    """Path decomposition of G from a vertex order.
-
-    With pos(v) the position of v in `order` and first(v) the smallest
-    position among v and its neighbours, bag i is {v : first(v) <= i <=
-    pos(v)}, in id order, and its parent is bag i + 1.  Each vertex's bags
-    are an interval, and edge uv with pos(u) < pos(v) lies in bag pos(u), so
-    this is a decomposition whose width is the order's vertex separation
-    read from its end (Kinnersley, "The vertex separation number of a graph
-    equals its path-width", IPL 1992).  Raises `ValidationError` unless
-    `order` lists each vertex once.
-    """
-    return _interval_bags(*_intervals(G, order))
 
 
 def _cells(sizes) -> int:

@@ -55,6 +55,7 @@ from util import (
     partition_of,
     parts,
     random_graph,
+    random_sign,
     residue_classes,
 )
 
@@ -326,7 +327,7 @@ def test_11_performance_scaling(capsys):
 
         rng = SplitMix64(99)
         edges = [
-            (rng.randrange(v), v, float(rng.sign())) for v in range(1, 1000)
+            (rng.randrange(v), v, float(random_sign(rng))) for v in range(1, 1000)
         ]
         T = WeightedGraph(1000, edges)
         td = build_decomposition(T)

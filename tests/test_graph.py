@@ -34,10 +34,10 @@ from maxqp.graph import (
     PEEL_MIN,
     PEEL_SLACK,
     bfs_sweep,
+    csr,
     degeneracy,
     degrees,
     merge_columns,
-    neighbour_lists,
     rows,
 )
 from maxqp import graph as graph_module
@@ -52,6 +52,7 @@ from util import (
     evaluate_partial,
     normalize_nonneg,
     random_graph,
+    random_sign,
     reference_combine,
     reference_degeneracy_order,
     reference_evaluate,
@@ -88,7 +89,8 @@ class TestConstruction:
     def test_edges_stored_canonically(self):
         G = WeightedGraph(3, [(2, 0, 1.0), (2, 1, -1.0)])
         assert edge_list(G) == [(0, 2, 1.0), (1, 2, -1.0)]
-        assert neighbour_lists(G) == [[2], [2], [0, 1]]
+        start, nbr = csr(G)
+        assert start.tolist() == [0, 1, 2, 4] and nbr.tolist() == [2, 2, 0, 1]
 
     @pytest.mark.parametrize("w1, w2", [(1e308, 1e308), (9e307, -9e307), (8e307, -8e307)])
     def test_rejects_total_weight_whose_double_overflows(self, w1, w2):
@@ -298,8 +300,17 @@ def _graphs_from_every_builder(draw):
     return WeightedGraph(n, [(v, u, w) if f else (u, v, w) for (u, v, w), f in zip(edges, flip)])
 
 
+def _csr_lists(G):
+    """Each vertex's `csr` range as a list, after checking the pair's form."""
+    start, nbr = csr(G)
+    assert start.dtype == nbr.dtype == np.int64
+    assert len(start) == G.n + 1 and start[0] == 0 and start[-1] == len(nbr) == 2 * G.m
+    nbl = nbr.tolist()
+    return [nbl[a:b] for a, b in zip(start.tolist(), start[1:].tolist())]
+
+
 class TestNeighbourMaps:
-    """`neighbour_lists` against the dict view `adjacency(G)` built from the edges."""
+    """`csr` against the dict view `adjacency(G)` built from the edges."""
 
     @settings(max_examples=200, deadline=None)
     @given(G=_graphs_from_every_builder())
@@ -308,20 +319,22 @@ class TestNeighbourMaps:
         for u, v, w in edge_list(G):
             assert adj[u][v] == adj[v][u] == w
         assert sum(len(nbrs) for nbrs in adj) == 2 * G.m
-        assert neighbour_lists(G) == [sorted(nbrs) for nbrs in adj] == [list(nbrs) for nbrs in adj]
+        assert _csr_lists(G) == [sorted(nbrs) for nbrs in adj] == [list(nbrs) for nbrs in adj]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_lists_with_isolated_vertices(self, seed):
         n = 1 + seed % 30
         H = random_graph(9000 + seed, n, [n // 2, n, 3 * n][seed % 3], real=seed % 2 == 1)
         G = WeightedGraph(n + 1 + seed % 3, edge_list(H))  # isolated vertices last
-        nb = neighbour_lists(G)
+        nb = _csr_lists(G)
         assert nb == [sorted(nbrs) for nbrs in adjacency(G)]
         assert nb[n:] == [[]] * (G.n - n)
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_edgeless(self, n):
-        assert neighbour_lists(WeightedGraph(n, [])) == [[] for _ in range(n)]
+        start, nbr = csr(WeightedGraph(n, []))
+        assert start.dtype == nbr.dtype == np.int64
+        assert start.tolist() == [0] * (n + 1) and nbr.tolist() == []
 
 
 class TestDegrees:
@@ -339,14 +352,15 @@ class TestDegrees:
 
 class TestBfsSweep:
     def test_a_seen_vertex_stops_the_sweep(self):
-        nb = neighbour_lists(WeightedGraph(5, [(i, i + 1, 1.0) for i in range(4)]))
+        start, nbr = csr(WeightedGraph(5, [(i, i + 1, 1.0) for i in range(4)]))
+        nbl, start = nbr.tolist(), start.tolist()
         seen = bytearray(5)
         seen[2] = 1
-        assert list(bfs_sweep(nb, 0, seen)) == [[0], [1]]
+        assert list(bfs_sweep(nbl, start, 0, seen)) == [[0], [1]]
         assert list(seen) == [1, 1, 1, 0, 0]
-        assert list(bfs_sweep(nb, 4, seen)) == [[4], [3]]
+        assert list(bfs_sweep(nbl, start, 4, seen)) == [[4], [3]]
         assert list(seen) == [1] * 5
-        assert list(bfs_sweep([[]], 0, bytearray(1))) == [[0]]
+        assert list(bfs_sweep([], [0, 0], 0, bytearray(1))) == [[0]]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_layers_partition_the_reached_vertices(self, seed):
@@ -357,7 +371,8 @@ class TestBfsSweep:
         seen = bytearray(G.n)
         for v in pre:
             seen[v] = 1
-        layers = list(bfs_sweep(neighbour_lists(G), 0, seen))
+        start, nbr = csr(G)
+        layers = list(bfs_sweep(nbr.tolist(), start.tolist(), 0, seen))
         # distances from 0 in G less the vertices seen before, by frontier sets
         dist, frontier, d = {}, {0}, 0
         while frontier:
@@ -422,7 +437,7 @@ class TestEvaluate:
         # signs 0 as glue_blocks passes them for left-out vertices
         G = random_graph(seed, n, 3 * n, real=seed % 2 == 0)
         rng = SplitMix64(seed)
-        x = [rng.randrange(3) - 1 if zeros else rng.sign() for _ in range(n)]
+        x = [rng.randrange(3) - 1 if zeros else random_sign(rng) for _ in range(n)]
         assert evaluate(G, x).hex() == reference_evaluate(G, x).hex()
 
     def test_terms_that_are_all_minus_zero_sum_to_zero(self):
@@ -581,7 +596,7 @@ def _random_blocks(seed: int, n: int, k: int):
     raw = [rng.randrange(k + 1) for _ in range(n)]
     dense = {b: i for i, b in enumerate(sorted(set(raw)))}
     block_of = [dense[b] for b in raw]
-    inner = [rng.sign() for _ in range(n)]
+    inner = [random_sign(rng) for _ in range(n)]
     return block_of, inner
 
 

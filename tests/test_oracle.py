@@ -34,7 +34,9 @@ from util import (
     edge_list,
     exhaustive_opt,
     is_bipartite,
+    random_float,
     random_graph,
+    random_sign,
     reference_brute_force,
     reference_generate,
     reference_real_weight,
@@ -86,11 +88,11 @@ class TestBlockStream:
 
     @pytest.mark.parametrize("draws", [0, 3])
     def test_real_weight_redraws_a_zero(self, draws):
-        # random() is (z >> 11) / 2^53, and 2r - 1 == 0.0 exactly when z >> 11 == 2^52
+        # random_float is (z >> 11) / 2^53, and 2r - 1 == 0.0 exactly when z >> 11 == 2^52
         seed = _seed_before(2**63 | 0x5A5, draws)
         probe = SplitMix64(seed)
         probe.draw(draws)
-        assert 2.0 * probe.random() - 1.0 == 0.0
+        assert 2.0 * random_float(probe) - 1.0 == 0.0
         a, b = SplitMix64(seed), SplitMix64(seed)
         weights = oracle._real_weights(a, 6)
         assert weights.tolist() == [reference_real_weight(b) for _ in range(6)]
@@ -395,7 +397,7 @@ class TestGenerators:
             if len(pairs) < 18 or any(a == b for a, b in pairs):
                 continue
             G = generate(GeneratorSpec("d-regular", seed, {"n": 12, "degree": 3}))
-            signs = [float(rng.sign()) for _ in pairs]
+            signs = [float(random_sign(rng)) for _ in pairs]
             assert edge_list(G) == [(u, v, w) for (u, v), w in zip(sorted(pairs), signs)]
             kept += 1
         assert kept >= 3

@@ -39,7 +39,9 @@ from util import (
     edge_list,
     packing,
     parts,
+    random_float,
     random_graph,
+    random_sign,
     reference_easypack,
     reference_packing_to_solution,
     reference_star_packing,
@@ -372,7 +374,7 @@ class TestPackingDifferential:
         for seed in range(150):
             rng = SplitMix64(7500 + seed)
             k, t = 1 + rng.randrange(6), rng.randrange(10)
-            G = _shared_triangles(k, t, lambda w, i: rng.randrange(3), lambda: rng.sign(), range(2 * k + t))
+            G = _shared_triangles(k, t, lambda w, i: rng.randrange(3), lambda: random_sign(rng), range(2 * k + t))
             P = easypack(G)
             assert (parts(P), _centers(P)) == reference_easypack(G)
             adj = adjacency(G)
@@ -470,7 +472,7 @@ class TestDrivers:
     def test_self_check_tolerance_scales_with_total_weight(self, k):
         rng = SplitMix64(4)
         G = WeightedGraph(
-            2 * k, [(2 * i, 2 * i + 1, (2 * rng.random() - 1) * 1e3 + 1e-3) for i in range(k)]
+            2 * k, [(2 * i, 2 * i + 1, (2 * random_float(rng) - 1) * 1e3 + 1e-3) for i in range(k)]
         )
         r = solve_bounded_degree(G)
         assert r.value == pytest.approx(sum(abs(w) for _, _, w in edge_list(G)), rel=1e-12)

@@ -29,16 +29,18 @@ from maxqp import (
 )
 from maxqp import treewidth
 from maxqp.graph import value_tol
-from maxqp.treewidth import MAX_DP_WIDTH, cuthill_mckee_order, interval_decomposition
+from maxqp.treewidth import MAX_DP_WIDTH, cuthill_mckee_order
 from maxqp.oracle import GeneratorSpec, SplitMix64, generate
 
 from util import (
     Links,
     edge_list,
     elimination_decomposition,
+    interval_decomposition,
     is_valid_decomposition,
     links,
     random_graph,
+    random_sign,
     reference_bucket_elimination,
     reference_cuthill_mckee,
     reference_min_fill,
@@ -481,7 +483,7 @@ class TestSolveTreewidth:
             n = 2 + rng.randrange(40)
             edges = []
             for v in range(1, n):
-                edges.append((rng.randrange(v), v, float(rng.sign()) * (1 + rng.randrange(3))))
+                edges.append((rng.randrange(v), v, float(random_sign(rng)) * (1 + rng.randrange(3))))
             G = WeightedGraph(n, edges)
             r = solve_exact(G)
             a, width = r.assignment, r.certificate["width"]
@@ -872,6 +874,21 @@ class TestIntervalDecomposition:
             order = cuthill_mckee_order(G)
             assert sorted(order) == list(range(G.n))
             assert order == reference_cuthill_mckee(G)
+
+    def test_cuthill_mckee_order_peak_on_a_long_path(self):
+        # the sweeps read the flat lists of one neighbour array; a list per
+        # vertex took 346 bytes a vertex here, the flat lists about 250
+        n = 200_000
+        G = _grid(1, n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            order = cuthill_mckee_order(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * n
+        assert order == list(range(n - 1, -1, -1))  # from the far end of the first sweep
 
     def test_valid_with_the_width_of_the_reversed_vertex_separation(self):
         for seed, G in enumerate(_interval_cases()):

@@ -36,7 +36,7 @@ from maxqp import (
     solve_treewidth,
     to_nice,
 )
-from maxqp.graph import neighbour_lists
+from maxqp.treewidth import _interval_bags, _intervals
 
 
 # One small instance of every generator kind (sparse-random with both weight types).
@@ -124,6 +124,16 @@ def random_graph(seed: int, n: int, m: int, real: bool = False) -> WeightedGraph
     return generate(GeneratorSpec("sparse-random", seed, {"n": n, "m": m, "real": real}))
 
 
+def random_float(rng: SplitMix64) -> float:
+    """The next output as a float in [0, 1): its top 53 bits over 2^53."""
+    return (rng.next_u64() >> 11) / float(1 << 53)
+
+
+def random_sign(rng: SplitMix64) -> int:
+    """The next output's low bit as a sign: +1 when set, else -1."""
+    return 1 if rng.next_u64() & 1 else -1
+
+
 def reference_sample_pairs(rng: SplitMix64, n: int, m: int) -> list[tuple[int, int]]:
     """`generate`'s pair sampler one attempt at a time: u, then v, each
     `randrange(n)`; u == v is skipped and a pair counts once."""
@@ -143,7 +153,7 @@ def reference_real_weight(rng: SplitMix64) -> float:
     """One real weight 2r - 1, drawn again while it is 0.0."""
     w = 0.0
     while w == 0.0:
-        w = 2.0 * rng.random() - 1.0
+        w = 2.0 * random_float(rng) - 1.0
     return w
 
 
@@ -154,7 +164,7 @@ def reference_generate(spec: GeneratorSpec) -> WeightedGraph:
     p = spec.params
 
     def sign() -> float:
-        return float(rng.sign())
+        return float(random_sign(rng))
 
     if spec.kind == "grid-spin-glass":
         rows, cols = p["rows"], p["cols"]
@@ -551,7 +561,7 @@ def reference_packing_to_solution(G: WeightedGraph, P: EasyPacking) -> Assignmen
 
 def reference_easypack(G: WeightedGraph):
     """easypack's split step as a loop over the matched pairs, intersecting
-    each pair's neighbour lists with the unmatched set, then step 5 scanning
+    each pair's neighbour maps with the unmatched set, then step 5 scanning
     every center from index 0 for each vertex.
 
     Returns (parts, centers) in the form of `parts(P)` and `P.centers.tolist()`
@@ -560,10 +570,9 @@ def reference_easypack(G: WeightedGraph):
     adj = adjacency(G)
     M = maximal_matching(G)
     istar = set(np.flatnonzero(M.partner < 0).tolist())
-    nb = neighbour_lists(G)
     centers: list[tuple[int, int]] = []
     for x, y in M.edges.tolist():
-        common = sorted(istar.intersection(nb[x]).intersection(nb[y]))
+        common = sorted(istar.intersection(adj[x]).intersection(adj[y]))
         if len(common) >= 2:
             u, v = common[0], common[1]
             centers += [(min(u, x), max(u, x)), (min(v, y), max(v, y))]
@@ -719,6 +728,13 @@ def elimination_decomposition(G: WeightedGraph, order) -> TreeDecomposition:
                 adj[a].add(b)
                 adj[b].add(a)
     return to_nice(*_clique_tree(order, bags))
+
+
+def interval_decomposition(G: WeightedGraph, order) -> TreeDecomposition:
+    """The interval form of any vertex order, as `solve_exact` builds it from
+    a Cuthill–McKee order; `ValidationError` unless `order` lists each vertex
+    once."""
+    return _interval_bags(*_intervals(G, order))
 
 
 def reference_min_fill(G: WeightedGraph) -> Links:
