@@ -132,12 +132,10 @@ def cmd_gen(args) -> int:
     comment = "gen " + json.dumps(
         {"kind": spec.kind, "seed": spec.seed, **spec.params}, sort_keys=True
     )
-    text = mio.format_instance(G, [comment])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        mio.write_instance(G, args.out, [comment])
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(mio.format_instance(G, [comment]))
     return 0
 
 

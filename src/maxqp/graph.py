@@ -43,7 +43,7 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 
 MAX_VERTICES = 10**7  # a larger n is refused before anything is allocated per vertex
-ROW_BLOCK = 1 << 13  # entries converted to Python objects at a time by `rows`
+ROW_BLOCK = 1 << 13  # entries converted to Python objects at a time by `rows` and the writer
 # `degeneracy` hands the rest of the graph to its bucket queue once r rounds
 # have removed fewer than PEEL_MIN * (r - PEEL_SLACK) vertices.  On long grids
 # w wide, which peel about 2w vertices a round, the rounds and the queue cost

@@ -2,17 +2,25 @@
 
 Instance format: UTF-8, '#' comment lines, a header "p maxqp <n> <m>", then
 m lines "e <u> <v> <w>" with 1-based vertex ids.  Unit weights are written
-exactly as "1" / "-1" so unit instances round-trip bit-exactly.  This module
-knows only the graph core; the partition and tree-decomposition formats are
-read by :mod:`maxqp.schemes` and :mod:`maxqp.treewidth`.
+exactly as "1" / "-1" so unit instances round-trip bit-exactly.  Instances
+are written, and canonical instance text and assignments are split into
+tokens, a block at a time, so no list of every token or line of a large file
+is held at once.  This module knows only the graph core; the partition and
+tree-decomposition formats are read by :mod:`maxqp.schemes` and
+:mod:`maxqp.treewidth`.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import repeat
+
 import numpy as np
 
 from .errors import ParseError
-from .graph import MAX_VERTICES, Assignment, WeightedGraph, merge_columns
+from .graph import MAX_VERTICES, ROW_BLOCK, Assignment, WeightedGraph, merge_columns
+
+TEXT_BLOCK = 1 << 16  # characters of text split into tokens at a time by the readers
 
 
 def format_number(x: float) -> str:
@@ -24,6 +32,18 @@ def format_number(x: float) -> str:
 
 # Line boundaries of str.splitlines() in ASCII text, other than "\n".
 _OTHER_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+_LINE_END = re.compile("\n")
+_SPACE = re.compile(r"\s")  # the characters str.split() splits at
+
+
+def _blocks(text: str, start: int, end: re.Pattern):
+    """text[start:] in pieces of at least TEXT_BLOCK characters, but the last,
+    each cut just after the first match of `end` that makes it long enough."""
+    while start < len(text):
+        found = end.search(text, start + TEXT_BLOCK - 1)
+        stop = found.end() if found else len(text)
+        yield text[start:stop]
+        start = stop
 
 
 def parse_instance(text: str) -> WeightedGraph:
@@ -43,11 +63,14 @@ def _canonical_columns(text: str):
 
     Canonical means ASCII, "#" comment lines only before the header, then a
     header line and m lines "e u v w", each line ended by "\n", no blank
-    line.  One `split()` gives the tokens; the header's m, the token count and
-    the "e" at every fourth token, with m + 1 newlines of which m start "e ",
-    prove that every line holds exactly four fields, so the line path would
-    read the same entries.  u and v convert as `int()` does (an overflow falls
-    back) and w by `float()`.
+    line.  The whole text is checked for that shape: m + 1 newlines after
+    the comments, of which m start "e ", and a final one.  The edge lines are
+    then split `TEXT_BLOCK` characters at a time, each block cut just after a
+    newline, so only one block's tokens are held at once.  A block of k lines
+    with 4k tokens and "e" at every fourth holds exactly four fields a line,
+    so the line path would read the same entries.  u and v convert as
+    `int()` does (an overflow falls back) and w by `float()`, into columns
+    allocated up front.
     """
     if not text.isascii() or any(c in text for c in _OTHER_LINE_BREAKS):
         return None
@@ -56,32 +79,41 @@ def _canonical_columns(text: str):
         start = text.find("\n", start) + 1
         if start == 0:
             return None
-    body = text[start:]
-    tokens = body.split()
-    if len(tokens) < 4 or tokens[0] != "p" or tokens[1] != "maxqp":
+    body = text.find("\n", start) + 1  # the first edge line; 0 if there is none
+    head = text[start:body].split()
+    if len(head) != 4 or head[0] != "p" or head[1] != "maxqp":
         return None
     try:
-        n, m = int(tokens[2]), int(tokens[3])
+        n, m = int(head[2]), int(head[3])
     except ValueError:
         return None
     if (
         not 0 <= n <= MAX_VERTICES
-        or len(tokens) != 4 * m + 4
-        or tokens[4::4].count("e") != m
-        or not body.endswith("\n")
-        or body.count("\n") != m + 1
-        or body.count("\ne ") != m
+        or not text.endswith("\n")
+        or text.count("\n", start) != m + 1
+        or text.count("\ne ", start) != m
     ):
         return None
-    try:
-        u = np.array(tokens[5::4], dtype=np.int64)
-        v = np.array(tokens[6::4], dtype=np.int64)
-        w = list(map(float, tokens[7::4]))
-    except (ValueError, OverflowError):
+    u, v = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+    w = np.empty(m, dtype=np.float64)
+    a = 0
+    for block in _blocks(text, body, _LINE_END):
+        tokens = block.split()
+        b = a + block.count("\n")
+        if len(tokens) != 4 * (b - a) or tokens[::4].count("e") != b - a:
+            return None
+        try:
+            u[a:b] = np.array(tokens[1::4], dtype=np.int64)
+            v[a:b] = np.array(tokens[2::4], dtype=np.int64)
+            w[a:b] = np.fromiter(map(float, tokens[3::4]), dtype=np.float64, count=b - a)
+        except (ValueError, OverflowError):
+            return None
+        a = b
+    if a != m or ((u < 1) | (u > n) | (v < 1) | (v > n) | (u == v)).any():
         return None
-    if ((u < 1) | (u > n) | (v < 1) | (v > n) | (u == v)).any():
-        return None
-    return n, u - 1, v - 1, w
+    u -= 1
+    v -= 1
+    return n, u, v, w
 
 
 def _line_columns(text: str):
@@ -145,32 +177,52 @@ def _number_words(x: np.ndarray) -> list[str]:
     return words.tolist()
 
 
-def format_instance(G: WeightedGraph, comments: list[str] | None = None) -> str:
+def _instance_blocks(G: WeightedGraph, comments: list[str] | None):
+    """The text of `format_instance` in blocks of ROW_BLOCK edge lines, the
+    comments and the header in the first."""
     eu, ev, ew = G.edge_arrays()
-    lines = [f"# {c}\n" for c in comments or []]
-    lines.append(f"p maxqp {G.n} {G.m}\n")
-    lines += [
-        f"e {u} {v} {w}\n"
-        for u, v, w in zip((eu + 1).tolist(), (ev + 1).tolist(), _number_words(ew))
-    ]
-    return "".join(lines)
+    lines = [f"# {c}\n" for c in comments or []] + [f"p maxqp {G.n} {G.m}\n"]
+    for a in range(0, G.m, ROW_BLOCK):
+        b = a + ROW_BLOCK
+        us, vs = (eu[a:b] + 1).tolist(), (ev[a:b] + 1).tolist()
+        lines += [f"e {u} {v} {w}\n" for u, v, w in zip(us, vs, _number_words(ew[a:b]))]
+        yield "".join(lines)
+        lines = []
+    if lines:  # no edge lines: the header alone
+        yield "".join(lines)
+
+
+def format_instance(G: WeightedGraph, comments: list[str] | None = None) -> str:
+    return "".join(_instance_blocks(G, comments))
 
 
 def write_instance(G: WeightedGraph, path: str, comments=None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_instance(G, comments))
+        fh.writelines(_instance_blocks(G, comments))
+
+
+_SIGNS = {"+1": 1, "1": 1, "-1": -1}
 
 
 def parse_assignment(text: str, n: int) -> np.ndarray:
-    """The n signs of an assignment text ("+1" or "1", and "-1") as int8."""
-    tokens = np.array(text.split(), dtype=object)
-    if len(tokens) != n:
-        raise ParseError(f"expected {n} signs, found {len(tokens)}")
-    plus = (tokens == "+1") | (tokens == "1")
-    bad = ~plus & (tokens != "-1")
-    if bad.any():
-        raise ParseError(f"assignment token must be +1 or -1, got {tokens[np.argmax(bad)]!r}")
-    return np.where(plus, 1, -1).astype(np.int8)
+    """The n signs of an assignment text ("+1" or "1", and "-1") as int8.
+
+    The text is split TEXT_BLOCK characters at a time, each block cut at
+    whitespace; a wrong token count is reported before the first bad token.
+    """
+    parts, bad = [np.empty(0, dtype=np.int8)], None
+    for block in _blocks(text, 0, _SPACE):
+        tokens = block.split()
+        signs = np.fromiter(map(_SIGNS.get, tokens, repeat(0)), dtype=np.int8, count=len(tokens))
+        if bad is None and not signs.all():
+            bad = tokens[int(np.argmax(signs == 0))]
+        parts.append(signs)
+    x = np.concatenate(parts)
+    if len(x) != n:
+        raise ParseError(f"expected {n} signs, found {len(x)}")
+    if bad is not None:
+        raise ParseError(f"assignment token must be +1 or -1, got {bad!r}")
+    return x
 
 
 def read_assignment(path: str, n: int) -> np.ndarray:

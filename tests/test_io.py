@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,9 +236,8 @@ def _outcome(parse, text):
 class TestInstanceColumns:
     """The column reader of canonical text against the line-by-line parser."""
 
-    @settings(max_examples=600, deadline=None)
-    @given(text=_instance_texts())
-    def test_same_graph_or_same_error_as_line_loop(self, text):
+    @staticmethod
+    def _same_as_line_loop(text):
         got = _outcome(parse_instance, text)
         want = _outcome(reference_parse_instance, text)
         if isinstance(want, WeightedGraph):
@@ -245,6 +246,19 @@ class TestInstanceColumns:
             assert [w.hex() for _, _, w in edge_list(got)] == [w.hex() for _, _, w in edge_list(want)]
         else:
             assert got == want
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=_instance_texts())
+    def test_same_graph_or_same_error_as_line_loop(self, text):
+        self._same_as_line_loop(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_instance_texts(), block=st.integers(1, 12))
+    def test_same_result_in_blocks_of_a_few_characters(self, text, block):
+        # the edge lines are split in blocks of one or a few lines, so a mutation
+        # lands in a later block than the first
+        with mock.patch.object(maxqp.io, "TEXT_BLOCK", block):
+            self._same_as_line_loop(text)
 
     @pytest.mark.parametrize("sep", _LINE_BREAKS)
     def test_line_break_inside_an_edge_line(self, sep):
@@ -258,7 +272,15 @@ class TestInstanceColumns:
         assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
         assert _outcome(parse_instance, text)[2] == 2
 
-    @pytest.mark.parametrize("kind, params", GENERATOR_SPECS + [("sparse-random", {"n": 1, "m": 0})])
+    @pytest.mark.parametrize(
+        "kind, params",
+        GENERATOR_SPECS
+        + [
+            ("sparse-random", {"n": 1, "m": 0}),
+            # about 340,000 characters of edge lines: several blocks of TEXT_BLOCK
+            ("sparse-random", {"n": 5000, "m": 10000, "real": True}),
+        ],
+    )
     def test_written_instances_are_read_by_columns(self, kind, params, tmp_path, monkeypatch):
         G = generate(GeneratorSpec(kind, 7, params))
         path = str(tmp_path / "g.mq")
@@ -271,6 +293,19 @@ class TestInstanceColumns:
         assert_same_graph(read_instance(path), G)
         # the comment line `maxqp gen` writes before the header
         assert_same_graph(parse_instance(format_instance(G, ["gen {}"])), G)
+
+    def test_parse_peak_memory_per_edge(self):
+        # the token lists live for one block of text, not for the whole file:
+        # about 92 bytes per edge, against 271 when the whole text was split at once
+        G = generate(GeneratorSpec("sparse-random", 7, {"n": 20000, "m": 40000, "real": True}))
+        text = format_instance(G)
+        tracemalloc.start()
+        try:
+            parse_instance(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * G.m
 
 
 class TestAssignmentFormat:
@@ -294,6 +329,15 @@ class TestAssignmentFormat:
         # the first bad token is named, a NUL byte kept
         with pytest.raises(ParseError, match=re.escape("got '-1\\x00'")):
             parse_assignment("+1 -1\x00 +2", 3)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    def test_same_signs_and_errors_in_blocks_of_a_few_characters(self, block, monkeypatch):
+        monkeypatch.setattr(maxqp.io, "TEXT_BLOCK", block)
+        assert parse_assignment("+1 -1\t1\n\n-1 ", 4).tolist() == [1, -1, 1, -1]
+        with pytest.raises(ParseError, match="expected 3 signs, found 4"):
+            parse_assignment("+1 -1 0 -1", 3)
+        with pytest.raises(ParseError, match=re.escape("got '-1\\x00'")):
+            parse_assignment("+1 +1 -1 -1 +1 -1\x00 +2", 7)
 
 
 class TestPartitionFormat:
