@@ -165,12 +165,17 @@ def load_graph(n: int, entries: Iterable[tuple[int, int, float]]) -> WeightedGra
 
 
 def _int64_ids(ids) -> np.ndarray:
-    """An id column as int64, with no pass over an integer column; ValueError
-    or OverflowError unless every id is an integer that int64 holds."""
+    """An id column as int64: a signed integer column by one cast, any other
+    (uint64, float, object) through Python ints, so that no cast wraps an id;
+    ValueError or OverflowError unless every id is an integer int64 holds."""
     a = np.asarray(ids)
-    if a.dtype.kind != "i" and any(x != int(x) for x in a.tolist()):  # int() refuses NaN, inf
+    if a.dtype.kind == "i":
+        return a.astype(np.int64, copy=False)
+    values = a.tolist()
+    exact = list(map(int, values))  # int() refuses NaN and inf
+    if exact != values:
         raise ValueError("vertex id is not an integer")
-    return a.astype(np.int64, copy=False)
+    return np.array(exact, dtype=np.int64)  # OverflowError past int64
 
 
 def merge_columns(n: int, u, v, w) -> WeightedGraph:

@@ -3,11 +3,12 @@
 Instance format: UTF-8, '#' comment lines, a header "p maxqp <n> <m>", then
 m lines "e <u> <v> <w>" with 1-based vertex ids.  Unit weights are written
 exactly as "1" / "-1" so unit instances round-trip bit-exactly.  Instances
-are written, and canonical instance text and assignments are split into
-tokens, a block at a time, so no list of every token or line of a large file
-is held at once.  This module knows only the graph core; the partition and
-tree-decomposition formats are read by :mod:`maxqp.schemes` and
-:mod:`maxqp.treewidth`.
+are written and read, and assignments split into tokens, a block at a time,
+so no list of every token or line of a large file is held at once.
+`records` is the one rule of the line-based formats: blank and '#' lines are
+skipped, any other line is split into fields.  This module knows only the
+graph core; the partition and tree-decomposition formats are read by
+:mod:`maxqp.schemes` and :mod:`maxqp.treewidth`.
 """
 
 from __future__ import annotations
@@ -30,15 +31,15 @@ def format_number(x: float) -> str:
     return repr(x)
 
 
-# Line boundaries of str.splitlines() in ASCII text, other than "\n".
-_OTHER_LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
-_LINE_END = re.compile("\n")
+# Line boundaries of str.splitlines() in ASCII text, other than "\n" and "\r".
+_OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 _SPACE = re.compile(r"\s")  # the characters str.split() splits at
 
 
-def _blocks(text: str, start: int, end: re.Pattern):
-    """text[start:] in pieces of at least TEXT_BLOCK characters, but the last,
+def _blocks(text: str, end: re.Pattern):
+    """text in pieces of at least TEXT_BLOCK characters, but the last,
     each cut just after the first match of `end` that makes it long enough."""
+    start = 0
     while start < len(text):
         found = end.search(text, start + TEXT_BLOCK - 1)
         stop = found.end() if found else len(text)
@@ -46,87 +47,88 @@ def _blocks(text: str, start: int, end: re.Pattern):
         start = stop
 
 
+def records(lines, lineno: int = 0):
+    """(line number, fields) of each line that is neither blank nor a '#'
+    comment, the lines numbered on from lineno + 1."""
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
+
+
 def parse_instance(text: str) -> WeightedGraph:
-    """Parse an instance: canonical text by columns, anything else by lines.
+    """Parse an instance, a block of lines at a time.
 
-    Both paths end in the same merge and give the same graph; any anomaly in
-    a canonical-looking text sends it down the line path, which reports every
-    error with its line number.
+    The lines up to the header are read one "\\n"-line at a time, the rest in
+    blocks of at least TEXT_BLOCK characters, each cut just after a "\\n".  A
+    block of lines that are all "e u v w" is read by columns; any other block
+    by the line rules, which report every error with its line number.
     """
-    n, us, vs, ws = _canonical_columns(text) or _line_columns(text)
-    return merge_columns(n, us, vs, ws)
+    return merge_columns(*_columns(text))
 
 
-def _canonical_columns(text: str):
-    """(n, u, v, w) of text as `format_instance` writes it, or None when the
-    text is not exactly that and valid.
-
-    Canonical means ASCII, "#" comment lines only before the header, then a
-    header line and m lines "e u v w", each line ended by "\n", no blank
-    line.  The whole text is checked for that shape: m + 1 newlines after
-    the comments, of which m start "e ", and a final one.  The edge lines are
-    then split `TEXT_BLOCK` characters at a time, each block cut just after a
-    newline, so only one block's tokens are held at once.  A block of k lines
-    with 4k tokens and "e" at every fourth holds exactly four fields a line,
-    so the line path would read the same entries.  u and v convert as
-    `int()` does (an overflow falls back) and w by `float()`, into columns
-    allocated up front.
-    """
-    if not text.isascii() or any(c in text for c in _OTHER_LINE_BREAKS):
-        return None
-    start = 0
-    while text.startswith("#", start):
-        start = text.find("\n", start) + 1
-        if start == 0:
-            return None
-    body = text.find("\n", start) + 1  # the first edge line; 0 if there is none
-    head = text[start:body].split()
-    if len(head) != 4 or head[0] != "p" or head[1] != "maxqp":
-        return None
-    try:
-        n, m = int(head[2]), int(head[3])
-    except ValueError:
-        return None
-    if (
-        not 0 <= n <= MAX_VERTICES
-        or not text.endswith("\n")
-        or text.count("\n", start) != m + 1
-        or text.count("\ne ", start) != m
-    ):
-        return None
-    u, v = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
-    w = np.empty(m, dtype=np.float64)
-    a = 0
-    for block in _blocks(text, body, _LINE_END):
-        tokens = block.split()
-        b = a + block.count("\n")
-        if len(tokens) != 4 * (b - a) or tokens[::4].count("e") != b - a:
-            return None
-        try:
-            u[a:b] = np.array(tokens[1::4], dtype=np.int64)
-            v[a:b] = np.array(tokens[2::4], dtype=np.int64)
-            w[a:b] = np.fromiter(map(float, tokens[3::4]), dtype=np.float64, count=b - a)
-        except (ValueError, OverflowError):
-            return None
-        a = b
-    if a != m or ((u < 1) | (u > n) | (v < 1) | (v > n) | (u == v)).any():
-        return None
-    u -= 1
-    v -= 1
+def _columns(text: str):
+    """(n, u, v, w) of an instance text, ids 0-based; a function of its own
+    so that the last block and the per-block columns are freed before the merge."""
+    n = m = None
+    lineno = start = 0
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
+    while start < len(text):
+        stop = text.find("\n", start if n is None else start + TEXT_BLOCK - 1) + 1 or len(text)
+        block = text[start:stop]
+        part = None if n is None else _edge_columns(block, n)
+        if part is None:
+            lines = block.splitlines()
+            n, m, part = _line_rules(lines, lineno, n, m)
+            lineno += len(lines)
+        else:
+            lineno += len(part[2])
+        parts.append(part)
+        start = stop
+    if n is None:
+        raise ParseError("missing header line")
+    u, v, w = (np.concatenate(column) for column in zip(*parts))
+    if len(w) != m:
+        raise ParseError(f"header declares {m} edges, found {len(w)}")
     return n, u, v, w
 
 
-def _line_columns(text: str):
-    """(n, u, v, w) of any instance text, line by line; raises `ParseError`
-    with the line number of the first malformed line."""
-    n = None
-    m = None
+def _edge_columns(block: str, n: int):
+    """(u, v, w) of a block of lines that each are "e u v w" with ids in 1..n
+    and no self-loop, ids 0-based, or None when the block is anything else.
+
+    The block is ASCII, its k lines end in "\\n" or "\\r\\n" and start "e ".
+    With 4k tokens and "e" at every fourth, a line of any other length would
+    put its "e" where an id or a weight is converted, and fail.  u and v
+    convert as `int()` does (an overflow returns None), w by `float()`.
+    """
+    k = block.count("\n")
+    if not (block.isascii() and block.startswith("e ") and block.endswith("\n")):
+        return None
+    if block.count("\ne ") != k - 1 or any(c in block for c in _OTHER_LINE_BREAKS):
+        return None
+    if "\r" in block and block.count("\r") != block.count("\r\n"):
+        return None
+    tokens = block.split()
+    if len(tokens) != 4 * k or tokens[::4].count("e") != k:
+        return None
+    try:
+        u = np.array(tokens[1::4], dtype=np.int64)
+        v = np.array(tokens[2::4], dtype=np.int64)
+        w = np.fromiter(map(float, tokens[3::4]), dtype=np.float64, count=k)
+    except (ValueError, OverflowError):
+        return None
+    if ((u < 1) | (u > n) | (v < 1) | (v > n) | (u == v)).any():
+        return None
+    return u - 1, v - 1, w
+
+
+def _line_rules(lines: list[str], lineno: int, n, m):
+    """Read lines numbered on from lineno + 1 by the instance line rules,
+    given the header's (n, m) so far: (n, m, (u, v, w)), or `ParseError`
+    with the number of the first malformed line."""
     us, vs, ws = [], [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in records(lines, lineno):
         if fields[0] == "p":
             if n is not None:
                 raise ParseError("duplicate header line", line=lineno)
@@ -155,11 +157,8 @@ def _line_columns(text: str):
             ws.append(w)
         else:
             raise ParseError(f"unknown record type {fields[0]!r}", line=lineno)
-    if n is None:
-        raise ParseError("missing header line")
-    if m is not None and len(ws) != m:
-        raise ParseError(f"header declares {m} edges, found {len(ws)}")
-    return n, us, vs, ws
+    ids = np.int64 if n is None or n <= MAX_VERTICES else object  # ids past int64 stay exact
+    return n, m, (np.array(us, dtype=ids), np.array(vs, dtype=ids), np.array(ws, dtype=np.float64))
 
 
 def read_instance(path: str) -> WeightedGraph:
@@ -211,7 +210,7 @@ def parse_assignment(text: str, n: int) -> np.ndarray:
     whitespace; a wrong token count is reported before the first bad token.
     """
     parts, bad = [np.empty(0, dtype=np.int8)], None
-    for block in _blocks(text, 0, _SPACE):
+    for block in _blocks(text, _SPACE):
         tokens = block.split()
         signs = np.fromiter(map(_SIGNS.get, tokens, repeat(0)), dtype=np.int8, count=len(tokens))
         if bad is None and not signs.all():

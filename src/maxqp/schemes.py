@@ -29,6 +29,7 @@ from .graph import (
     glue_blocks,
     induced_subgraph,
 )
+from .io import records
 from .treewidth import DEFAULT_WIDTH_CAP, build_decomposition, check_dp_width, solve_treewidths
 
 
@@ -145,12 +146,9 @@ def parse_partition(text: str, n: int) -> VertexPartition:
     and `#` lines are skipped.  The parts must cover the n vertices once each."""
     ids, part_at = [], []
     k = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, fields in records(text.splitlines()):
         try:
-            vs = [int(t) for t in line.split()]
+            vs = [int(t) for t in fields]
         except ValueError:
             raise ParseError("partition line must be vertex ids", line=lineno) from None
         if any(not 1 <= v <= n for v in vs):

@@ -94,6 +94,7 @@ from .graph import (
     evaluate,
     value_tol,
 )
+from .io import records
 
 DEFAULT_WIDTH_CAP = 20
 MAX_DP_WIDTH = 27  # a bag of 28 vertices makes a 1 GiB half table
@@ -187,11 +188,7 @@ def parse_decomposition(text: str, n: int) -> TreeDecomposition:
     its 1-based vertex ids checked against 1..n, renumbered by `to_nice`."""
     bags: dict[int, list[int]] = {}
     links: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in records(text.splitlines()):
         try:
             if fields[0] == "b":
                 bid = int(fields[1])

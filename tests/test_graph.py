@@ -172,6 +172,10 @@ class TestConstruction:
     def test_ids_past_int64_in_range_are_over_the_vertex_cap(self):
         with pytest.raises(CapacityError, match=f"vertex count {2**70} exceeds cap"):
             merge_columns(2**70, [0], [2**65], [1.0])
+        # a uint64 or float column past int64 is not cast back into range
+        for u in [2**63 + 5, 2.0**63]:
+            with pytest.raises(CapacityError, match=f"vertex count {2**64} exceeds cap"):
+                load_graph(2**64, [(u, 3, 1.0)])
 
     def test_total_weight_just_inside_the_bound_solves(self):
         G = WeightedGraph(3, [(0, 1, 4e307), (1, 2, -4e307)])

@@ -285,27 +285,45 @@ class TestInstanceColumns:
         G = generate(GeneratorSpec(kind, 7, params))
         path = str(tmp_path / "g.mq")
         write_instance(G, path)
+        edge_columns = maxqp.io._edge_columns
 
-        def no_line_loop(text):
-            raise AssertionError("canonical text fell back to the line loop")
+        def every_block_by_columns(block, n):
+            part = edge_columns(block, n)
+            assert part is not None, "a block of edge lines fell back to the line rules"
+            return part
 
-        monkeypatch.setattr(maxqp.io, "_line_columns", no_line_loop)
+        monkeypatch.setattr(maxqp.io, "_edge_columns", every_block_by_columns)
         assert_same_graph(read_instance(path), G)
         # the comment line `maxqp gen` writes before the header
         assert_same_graph(parse_instance(format_instance(G, ["gen {}"])), G)
+        # the same text saved with CRLF line ends
+        assert_same_graph(parse_instance(format_instance(G, ["gen {}"]).replace("\n", "\r\n")), G)
 
     def test_parse_peak_memory_per_edge(self):
         # the token lists live for one block of text, not for the whole file:
-        # about 92 bytes per edge, against 271 when the whole text was split at once
+        # about 92 bytes per edge, against 271 when the whole text was split at
+        # once; CRLF line ends and a comment after the header keep the columns
         G = generate(GeneratorSpec("sparse-random", 7, {"n": 20000, "m": 40000, "real": True}))
         text = format_instance(G)
-        tracemalloc.start()
-        try:
-            parse_instance(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 128 * G.m
+        for edited in [text, text.replace("\n", "\r\n"), text.replace("\n", "\n# body\n", 1)]:
+            tracemalloc.start()
+            try:
+                parse_instance(edited)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 128 * G.m
+
+    @pytest.mark.parametrize("block", [maxqp.io.TEXT_BLOCK, 3])
+    @pytest.mark.parametrize("w", ["1", "inf"])
+    @pytest.mark.parametrize("vertex", [2**63 + 5, 2**64 + 5])
+    def test_ids_past_int64_under_a_header_past_the_cap(self, vertex, w, block, monkeypatch):
+        # ids past int64 reach the merge as exact ints: none wraps through uint64
+        monkeypatch.setattr(maxqp.io, "TEXT_BLOCK", block)
+        text = f"p maxqp {10**20} 2\ne 1 2 1\ne {vertex} 3 {w}\n"
+        want = _outcome(reference_parse_instance, text)
+        assert want[0] is (CapacityError if w == "1" else ValidationError)
+        assert _outcome(parse_instance, text) == want
 
 
 class TestAssignmentFormat:

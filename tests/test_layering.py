@@ -31,10 +31,10 @@ def _package_imports(module: str) -> set[str]:
     [
         ("io", {"errors", "graph"}),
         ("graph", {"errors"}),
-        ("schemes", {"errors", "graph", "treewidth"}),
+        ("schemes", {"errors", "graph", "io", "treewidth"}),
         ("packing", {"errors", "graph", "matching"}),
         ("matching", {"errors", "graph"}),
-        ("treewidth", {"errors", "graph"}),
+        ("treewidth", {"errors", "graph", "io"}),
         ("oracle", {"errors", "graph"}),
     ],
 )
