@@ -281,6 +281,26 @@ def value_tol(G: WeightedGraph) -> float:
     return 1e-9 * max(1.0, float(np.abs(G.edge_arrays()[2]).sum()))
 
 
+def cell_dtype(G: WeightedGraph) -> np.dtype:
+    """The narrowest exact cell type for tables of G's values: the exact
+    solvers' one rule.
+
+    A value, each partial sum of it and each maximum of values is a sum of
+    +-w over distinct edges, so it lies within +-sum |w|.  When every weight
+    is integral, the first of int8, int16 and int32 that holds sum |w| holds
+    them all exactly; otherwise, and from sum |w| >= 2^31 on, float64.  On
+    integral weights float64 partial sums below 2^53 are exact too, so
+    either type holds the same numbers and every comparison agrees.
+    """
+    w = G.edge_arrays()[2]
+    if (w == np.trunc(w)).all():
+        total = float(np.abs(w).sum())  # exact below 2^53, the only range that matters here
+        for t in (np.int8, np.int16, np.int32):
+            if total <= np.iinfo(t).max:
+                return np.dtype(t)
+    return np.dtype(np.float64)
+
+
 def glue_blocks(G: WeightedGraph, block_of: Sequence[int], inner: Sequence[int]) -> Assignment:
     """The lossless composition step: place blocks in order, flipping as needed.
 

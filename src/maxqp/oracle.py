@@ -1,9 +1,11 @@
 """Ground truth and instance machinery: exhaustive solver, the MaxCut
 subdivision construction, and seeded instance generators.
 
-`brute_force` enumerates every assignment in dense numpy blocks and reports
-the true `evaluate(G, x)` of the one it picks; a plain Gray-code loop kept
-in the tests is its reference.
+`brute_force` enumerates every assignment in dense numpy blocks, built by
+doubling in the narrowest exact cell type (`cell_dtype`: int8 to int32 on
+integral weights, else float64), and reports the true `evaluate(G, x)` of
+the one it picks; a plain Gray-code loop kept in the tests is its
+reference.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .graph import Assignment, WeightedGraph, check_vertex_count, evaluate, value_tol
+from .graph import Assignment, WeightedGraph, cell_dtype, check_vertex_count, evaluate, value_tol
 
 BRUTE_CAP = 28  # the largest n brute_force enumerates
-LOW_BITS = 14  # the low block: 2^14 sign rows of 14 vertices, 1.75 MiB
-CHUNK_CELLS = 1 << 20  # values per chunk table: 8 MiB of float64
+LOW_BITS = 14  # the low block: the last 14 vertices, 2^14 columns of a chunk table
+CHUNK_CELLS = 1 << 20  # cells per chunk table: 1 MiB of int8 to 8 MiB of float64
 
 
 class SplitMix64:
@@ -67,16 +69,27 @@ class SplitMix64:
 
 
 def _signs(start: int, stop: int, bits: int) -> np.ndarray:
-    """Row i: the signs of `bits` vertices under mask start + i, the first
-    vertex on the most significant bit and a set bit meaning -1."""
+    """Row i: the int64 signs of `bits` vertices under mask start + i, the
+    first vertex on the most significant bit and a set bit meaning -1."""
     masks = np.arange(start, stop, dtype=np.int64)
     shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
-    return 1.0 - 2.0 * ((masks[:, None] >> shifts) & 1)
+    return 1 - 2 * ((masks[:, None] >> shifts) & 1)
 
 
-def _block_values(S: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Value of each sign row of S on the edges of W, stored once above the diagonal."""
-    return ((S @ W) * S).sum(axis=1)
+def _low_fields(F: np.ndarray, cells: np.dtype) -> list[np.ndarray]:
+    """Entry p: twice the low block's part of the field at the vertex on low
+    bit p (F's row b - 1 - p), one value per mask of the bits below p, every
+    bit above p clear, in `cells`.  Built by doubling: the masks with bit q
+    set read those without it less 2 * F[b - 1 - p, b - 1 - q]."""
+    b = len(F)
+    out = []
+    for p in range(b):
+        row = F[b - 1 - p]
+        field = row.sum(keepdims=True)  # every low vertex +1
+        for q in range(p):
+            field = np.concatenate((field, field - 2 * row[b - 1 - q]))
+        out.append((2 * field).astype(cells))
+    return out
 
 
 def _mask_values(G: WeightedGraph, masks: np.ndarray) -> np.ndarray:
@@ -94,15 +107,21 @@ def brute_force(G: WeightedGraph) -> Assignment:
 
     An assignment is a mask of n bits, vertex v on bit n-1-v and a set bit
     meaning -1, so numeric mask order is the lexicographic order with +1
-    first.  The last b = min(n-1, 14) vertices form the low block: its 2^b
-    sign rows and their inner values are built once.  The high assignments
-    go in chunks of at most CHUNK_CELLS values, each a dense table of the
-    high values, plus the cross terms by one matrix product, plus the low
-    values.  The cells within `value_tol` of the chunk's maximum, or of the
-    winner so far when that is higher, are re-evaluated exactly as
-    `evaluate` sums them, so rounding in the table never picks the winner.
-    Ties go to the smallest mask, i.e. the lexicographically smallest
-    assignment; the reported value is `evaluate(G, x)`.
+    first.  The last b = min(n-1, LOW_BITS) vertices form the low block.
+    The high assignments go in chunks of at most CHUNK_CELLS values, each a
+    dense table in `cell_dtype(G)` with a row per high assignment and a
+    column per low one, built by doubling: column 0 is the row's value with
+    the low block all +1, and setting low bit p (vertex j) takes twice the
+    field at j off the columns without it.  That field is the row's high
+    part plus the low part of `_low_fields`, built once for every chunk.
+    Integer cells wrap modulo 2^bits, so a term that does not fit the type
+    still leaves every cell, a value within +-sum |w|, exact.
+
+    The cells within `value_tol` of the chunk's maximum, or of the winner so
+    far when that is higher, are re-evaluated exactly as `evaluate` sums
+    them, so rounding in a float64 table never picks the winner.  Ties go to
+    the smallest mask, i.e. the lexicographically smallest assignment; the
+    reported value is `evaluate(G, x)`.
     """
     n = G.n
     if n > BRUTE_CAP:
@@ -111,19 +130,26 @@ def brute_force(G: WeightedGraph) -> Assignment:
         return Assignment((), 0.0)
     b = min(n - 1, LOW_BITS)
     k = n - b  # high block: vertex 0 (its bit is always clear) and vertices 1..k-1
+    cells = cell_dtype(G)
     eu, ev, ew = G.edge_arrays()
-    W = np.zeros((n, n))
+    W = np.zeros((n, n), cells if cells.kind == "f" else np.int64)  # exact per-row sums
     W[eu, ev] = ew  # u < v: each edge once, above the diagonal
-    S_low = _signs(0, 1 << b, b)
-    low_values = _block_values(S_low, W[k:, k:])
+    F = W + W.T  # F[i, j]: the weight of edge ij
+    low = _low_fields(F[k:, k:], cells)
+    low_all_plus = W[k:, k:].sum()
     tol = value_tol(G)
     rows, step = 1 << (k - 1), max(1, CHUNK_CELLS >> b)
     best_mask, best_val = -1, -math.inf
     for r0 in range(0, rows, step):
-        S_high = _signs(r0, min(r0 + step, rows), k)
-        T = (S_high @ W[:k, k:]) @ S_low.T
-        T += _block_values(S_high, W[:k, :k])[:, None]
-        T += low_values
+        S = _signs(r0, min(r0 + step, rows), k)
+        high = S @ F[:k, k:]  # per row, the high part of the field at each low vertex
+        T = np.empty((len(S), 1 << b), cells)
+        T[:, 0] = ((S @ W[:k, :k]) * S).sum(axis=1) + high.sum(axis=1) + low_all_plus
+        high = (2 * high).astype(cells)
+        for p in range(b):
+            h = 1 << p
+            np.subtract(T[:, :h], high[:, b - 1 - p, None], out=T[:, h : 2 * h])
+            T[:, h : 2 * h] -= low[p]
         near = np.flatnonzero(T >= max(float(T.max()), best_val) - tol)
         del T  # one chunk's arrays alive at a time
         if near.size:

@@ -23,7 +23,7 @@ from maxqp import (
     subdivide_for_maxcut,
 )
 from maxqp import oracle
-from maxqp.graph import degeneracy, value_tol
+from maxqp.graph import cell_dtype, degeneracy, value_tol
 from maxqp.io import format_instance
 
 from util import (
@@ -292,6 +292,23 @@ class TestBruteForceBlocks:
         assert (x[1], x[2]) == (-1, -1)
         assert a.values.tolist() == x
         assert a.value == evaluate(G, x) == sum(abs(w) for _, _, w in edges)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_peak_memory_at_n20_is_one_chunk_table(self, real):
+        # one chunk: 32 rows of 2^14 cells, 1 byte each as int8 on unit
+        # weights or 8 as float64 on real ones, plus a byte a cell for the
+        # near set's comparison and 0.25 MiB to spare (peaks near 1.1 and
+        # 4.6 MiB); 2^14 float64 sign rows of the low block and their
+        # product with the high rows peaked at 6.4 MiB in either case
+        G = random_graph(1003, 20, 40, real=real)
+        assert cell_dtype(G) == ("float64" if real else "int8")
+        tracemalloc.start()
+        try:
+            brute_force(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (cell_dtype(G).itemsize + 1) * 2**19 + 2**18
 
     def test_empty_graph_at_the_cap_ties_everywhere_in_bounded_memory(self):
         # all 2^27 assignments tie at 0: the first one wins, and only one

@@ -28,7 +28,7 @@ from maxqp import (
     validate_decomposition,
 )
 from maxqp import treewidth
-from maxqp.graph import value_tol
+from maxqp.graph import cell_dtype, value_tol
 from maxqp.treewidth import MAX_DP_WIDTH, cuthill_mckee_order
 from maxqp.oracle import GeneratorSpec, SplitMix64, generate
 
@@ -41,6 +41,7 @@ from util import (
     links,
     random_graph,
     random_sign,
+    reference_brute_force,
     reference_bucket_elimination,
     reference_cuthill_mckee,
     reference_min_fill,
@@ -60,6 +61,11 @@ def _graph(n, pairs, seed):
     """G on n vertices with edges `pairs` and seeded weights in {-2, -1, 1, 2}."""
     w = SplitMix64(seed).draw(len(pairs)) % 4
     return WeightedGraph(n, [(u, v, (-2.0, -1.0, 1.0, 2.0)[int(x)]) for (u, v), x in zip(pairs, w)])
+
+
+def _non_integral(G):
+    """G with every weight times 1.5: the same decompositions, in float64 cells."""
+    return WeightedGraph(G.n, [(u, v, 1.5 * w) for u, v, w in edge_list(G)])
 
 
 def _k_tree(n, k, seed):
@@ -506,6 +512,53 @@ class TestSolveTreewidth:
         assert a.value == evaluate(G, a.values)
 
 
+def _planted(total):
+    """A 3x3 grid plus two chords whose signed weights all agree with planted
+    signs, so its one optimum is sum |w| = total: 13 weights of 1 to 3 and
+    one heavy edge that makes up the rest (non-integral when total is)."""
+    rng = SplitMix64(int(total))
+    x = [1] + [1 - 2 * int(rng.draw(1)[0] & 1) for _ in range(8)]
+    pairs = [(u, u + 1) for u in range(9) if u % 3 < 2] + [(u, u + 3) for u in range(6)]
+    pairs += [(0, 8), (2, 6)]
+    size = [1 + int(r % 3) for r in rng.draw(len(pairs) - 1)]
+    size.insert(0, total - sum(size))
+    return WeightedGraph(9, [(u, v, x[u] * x[v] * w) for (u, v), w in zip(pairs, size)])
+
+
+class TestCellType:
+    """Both exact solvers hold their tables in `cell_dtype(G)`; on either
+    side of each type's bound they answer as the float64 references.  The
+    optimum is sum |w| itself, so a type one size too small wraps it."""
+
+    CASES = [
+        (127, "int8"),
+        (128, "int16"),
+        (32767, "int16"),
+        (32768, "int32"),
+        (2**31 - 1, "int32"),
+        (2**31, "float64"),
+        (127.5, "float64"),
+    ]
+
+    @pytest.mark.parametrize("total, cells", CASES)
+    def test_type_bounds_and_answers(self, total, cells):
+        G = _planted(total)
+        assert float(sum(abs(w) for _, _, w in edge_list(G))) == total
+        assert cell_dtype(G) == cells
+        ref = signs_and_value(reference_brute_force(G))
+        assert ref[1] == total
+        assert signs_and_value(brute_force(G)) == ref
+        for td in (build_decomposition(G), interval_decomposition(G, range(G.n))):
+            assert signs_and_value(solve_treewidth(G, td)) == ref
+            assert signs_and_value(reference_bucket_elimination(G, td)) == ref
+
+    def test_one_run_takes_the_widest_type_of_its_pairs(self):
+        graphs = [_planted(total) for total, _ in self.CASES]
+        pairs = [(G, build_decomposition(G)) for G in graphs]
+        for (G, _), a in zip(pairs, solve_treewidths(pairs)):
+            assert signs_and_value(a) == signs_and_value(reference_brute_force(G))
+
+
 def _dp_pair(G, td):
     new, ref = solve_treewidth(G, td), reference_nice_dp(G, reference_to_nice(td))
     return signs_and_value(new), signs_and_value(ref)
@@ -537,20 +590,23 @@ class TestAgainstReferenceDP:
         assert new[1] == pytest.approx(brute_force(G).value, abs=1e-9)
 
     def test_peak_memory_is_a_few_tables(self):
-        # 13x13 grid: width 17, largest half table 8 * 2^17 bytes, so the
-        # bound is four of them; keeping every full table (the reference DP)
-        # peaks near 40
-        G = _grid(13, 13)
-        td = build_decomposition(G)
-        largest = 8 << td.width
-        tracemalloc.start()
-        try:
-            solve_treewidth(G, td)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert td.width == 17
-        assert peak <= 4 * largest
+        # 13x13 grid: width 17, largest half table 2^17 cells, so the bound
+        # is four of them: 2 * 2^17 bytes each in the unit grid's int16
+        # cells (the peak is near 2.7 of them), 8 * 2^17 in float64 (near
+        # 2); keeping every full float64 table (the reference DP) peaks
+        # near 40
+        unit = _grid(13, 13)
+        for G in (unit, _non_integral(unit)):
+            td = build_decomposition(G)
+            largest = cell_dtype(G).itemsize << td.width
+            tracemalloc.start()
+            try:
+                solve_treewidth(G, td)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert td.width == 17
+            assert peak <= 4 * largest
 
 
 def _merge_into_parents(td, merge):
@@ -780,8 +836,9 @@ class TestSolveTreewidths:
             assert signs_and_value(a) == signs_and_value(solve_treewidth(G, td)) == ref
 
     def test_an_invalid_pair_is_refused_before_any_table(self):
-        # the 13x13 grid alone would allocate tables of 8 * 2^17 bytes
+        # the 13x13 grid alone would allocate tables of 2 * 2^17 bytes
         G = _grid(13, 13)
+        assert cell_dtype(G) == "int16"
         bad = to_nice(((0, 1), (1, 2)), (None, 0), 0)
         triangle = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         pairs = [(G, build_decomposition(G)), (triangle, bad), (G, build_decomposition(G))]
@@ -792,22 +849,25 @@ class TestSolveTreewidths:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 << 17
+        assert peak < 2 << 17
 
     def test_strip_peak_memory_follows_the_piece_order(self):
         # the width-20 strip runs its bags one at a time, children first, as
-        # in a run of its own: about 13.9 MiB, where running all bags of one
-        # height together keeps two wide branches alive, about 15.3 MiB
-        G = generate(GeneratorSpec("grid-spin-glass", 1002, {"rows": 14, "cols": 30}))
-        td = build_decomposition(G)
-        tracemalloc.start()
-        try:
-            solve_treewidths([(G, td)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert td.width == 20
-        assert peak < 14.6 * 2**20
+        # in a run of its own.  In float64 cells that peaks near 13.8 MiB,
+        # where running all bags of one height together keeps two wide
+        # branches alive, near 15.3 MiB.  In the unit grid's int16 cells the
+        # widest table's steps set the peak, near 4.7 MiB in either order
+        unit = generate(GeneratorSpec("grid-spin-glass", 1002, {"rows": 14, "cols": 30}))
+        for G, bound in ((unit, 5.0), (_non_integral(unit), 14.6)):
+            td = build_decomposition(G)
+            tracemalloc.start()
+            try:
+                solve_treewidths([(G, td)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert td.width == 20
+            assert peak < bound * 2**20
 
     def test_backtracked_value_is_checked_against_the_dp_optimum(self, monkeypatch):
         G = _grid(4, 4)
