@@ -78,6 +78,28 @@ def _solve(G: WeightedGraph, algo: str, opts: Options) -> tuple[str, ApproxResul
     return "greedy-matching", SOLVERS["greedy-matching"](G, opts)
 
 
+def _record(instance: str, G: WeightedGraph, algo: str, r: ApproxResult,
+            ov: float | None, millis: float, timing: bool) -> dict:
+    """The report of one solve: the `solve` record, whose fields in `COLUMNS`
+    are a `bench` row.  `ov` is the oracle's value, None without an oracle;
+    the ratio is 1.0 when it is 0.  `millis` is reported only with `timing`,
+    so that reports are byte-reproducible."""
+    record = {
+        "instance": instance,
+        "n": G.n,
+        "m": G.m,
+        "algo": algo,
+        **r.certificate,
+        "value": mio.format_number(r.value),
+        "guarantee": str(r.guarantee),
+    }
+    if ov is not None:
+        record["oracle"] = mio.format_number(ov)
+        record["ratio"] = repr(r.value / ov) if ov else "1.0"
+    record["millis"] = f"{millis:.3f}" if timing else "0"
+    return record
+
+
 def cmd_solve(args) -> int:
     if args.width_cap < 0:
         raise ValidationError(f"--width-cap must be nonnegative, got {args.width_cap}")
@@ -98,36 +120,21 @@ def cmd_solve(args) -> int:
     else:
         algo, r = _solve(G, args.algo, opts)
     millis = (time.perf_counter() - t0) * 1000.0
-    record = {
-        "instance": args.instance,
-        "n": G.n,
-        "m": G.m,
-        "algo": algo,
-        **r.certificate,
-        "value": mio.format_number(r.value),
-        "guarantee": str(r.guarantee),
-    }
-    if args.oracle:
-        ov = SOLVERS[args.oracle](G, opts).value
-        record["oracle"] = mio.format_number(ov)
-        record["ratio"] = repr(r.value / ov) if ov else "1.0"
-    if args.seed is not None:
-        record["seed"] = args.seed
-    record["millis"] = f"{millis:.3f}" if args.timing else "0"
+    ov = SOLVERS[args.oracle](G, opts).value if args.oracle else None
+    record = _record(args.instance, G, algo, r, ov, millis, args.timing)
     print(" ".join(f"{k}={v}" for k, v in record.items()))
     if args.emit_assignment:
         sys.stdout.write(mio.format_assignment(r.assignment))
     return 0
 
 
-def _spec_from_args(args) -> GeneratorSpec:
-    keys = ("rows", "cols", "n", "m", "degree", "real")  # each None unless given
-    params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    return GeneratorSpec(kind=args.kind, seed=args.seed, params=params)
+# gen's parameter flags: every parameter some kind reads, once each
+GEN_PARAMS = tuple(dict.fromkeys(key for keys in KIND_PARAMS.values() for key in keys))
 
 
 def cmd_gen(args) -> int:
-    spec = _spec_from_args(args)
+    params = {key: getattr(args, key) for key in GEN_PARAMS if getattr(args, key) is not None}
+    spec = GeneratorSpec(kind=args.kind, seed=args.seed, params=params)
     G = generate(spec)
     comment = "gen " + json.dumps(
         {"kind": spec.kind, "seed": spec.seed, **spec.params}, sort_keys=True
@@ -162,19 +169,7 @@ def _bench_cell(cell: dict) -> list[dict]:
         t0 = time.perf_counter()
         _, r = _solve(G, algo, opts)
         millis = (time.perf_counter() - t0) * 1000.0
-        rows.append(
-            {
-                "instance": instance,
-                "algo": algo,
-                "n": G.n,
-                "m": G.m,
-                "value": mio.format_number(r.value),
-                "oracle": mio.format_number(ov) if ov is not None else "",
-                "ratio": repr(r.value / ov) if ov else "",
-                "guarantee": str(r.guarantee),
-                "millis": f"{millis:.3f}" if cell.get("timing", False) else "0",
-            }
-        )
+        rows.append(_record(instance, G, algo, r, ov, millis, cell.get("timing", False)))
     return rows
 
 
@@ -227,7 +222,9 @@ def cmd_bench(args) -> int:
     rows.sort(key=lambda r: (r["instance"], r["algo"]))
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(
+            out, fieldnames=COLUMNS, restval="", extrasaction="ignore", lineterminator="\n"
+        )
         writer.writeheader()
         writer.writerows(rows)
     finally:
@@ -255,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--decomposition", default=None, help="externally computed tree decomposition file"
     )
     p.add_argument("--width-cap", type=int, default=DEFAULT_WIDTH_CAP)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--emit-assignment", action="store_true")
     p.add_argument(
         "--timing", action="store_true", help="report wall time (off by default so reports are byte-reproducible)"
@@ -265,12 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a reproducible instance")
     p.add_argument("--kind", required=True, choices=tuple(KIND_PARAMS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--real", action="store_const", const=True, help="uniform real weights, not +-1")
+    for key in GEN_PARAMS:  # each None unless given
+        if key == "real":
+            p.add_argument(
+                "--real", action="store_const", const=True, help="uniform real weights, not +-1"
+            )
+        else:
+            p.add_argument(f"--{key}", type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 

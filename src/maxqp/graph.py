@@ -526,13 +526,16 @@ def stats(G: WeightedGraph) -> InstanceStats:
 def induced_subgraph(G: WeightedGraph, vertices: Iterable[int]) -> tuple[WeightedGraph, np.ndarray]:
     """Induced subgraph with vertices relabeled 0..k-1 in increasing id order.
 
-    `vertices` is any iterable of ids in G, repeats allowed.  Returns the
+    `vertices` is any iterable of integer ids in G, repeats allowed.  Returns the
     subgraph and `old_of`, the int64 array mapping new ids back to ids in G,
     read from a mask over G's ids (`np.unique` took 20 times as long, numpy 2.4).
     The relabelling keeps id order, so G's (u, v)-sorted edge columns,
     gathered and masked, are the subgraph's.
     """
-    ids = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices), np.int64)
+    ids = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices))
+    if ids.dtype.kind not in "iu" and len(ids):  # bools, floats, ints past int64
+        raise ValidationError(f"vertex ids must be int64 integers, got {ids.dtype} ids")
+    ids = ids.astype(np.int64, copy=False)
     if len(ids) and not (0 <= ids.min() and ids.max() < G.n):
         raise ValidationError(f"vertex id out of range: {ids.min()}..{ids.max()}")
     new_of = np.full(G.n, -1, dtype=np.int64)

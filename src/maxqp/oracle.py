@@ -394,12 +394,12 @@ def generate(spec: GeneratorSpec) -> WeightedGraph:
         return _signed(rng, n, u, u + 1)
     if kind == "clique-plus-matching":
         n = _count(p, "n")
-        c = int(n**0.5)
+        check_vertex_count(n)
+        c = math.isqrt(n)
         if (n - c) % 2:
             raise ValidationError(
                 f"clique-plus-matching needs n - isqrt(n) even, got n = {n}"
             )
-        check_vertex_count(n)
         iu, ju = np.triu_indices(c, 1)  # the clique's pairs in (i, j) order
         mu = np.arange(c, n, 2, dtype=np.int64)
         return _signed(rng, n, np.concatenate((iu, mu)), np.concatenate((ju, mu + 1)))

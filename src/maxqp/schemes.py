@@ -95,19 +95,29 @@ def _lift(n: int, solved) -> np.ndarray:
     return x
 
 
+def _class_count(numerator: int, eps: float) -> int:
+    """k = ceil(numerator / eps); an eps so small that the quotient is no
+    finite float is refused."""
+    quotient = numerator / eps
+    if not math.isfinite(quotient):
+        raise ValidationError(f"epsilon {eps!r} is too small: {numerator}/epsilon is not finite")
+    return math.ceil(quotient)
+
+
 def solve_baker(
     G: WeightedGraph, eps: float, width_cap: int = DEFAULT_WIDTH_CAP
 ) -> ApproxResult:
     """Layering scheme: delete one residue class mod k, solve the rest exactly.
 
-    k is the smallest integer with 4/k <= eps.  Returns the best of the k
+    k is the smallest integer with 4/k <= eps; an eps outside (0, 1], or so
+    small that 4/eps overflows, raises ValidationError.  Returns the best of the k
     lifted solutions; value >= (1 - eps) * opt on instances where every
     remainder fits the width cap.  Every remainder is decomposed before any
     is solved, so a remainder over the cap is refused before any DP table.
     """
     if not 0 < eps <= 1:
         raise ValidationError("epsilon must be in (0, 1]")
-    k = math.ceil(4 / eps)
+    k = _class_count(4, eps)
     residue, classes = layer_residues(G, k)
     # the classes past the last one solved are empty, like the last: the first wins ties
     subproblems = [
@@ -191,7 +201,8 @@ def solve_partition_scheme(
     best of the k results is returned.  A given partition must cover exactly
     G's vertices.  With h = max(1, ceil(m/n)) witnessing the instance's edge
     density (h = 1 when n = 0), the default k = ceil(6h/eps) makes the best solution
-    (1 - eps)-approximate whenever every subproblem fits the width cap.
+    (1 - eps)-approximate whenever every subproblem fits the width cap; an
+    eps so small that 6h/eps overflows raises ValidationError.
     """
     if not G.unit:
         raise ValidationError("partition scheme requires unit weights")
@@ -203,7 +214,7 @@ def solve_partition_scheme(
     if partition is None:
         # the residue classes mod k of the BFS layers: the parts past the
         # last class solved are empty, like that class
-        k = math.ceil(6 * h / eps)
+        k = _class_count(6 * h, eps)
         part_of, count = layer_residues(G, k)
     else:
         part_of, k = partition.part_of, partition.k

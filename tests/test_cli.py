@@ -297,6 +297,33 @@ class TestExitCodes:
         assert main(["solve", inst, "--decomposition", dec, "--width-cap", "21"]) == 0
         assert "width=21" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", KIND_PARAMS)
+    def test_gen_over_the_vertex_cap_is_capacity_error(self, tmp_path, capsys, kind):
+        # clique-plus-matching took int(n**0.5) before the cap: OverflowError, exit 1
+        first, *rest = (key for key in KIND_PARAMS[kind] if key != "real")
+        params = {first: 10**400, **{key: 1 for key in rest}}
+        flags = [token for key, v in params.items() for token in (f"--{key}", str(v))]
+        cell = {"gen": {"kind": kind, **params}, "algos": ["greedy-matching"]}
+        suite = _write(tmp_path, "suite.json", json.dumps({"cells": [cell]}))
+        for argv in (["gen", "--kind", kind, *flags], ["bench", suite]):
+            assert main(argv) == 3, argv
+            captured = capsys.readouterr()
+            assert f"vertex count {10**400} exceeds cap" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("eps", ["1e-320", "5e-324"])
+    @pytest.mark.parametrize("algo", ["baker", "partition"])
+    def test_epsilon_whose_class_count_overflows_is_validation_error(
+        self, tmp_path, capsys, algo, eps
+    ):
+        # 4/eps and 6h/eps are inf: math.ceil raised OverflowError, exit 1
+        G = generate(GeneratorSpec("grid-spin-glass", 1, {"rows": 3, "cols": 3}))
+        inst = _write(tmp_path, "grid.mq", format_instance(G))
+        assert main(["solve", inst, "--algo", algo, "--epsilon", eps]) == 2
+        captured = capsys.readouterr()
+        assert f"epsilon {float(eps)!r} is too small" in captured.err
+        assert captured.out == ""
+
 
 class TestReportedValue:
     """Every solver reports `evaluate` of its own assignment, bit for bit."""
@@ -475,6 +502,44 @@ class TestBench:
     def test_gen_takes_every_kind_of_the_generator_table(self):
         for kind in KIND_PARAMS:
             assert maxqp.cli.build_parser().parse_args(["gen", "--kind", kind]).kind == kind
+
+    def test_gen_flags_are_the_parameters_of_the_generator_table(self):
+        gen = maxqp.cli.build_parser()._subparsers._group_actions[0].choices["gen"]
+        flags = {flag for action in gen._actions for flag in action.option_strings}
+        params = {f"--{key}" for keys in KIND_PARAMS.values() for key in keys}
+        assert flags - {"-h", "--help", "--kind", "--seed", "--out"} == params
+
+    # (gen, algos, oracle) of one bench cell; the first has no edges, so its optimum is 0
+    AGREE = [
+        ({"kind": "sparse-random", "n": 5, "m": 0, "seed": 3},
+         ["auto", "greedy-matching"], "brute-force"),
+        ({"kind": "grid-spin-glass", "rows": 3, "cols": 4, "seed": 5},
+         ["easypack", "exact-tw"], "brute-force"),
+        ({"kind": "sparse-random", "n": 12, "m": 20, "real": True, "seed": 2},
+         ["greedy-matching"], "exact-tw"),
+        ({"kind": "perfect-matching", "n": 8, "seed": 2}, ["star-pack", "baker"], "brute-force"),
+    ]
+
+    @pytest.mark.parametrize("gen, algos, oracle", AGREE)
+    def test_bench_rows_are_fields_of_the_solve_record(self, tmp_path, capsys, gen, algos, oracle):
+        # a bench row's algo is the one asked for (`auto` too), solve's the one that
+        # answered, so the row and the record are compared on every other field
+        cell = {"gen": gen, "algos": algos, "oracle": oracle, "epsilon": 0.5}
+        suite = _write(tmp_path, "suite.json", json.dumps({"cells": [cell]}))
+        assert main(["bench", suite]) == 0
+        rows = {row["algo"]: row for row in csv.DictReader(capsys.readouterr().out.splitlines())}
+        params = {k: v for k, v in gen.items() if k not in ("kind", "seed")}
+        G = generate(GeneratorSpec(gen["kind"], gen["seed"], params))
+        inst = _write(tmp_path, "inst.mq", format_instance(G))
+        fields = ("n", "m", "value", "oracle", "ratio", "guarantee")
+        for algo in algos:
+            argv = ["solve", inst, "--algo", algo, "--oracle", oracle, "--epsilon", "0.5"]
+            assert main(argv) == 0
+            record = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
+            assert [rows[algo][f] for f in fields] == [record[f] for f in fields], algo
+            assert float(record["ratio"]) >= float(Fraction(record["guarantee"])) - 1e-9
+        if G.m == 0:
+            assert {row["ratio"] for row in rows.values()} == {"1.0"}
 
     def test_cell_without_gen_exits_2(self, tmp_path, capsys):
         cell = {"algos": ["greedy-matching"], "oracle": "brute-force"}

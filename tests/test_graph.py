@@ -936,6 +936,19 @@ class TestInducedSubgraph:
             H, old_of = induced_subgraph(G, empty)
             assert (H.n, H.m, old_of.dtype, old_of.tolist()) == (0, 0, np.int64, [])
 
+    def test_rejects_ids_that_are_not_integers(self):
+        # a bool mask selected vertices 0 and 1, and float ids were truncated
+        G = random_graph(5, 12, 30)
+        bools = ([True, False, True], np.ones(12, dtype=bool))
+        for bad in (*bools, [2.7, 3.2], np.array([2.0, 3.0]), [2**70]):
+            with pytest.raises(ValidationError, match="must be int64 integers"):
+                induced_subgraph(G, bad)
+        want_H, _ = induced_subgraph(G, [2, 3, 4])
+        for given in (range(2, 5), [4, 2, 3, 3], np.array([2, 3, 4], dtype=np.uint8)):
+            H, old_of = induced_subgraph(G, given)
+            assert old_of.tolist() == [2, 3, 4]
+            assert_same_graph(H, want_H)
+
     def test_rejects_vertex_out_of_range(self):
         G = WeightedGraph(3, [(0, 1, 1.0)])
         for bad in ([0, 3], [-1, 2]):

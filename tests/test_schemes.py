@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -149,6 +150,16 @@ class TestBaker:
         assert r.value == solve_exact(G).value
         assert r.certificate["k"] == 4 * 10**9
         assert r.certificate["chosen_class"] <= 11  # 11 layers: class 11 is the first empty one
+
+    @pytest.mark.parametrize("eps", [1e-320, 5e-324])
+    def test_epsilon_whose_class_count_overflows_is_refused(self, eps):
+        # 4/eps and 6h/eps are inf; at 1e-300 they are finite, and k is their ceiling
+        G = _grid(4, 4, seed=6)  # m/n = 24/16: h = 2
+        for solve in (solve_baker, solve_partition_scheme):
+            with pytest.raises(ValidationError, match="is too small"):
+                solve(G, eps)
+        assert solve_baker(G, 1e-300).certificate["k"] == math.ceil(4 / 1e-300)
+        assert solve_partition_scheme(G, 1e-300).certificate["k"] == math.ceil(12 / 1e-300)
 
     def test_epsilon_one_allows_any_value(self):
         G = _grid(3, 3, seed=2)
