@@ -43,6 +43,14 @@ class Options(NamedTuple):
         return self.epsilon
 
 
+def _epsilon(epsilon: float | None) -> float | None:
+    """epsilon, refused outside (0, 1] before any solver runs, so that the
+    refusal does not depend on which solver answers."""
+    if epsilon is not None and not 0 < epsilon <= 1:
+        raise ValidationError(f"epsilon must be in (0, 1], got {epsilon!r}")
+    return epsilon
+
+
 # The one list of solvers.  Each entry looks its solver up by module-level
 # name when it is called, so a rebound name (as in a traced run) is the one
 # that runs.
@@ -103,6 +111,7 @@ def _record(instance: str, G: WeightedGraph, algo: str, r: ApproxResult,
 def cmd_solve(args) -> int:
     if args.width_cap < 0:
         raise ValidationError(f"--width-cap must be nonnegative, got {args.width_cap}")
+    epsilon = _epsilon(args.epsilon)
     G = mio.read_instance(args.instance)
     t0 = time.perf_counter()
     partition = None
@@ -110,7 +119,7 @@ def cmd_solve(args) -> int:
         if args.algo != "partition":
             raise ValidationError("--partition only applies to partition")
         partition = read_partition(args.partition, G.n)
-    opts = Options(args.epsilon, partition, args.width_cap)
+    opts = Options(epsilon, partition, args.width_cap)
     if args.decomposition:
         if args.algo not in ("exact-tw", "auto"):
             raise ValidationError("--decomposition only applies to exact-tw")
@@ -154,6 +163,7 @@ def cmd_eval(args) -> int:
 
 
 def _bench_cell(cell: dict) -> list[dict]:
+    opts = Options(_epsilon(cell.get("epsilon")), None, cell.get("width_cap", DEFAULT_WIDTH_CAP))
     spec = GeneratorSpec(
         kind=cell["gen"]["kind"],
         seed=cell["gen"].get("seed", 0),
@@ -161,7 +171,6 @@ def _bench_cell(cell: dict) -> list[dict]:
     )
     G = generate(spec)
     instance = f"{spec.kind}-seed{spec.seed}"
-    opts = Options(cell.get("epsilon"), None, cell.get("width_cap", DEFAULT_WIDTH_CAP))
     oracle = cell.get("oracle")
     ov = SOLVERS[oracle](G, opts).value if oracle else None
     rows = []

@@ -535,9 +535,9 @@ def induced_subgraph(G: WeightedGraph, vertices: Iterable[int]) -> tuple[Weighte
     ids = np.asarray(vertices if isinstance(vertices, np.ndarray) else list(vertices))
     if ids.dtype.kind not in "iu" and len(ids):  # bools, floats, ints past int64
         raise ValidationError(f"vertex ids must be int64 integers, got {ids.dtype} ids")
-    ids = ids.astype(np.int64, copy=False)
-    if len(ids) and not (0 <= ids.min() and ids.max() < G.n):
+    if len(ids) and not (0 <= ids.min() and ids.max() < G.n):  # uint64 ids as given
         raise ValidationError(f"vertex id out of range: {ids.min()}..{ids.max()}")
+    ids = ids.astype(np.int64, copy=False)
     new_of = np.full(G.n, -1, dtype=np.int64)
     new_of[ids] = 0
     old_of = np.flatnonzero(new_of == 0)

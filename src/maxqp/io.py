@@ -4,7 +4,9 @@ Instance format: UTF-8, '#' comment lines, a header "p maxqp <n> <m>", then
 m lines "e <u> <v> <w>" with 1-based vertex ids.  Unit weights are written
 exactly as "1" / "-1" so unit instances round-trip bit-exactly.  Instances
 are written and read, and assignments split into tokens, a block at a time,
-so no list of every token or line of a large file is held at once.
+so no list of every token or line of a large file is held at once; a block
+of edge lines is read by numpy's C text reader, with the line rules as its
+fallback.
 `records` is the one rule of the line-based formats: blank and '#' lines are
 skipped, any other line is split into fields.  This module knows only the
 graph core; the partition and tree-decomposition formats are read by
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import ParseError
 from .graph import MAX_VERTICES, ROW_BLOCK, Assignment, WeightedGraph, merge_columns
 
-TEXT_BLOCK = 1 << 16  # characters of text split into tokens at a time by the readers
+TEXT_BLOCK = 1 << 16  # characters of text the readers take at a time: one block of lines or tokens
 
 
 def format_number(x: float) -> str:
@@ -34,6 +36,7 @@ def format_number(x: float) -> str:
 # Line boundaries of str.splitlines() in ASCII text, other than "\n" and "\r".
 _OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 _SPACE = re.compile(r"\s")  # the characters str.split() splits at
+_EDGE_ROW = [("e", "U1"), ("u", np.int64), ("v", np.int64), ("w", np.float64)]
 
 
 def _blocks(text: str, end: re.Pattern):
@@ -98,9 +101,11 @@ def _edge_columns(block: str, n: int):
     and no self-loop, ids 0-based, or None when the block is anything else.
 
     The block is ASCII, its k lines end in "\\n" or "\\r\\n" and start "e ".
-    With 4k tokens and "e" at every fourth, a line of any other length would
-    put its "e" where an id or a weight is converted, and fail.  u and v
-    convert as `int()` does (an overflow returns None), w by `float()`.
+    numpy's C text reader then reads the k lines as the four columns of
+    `_EDGE_ROW`, with no comment character.  It refuses a line of any other
+    field count (so no `usecols`), an id outside int64 and every token that
+    `int()` or `float()` refuses; the few it refuses that they take (an
+    underscore, say) send the block to the line rules, so its result is theirs.
     """
     k = block.count("\n")
     if not (block.isascii() and block.startswith("e ") and block.endswith("\n")):
@@ -109,16 +114,13 @@ def _edge_columns(block: str, n: int):
         return None
     if "\r" in block and block.count("\r") != block.count("\r\n"):
         return None
-    tokens = block.split()
-    if len(tokens) != 4 * k or tokens[::4].count("e") != k:
-        return None
     try:
-        u = np.array(tokens[1::4], dtype=np.int64)
-        v = np.array(tokens[2::4], dtype=np.int64)
-        w = np.fromiter(map(float, tokens[3::4]), dtype=np.float64, count=k)
+        rows = np.loadtxt(block.splitlines(), dtype=_EDGE_ROW, comments=None, ndmin=1)
     except (ValueError, OverflowError):
         return None
-    if ((u < 1) | (u > n) | (v < 1) | (v > n) | (u == v)).any():
+    # w copied, so that the 28-byte rows are freed here, not at the merge
+    u, v, w = rows["u"], rows["v"], rows["w"].copy()
+    if len(rows) != k or ((u < 1) | (u > n) | (v < 1) | (v > n) | (u == v)).any():
         return None
     return u - 1, v - 1, w
 

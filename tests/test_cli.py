@@ -311,6 +311,25 @@ class TestExitCodes:
             assert f"vertex count {10**400} exceeds cap" in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("eps", ["5", "0", "-0.5", "nan", "inf"])
+    def test_epsilon_out_of_range_exits_2_whichever_solver_answers(self, tmp_path, capsys, eps):
+        # exact-tw answered the grid and greedy ignored epsilon (exit 0); on the
+        # sparse graph exact-tw is refused and baker ran, which refused it (exit 2)
+        grid = generate(GeneratorSpec("grid-spin-glass", 1, {"rows": 4, "cols": 4}))
+        sparse = generate(GeneratorSpec("sparse-random", 1, {"n": 300, "m": 900}))
+        grid_inst = _write(tmp_path, "grid4x4.mq", format_instance(grid))
+        sparse_inst = _write(tmp_path, "sparse.mq", format_instance(sparse))
+        for argv in (
+            ["solve", grid_inst, "--epsilon", eps],
+            ["solve", sparse_inst, "--epsilon", eps],
+            ["solve", grid_inst, "--algo", "greedy-matching", "--epsilon", eps],
+            ["solve", "/nonexistent/file.mq", "--epsilon", eps],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert "epsilon must be in (0, 1]" in captured.err
+            assert captured.out == ""
+
     @pytest.mark.parametrize("eps", ["1e-320", "5e-324"])
     @pytest.mark.parametrize("algo", ["baker", "partition"])
     def test_epsilon_whose_class_count_overflows_is_validation_error(
@@ -478,6 +497,7 @@ class TestBench:
         "width-cap-not-int": {"gen": GRID, "algos": ["exact-tw"], "width_cap": "x"},
         "width-cap-negative": {"gen": GRID, "algos": ["exact-tw"], "width_cap": -1},
         "epsilon-a-string": {"gen": GRID, "algos": ["baker"], "epsilon": "0.5"},
+        "epsilon-out-of-range": {"gen": GRID, "algos": ["greedy-matching"], "epsilon": 5},
         "rows-not-int": {"gen": {**GRID, "rows": "a"}, "algos": ["greedy-matching"]},
         "cols-missing": {"gen": {"kind": "grid-spin-glass", "rows": 2}, "algos": ["easypack"]},
         "unknown-algo": {"gen": GRID, "algos": ["greedy"]},

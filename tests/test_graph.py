@@ -954,3 +954,11 @@ class TestInducedSubgraph:
         for bad in ([0, 3], [-1, 2]):
             with pytest.raises(ValidationError, match="out of range"):
                 induced_subgraph(G, bad)
+
+    @pytest.mark.parametrize("vertex", [2**63, 2**63 + 5, 2**64 - 1])
+    def test_id_past_int64_is_refused_under_its_own_value(self, vertex):
+        # a uint64 id wrapped to a negative int64 before the range check
+        G = WeightedGraph(3, [(0, 1, 1.0)])
+        for given in ([vertex], np.array([1, vertex], dtype=np.uint64)):
+            with pytest.raises(ValidationError, match=rf"out of range: \d+\.\.{vertex}$"):
+                induced_subgraph(G, given)

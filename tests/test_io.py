@@ -128,6 +128,12 @@ def _insert(draw, body, line):
     body.insert(draw(st.integers(0, len(body))), line)
 
 
+def _every_edge_line(body, edit):
+    for i, line in enumerate(body):
+        if line.startswith("e"):
+            body[i] = edit(line)
+
+
 def _replace_space(draw, body, by):
     i = _edge_line(draw, body)
     at = [j for j, c in enumerate(body[i]) if c == " "] if i is not None else []
@@ -161,6 +167,16 @@ _BODY_MUTATIONS = {
     "cancelling": lambda d, b: _append_pair(d, b, "1", "-1"),
     "unknown-record": lambda d, b: _insert(d, b, "q 1 2"),
     "second-header": lambda d, b: _insert(d, b, "p maxqp 2 1"),
+    # tokens where numpy's text reader and int()/float() could disagree
+    "trailing-space": lambda d, b: _set_field(d, b, 3, lambda t: t + " "),
+    "hash-in-weight": lambda d, b: _set_field(d, b, 3, lambda t: "3#c"),
+    "hex-weight": lambda d, b: _set_field(d, b, 3, lambda t: "0x1p3"),
+    "float-id": lambda d, b: _set_field(d, b, 1, lambda t: t + ".0"),
+    "zero-padded-id": lambda d, b: _set_field(d, b, 2, lambda t: "00" + t),
+    "weight-spelling": lambda d, b: _set_field(
+        d, b, 3, lambda t: d(st.sampled_from(["+inf", "Infinity", "1e-400", "-0"]))
+    ),
+    "five-fields-everywhere": lambda d, b: _every_edge_line(b, lambda line: line + " 7"),
 }
 
 # Every line break of str.splitlines() other than "\n", ASCII or not.
@@ -272,6 +288,27 @@ class TestInstanceColumns:
         assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
         assert _outcome(parse_instance, text)[2] == 2
 
+    @pytest.mark.parametrize("block", [maxqp.io.TEXT_BLOCK, 1])
+    @pytest.mark.parametrize(
+        "edge",
+        ["e 2 3 -0.5", "e 3 1 1", "e 2 3 1 ", "e 2 3 3#c", "e 2 3 0x1p3", "e 2.0 3 1", "e 002 3 1",
+         "e 2 3 +inf", "e 2 3 Infinity", "e 2 3 1e-400", "e 2 3 -0", "e 2 3 -nan", "e 2 3 1_0",
+         "e 2\x1f3 1", "e 2 3 1 7"],
+    )
+    def test_tokens_where_the_readers_could_disagree(self, edge, block, monkeypatch):
+        # at block 1 each edge line is a block of its own (so "e 2 3 1 7" is a
+        # block whose every line has five fields), which the C reader gives as
+        # a 0-d array unless asked for one dimension
+        monkeypatch.setattr(maxqp.io, "TEXT_BLOCK", block)
+        parts = []
+        edge_columns = maxqp.io._edge_columns
+        monkeypatch.setattr(
+            maxqp.io, "_edge_columns", lambda block, n: parts.append(edge_columns(block, n)) or parts[-1]
+        )
+        self._same_as_line_loop(f"p maxqp 3 3\ne 1 2 0.25\n{edge}\ne 1 3 -2\n")
+        if block == 1:
+            assert parts[0] is not None
+
     @pytest.mark.parametrize(
         "kind, params",
         GENERATOR_SPECS
@@ -300,9 +337,10 @@ class TestInstanceColumns:
         assert_same_graph(parse_instance(format_instance(G, ["gen {}"]).replace("\n", "\r\n")), G)
 
     def test_parse_peak_memory_per_edge(self):
-        # the token lists live for one block of text, not for the whole file:
-        # about 92 bytes per edge, against 271 when the whole text was split at
-        # once; CRLF line ends and a comment after the header keep the columns
+        # the C reader holds one block of lines at a time, not the whole file:
+        # about 92 bytes per edge, as with the per-block token lists it replaced,
+        # against 271 when the whole text was split at once; CRLF line ends and
+        # a comment after the header keep the columns
         G = generate(GeneratorSpec("sparse-random", 7, {"n": 20000, "m": 40000, "real": True}))
         text = format_instance(G)
         for edited in [text, text.replace("\n", "\r\n"), text.replace("\n", "\n# body\n", 1)]:
