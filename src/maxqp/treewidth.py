@@ -19,7 +19,12 @@ with numpy passes rather than a Python loop per bag.  The bags of all pairs
 then run side by side: bags at the same step with the same size and
 number of vertices maxed out share one table with a row per bag, so a run of
 many narrow bags pays numpy's call overhead once per group rather than once
-per bag.
+per bag.  A bag of at most LONG_TERM_AXES axes runs at the step after its
+latest child, so a band of narrow bags runs by height; a wider bag keeps its
+step in its piece's order, one bag per step, so that its message lives no
+longer than in that order.  On the 40x40 grid's Baker remainders (bags of
+width 4 or less) running by height halves the groups, 948 -> 492, and the
+sub-batches, 6,050 -> 2,867.
 
 An edge's term +-w varies on one or two axes of its bag's table and is
 added by broadcasting, so numpy's inner loop covers only the axes after the
@@ -439,14 +444,14 @@ def check_dp_width(td: TreeDecomposition, width_cap: int = MAX_DP_WIDTH) -> None
 class _Problem:
     """One (graph, decomposition) pair in the DP's array form.
 
-    Bags are numbered as in the `TreeDecomposition`; bag i runs at
-    step wave[i].  Its vertices are ax[off[i]:off[i+1]] in rank order, its
-    pin last; its table has d[i] = max(|bag| - 1, 0) axes and it maxes out
-    gone[i] of them.  Axis a of a d-axis table is bit d - 1 - a of a flat
-    cell index.  Each non-root bag c (in `child`) sends its message to inbox
-    slot `slot` of its parent `to`, on the parent's cell bits `mask`, read
-    reversed on the half where parent bit `flip` is set (-1: no such half).
-    Each edge goes to slot `eslot` of bag `bucket` and adds
+    Bags are numbered as in the `TreeDecomposition`; bag i runs at step
+    wave[i] (see `_steps`).  Its vertices are ax[off[i]:off[i+1]] in rank
+    order, its pin last; its table has d[i] = max(|bag| - 1, 0) axes and it
+    maxes out gone[i] of them.  Axis a of a d-axis table is bit d - 1 - a of
+    a flat cell index.  Each non-root bag c (in `child`) sends its message to
+    inbox slot `slot` of its parent `to`, on the parent's cell bits `mask`,
+    read reversed on the half where parent bit `flip` is set (-1: no such
+    half).  Each edge goes to slot `eslot` of bag `bucket` and adds
     w * (-1)^popcount(cell & code).
     """
 
@@ -561,7 +566,7 @@ def _prepare(G: WeightedGraph, td: TreeDecomposition, width_cap: int) -> _Proble
         G,
         d,
         gone,
-        _waves(parent, forgets == size),
+        _steps(parent, _waves(parent, forgets == size), d <= LONG_TERM_AXES),
         flat[perm],
         off,
         child,
@@ -577,7 +582,8 @@ def _prepare(G: WeightedGraph, td: TreeDecomposition, width_cap: int) -> _Proble
 
 
 def _waves(parent: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """The step at which each bag runs.
+    """Each bag's step in the piece order, which `_steps` keeps for bags
+    wider than LONG_TERM_AXES axes.
 
     A piece is a subtree joined to the rest only through empty separators
     (`cut` marks the bags whose whole bag is forgotten).  Each piece runs its
@@ -600,6 +606,43 @@ def _waves(parent: np.ndarray, cut: np.ndarray) -> np.ndarray:
     for r, q, p in zip(linked.tolist(), head[above].tolist(), pos[above].tolist()):
         start[q] = max(start[q], start[r] + size[r] - p)
     return np.asarray(start, dtype=np.int64)[head] + pos
+
+
+def _steps(parent: np.ndarray, wave: np.ndarray, narrow: np.ndarray) -> np.ndarray:
+    """The step at which each bag runs: a `narrow` bag at the first step
+    after all its children (0 for a leaf), any other at its `wave` step.
+
+    A bag's `wave` step is later than its children's, and by induction a
+    narrow bag's step here is at most its `wave` step, so every bag still
+    runs after its children, and a wide bag's message lives no longer than
+    in the piece order.  A link is a narrow bag whose one child is the bag
+    just before it, one `wave` step earlier: its step is one more than that
+    child's, so it keeps the child's shift (step - wave).  The Python loop
+    visits only the free bags, the narrow bags that are no link, and their
+    children; each link takes the shift of its anchor, the nearest bag
+    before it that is no link.  On a 2*10^5-bag path, one chain of links,
+    the pass takes about 4 ms.
+    """
+    k = len(parent)
+    at = np.arange(k)
+    kids = np.bincount(parent[:-1], minlength=k)  # the root, last, has no parent
+    link = np.zeros(k, dtype=bool)
+    link[1:] = narrow[1:] & (kids[1:] == 1) & (parent[:-1] == at[1:]) & (wave[1:] == wave[:-1] + 1)
+    anchor = np.maximum.accumulate(np.where(link, 0, at))
+    free = narrow & ~link
+    up_free = np.append(free, False)[parent]
+    visit = np.flatnonzero(free | up_free)
+    latest = [-1] * k  # each free bag's latest child step so far
+    shift = [0] * k  # each free bag's step - wave; 0 at a wide bag
+    cols = (visit, wave[visit], parent[visit], anchor[visit], free[visit], up_free[visit])
+    for j, w, p, a, f, u in zip(*(c.tolist() for c in cols)):
+        if f:
+            shift[j] = latest[j] + 1 - w
+        if u and w + shift[a] > latest[p]:
+            latest[p] = w + shift[a]
+    out = np.zeros(k, dtype=np.int64)
+    out[free] = [shift[j] for j in np.flatnonzero(free).tolist()]
+    return wave + out[anchor]
 
 
 def solve_treewidth(
@@ -648,10 +691,16 @@ def solve_treewidths(
     comparison and assignment is the same.  The root's value goes through
     `float` for the check against `evaluate` of the backtracked signs.
 
-    The bags of all pairs run side by side.  A piece, a subtree joined to the
-    rest only through empty separators (one connected component, for
-    `build_decomposition`), runs its bags one per step in the children-first
-    order; all pieces advance together, and the bags of one step with the
+    The bags of all pairs run side by side.  A bag of at most
+    LONG_TERM_AXES axes runs at the step after its latest child (step 0 for
+    a leaf).  A wider bag keeps its piece order: a piece, a subtree joined to
+    the rest only through empty separators (one connected component, for
+    `build_decomposition`), steps through its bags one per step in the
+    children-first order, and all pieces advance together.  Those steps are
+    already later than every child's, and a wide bag's message lives no
+    longer than in the piece order, so the DP's peak does not rise: on the
+    float64 14x30 strip it is 13.7 MiB, where running every bag by height
+    keeps two wide branches alive, 15.3 MiB.  The bags of one step with the
     same size and the same number of vertices maxed out share one
     (bags, 2^(|bag|-1)) table.  Each cell still receives the same additions
     in the same order as in a run of its pair alone, so every pair gets the

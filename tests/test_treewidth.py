@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,9 +29,10 @@ from maxqp import (
     validate_decomposition,
 )
 from maxqp import treewidth
-from maxqp.graph import cell_dtype, value_tol
+from maxqp.graph import cell_dtype, induced_subgraph, value_tol
 from maxqp.treewidth import MAX_DP_WIDTH, cuthill_mckee_order
 from maxqp.oracle import GeneratorSpec, SplitMix64, generate
+from maxqp.schemes import layer_residues
 
 from util import (
     Links,
@@ -66,6 +68,18 @@ def _graph(n, pairs, seed):
 def _non_integral(G):
     """G with every weight times 1.5: the same decompositions, in float64 cells."""
     return WeightedGraph(G.n, [(u, v, 1.5 * w) for u, v, w in edge_list(G)])
+
+
+def _baker_remainders(G, k=8):
+    """G less each residue class of its BFS layers mod k, with its min-fill
+    decomposition, as `solve_baker` solves them: bands of narrow bags,
+    joined by empty separators, that branch."""
+    residue, classes = layer_residues(G, k)
+    out = []
+    for i in range(classes):
+        sub, _ = induced_subgraph(G, np.flatnonzero(residue != i))
+        out.append((sub, build_decomposition(sub)))
+    return out
 
 
 def _k_tree(n, k, seed):
@@ -823,13 +837,21 @@ class TestSolveTreewidths:
         assert {td.width for _, td in pairs} == set(range(10, 17))
         return pairs
 
+    @staticmethod
+    def _narrow_pairs():
+        """Baker remainders of a grid, in unit weights and as a non-integral
+        copy: many branching pieces of narrow bags."""
+        unit = _baker_remainders(_grid(12, 12))
+        return unit + [(_non_integral(G), td) for G, td in unit]
+
     @pytest.mark.parametrize("long_axes", [treewidth.LONG_TERM_AXES, 64, 0])
     def test_wide_tables_round_as_the_per_bag_loop(self, monkeypatch, long_axes):
         # edge terms written out over a table's last axes, over the whole
-        # table, or never: each cell must get the same additions in the same
-        # order as in the per-bag loop
+        # table, or never, and bags of up to that many axes run by height:
+        # each cell must get the same additions in the same order as in the
+        # per-bag loop
         monkeypatch.setattr(treewidth, "LONG_TERM_AXES", long_axes)
-        pairs = self._wide_pairs()
+        pairs = self._wide_pairs() + self._narrow_pairs()
         together = solve_treewidths(pairs)
         for (G, td), a in zip(pairs, together):
             ref = signs_and_value(reference_bucket_elimination(G, td))
@@ -850,6 +872,47 @@ class TestSolveTreewidths:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 17
+
+    def test_narrow_bags_run_once_their_children_have(self):
+        # a bag of at most LONG_TERM_AXES axes runs at the step after its
+        # latest child's (0 for a leaf), a wider one at its piece-order step
+        narrow = _baker_remainders(_grid(10, 10))
+        wide = self._wide_pairs()
+        mixed = [_hung_under_a_wide_bag(G1, G2) for (G1, _), (G2, _) in zip(wide[5:], narrow)]
+        moved = kept = 0
+        for G, td in narrow + wide + mixed:
+            t = links(td)
+            bags = [set(b) for b in t.bags]
+            cut = [p is None or not bags[i] & bags[p] for i, p in enumerate(t.parent)]
+            wave = treewidth._waves(td.parent, np.array(cut)).tolist()
+            step = treewidth._prepare(G, td, MAX_DP_WIDTH).wave.tolist()
+            latest = [-1] * len(bags)
+            for i, p in enumerate(t.parent):
+                if len(bags[i]) - 1 <= treewidth.LONG_TERM_AXES:
+                    assert step[i] == latest[i] + 1
+                    moved += step[i] != wave[i]
+                else:
+                    assert step[i] == wave[i] > latest[i]
+                    kept += 1
+                if p is not None:
+                    latest[p] = max(latest[p], step[i])
+        assert moved >= 100 and kept >= 100
+
+    def test_baker_peak_memory_runs_narrow_bags_by_height(self):
+        # the 40x40 grid's remainders are bands of bags of width 4 or less.
+        # The peak is reached while the DP lists its sub-batches, before any
+        # table; run by height, the bands make half as many of them as in
+        # the piece order of each band: near 4.9 MiB, against 5.7 MiB
+        G = _grid(40, 40)
+        assert G.unit
+        gc.collect()
+        tracemalloc.start()
+        try:
+            solve_baker(G, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.3 * 2**20
 
     def test_strip_peak_memory_follows_the_piece_order(self):
         # the width-20 strip runs its bags one at a time, children first, as
