@@ -24,7 +24,7 @@ from .graph import (
     WeightedGraph,
     degeneracy,
     degrees,
-    extend_from_induced,
+    evaluate,
     glue_blocks,
     induced_subgraph,
     value_tol,
@@ -245,8 +245,8 @@ def star_packing(G: WeightedGraph) -> EasyPacking:
 
 
 def _trivial_result(G: WeightedGraph, extra: dict) -> ApproxResult:
-    out = extend_from_induced(G, np.zeros(G.n, dtype=np.int64))
-    return ApproxResult(out, Fraction(1), {"trivial": True, **extra})
+    x = np.ones(G.n, dtype=np.int8)  # no edge: every assignment is optimal
+    return ApproxResult(Assignment(x, evaluate(G, x)), Fraction(1), {"trivial": True, **extra})
 
 
 def solve_bounded_degree(G: WeightedGraph) -> ApproxResult:
@@ -304,9 +304,9 @@ def solve_dense(G: WeightedGraph) -> ApproxResult:
         return _trivial_result(G, {"density": "0"})
     H, old_of = induced_subgraph(G, np.flatnonzero(degrees(G)))
     P = star_packing(H)
-    x = np.zeros(G.n, dtype=np.int8)
+    x = np.ones(G.n, dtype=np.int8)  # an isolated vertex takes +1: no edge to glue
     x[old_of] = packing_to_solution(H, P).values
-    out = extend_from_induced(G, x)
+    out = Assignment(x, evaluate(G, x))
     density = Fraction(H.m, H.n)
     guarantee = Fraction(1, 1) / (3 * density)
     if out.value + value_tol(G) < float(Fraction(H.m, 1) / (3 * density)):

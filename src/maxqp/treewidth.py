@@ -20,11 +20,9 @@ then run side by side: bags at the same step with the same size and
 number of vertices maxed out share one table with a row per bag, so a run of
 many narrow bags pays numpy's call overhead once per group rather than once
 per bag.  A bag of at most LONG_TERM_AXES axes runs at the step after its
-latest child, so a band of narrow bags runs by height; a wider bag keeps its
-step in its piece's order, one bag per step, so that its message lives no
-longer than in that order.  On the 40x40 grid's Baker remainders (bags of
-width 4 or less) running by height halves the groups, 948 -> 492, and the
-sub-batches, 6,050 -> 2,867.
+latest child, so narrow bags batch by height; a wider bag runs at the step
+of its own number, as in the per-bag loop, so that its message lives no
+longer than there.
 
 An edge's term +-w varies on one or two axes of its bag's table and is
 added by broadcasting, so numpy's inner loop covers only the axes after the
@@ -34,10 +32,8 @@ last LONG_TERM_AXES = 6 axes is first written out over them (over all of a
 narrower table; at most 2^7 cells a row, as a term varies on two axes at
 most), so that its add runs an inner loop of 64 cells or more, or over the
 whole row.  The values added and their order are the same, so the tables
-are bit-identical.  On the 14x30 strip's tables of 12 or more axes such an
-add took about a quarter of its old time (277 of them, each replayed alone:
-49 us before, 14 us after), while the other adds stayed at 7 us.  The
-exact-grid DP took the same time with 5 to 7 axes written out.
+are bit-identical.  The exact-grid DP took the same time with 5 to 7 axes
+written out.
 
 The objective is the same at x and -x, and so is every table of the
 elimination, so each bag's table covers only the cells where one vertex of
@@ -445,7 +441,7 @@ class _Problem:
     """One (graph, decomposition) pair in the DP's array form.
 
     Bags are numbered as in the `TreeDecomposition`; bag i runs at step
-    wave[i] (see `_steps`).  Its vertices are ax[off[i]:off[i+1]] in rank
+    step[i] (see `_steps`).  Its vertices are ax[off[i]:off[i+1]] in rank
     order, its pin last; its table has d[i] = max(|bag| - 1, 0) axes and it
     maxes out gone[i] of them.  Axis a of a d-axis table is bit d - 1 - a of
     a flat cell index.  Each non-root bag c (in `child`) sends its message to
@@ -458,7 +454,7 @@ class _Problem:
     G: WeightedGraph
     d: np.ndarray
     gone: np.ndarray
-    wave: np.ndarray
+    step: np.ndarray
     ax: np.ndarray
     off: np.ndarray
     child: np.ndarray
@@ -508,7 +504,7 @@ def _check(G: WeightedGraph, td: TreeDecomposition):
     top = up < 0
     fv = flat[top]
     seen = np.bincount(fv, minlength=n)
-    if (seen > 1).any():  # a second top bag: two pieces of the vertex's trace
+    if (seen > 1).any():  # a second top bag: the vertex's trace is split
         first = np.argsort(fv, kind="stable")
         again = first[1:][fv[first[1:]] == fv[first[:-1]]]
         raise ValidationError(f"bags containing vertex {fv[again.min()]} are not connected")
@@ -544,8 +540,7 @@ def _prepare(G: WeightedGraph, td: TreeDecomposition, width_cap: int) -> _Proble
     pos = np.empty(len(flat), dtype=np.int64)  # each entry's axis; the pin's is d
     pos[perm] = np.arange(len(flat)) - off[bag_of]
     d = np.maximum(size - 1, 0)
-    forgets = np.bincount(bag_of[top], minlength=k)
-    gone = np.minimum(forgets, d)
+    gone = np.minimum(np.bincount(bag_of[top], minlength=k), d)
     bit = d[bag_of] - 1 - pos  # each entry's cell bit in its own bag; -1 at the pin
 
     child = np.flatnonzero(parent >= 0)
@@ -566,7 +561,7 @@ def _prepare(G: WeightedGraph, td: TreeDecomposition, width_cap: int) -> _Proble
         G,
         d,
         gone,
-        _steps(parent, _waves(parent, forgets == size), d <= LONG_TERM_AXES),
+        _steps(parent, d <= LONG_TERM_AXES),
         flat[perm],
         off,
         child,
@@ -581,68 +576,43 @@ def _prepare(G: WeightedGraph, td: TreeDecomposition, width_cap: int) -> _Proble
     )
 
 
-def _waves(parent: np.ndarray, cut: np.ndarray) -> np.ndarray:
-    """Each bag's step in the piece order, which `_steps` keeps for bags
-    wider than LONG_TERM_AXES axes.
-
-    A piece is a subtree joined to the rest only through empty separators
-    (`cut` marks the bags whose whole bag is forgotten).  Each piece runs its
-    bags in the children-first numbering, one per step, from its start; a
-    piece starts late enough that its linked child pieces end before the bag
-    they send their 0-d message to.
-    """
-    k = len(parent)
-    head = np.where(cut | (parent < 0), np.arange(k), parent)
-    while True:  # pointer jumping to each bag's piece root
-        nxt = head[head]
-        if (nxt == head).all():
-            break
-        head = nxt
-    pos = _rank_within(head)
-    size = np.bincount(head, minlength=k).tolist()
-    start = [0] * k
-    linked = np.flatnonzero(cut & (parent >= 0))  # in numbering order: child pieces first
-    above = parent[linked]
-    for r, q, p in zip(linked.tolist(), head[above].tolist(), pos[above].tolist()):
-        start[q] = max(start[q], start[r] + size[r] - p)
-    return np.asarray(start, dtype=np.int64)[head] + pos
-
-
-def _steps(parent: np.ndarray, wave: np.ndarray, narrow: np.ndarray) -> np.ndarray:
+def _steps(parent: np.ndarray, narrow: np.ndarray) -> np.ndarray:
     """The step at which each bag runs: a `narrow` bag at the first step
-    after all its children (0 for a leaf), any other at its `wave` step.
+    after all its children (0 for a leaf), any other bag i at step i.
 
-    A bag's `wave` step is later than its children's, and by induction a
-    narrow bag's step here is at most its `wave` step, so every bag still
-    runs after its children, and a wide bag's message lives no longer than
-    in the piece order.  A link is a narrow bag whose one child is the bag
-    just before it, one `wave` step earlier: its step is one more than that
-    child's, so it keeps the child's shift (step - wave).  The Python loop
-    visits only the free bags, the narrow bags that are no link, and their
-    children; each link takes the shift of its anchor, the nearest bag
-    before it that is no link.  On a 2*10^5-bag path, one chain of links,
-    the pass takes about 4 ms.
+    Narrow bags batch by height.  A wide bag keeps its place in the per-bag
+    loop, the only wide bag of its pair at its step, so its message lives no
+    longer than there (exactly as long when its parent is wide too): running
+    wide bags by height would keep several wide branches alive at once.  By
+    induction every bag's step is at most its number, so a wide bag still
+    runs after its children.  A link is a narrow bag whose one child is the
+    bag just before it: its step is one more than that child's, so it keeps
+    the child's shift (step - number).  The Python loop visits only the free
+    bags, the narrow bags that are no link, and their children; each link
+    takes the shift of its anchor, the nearest bag before it that is no
+    link.  On a 2*10^5-bag path, one chain of links, the pass takes about
+    4 ms.
     """
     k = len(parent)
     at = np.arange(k)
     kids = np.bincount(parent[:-1], minlength=k)  # the root, last, has no parent
     link = np.zeros(k, dtype=bool)
-    link[1:] = narrow[1:] & (kids[1:] == 1) & (parent[:-1] == at[1:]) & (wave[1:] == wave[:-1] + 1)
+    link[1:] = narrow[1:] & (kids[1:] == 1) & (parent[:-1] == at[1:])
     anchor = np.maximum.accumulate(np.where(link, 0, at))
     free = narrow & ~link
     up_free = np.append(free, False)[parent]
     visit = np.flatnonzero(free | up_free)
     latest = [-1] * k  # each free bag's latest child step so far
-    shift = [0] * k  # each free bag's step - wave; 0 at a wide bag
-    cols = (visit, wave[visit], parent[visit], anchor[visit], free[visit], up_free[visit])
-    for j, w, p, a, f, u in zip(*(c.tolist() for c in cols)):
+    shift = [0] * k  # each free bag's step - number; 0 at a wide bag
+    cols = (visit, parent[visit], anchor[visit], free[visit], up_free[visit])
+    for j, p, a, f, u in zip(*(c.tolist() for c in cols)):
         if f:
-            shift[j] = latest[j] + 1 - w
-        if u and w + shift[a] > latest[p]:
-            latest[p] = w + shift[a]
+            shift[j] = latest[j] + 1 - j
+        if u and j + shift[a] > latest[p]:
+            latest[p] = j + shift[a]
     out = np.zeros(k, dtype=np.int64)
     out[free] = [shift[j] for j in np.flatnonzero(free).tolist()]
-    return wave + out[anchor]
+    return at + out[anchor]
 
 
 def solve_treewidth(
@@ -691,17 +661,13 @@ def solve_treewidths(
     comparison and assignment is the same.  The root's value goes through
     `float` for the check against `evaluate` of the backtracked signs.
 
-    The bags of all pairs run side by side.  A bag of at most
-    LONG_TERM_AXES axes runs at the step after its latest child (step 0 for
-    a leaf).  A wider bag keeps its piece order: a piece, a subtree joined to
-    the rest only through empty separators (one connected component, for
-    `build_decomposition`), steps through its bags one per step in the
-    children-first order, and all pieces advance together.  Those steps are
-    already later than every child's, and a wide bag's message lives no
-    longer than in the piece order, so the DP's peak does not rise: on the
-    float64 14x30 strip it is 13.7 MiB, where running every bag by height
-    keeps two wide branches alive, 15.3 MiB.  The bags of one step with the
-    same size and the same number of vertices maxed out share one
+    The bags of all pairs run side by side, at the steps of `_steps`.  A
+    bag of at most LONG_TERM_AXES axes runs at the step after its latest
+    child (step 0 for a leaf), so narrow bags batch by height.  A wider bag
+    i runs at step i, as in the per-bag loop, so its message lives no longer
+    than there; running wide bags by height would keep several wide
+    branches alive at once.  The bags of one step with the same size and
+    the same number of vertices maxed out share one
     (bags, 2^(|bag|-1)) table.  Each cell still receives the same additions
     in the same order as in a run of its pair alone, so every pair gets the
     same assignment either way, and an edge term written out over its
@@ -750,11 +716,11 @@ def _run(live: list[_Problem]):
     group the packed bits of each vertex it maxes out, (bags, 2, bytes) each,
     and the final (bags, 1) table of each group that holds a root bag."""
     base = np.cumsum([0] + [len(p.d) for p in live[:-1]])
-    wave = np.concatenate([p.wave for p in live])
+    step = np.concatenate([p.step for p in live])
     d = np.concatenate([p.d for p in live])
     gone = np.concatenate([p.gone for p in live])
-    order = np.lexsort((gone, d, wave))
-    gstart, gend, gid = _starts(_heads(wave[order], d[order], gone[order]))
+    order = np.lexsort((gone, d, step))
+    gstart, gend, gid = _starts(_heads(step[order], d[order], gone[order]))
     group = np.empty(len(order), dtype=np.int64)
     group[order] = gid
     row = np.empty(len(order), dtype=np.int64)
@@ -764,7 +730,7 @@ def _run(live: list[_Problem]):
     roots = np.cumsum([len(p.d) for p in live]) - 1  # each pair's root bag is its last
     tops = dict.fromkeys(group[roots].tolist())
     ginfo = zip(gsize.tolist(), d[order[gstart]].tolist(), gone[order[gstart]].tolist())
-    del wave, d, gone, order, gid, gstart, gend
+    del step, d, gone, order, gid, gstart, gend
 
     def cat(field, shift=False):
         return np.concatenate([getattr(p, field) + (b if shift else 0) for p, b in zip(live, base)])

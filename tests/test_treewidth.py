@@ -759,6 +759,19 @@ def _hung_under_a_wide_bag(G1, G2):
     return WeightedGraph(n1 + G2.n, edges), to_nice(bags, parent, t1.root)
 
 
+def _wide_grids_side_by_side():
+    """Three 8x8 grids side by side (each one's ids after the previous
+    ones') with their min-fill decomposition: wide bags of the three grids
+    interleave in its numbering."""
+    edges, n = [], 0
+    for seed in range(3):
+        G = _grid(8, 8, seed=seed)
+        edges += [(u + n, v + n, w) for u, v, w in edge_list(G)]
+        n += G.n
+    G = WeightedGraph(n, edges)
+    return G, build_decomposition(G)
+
+
 class TestSolveTreewidths:
     """All pairs in one run give each pair the signs of a run of it alone
     and of the nice-form reference DP."""
@@ -780,6 +793,7 @@ class TestSolveTreewidths:
             large = random_graph(1100 + s, 40, 70, real=True)
             pairs.append(_hung_under_a_wide_bag(small, large))
             pairs.append(_hung_under_a_wide_bag(large, small))
+        pairs.append(_wide_grids_side_by_side())
         return pairs
 
     def test_same_signs_as_alone_and_as_the_references(self):
@@ -875,24 +889,21 @@ class TestSolveTreewidths:
 
     def test_narrow_bags_run_once_their_children_have(self):
         # a bag of at most LONG_TERM_AXES axes runs at the step after its
-        # latest child's (0 for a leaf), a wider one at its piece-order step
+        # latest child's (0 for a leaf), a wider one at its own number
         narrow = _baker_remainders(_grid(10, 10))
         wide = self._wide_pairs()
         mixed = [_hung_under_a_wide_bag(G1, G2) for (G1, _), (G2, _) in zip(wide[5:], narrow)]
         moved = kept = 0
-        for G, td in narrow + wide + mixed:
+        for G, td in narrow + wide + mixed + [_wide_grids_side_by_side()]:
             t = links(td)
-            bags = [set(b) for b in t.bags]
-            cut = [p is None or not bags[i] & bags[p] for i, p in enumerate(t.parent)]
-            wave = treewidth._waves(td.parent, np.array(cut)).tolist()
-            step = treewidth._prepare(G, td, MAX_DP_WIDTH).wave.tolist()
-            latest = [-1] * len(bags)
+            step = treewidth._prepare(G, td, MAX_DP_WIDTH).step.tolist()
+            latest = [-1] * len(t.bags)
             for i, p in enumerate(t.parent):
-                if len(bags[i]) - 1 <= treewidth.LONG_TERM_AXES:
+                if len(t.bags[i]) - 1 <= treewidth.LONG_TERM_AXES:
                     assert step[i] == latest[i] + 1
-                    moved += step[i] != wave[i]
+                    moved += step[i] != i
                 else:
-                    assert step[i] == wave[i] > latest[i]
+                    assert step[i] == i > latest[i]
                     kept += 1
                 if p is not None:
                     latest[p] = max(latest[p], step[i])
