@@ -64,7 +64,11 @@ fill edge, so it skips the pair loop.  One elimination thus costs set
 operations over its neighbourhood and the common neighbours of its fill
 edges rather than a scan over every alive vertex.  Each bag is kept as the
 neighbour set it was eliminated with, and all bags are sorted once, by one
-numpy sort, at the end.
+numpy sort, at the end.  The last, densest steps, where that pair loop costs
+most, run on one float32 adjacency matrix of the alive graph instead
+(`_dense_end`), from the first popped fill of DENSE_FILL or more with
+DENSE_MIN_ALIVE to DENSE_MAX_ALIVE vertices alive: the same (fill, id) order
+from the same exact fills, so the same bags and the same refusal.
 
 The interval form has one bag per position of a vertex order, so its width
 is the order's vertex separation.  `solve_exact` takes a Cuthill–McKee
@@ -108,6 +112,10 @@ from .io import records
 DEFAULT_WIDTH_CAP = 20
 MAX_DP_WIDTH = 27  # a bag of 28 vertices makes a half table of 2^27 cells, 1 GiB in float64
 LONG_TERM_AXES = 6  # an edge term is written out over this many last axes of its table
+# when min-fill's end game starts; measured, see `build_decomposition`
+DENSE_FILL = 16
+DENSE_MIN_ALIVE = 64
+DENSE_MAX_ALIVE = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,6 +281,19 @@ def build_decomposition(
     Every vertex so touched gets a new key.  adj[v] is not changed once v is
     eliminated, so it is kept as v's bag, and all bags are sorted together by
     one numpy sort at the end.
+
+    The end game: once a popped vertex has fill DENSE_FILL or more while
+    DENSE_MIN_ALIVE to DENSE_MAX_ALIVE vertices are alive, `_dense_end`
+    eliminates the rest on one adjacency matrix, a few numpy passes a step
+    in place of the pair loop, whose cost grows with the fill.  It takes the
+    same (fill, id) order from the same exact fills, so the bags, and a
+    refusal's `achieved`, are those of the loop above; the rule reads only
+    the loop's own state.  The constants are measured: on sparse random
+    graphs most of the loop's time goes to steps of fill 16 or more, while
+    grids reach such fills only near the end, where fewer than 64 alive
+    vertices do not repay the matrix's set-up; and a float32 matrix of 512
+    alive vertices (1 MiB) is about as large as the sets it frees, so
+    larger inputs keep the loop until fewer are alive.
     """
     n = G.n
     start, nbr = csr(G)
@@ -295,11 +316,14 @@ def build_decomposition(
     heapq.heapify(heap)
 
     order: list[int] = []  # the eliminated vertices, one bag each
-    for _ in range(n):
+    for step in range(n):
         while True:
             f, v = divmod(heapq.heappop(heap), n)
             if fill[v] == f:
                 break
+        if f >= DENSE_FILL and DENSE_MIN_ALIVE <= n - step <= DENSE_MAX_ALIVE:
+            _dense_end(adj, fill, order, width_cap)
+            break
         N = adj[v]
         d = len(N)
         if d > width_cap:
@@ -352,6 +376,67 @@ def build_decomposition(
     parent[lone[:-1]] = lone[1:]
     parent[-1:] = -1
     return TreeDecomposition(off, entries, parent)
+
+
+def _dense_end(adj: list, fill: list[int], order: list[int], width_cap: int) -> None:
+    """`build_decomposition`'s elimination from its current state to the end,
+    on one float32 adjacency matrix A of the k alive vertices, numbered in id
+    order; their sets are freed, and each bag is kept as a list.
+
+    The next vertex is the first argmin of the fills, the one with the
+    smallest index and so the smallest id: the heap's (fill, id) order.  Its
+    bag is its row's nonzeros.  With v's column cleared, N its d neighbours,
+    Bt = A[N] and M = 1 - A[N, N] - I (the missing pairs of N), v's
+    elimination changes the fills by exact counts:
+      - every x loses half of (1 @ ((M @ Bt) * Bt))[x], the missing pairs of
+        N among its neighbours, which the new clique on N fills;
+      - each u in N, with s_u = |N & adj(u)| and R_u = deg(u) - s_u the
+        neighbours it keeps outside N, also loses its R_u pairs with v and
+        gains R_u * (d - 1 - s_u) pairs with its new neighbours in N, less
+        those already adjacent to an outside neighbour: row u of
+        (M @ Bt) * Bt summed over x outside N.
+    A simplicial step (fill 0) has no missing pair, so only R_u applies.
+    Then A[N, N] = 1 - I.  Every count is below 2^24, exact in float32.
+    """
+    ids = np.flatnonzero(np.array(fill) >= 0)  # the alive vertices, in id order
+    alive = ids.tolist()
+    k = len(alive)
+    at = np.empty(len(adj), dtype=np.int64)  # each alive vertex's row
+    at[ids] = np.arange(k)
+    sizes = [len(adj[u]) for u in alive]
+    nbrs = itertools.chain.from_iterable(map(adj.__getitem__, alive))
+    A = np.zeros((k, k), dtype=np.float32)
+    A[np.repeat(np.arange(k), sizes), at[np.fromiter(nbrs, dtype=np.int64, count=sum(sizes))]] = 1
+    fills = np.array(fill, dtype=np.float64)[ids]
+    for u in alive:
+        adj[u] = None
+    del at
+    one = np.ones(k, dtype=np.float32)
+    for _ in range(k):
+        i = int(fills.argmin())
+        N = np.flatnonzero(A[i])
+        d = len(N)
+        if d > width_cap:
+            raise CapacityError(f"elimination bag of width {d} exceeds cap {width_cap}", achieved=d)
+        order.append(alive[i])
+        adj[alive[i]] = ids[N].tolist()
+        simplicial = fills[i] == 0
+        fills[i] = np.inf
+        A[N, i] = 0  # row i is never read again
+        Bt = A[N]
+        if simplicial:
+            fills[N] -= Bt @ one - (d - 1)
+            continue
+        S = Bt[:, N]
+        M = 1 - S
+        M.flat[:: d + 1] = 0
+        C = M @ Bt
+        C *= Bt
+        s = S @ one[:d]
+        fills -= one[:d] @ C / 2
+        fills[N] += (Bt @ one - s) * (d - 2 - s) - C @ one + C[:, N] @ one[:d]
+        A[N[:, None], N] = 1
+        A[N, N] = 0
 
 
 def cuthill_mckee_order(G: WeightedGraph) -> list[int]:
@@ -770,9 +855,16 @@ def _run(live: list[_Problem]):
     eg, er = group[eb], row[eb]
     eslot, code, ew = cat("eslot"), cat("code"), cat("w")
     o = np.lexsort((er, code, eslot, eg))
-    eg, er, eslot, code, ew = (a[o] for a in (eg, er, eslot, code, ew))
+    # one column at a time, so that each unsorted column is freed before the next sort
+    eg = eg[o]
+    er = er[o]
+    eslot = eslot[o]
+    code = code[o]
+    ew = ew[o]
     cells = np.result_type(*(cell_dtype(p.G) for p in live))  # every pair's values fit
-    terms = (ew[:, None] * np.array([1.0, -1.0, -1.0, 1.0])).astype(cells)  # w * (-1)^popcount
+    terms = np.empty((len(ew), 4), cells)  # w * (-1)^popcount, written in the cell type
+    terms[:, 0] = terms[:, 3] = ew
+    terms[:, 1] = terms[:, 2] = np.negative(ew, out=ew)
     esb, esb_end, _ = _starts(_heads(eg, eslot, code))
     z = np.zeros_like(esb)
     edge_ops = np.stack(  # kind 1, code, no flip, edges e0:e1, all rows

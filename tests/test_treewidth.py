@@ -230,6 +230,80 @@ class TestAgainstReferenceMinFill:
             for cap in range(ref.width + 1):
                 _assert_matches_reference(G, ref, cap)
 
+    @staticmethod
+    def _end_game_starts(monkeypatch) -> list[int]:
+        """A list that gets the alive count each time min-fill's end game starts."""
+        starts = []
+        dense_end = treewidth._dense_end
+
+        def spy(adj, fill, order, width_cap):
+            starts.append(sum(f >= 0 for f in fill))
+            dense_end(adj, fill, order, width_cap)
+
+        monkeypatch.setattr(treewidth, "_dense_end", spy)
+        return starts
+
+    def test_end_game_on_sparse_graphs_like_auto_default(self, monkeypatch):
+        # auto-default's sparse instances: the end game starts before the
+        # refusal at cap 20 and in every run to the reference width
+        starts = self._end_game_starts(monkeypatch)
+        for seed in (1000, 1001, 1002):
+            G = random_graph(seed, 350, 700, real=True)
+            ref = reference_min_fill(G)
+            for cap in (20, ref.width):
+                starts.clear()
+                _assert_matches_reference(G, ref, cap)
+                assert len(starts) == 1
+            for cap in range(2, 31):
+                _assert_matches_reference(G, ref, cap)
+
+    def test_end_game_holds_the_one_component_left(self, monkeypatch):
+        # components of at most 7 vertices never reach fill 16, so they are
+        # gone when the sparse one starts the end game: it starts with as
+        # many vertices alive as on the sparse component alone
+        starts = self._end_game_starts(monkeypatch)
+        sparse = random_graph(1001, 350, 700)
+        build_decomposition(sparse, width_cap=sparse.n)
+        rng = SplitMix64(6)
+        pairs, n = [(u, v) for u, v, _ in edge_list(sparse)], sparse.n
+        for part in range(30):
+            size = 1 + rng.randrange(7)
+            H = random_graph(1100 + part, size, rng.randrange(2 * size))
+            pairs += [(n + u, n + v) for u, v, _ in edge_list(H)]
+            n += size
+        G = _graph(n + 10, pairs, 6)  # and 10 isolated vertices
+        ref = reference_min_fill(G)
+        for cap in (20, ref.width):
+            _assert_matches_reference(G, ref, cap)
+        assert starts[1:] == starts[:1] * 2
+
+    def test_end_game_pops_simplicial_vertices(self, monkeypatch):
+        # K(8, 70): the first pop, a vertex of the 70 side (fill 28, 78
+        # alive), starts the end game and joins the 8 side into a clique;
+        # the other 69 are then simplicial and pop at fill 0
+        starts = self._end_game_starts(monkeypatch)
+        perm = [int(i) for i in SplitMix64(11).draw(78).argsort()]
+        G = _graph(78, [(perm[a], perm[b]) for a in range(8) for b in range(8, 78)], 11)
+        ref = reference_min_fill(G)
+        assert ref.width == 8
+        for cap in range(ref.width + 1):
+            _assert_matches_reference(G, ref, cap)
+        assert starts == [78] * (ref.width + 1)
+
+    def test_sparse_refusal_memory(self):
+        # the end game frees the alive vertices' sets for a small matrix:
+        # peak 0.38 MB here, 0.50 MB with the sets to the refusal
+        G = random_graph(1000, 350, 700, real=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build_decomposition(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 420_000
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_graphs_with_no_edge_to_eliminate(self, n):
         G = WeightedGraph(n, [])
