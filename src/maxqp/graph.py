@@ -221,7 +221,9 @@ def merge_columns(n: int, u, v, w) -> WeightedGraph:
             i = int(np.argmax(bad))
             raise ValidationError(f"non-finite weight on edge ({int(lo[i])}, {int(hi[i])})")
     keep = w != 0.0
-    return WeightedGraph._from_columns(n, lo[keep], hi[keep], w[keep])
+    if not keep.all():  # the columns are fresh sorted copies: kept as they are otherwise
+        lo, hi, w = lo[keep], hi[keep], w[keep]
+    return WeightedGraph._from_columns(n, lo, hi, w)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,15 +14,17 @@ decomposition wider than MAX_DP_WIDTH is refused before any table exists.
 `solve_treewidths` solves a list of (graph, decomposition) pairs in one run;
 `solve_treewidth` is its one-pair case.  Each pair is checked and put in
 array form first (each child message's axes in its parent, each bucket
-edge's +-1 pattern code),
-with numpy passes rather than a Python loop per bag.  The bags of all pairs
-then run side by side: bags at the same step with the same size and
-number of vertices maxed out share one table with a row per bag, so a run of
-many narrow bags pays numpy's call overhead once per group rather than once
-per bag.  A bag of at most LONG_TERM_AXES axes runs at the step after its
-latest child, so narrow bags batch by height; a wider bag runs at the step
-of its own number, as in the per-bag loop, so that its message lives no
-longer than there.
+edge's +-1 pattern code), with numpy passes rather than a Python loop per
+bag.  The pairs' columns are then joined into one problem, one column at a
+time, each pair's copy freed once joined, and the DP frees each column it
+alone reads once it is sorted, so no column lives beside its copy.  The
+bags of all pairs run side by side: bags at the same step with the same
+size and number of vertices maxed out share one table with a row per bag,
+so a run of many narrow bags pays numpy's call overhead once per group
+rather than once per bag.  A bag of at most LONG_TERM_AXES axes runs at
+the step after its latest child, so narrow bags batch by height; a wider
+bag runs at the step of its own number, as in the per-bag loop, so that its
+message lives no longer than there.
 
 An edge's term +-w varies on one or two axes of its bag's table and is
 added by broadcasting, so numpy's inner loop covers only the axes after the
@@ -51,7 +53,7 @@ such sums, so the cells are of `cell_dtype`, the narrowest exact type:
 int8, int16 or int32 on integral weights whose sum |w| it holds, float64
 otherwise.  A half table of b + 1 vertices is 2^b cells of 1 to 8 bytes.
 On the 14x30 strip (width 20, unit weights, int16 cells) the DP's
-tracemalloc peak is 4.7 MiB, against 13.8 MiB in float64 cells.
+tracemalloc peak is 4.5 MiB, against 13.6 MiB in float64 cells.
 
 The elimination ordering is min-fill with ties broken by vertex id
 (Bodlaender & Koster, "Treewidth computations I. Upper bounds", Inf. Comput.
@@ -521,22 +523,26 @@ def check_dp_width(td: TreeDecomposition, width_cap: int = MAX_DP_WIDTH) -> None
         raise CapacityError(f"decomposition width {td.width} exceeds {limit}", achieved=td.width)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Problem:
-    """One (graph, decomposition) pair in the DP's array form.
+    """(graph, decomposition) pairs in the DP's array form: one pair from
+    `_prepare`, all of a run's pairs from `_merge`.
 
-    Bags are numbered as in the `TreeDecomposition`; bag i runs at step
-    step[i] (see `_steps`).  Its vertices are ax[off[i]:off[i+1]] in rank
-    order, its pin last; its table has d[i] = max(|bag| - 1, 0) axes and it
-    maxes out gone[i] of them.  Axis a of a d-axis table is bit d - 1 - a of
-    a flat cell index.  Each non-root bag c (in `child`) sends its message to
-    inbox slot `slot` of its parent `to`, on the parent's cell bits `mask`,
-    read reversed on the half where parent bit `flip` is set (-1: no such
-    half).  Each edge goes to slot `eslot` of bag `bucket` and adds
-    w * (-1)^popcount(cell & code).
+    Bags are numbered as in the `TreeDecomposition`s, one pair's after the
+    other's, and the root of pair p, graphs[p], is bag roots[p].  Bag i runs
+    at step step[i] (see `_steps`).  Its vertices, by their own pair's ids,
+    are ax[off[i]:off[i+1]] in rank order, its pin last; its table has
+    d[i] = max(|bag| - 1, 0) axes and it maxes out gone[i] of them.  Axis a
+    of a d-axis table is bit d - 1 - a of a flat cell index.  Each non-root
+    bag c (in `child`) sends its message to inbox slot `slot` of its parent
+    `to`, on the parent's cell bits `mask`, read reversed on the half where
+    parent bit `flip` is set (-1: no such half).  Each edge goes to slot
+    `eslot` of bag `bucket` and adds w * (-1)^popcount(cell & code).  `_run`
+    drops the columns that the backtrack does not read (sets them to None).
     """
 
-    G: WeightedGraph
+    graphs: tuple[WeightedGraph, ...]
+    roots: np.ndarray
     d: np.ndarray
     gone: np.ndarray
     step: np.ndarray
@@ -643,7 +649,8 @@ def _prepare(G: WeightedGraph, td: TreeDecomposition, width_cap: int) -> _Proble
     code = np.where(bu >= 0, np.left_shift(1, np.maximum(bu, 0)), 0)
     code |= np.where(bv >= 0, np.left_shift(1, np.maximum(bv, 0)), 0)
     return _Problem(
-        G,
+        (G,),
+        np.array([k - 1]),
         d,
         gone,
         _steps(parent, d <= LONG_TERM_AXES),
@@ -659,6 +666,31 @@ def _prepare(G: WeightedGraph, td: TreeDecomposition, width_cap: int) -> _Proble
         code,
         G.edge_arrays()[2],
     )
+
+
+def _merge(parts: list) -> _Problem | None:
+    """One problem of the `parts` that are not None, in order; None if no
+    part is left.  `parts` is emptied, and each field is concatenated in
+    turn, with each part's bag or entry offset added to the fields that
+    hold bag or entry ids, so each part's copy of a field is freed once it
+    is concatenated."""
+    live = [p for p in parts if p is not None]
+    parts.clear()
+    if len(live) < 2:
+        return live[0] if live else None
+    cols = [dict(vars(p)) for p in live]
+    del live  # the parts' fields are held by `cols` alone now
+    bags = np.cumsum([0] + [len(c["d"]) for c in cols])
+    entries = np.cumsum([0] + [len(c["ax"]) for c in cols])
+    shift = {"roots": bags, "child": bags, "to": bags, "bucket": bags}
+    out = {"graphs": tuple(c.pop("graphs")[0] for c in cols)}
+    out["off"] = np.concatenate([[0]] + [c.pop("off")[1:] + e for c, e in zip(cols, entries)])
+    for name in list(cols[0]):
+        if name in shift:
+            out[name] = np.concatenate([c.pop(name) + s for c, s in zip(cols, shift[name])])
+        else:
+            out[name] = np.concatenate([c.pop(name) for c in cols])
+    return _Problem(**out)
 
 
 def _steps(parent: np.ndarray, narrow: np.ndarray) -> np.ndarray:
@@ -746,6 +778,10 @@ def solve_treewidths(
     comparison and assignment is the same.  The root's value goes through
     `float` for the check against `evaluate` of the backtracked signs.
 
+    Every pair is checked and put in array form (`_prepare`) before all are
+    joined into one problem (`_merge`), over which `_run` runs the DP and
+    `_backtrack` reads the signs of every pair.
+
     The bags of all pairs run side by side, at the steps of `_steps`.  A
     bag of at most LONG_TERM_AXES axes runs at the step after its latest
     child (step 0 for a leaf), so narrow bags batch by height.  A wider bag
@@ -762,22 +798,18 @@ def solve_treewidths(
     zeros: 0 + x is x, in float64 up to the sign of zero, which no
     comparison sees.)
     """
-    problems = [_prepare(G, td, width_cap) for G, td in pairs]
-    live = [p for p in problems if p is not None]
-    group, row, bits, tops = _run(live) if live else (None, None, None, None)
-    out, base = [], 0
-    for p in problems:
-        if p is None:
-            out.append(Assignment((), 0.0))
-            continue
-        k = len(p.d)
-        sol = _backtrack(p, group[base : base + k], row[base : base + k], bits)
-        base += k
-        opt = float(tops[group[base - 1]][row[base - 1], 0])  # the root's table, all maxed out
-        if not abs(sol.value - opt) <= value_tol(p.G):
+    parts = [_prepare(G, td, width_cap) for G, td in pairs]
+    P = _merge(parts)
+    if P is None:
+        return [Assignment((), 0.0) for _ in pairs]
+    group, row, bits, tops = _run(P)
+    sols = _backtrack(P, group, row, bits)
+    for G, r, sol in zip(P.graphs, P.roots.tolist(), sols):
+        opt = float(tops[group[r]][row[r], 0])  # the root's table, all maxed out
+        if not abs(sol.value - opt) <= value_tol(G):
             raise InternalError(f"DP optimum {opt!r} but the backtracked signs give {sol.value!r}")
-        out.append(sol)
-    return out
+    solved = iter(sols)
+    return [next(solved) if G.n else Assignment((), 0.0) for G, _ in pairs]
 
 
 def _starts(new: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -796,14 +828,17 @@ def _heads(*cols: np.ndarray) -> np.ndarray:
     return new
 
 
-def _run(live: list[_Problem]):
-    """The DP over all bags of `live`: each bag's group and row in it, per
-    group the packed bits of each vertex it maxes out, (bags, 2, bytes) each,
-    and the final (bags, 1) table of each group that holds a root bag."""
-    base = np.cumsum([0] + [len(p.d) for p in live[:-1]])
-    step = np.concatenate([p.step for p in live])
-    d = np.concatenate([p.d for p in live])
-    gone = np.concatenate([p.gone for p in live])
+def _run(P: _Problem):
+    """The DP over all bags of P: each bag's group and row in it, per group
+    the packed bits of each vertex it maxes out, (bags, 2, bytes) each, and
+    the final (bags, 1) table of each group that holds a root bag.
+
+    The columns that only the DP reads (`step`, `d`, the links and the
+    bucket edges) are dropped from P once read: each link and edge column
+    is sorted in its own statement, which drops P's copy, so no unsorted
+    column lives beside its sorted copy.  The backtrack reads the rest."""
+    step, d, gone = P.step, P.d, P.gone
+    P.step = P.d = None
     order = np.lexsort((gone, d, step))
     gstart, gend, gid = _starts(_heads(step[order], d[order], gone[order]))
     group = np.empty(len(order), dtype=np.int64)
@@ -812,21 +847,22 @@ def _run(live: list[_Problem]):
     row[order] = np.arange(len(order)) - gstart[gid]
     ng = len(gstart)
     gsize = gend - gstart
-    roots = np.cumsum([len(p.d) for p in live]) - 1  # each pair's root bag is its last
-    tops = dict.fromkeys(group[roots].tolist())
+    tops = dict.fromkeys(group[P.roots].tolist())
     ginfo = zip(gsize.tolist(), d[order[gstart]].tolist(), gone[order[gstart]].tolist())
     del step, d, gone, order, gid, gstart, gend
 
-    def cat(field, shift=False):
-        return np.concatenate([getattr(p, field) + (b if shift else 0) for p, b in zip(live, base)])
-
     # child messages in sub-batches (parent group, slot, mask, flip), each
     # made of runs from one source group
-    child, to = cat("child", True), cat("to", True)
-    lg, lr, sg, sr = group[to], row[to], group[child], row[child]
-    slot, mask, flip = cat("slot"), cat("mask"), cat("flip")
-    o = np.lexsort((sr, sg, flip, mask, slot, lg))
-    lg, lr, sg, sr, slot, mask, flip = (a[o] for a in (lg, lr, sg, sr, slot, mask, flip))
+    lg, lr, sg, sr = group[P.to], row[P.to], group[P.child], row[P.child]
+    P.to = P.child = None
+    o = np.lexsort((sr, sg, P.flip, P.mask, P.slot, lg))
+    lg = lg[o]
+    lr = lr[o]
+    sg = sg[o]
+    sr = sr[o]
+    slot, P.slot = P.slot[o], None
+    mask, P.mask = P.mask[o], None
+    flip, P.flip = P.flip[o], None
     sb_new = _heads(lg, slot, mask, flip)
     sb, sb_end, sb_of = _starts(sb_new)
     run, run_end, _ = _starts(sb_new | _heads(sg))
@@ -847,21 +883,19 @@ def _run(live: list[_Problem]):
     freed = freed[np.argsort(last[freed], kind="stable")]
     free_at = np.searchsorted(last[freed], np.arange(ng + 1)).tolist()
     freed = freed.tolist()
-    del child, to, lg, sg, slot, mask, flip, sb_new, sb, sb_end, sb_of, run, run_end
+    del lg, sg, slot, mask, flip, sb_new, sb, sb_end, sb_of, run, run_end
     del ra, rb, whole, misplaced, ident, src, last
 
     # bucket edges in sub-batches (group, slot, code)
-    eb = cat("bucket", True)
-    eg, er = group[eb], row[eb]
-    eslot, code, ew = cat("eslot"), cat("code"), cat("w")
-    o = np.lexsort((er, code, eslot, eg))
-    # one column at a time, so that each unsorted column is freed before the next sort
+    eg, er = group[P.bucket], row[P.bucket]
+    P.bucket = None
+    o = np.lexsort((er, P.code, P.eslot, eg))
     eg = eg[o]
     er = er[o]
-    eslot = eslot[o]
-    code = code[o]
-    ew = ew[o]
-    cells = np.result_type(*(cell_dtype(p.G) for p in live))  # every pair's values fit
+    eslot, P.eslot = P.eslot[o], None
+    code, P.code = P.code[o], None
+    ew, P.w = P.w[o], None
+    cells = np.result_type(*map(cell_dtype, P.graphs))  # every pair's values fit
     terms = np.empty((len(ew), 4), cells)  # w * (-1)^popcount, written in the cell type
     terms[:, 0] = terms[:, 3] = ew
     terms[:, 1] = terms[:, 2] = np.negative(ew, out=ew)
@@ -872,9 +906,11 @@ def _run(live: list[_Problem]):
     )
     ogroup = np.concatenate([ogroup, eg[esb]])
     o = np.argsort(ogroup, kind="stable")  # per group: its messages, then its edges
-    ops = np.concatenate([ops, edge_ops])[o]
     op_at = np.searchsorted(ogroup[o], np.arange(ng + 1)).tolist()
-    del eb, eg, eslot, code, ew, esb, esb_end, z, edge_ops, ogroup, o
+    ops = np.concatenate([ops, edge_ops])
+    del eg, eslot, code, ew, esb, esb_end, z, edge_ops, ogroup
+    ops = ops[o]
+    del o
 
     layouts: dict = {}
     msgs: list = [None] * ng
@@ -978,27 +1014,35 @@ def _layout(d: int, mask: int, flip: int, term: bool):
     return tuple(axes), lead + (0,), lead + (1,), rev, None
 
 
-def _backtrack(p: _Problem, group: np.ndarray, row: np.ndarray, bits: list) -> Assignment:
-    """Signs of one pair from its bags' packed bits, parents before children."""
-    size = np.diff(p.off)
-    bag = np.repeat(np.arange(len(size)), size)
-    j = np.arange(len(p.ax)) - p.off[bag]
-    sel = np.flatnonzero(j < p.gone[bag])[::-1]
-    b = bag[sel]
-    pins = p.off[b + 1] - 1
-    ax = p.ax.tolist()
-    signs = [1] * p.G.n
-    for e, pe, gi, r, jj in zip(
-        sel.tolist(), pins.tolist(), group[b].tolist(), row[b].tolist(), j[sel].tolist()
-    ):
-        s = signs[ax[pe]]
-        rest = 0
-        for u in ax[e + 1 : pe]:
-            rest = rest << 1 | (signs[u] != s)
-        # t1 > t0 at these signs when the pin is +1, else t0 > t1 at the flipped ones
-        if bits[gi][jj][r, (s + 1) >> 1, rest >> 3] >> (7 - (rest & 7)) & 1:
-            signs[ax[e]] = -1
-    return Assignment(signs, evaluate(p.G, signs))
+def _backtrack(P: _Problem, group: np.ndarray, row: np.ndarray, bits: list) -> list[Assignment]:
+    """Signs of every pair from its bags' packed bits, parents before
+    children.  The pairs are taken one at a time, so that the Python lists
+    of entries live for one pair's bags only."""
+    out, first = [], 0
+    for G, root in zip(P.graphs, P.roots.tolist()):
+        off = P.off[first : root + 2]
+        e0 = off[0]
+        size = np.diff(off)
+        bag = np.repeat(np.arange(first, root + 1), size)
+        j = np.arange(e0, off[-1]) - P.off[bag]
+        sel = np.flatnonzero(j < P.gone[bag])[::-1]
+        b = bag[sel]
+        pins = P.off[b + 1] - 1 - e0
+        ax = P.ax[e0 : off[-1]].tolist()
+        signs = [1] * G.n
+        for e, pe, gi, r, jj in zip(
+            sel.tolist(), pins.tolist(), group[b].tolist(), row[b].tolist(), j[sel].tolist()
+        ):
+            s = signs[ax[pe]]
+            rest = 0
+            for u in ax[e + 1 : pe]:
+                rest = rest << 1 | (signs[u] != s)
+            # t1 > t0 at these signs when the pin is +1, else t0 > t1 at the flipped ones
+            if bits[gi][jj][r, (s + 1) >> 1, rest >> 3] >> (7 - (rest & 7)) & 1:
+                signs[ax[e]] = -1
+        out.append(Assignment(signs, evaluate(G, signs)))
+        first = root + 1
+    return out
 
 
 def solve_exact(G: WeightedGraph, width_cap: int = DEFAULT_WIDTH_CAP) -> ApproxResult:

@@ -51,6 +51,7 @@ from util import (
     reference_to_nice,
     sample_small,
     signs_and_value,
+    traced_peak,
     vertex_separation,
 )
 
@@ -999,6 +1000,15 @@ class TestSolveTreewidths:
             tracemalloc.stop()
         assert peak < 5.3 * 2**20
 
+    def test_baker_peak_memory_with_one_problem_for_all_pairs(self):
+        # the remainders' columns are concatenated into one problem, each
+        # pair's copy freed once concatenated, and the DP drops each link and
+        # edge column once sorted: near 3.7 MiB, against 4.86 MiB when every
+        # pair's columns lived beside their concatenation and sorted copies
+        G = _grid(40, 40)
+        assert G.unit
+        assert traced_peak(lambda: solve_baker(G, 0.5)) < 4.2 * 2**20
+
     def test_strip_peak_memory_follows_the_piece_order(self):
         # the width-20 strip runs its bags one at a time, children first, as
         # in a run of its own.  In float64 cells that peaks near 13.8 MiB,
@@ -1016,6 +1026,32 @@ class TestSolveTreewidths:
                 tracemalloc.stop()
             assert td.width == 20
             assert peak < bound * 2**20
+
+    def test_one_run_over_a_mixed_list(self):
+        # pairs whose bag, entry and edge offsets all differ in the one
+        # problem: no vertex, one vertex, no edge; int8, int16 and float64
+        # cells; narrow and wide bags
+        none, one, edgeless = WeightedGraph(0, []), WeightedGraph(1, []), WeightedGraph(7, [])
+        wide = _grid(12, 12, seed=5)
+        pairs = [(none, to_nice((), (), 0)), (one, build_decomposition(one))]
+        pairs += [(edgeless, build_decomposition(edgeless)), (_planted(127), None)]
+        pairs += [(wide, interval_decomposition(wide, cuthill_mckee_order(wide)))]
+        pairs += _baker_remainders(_grid(10, 10, seed=6))[:3]
+        pairs += [(_non_integral(wide), None), (none, to_nice((), (), 0))]
+        pairs = [(G, build_decomposition(G) if td is None else td) for G, td in pairs]
+        assert {"int8", "int16", "float64"} <= {str(cell_dtype(G)) for G, _ in pairs}
+        widths = {td.width for _, td in pairs}
+        assert min(widths) <= treewidth.LONG_TERM_AXES < max(widths)
+        together = solve_treewidths(pairs)
+        assert len(together) == len(pairs)
+        for (G, td), a in zip(pairs, together):
+            ref = signs_and_value(reference_bucket_elimination(G, td))
+            assert signs_and_value(a) == signs_and_value(solve_treewidth(G, td)) == ref
+        # an invalid pair among them is refused with its own 0-based vertex
+        triangle = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        bad = (triangle, to_nice(((0, 1),), (None,), 0))
+        with pytest.raises(ValidationError, match=r"^vertex 2 appears in no bag$"):
+            solve_treewidths(pairs[:4] + [bad] + pairs[4:])
 
     def test_backtracked_value_is_checked_against_the_dp_optimum(self, monkeypatch):
         G = _grid(4, 4)

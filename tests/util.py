@@ -3,7 +3,9 @@ independent oracles that do not go through the code under test."""
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +56,17 @@ GENERATOR_SPECS = [
 def edge_list(G: WeightedGraph) -> list[tuple[int, int, float]]:
     """G's edges as (u, v, w) tuples, in the order of its columns."""
     return list(zip(*(c.tolist() for c in G.edge_arrays())))
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak of the call fn(), in bytes, from a collected heap."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def adjacency(G: WeightedGraph) -> list[dict[int, float]]:
